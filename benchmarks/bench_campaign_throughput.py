@@ -17,22 +17,13 @@ The JSON sidecar records both rates, the speedup, and the CPU count so
 the perf-smoke baseline compare can gate on them.
 """
 
-import os
-
 from repro.verify import CampaignConfig, grid_scenarios, run_campaign
 
-from conftest import publish, wall_ms
+from conftest import host_cpus, publish, wall_ms
 
 WORKERS = 4
 SPEEDUP_FLOOR = 3.0
 MIN_SCENARIOS = 500
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _run_pair():
@@ -46,7 +37,7 @@ def _run_pair():
 
 def test_campaign_throughput(benchmark):
     serial, fanned = benchmark.pedantic(_run_pair, rounds=1, iterations=1)
-    cpus = _cpus()
+    cpus = host_cpus()
     speedup = fanned.scenarios_per_sec / serial.scenarios_per_sec
 
     rows = [

@@ -114,6 +114,9 @@ def test_tlm_fastforward(benchmark):
     speedup = fast_s / tlm_s if tlm_s else float("inf")
     stats = tlm.skip_stats or {}
     skipped = stats.get("tlm_cycles_skipped", 0)
+    # TLM error against the cycle-accurate fast kernel, signed percent
+    fps_err = 100 * (tlm.chaidnn_fps / fast.chaidnn_fps - 1)
+    dma_err = 100 * (tlm.dma_rate / fast.dma_rate - 1)
     rows = [
         f"HC-50-50 saturated contention, {TLM_WINDOW} cycles",
         f"fast kernel    {fast_s * 1e3:>9.0f} ms   "
@@ -122,6 +125,8 @@ def test_tlm_fastforward(benchmark):
         f"tlm kernel     {tlm_s * 1e3:>9.0f} ms   "
         f"CHaiDNN {tlm.chaidnn_fps:>6.0f} fps   "
         f"DMA {tlm.dma_rate:>6.0f} rounds/s",
+        f"tlm error      CHaiDNN fps {fps_err:+.1f}%   "
+        f"DMA rounds/s {dma_err:+.1f}%",
         f"speedup {speedup:.2f}x   epochs {stats.get('tlm_epochs', 0)}   "
         f"cycles skipped {skipped} "
         f"({skipped / TLM_WINDOW:.0%} of the window)   "
@@ -135,6 +140,8 @@ def test_tlm_fastforward(benchmark):
         "fast_ms": fast_s * 1e3,
         "tlm_ms": tlm_s * 1e3,
         "chaidnn_fps": {"fast": fast.chaidnn_fps, "tlm": tlm.chaidnn_fps},
+        "fps_err_pct": fps_err,
+        "dma_err_pct": dma_err,
         "tlm_epochs": stats.get("tlm_epochs", 0),
         "tlm_cycles_skipped": skipped,
         "tlm_rollbacks": stats.get("tlm_rollbacks", 0),

@@ -44,7 +44,7 @@ from repro.masters import AxiDma, build_offload_sim
 from repro.platforms import ZCU102
 from repro.system import SocSystem
 
-from conftest import publish
+from conftest import host_cpus, publish
 
 PORTS = (2, 4, 8)
 WORKERS = int(os.environ.get("PARALLEL_SCALING_WORKERS", "4"))
@@ -213,7 +213,7 @@ def test_parallel_scaling(benchmark):
         FARM_WORKERS, "processes")
     assert farm_proc_sig == farm_ref_sig   # zero divergence across OS
     farm_speedup = farm_proc / farm_ref
-    cpus = os.cpu_count() or 1
+    cpus = host_cpus()
     rows.append(
         f"  {FARM_ENGINES}-engine farm: reference {farm_ref:>10,.0f} "
         f"cyc/s   processes={FARM_WORKERS} {farm_proc:>10,.0f} cyc/s   "

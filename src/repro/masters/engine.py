@@ -45,7 +45,15 @@ _RESP_OKAY = Resp.OKAY
 
 @dataclass
 class Job:
-    """One byte-level transfer request handed to a master engine."""
+    """One byte-level transfer request handed to a master engine.
+
+    Invariant: a finished job (``completed`` set) is never written
+    again.  :meth:`AxiMasterEngine._maybe_finish` returns early for it,
+    and every other writer reaches a job through a live queue entry
+    (``_jobs``, ``_active_jobs`` or the issue/outstanding queues, which
+    only hold unfinished jobs).  The TLM snapshot relies on this to save
+    live jobs only.
+    """
 
     kind: str                  # "read", "write" or "copy"
     address: int               # source (read/copy) or destination (write)

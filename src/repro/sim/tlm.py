@@ -25,9 +25,12 @@ The protocol per attempted epoch is *predict / commit / rollback*:
    ``fast=True`` by construction, because the decline path mutates
    nothing.
 2. **Snapshot**: a generic shallow-copy snapshot of every component,
-   link checker, job and fabric channel (plus the global transaction
-   serial counter), so a mispredicted epoch can be rolled back and
-   replayed cycle-accurately with identical results.
+   link checker, fabric channel and *live* job (plus the global
+   transaction serial counter), so a mispredicted epoch can be rolled
+   back and replayed cycle-accurately with identical results.  Live
+   means queued (``_jobs``) or prepared and unfinished
+   (``_active_jobs``): a finished :class:`Job` is never written again,
+   so the snapshot costs the same at the last epoch as at the first.
 3. **Flush**: in-flight traffic (outstanding bursts, routed beats,
    queued memory commands, expected W beats) is credited as complete and
    cleared, putting the fabric in the regular state the analytic models
@@ -170,31 +173,6 @@ def _restore_channel(channel, saved) -> None:
     channel._dirty = dirty
     channel.pushed_total = pushed_total
     channel.popped_total = popped_total
-
-
-def _collect_jobs(engine) -> List[Job]:
-    """Every :class:`Job` reachable from the engine's containers.
-
-    Depth-2 scan: jobs appear as direct attribute values
-    (``_waiting_job``), container elements (``_jobs``, ``_active_jobs``,
-    ``jobs_completed``) and members of per-entry tuples/lists
-    (``_issue_queue``, ``_outstanding_reads``, ``_outstanding_writes``).
-    """
-    jobs: Dict[int, Job] = {}
-
-    def note(candidate) -> None:
-        if isinstance(candidate, Job):
-            jobs[id(candidate)] = candidate
-
-    for value in vars(engine).values():
-        note(value)
-        if isinstance(value, (list, deque, tuple)):
-            for item in value:
-                note(item)
-                if isinstance(item, (list, tuple)):
-                    for member in item:
-                        note(member)
-    return list(jobs.values())
 
 
 class _Snapshot:
@@ -507,8 +485,11 @@ class TlmEngine:
         for checker in plan.checkers:
             add(checker)
         add(sim.events)
+        # only live jobs: a finished Job is never written again, and every
+        # unfinished one is queued (_jobs) or prepared (_active_jobs)
         for lane in plan.lanes:
-            for job in _collect_jobs(lane.engine):
+            engine = lane.engine
+            for job in itertools.chain(engine._jobs, engine._active_jobs):
                 add(job)
         snap.objects = [(obj,) + _save_object(obj) for obj in objects]
         snap.channels = [(channel, _save_channel(channel))

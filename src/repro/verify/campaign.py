@@ -245,21 +245,22 @@ def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
     else:
         context = _context()
         records = []
-        chunksize = max(1, len(payloads) // (workers * 8) or 1)
-        if config.record_timeout is not None:
+        timeout = config.record_timeout
+        chunksize = max(1, len(payloads) // (workers * 8))
+        if timeout is not None:
             chunksize = 1  # a hung record must not strand its chunk-mates
         with context.Pool(processes=workers, initializer=_init_worker,
                           initargs=(config,)) as pool:
             results = pool.imap_unordered(_worker, payloads,
                                           chunksize=chunksize)
+            stream = results
+            if timeout is not None:
+                # only the chunksize-1 iterator has next(timeout); with
+                # larger chunks imap_unordered returns a plain generator
+                stream = (results.next(timeout) for __ in payloads)
             pending = {index for index, __ in payloads}
             try:
-                while pending:
-                    try:
-                        record = results.next(
-                            timeout=config.record_timeout)
-                    except StopIteration:
-                        break
+                for record in stream:
                     pending.discard(record["index"])
                     if progress is not None:
                         progress(record)

@@ -146,6 +146,18 @@ class TestDeterminism:
             for workers in (0, 2, 3)}
         assert len(set(digests.values())) == 1, digests
 
+    def test_chunked_workers_without_timeout_match_inline(self):
+        """Enough records for chunksize > 1, where imap_unordered hands
+        back a plain generator instead of its timeout-capable iterator."""
+        scenarios = [tiny(256 * (k % 4 + 1), kind=("read", "write")[k % 2],
+                          port=k % 3) for k in range(40)]
+        inline = run_campaign(scenarios, workers=0, config=GOLDEN_CONFIG)
+        pooled = run_campaign(scenarios, workers=2, config=GOLDEN_CONFIG)
+        assert GOLDEN_CONFIG.record_timeout is None
+        assert [r["index"] for r in pooled.records] == list(range(40))
+        assert pooled.digest == inline.digest
+        assert pooled.counts == {"pass": 40}
+
     def test_digest_ignores_volatile_timing_fields(self):
         records = run_campaign(self.scenarios()[:2], workers=0,
                                config=GOLDEN_CONFIG).records

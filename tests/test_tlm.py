@@ -14,14 +14,16 @@ Three properties anchor the suite:
   checks.
 """
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.masters import AxiDma, DmaDescriptor
+from repro.masters import AxiDma, DmaDescriptor, Job
 from repro.masters.chaidnn import ChaiDnnAccelerator
 from repro.platforms import ZCU102
 from repro.sim import Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.tlm import TlmEngine
+from repro.sim.tlm import TlmEngine, _Decline
 from repro.system import SocSystem, run_case_study
 from repro.verify import build_system, run_scenario, run_system
 from repro.verify.oracles import check_tlm, evaluate_scenario
@@ -147,6 +149,83 @@ class TestRollback:
             "mispredict:forced", 0) > 0
         assert (state_fingerprint(soc, chai, dma)
                 == state_fingerprint(reference_soc, ref_chai, ref_dma))
+
+
+def finished_job_fields(*engines):
+    """Deep copies of every finished job's fields, in completion order."""
+    return [astuple(job) for engine in engines
+            for job in engine.jobs_completed]
+
+
+def classify_now(soc, engine):
+    """Step cycle-accurately until an epoch would be accepted; its plan."""
+    for __ in range(64):
+        now = soc.sim.now
+        try:
+            return engine._classify(now, now + 4 * PERIOD)
+        except _Decline:
+            soc.sim.run(16)   # under min_epoch: never attempts an epoch
+    raise AssertionError("no TLM-eligible cycle found")
+
+
+class TestSnapshot:
+    def test_snapshot_size_does_not_grow_with_finished_jobs(self):
+        """Only live jobs are saved, so a late epoch's snapshot is as
+        small as an early one however many jobs have finished."""
+        soc, chai, dma = build_contended_soc(tlm=True)
+        engine = TlmEngine(soc.sim)
+        soc.sim._tlm_engine = engine
+        take_snapshot = engine._take_snapshot
+        sizes, finished, saved_finished = [], [], []
+
+        def measured(plan):
+            snap = take_snapshot(plan)
+            sizes.append(len(snap.objects))
+            finished.append(len(chai.jobs_completed)
+                            + len(dma.jobs_completed))
+            saved_finished.extend(
+                obj for obj, *__ in snap.objects
+                if isinstance(obj, Job) and obj.completed is not None)
+            return snap
+
+        engine._take_snapshot = measured
+        soc.sim.run(WINDOW)
+
+        assert finished[-1] >= 50
+        assert not saved_finished
+        assert max(sizes) - min(sizes) < 10
+
+    def test_late_epoch_round_trip_restores_everything(self):
+        """classify -> snapshot -> flush -> account -> restore, late in a
+        run, leaves the state and every finished job byte-identical, and
+        the run continues exactly like an undisturbed twin."""
+        twin_soc, twin_chai, twin_dma = build_contended_soc(tlm=True)
+        soc, chai, dma = build_contended_soc(tlm=True)
+        for system in (twin_soc, soc):
+            system.sim.run(WINDOW // 2)
+        engine = soc.sim._tlm_engine
+        plan = classify_now(soc, engine)
+        while twin_soc.sim.now < soc.sim.now:
+            twin_soc.sim.run(16)   # the same strides classify_now took
+
+        before = state_fingerprint(soc, chai, dma)
+        jobs_before = finished_job_fields(chai, dma)
+        assert len(jobs_before) >= 20
+        snap = engine._take_snapshot(plan)
+        engine._flush_in_flight(plan)
+        engine._account(plan)
+        assert len(finished_job_fields(chai, dma)) > len(jobs_before)
+        engine._restore(snap)
+
+        assert state_fingerprint(soc, chai, dma) == before
+        assert finished_job_fields(chai, dma) == jobs_before
+        assert before == state_fingerprint(twin_soc, twin_chai, twin_dma)
+        for system in (twin_soc, soc):
+            system.sim.run(WINDOW // 2)
+        assert (state_fingerprint(soc, chai, dma)
+                == state_fingerprint(twin_soc, twin_chai, twin_dma))
+        assert (finished_job_fields(chai, dma)
+                == finished_job_fields(twin_chai, twin_dma))
 
 
 class TestDeclinePath:
