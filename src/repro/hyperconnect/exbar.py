@@ -80,6 +80,11 @@ class Exbar(Component):
         self.out_aw = out_aw
         self.master_link = master_link
         self.n_ports = len(supervisors)
+        #: the per-port TS queue deques, captured once so a tick can skip
+        #: an arbitration scan with one any() when every queue is empty;
+        #: sound because Channel._queue is only ever changed in place
+        self._ar_queues = tuple(channel._queue for channel in ts_ar)
+        self._aw_queues = tuple(channel._queue for channel in ts_aw)
         self._rr_ar = 0
         self._rr_aw = 0
         #: routing information (circular buffers in the RTL): grant order
@@ -106,7 +111,8 @@ class Exbar(Component):
         # call economy here is measurable end to end.
         n_ports = self.n_ports
         out = self.out_ar
-        if out.capacity is None or out._occupancy < out.capacity:
+        if any(self._ar_queues) and (out.capacity is None
+                                     or out._occupancy < out.capacity):
             ts_ar = self.ts_ar
             port = self._rr_ar
             scan = n_ports
@@ -130,7 +136,8 @@ class Exbar(Component):
                 if port >= n_ports:
                     port = 0
         out = self.out_aw
-        if out.capacity is None or out._occupancy < out.capacity:
+        if any(self._aw_queues) and (out.capacity is None
+                                     or out._occupancy < out.capacity):
             ts_aw = self.ts_aw
             port = self._rr_aw
             scan = n_ports

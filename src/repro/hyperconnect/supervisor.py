@@ -485,15 +485,27 @@ class TransactionSupervisor(Component):
         if self.faulted:
             self._containment_tick(cycle)
             return
-        if not self.coupled or not self.enabled:
+        link = self.ha_link
+        if not link.gate.coupled or not self.enabled:
             return
         if self._w_residue:
             self._swallow_residual_w()
-        deadline = self._watchdog_deadline()
-        if deadline is not None and cycle >= deadline:
-            self._trip(cycle, "watchdog_timeout", Resp.SLVERR,
-                       age=self.config.timeout_cycles)
-            self._containment_tick(cycle)
+        # the reference kernel ticks every port's TS every cycle, so an
+        # idle tick must stay O(1): the watchdog deadline is inlined
+        # (same test as _watchdog_deadline) and a TS with nothing pending
+        # and nothing queued returns after one check, as is_quiescent does
+        timeout = self.config.timeout_cycles
+        if timeout is not None:
+            reads = self._read_issue_cycles
+            writes = self._write_issue_cycles
+            if ((reads and cycle >= reads[0] + timeout)
+                    or (writes and cycle >= writes[0] + timeout)):
+                self._trip(cycle, "watchdog_timeout", Resp.SLVERR,
+                           age=timeout)
+                self._containment_tick(cycle)
+                return
+        if not (self._pending_ar or self._pending_aw
+                or link.ar._queue or link.aw._queue):
             return
         # ingest at most one new request per channel per cycle, keeping the
         # pending queues shallow (the eFIFO provides the real buffering)

@@ -358,21 +358,22 @@ class Simulator:
             raise SimulationError(
                 f"simulator {self.name!r} stepped after finish()")
         self._quiescent_until = 0
-        if self.fast:
-            self._advance(self._cycle + 1)
-        else:
-            self._reference_cycle()
+        self._advance(self._cycle + 1)
 
     def _advance(self, end: int) -> None:
-        """Advance to ``end`` on the best enabled fast engine.
+        """Advance to ``end`` on the kernel path this simulator runs.
 
-        Routes to the sharded parallel engine when one is configured
-        *and* the current wiring partitions into at least two shard
-        groups; otherwise (including mid-run, if registrations reshape
-        the wiring) the serial fast path runs.  Both produce identical
-        results, so the routing is purely a performance decision.
+        Without ``fast`` that is the reference loop.  Otherwise it routes
+        to the sharded parallel engine when one is configured *and* the
+        current wiring partitions into at least two shard groups; else
+        (including mid-run, if registrations reshape the wiring) the
+        TLM engine or the serial fast path runs.  All of them produce
+        identical results outside committed TLM epochs, so the routing
+        is purely a performance decision.
         """
-        if self.parallel and self._parallel_engine_active():
+        if not self.fast:
+            self._run_reference(end)
+        elif self.parallel and self._parallel_engine_active():
             self._parallel_engine.run_to(end)
         elif self.tlm:
             engine = self._tlm_engine
@@ -403,17 +404,38 @@ class Simulator:
         engine = self._parallel_engine
         return {} if engine is None else dict(engine.shard_stats)
 
-    def _reference_cycle(self) -> None:
-        """One cycle the long way: tick everything, commit dirty channels."""
-        cycle = self._cycle
-        for component in self._components:
-            component.tick(cycle)
+    def _run_reference(self, end: int) -> None:
+        """Run cycles up to ``end`` the long way: tick everything, commit
+        dirty channels.
+
+        The single inner loop of the reference path and the counterpart
+        of :meth:`_run_fast`: ``run``, ``run_until`` and ``step`` all
+        funnel here, so the reference-cycle semantics live in one place.
+        Every component ticks every cycle, in registration order, then
+        every channel with uncommitted work commits.  The component and
+        dirty lists are bound to locals once per window (both are
+        mutated in place, never replaced), so a component registered
+        mid-tick is still reached through the live list, and each tick
+        stays a plain ``component.tick(cycle)`` call that class-level
+        instrumentation sees.  The loop adds no per-cycle call of its
+        own, so an idle component costs exactly its ``tick``'s early
+        return; that is why idle ticks must be O(1) (DESIGN.md §6).
+        """
+        components = self._components
         dirty = self._dirty_channels
-        if dirty:
-            for channel in dirty:
-                channel._commit(cycle)
-            dirty.clear()
-        self._cycle = cycle + 1
+        cycle = self._cycle
+        while cycle < end:
+            if self._finished:
+                raise SimulationError(
+                    f"simulator {self.name!r} stepped after finish()")
+            for component in components:
+                component.tick(cycle)
+            if dirty:
+                for channel in dirty:
+                    channel._commit(cycle)
+                dirty.clear()
+            cycle += 1
+            self._cycle = cycle
 
     def _rebuild_wiring(self) -> None:
         """(Re)derive the fast path's scheduling structures.
@@ -654,14 +676,7 @@ class Simulator:
         if cycles < 0:
             raise SimulationError("cannot run a negative number of cycles")
         self._quiescent_until = 0
-        if self.fast:
-            self._advance(self._cycle + cycles)
-            return
-        for _ in range(cycles):
-            if self._finished:
-                raise SimulationError(
-                    f"simulator {self.name!r} stepped after finish()")
-            self._reference_cycle()
+        self._advance(self._cycle + cycles)
 
     def run_until(self, predicate: Callable[[], bool],
                   max_cycles: int = 1_000_000,
@@ -691,17 +706,13 @@ class Simulator:
                     f"run_until exceeded {max_cycles} cycles in simulator "
                     f"{self.name!r} (started at cycle {start})")
             stride = min(check_every, max_cycles - elapsed)
-            if self.fast:
-                # note: no _quiescent_until reset between strides — an
-                # observational predicate cannot unfreeze the system.
-                # _advance runs exactly `stride` cycles on either engine
-                # (the parallel engine checks the stage barrier's cycle
-                # count against the same bound), so the predicate is
-                # sampled on identical cycle boundaries serial/parallel.
-                self._advance(self._cycle + stride)
-            else:
-                for _ in range(stride):
-                    self.step()
+            # note: no _quiescent_until reset between strides — an
+            # observational predicate cannot unfreeze the system.
+            # _advance runs exactly `stride` cycles on every engine (the
+            # parallel engine checks the stage barrier's cycle count
+            # against the same bound), so the predicate is sampled on
+            # identical cycle boundaries on every path.
+            self._advance(self._cycle + stride)
         return self._cycle - start
 
     def finish(self) -> None:
@@ -733,8 +744,16 @@ class Simulator:
         return list(self._channels)
 
     def idle(self) -> bool:
-        """True when every channel is empty (no traffic in flight)."""
-        return all(channel.is_idle for channel in self._channels)
+        """True when every channel is empty (no traffic in flight).
+
+        Tests the queues directly rather than through
+        :attr:`Channel.is_idle`: ``SocSystem.run_until_quiescent`` polls
+        this every cycle.
+        """
+        for channel in self._channels:
+            if channel._queue or channel._staged:
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator({self.name!r}, cycle={self._cycle}, "
