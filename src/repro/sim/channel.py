@@ -86,7 +86,9 @@ class Channel:
         self.latency = latency
         self.capacity = capacity
         self._sim = sim
-        #: committed items as (ready_cycle, payload) in FIFO order
+        #: committed items as (ready_cycle, payload) in FIFO order.  Only
+        #: ever changed in place, never rebound: the EXBAR captures the
+        #: deques of its per-port TS queues once, at construction
         self._queue: Deque[Tuple[int, Any]] = deque()
         #: items pushed this cycle, not yet committed
         self._staged: List[Any] = []

@@ -191,6 +191,48 @@ class TestDecouplingAndEnable:
         assert ts.budget_remaining == 4
 
 
+class TestIdleTick:
+    """Guards for the early return of an idle supervisor tick."""
+
+    def test_budget_stall_counted_every_cycle_with_empty_heads(self):
+        config = PortConfig(nominal_burst=16, max_outstanding=16, budget=1)
+        sim, link, out_ar, __, ts = build(config)
+        ts.recharge()
+        link.ar.push(read_request(length=16 * 4))
+        sim.run(10)
+        assert ts.config.issued_read == 1
+        assert len(ts._pending_ar) == 3
+        assert link.ar.is_idle and link.aw.is_idle
+        before = ts.stalled_on_budget
+        sim.run(25)
+        assert ts.stalled_on_budget == before + 25
+
+    @pytest.mark.parametrize("gate", ("decoupled", "disabled"))
+    def test_gated_tick_is_a_noop(self, gate):
+        config = PortConfig(nominal_burst=16, max_outstanding=16, budget=1,
+                            timeout_cycles=5)
+        sim, link, out_ar, __, ts = build(config)
+        ts.recharge()
+        link.ar.push(read_request(length=32))
+        sim.run(2)                  # one sub issued, one pending on budget
+        link.ar.push(read_request())
+        sim.run(2)                  # the second request waits in the eFIFO
+        if gate == "decoupled":
+            link.decouple()
+        else:
+            ts.enabled = False
+
+        def state():
+            return (ts.stalled_on_budget, len(ts._pending_ar),
+                    ts.outstanding_reads, ts.faulted, len(link.ar),
+                    out_ar.pushed_total, ts.fault_stats.trips)
+
+        before = state()
+        sim.run(50)                 # far past the armed watchdog deadline
+        assert state() == before
+        assert before[1:5] == (1, 1, False, 1)
+
+
 class TestConfigValidation:
     def test_invalid_nominal(self):
         with pytest.raises(ConfigurationError):

@@ -205,6 +205,23 @@ class TestFastPath:
                                          max_cycles=5000))
         assert elapsed[0] == elapsed[1]
 
+    @pytest.mark.parametrize("check_every", (1, 3, 7, 64))
+    def test_run_until_check_every_stops_match_reference(self, check_every):
+        outcomes = []
+        for fast in (False, True):
+            sim, _, sink = self.build(fast)
+            sampled = []
+
+            def done():
+                sampled.append(sim.now)
+                return len(sink.received) >= 4
+
+            elapsed = sim.run_until(done, max_cycles=5000,
+                                    check_every=check_every)
+            outcomes.append((elapsed, sim.now, sampled, sink.received))
+        assert outcomes[0] == outcomes[1]
+        assert all(cycle % check_every == 0 for cycle in outcomes[0][2])
+
     def test_bulk_skip_happens(self):
         sim, _, _ = self.build(fast=True)
         sim.run(1200)
@@ -304,3 +321,101 @@ class TestRegistry:
         assert sim.idle()
         channel.push(1)
         assert not sim.idle()
+
+    def test_idle_counts_items_still_in_flight(self):
+        sim = Simulator()
+        channel = Channel(sim, "ch", latency=3)
+        channel.push(1)
+        sim.step()                  # committed, not yet visible
+        assert not channel.can_pop() and not sim.idle()
+        sim.run(2)
+        channel.pop()
+        assert sim.idle()
+
+
+class Finisher(Component):
+    """Calls ``sim.finish()`` from inside its tick at one chosen cycle."""
+
+    def __init__(self, sim, name, at):
+        super().__init__(sim, name)
+        self.at = at
+        self.ticked = []
+
+    def tick(self, cycle):
+        self.ticked.append(cycle)
+        if cycle == self.at:
+            self.sim.finish()
+
+
+class Spawner(Component):
+    """Registers a new producer from inside its tick at one chosen cycle."""
+
+    def __init__(self, sim, name, channel, at):
+        super().__init__(sim, name)
+        self.channel = channel
+        self.at = at
+        self.child = None
+
+    def tick(self, cycle):
+        if cycle == self.at:
+            self.child = Producer(self.sim, "child", self.channel)
+
+
+@pytest.mark.parametrize("fast", (False, True), ids=("reference", "fast"))
+class TestRunLoopEdges:
+    """Edge cases of the run loops, identical on both kernel paths."""
+
+    def test_finish_inside_tick_stops_at_next_cycle_boundary(self, fast):
+        sim = Simulator(fast=fast)
+        channel = Channel(sim, "ch", latency=1, capacity=4)
+        finisher = Finisher(sim, "f", at=5)
+        consumer = Consumer(sim, "c", channel)
+        producer = Producer(sim, "p", channel)
+        with pytest.raises(SimulationError):
+            sim.run(20)
+        # the finishing cycle completes (later components tick, pushes
+        # commit); the next cycle boundary raises
+        assert sim.now == 6
+        assert finisher.ticked == [0, 1, 2, 3, 4, 5]
+        assert [v for (_, v) in consumer.received] == [0, 1, 2, 3, 4]
+        assert producer.counter == 6 and len(channel) == 1
+        with pytest.raises(SimulationError):
+            sim.run(1)
+        assert sim.now == 6
+
+    def test_run_zero_after_finish_is_a_noop(self, fast):
+        sim = Simulator(fast=fast)
+        sim.run(3)
+        sim.finish()
+        sim.run(0)
+        assert sim.now == 3
+        with pytest.raises(SimulationError):
+            sim.step()
+        assert sim.now == 3
+
+    def test_component_registered_mid_tick_ticks_that_cycle(self, fast):
+        sim = Simulator(fast=fast)
+        channel = Channel(sim, "ch", latency=1, capacity=None)
+        spawner = Spawner(sim, "s", channel, at=4)
+        sim.run(8)
+        assert spawner.child.counter == 4   # ticked on cycles 4..7
+
+
+def test_reference_ticks_go_through_the_class_attribute():
+    # class-level tick wrappers installed between runs (as a layer
+    # tracer does) must see every reference tick
+    calls = []
+
+    class Counted(Producer):
+        pass
+
+    sim = Simulator()
+    Counted(sim, "p", Channel(sim, "ch", capacity=None))
+    sim.run(3)
+    original = Counted.tick
+    Counted.tick = lambda self, cycle: (calls.append(cycle),
+                                        original(self, cycle))
+    sim.run(4)
+    sim.step()
+    sim.run_until(lambda: sim.now >= 10)
+    assert calls == list(range(3, 10))
