@@ -35,8 +35,7 @@ def _sweep():
     for n in DOMAIN_COUNTS:
         scenario = _storm(n)
         started = time.perf_counter()
-        result = evaluate_scenario(scenario, checks=DEFAULT_CHECKS,
-                                   parallel=0)
+        result = evaluate_scenario(scenario, checks=DEFAULT_CHECKS)
         elapsed = time.perf_counter() - started
         points.append({
             "domains": n,

@@ -33,20 +33,6 @@ from typing import Optional
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--parallel", type=int, default=None, metavar="N",
-        help="run every bench with the sharded tick engine at N workers "
-             "(sets REPRO_PARALLEL, which SocSystem.build reads; "
-             "0 = serial)")
-
-
-def pytest_configure(config):
-    workers = config.getoption("--parallel")
-    if workers is not None:
-        os.environ["REPRO_PARALLEL"] = str(workers)
-
-
 def host_cpus() -> int:
     """CPUs this process may run on (its affinity set, where known)."""
     try:

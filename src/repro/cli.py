@@ -51,10 +51,8 @@ def _platform(name: str):
 def cmd_latency(args: argparse.Namespace) -> int:
     """Fig. 3(a): per-channel propagation latency table."""
     platform = _platform(args.platform)
-    hc = measure_channel_latencies("hyperconnect", platform,
-                                   parallel=args.parallel).as_dict()
-    sc = measure_channel_latencies("smartconnect", platform,
-                                   parallel=args.parallel).as_dict()
+    hc = measure_channel_latencies("hyperconnect", platform).as_dict()
+    sc = measure_channel_latencies("smartconnect", platform).as_dict()
     print(f"per-channel propagation latency on {platform.name} (cycles)")
     print(f"{'channel':<9}{'HyperConnect':>13}{'SmartConnect':>13}"
           f"{'improvement':>13}")
@@ -68,10 +66,8 @@ def cmd_access_time(args: argparse.Namespace) -> int:
     """Fig. 3(b): memory access time for given sizes."""
     platform = _platform(args.platform)
     for nbytes in args.size:
-        hc = measure_access_time("hyperconnect", nbytes, platform,
-                                 parallel=args.parallel)
-        sc = measure_access_time("smartconnect", nbytes, platform,
-                                 parallel=args.parallel)
+        hc = measure_access_time("hyperconnect", nbytes, platform)
+        sc = measure_access_time("smartconnect", nbytes, platform)
         print(f"{nbytes:>9} B   HC {hc:>8} cycles   SC {sc:>8} cycles   "
               f"improvement {improvement(sc, hc):.1%}")
     return 0
@@ -91,7 +87,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     result = run_case_study(args.interconnect, shares=shares,
                             scale=args.scale,
                             window_cycles=args.window,
-                            platform=platform, parallel=args.parallel)
+                            platform=platform)
     print(f"{label} on {platform.name}: "
           f"CHaiDNN {result.chaidnn_fps:.0f} scaled fps "
           f"({result.chaidnn_frames} frames), "
@@ -146,14 +142,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         limit=args.limit, horizon=args.horizon)
     if args.checks:
         checks = tuple(args.checks)
-    config = CampaignConfig(checks=checks,
-                            kernel_parallel=args.kernel_parallel,
-                            record_timeout=args.record_timeout)
     print(f"campaign {args.grid!r}: {len(scenarios)} scenarios, "
           f"checks={','.join(checks) or '-'} "
           f"workers={max(1, args.workers)}", flush=True)
-    result = run_campaign(scenarios, workers=args.workers, config=config,
-                          output=args.output)
+    try:
+        config = CampaignConfig(checks=checks,
+                                record_timeout=args.record_timeout)
+        result = run_campaign(scenarios, workers=args.workers,
+                              config=config, output=args.output)
+    except ValueError as error:
+        raise SystemExit(f"campaign: {error}") from None
     counts = " ".join(f"{verdict}={count}"
                       for verdict, count in sorted(result.counts.items()))
     print(f"verdicts: {counts}")
@@ -199,13 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--platform", default="ZCU102",
                         help="platform model (default: ZCU102)")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="sharded tick-engine worker count (0 = "
-                             "serial; default: REPRO_PARALLEL env var)")
-    parser.add_argument("--parallel-backend", default=None,
-                        choices=("auto", "inline", "threads", "processes"),
-                        help="sharded tick-engine backend (default: "
-                             "REPRO_PARALLEL_BACKEND env var, or auto)")
     parser.add_argument("--tlm", action="store_true",
                         help="transaction-level fast-forward mode: skip "
                              "steady-state epochs analytically, demote "
@@ -280,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="wall-clock budget per record; a hung "
                                "worker becomes an 'error' verdict "
                                "(needs --workers >= 2)")
-    campaign.add_argument("--kernel-parallel", type=int, default=0,
-                          metavar="N",
-                          help="sharded-kernel workers for the parallel "
-                               "equivalence leg (0 = skip)")
     campaign.add_argument("--output", "-o", default=None, metavar="FILE",
                           help="write JSON-lines results here")
     campaign.set_defaults(handler=cmd_campaign)
@@ -298,14 +285,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _platform(args.platform)   # validate once, before any work
-    if args.parallel_backend is not None:
-        # the builder reads the env var, so one flag reaches every
-        # simulator any experiment constructs (same plumbing as
-        # REPRO_PARALLEL for call sites without a backend parameter)
-        os.environ["REPRO_PARALLEL_BACKEND"] = args.parallel_backend
-    if args.tlm:
-        os.environ["REPRO_TLM"] = "1"
-    return args.handler(args)
+    if not args.tlm:
+        return args.handler(args)
+    # the builder reads REPRO_TLM, so one flag reaches every simulator
+    # any experiment constructs; restore it afterwards so a programmatic
+    # call does not switch later builds in the same process to TLM
+    previous = os.environ.get("REPRO_TLM")
+    os.environ["REPRO_TLM"] = "1"
+    try:
+        return args.handler(args)
+    finally:
+        if previous is None:
+            del os.environ["REPRO_TLM"]
+        else:
+            os.environ["REPRO_TLM"] = previous
 
 
 if __name__ == "__main__":   # pragma: no cover - module execution path

@@ -83,13 +83,6 @@ class EFifoLink(AxiLink):
                  data_depth: Optional[int] = 32,
                  coupled: bool = True) -> None:
         self.gate = PortGate(coupled)
-        #: partition key for the sharded parallel kernel: the owning
-        #: HyperConnect stamps its port identity here, and every
-        #: component attached to this link (the port's supervisor, the
-        #: hardware accelerator's engine) reports it as its
-        #: :meth:`~repro.sim.Component.shard_affinity`.  ``None`` means
-        #: "no affinity declared" (components fall back to the hub).
-        self.shard_key: Optional[str] = None
         kwargs = {}
         if version is not None:
             kwargs["version"] = version

@@ -154,14 +154,6 @@ class HyperConnect:
                       data_depth=data_depth)
             for i in range(n_ports)
         ]
-        # Declare each port as its own shard for the parallel kernel:
-        # the port's supervisor and whatever accelerator engine drives
-        # the link pick this key up through their shard_affinity()
-        # hooks, so the per-port eFIFO/TS pipelines can tick on
-        # concurrent workers while the EXBAR/central-unit hub stays
-        # serial (see repro.sim.partition).
-        for i, port_link in enumerate(self.ports):
-            port_link.shard_key = f"{name}.p{i}"
         self.configs: List[PortConfig] = [PortConfig()
                                           for _ in range(n_ports)]
         # registered stages: TS outputs and EXBAR outputs (capacity 2 keeps

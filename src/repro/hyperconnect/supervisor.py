@@ -652,17 +652,6 @@ class TransactionSupervisor(Component):
         return [link.ar, link.aw, link.w, link.r, link.b,
                 self.out_ar, self.out_aw]
 
-    def shard_affinity(self) -> Optional[str]:
-        """The TS belongs to its port's shard (stamped on the eFIFO link).
-
-        The TS only touches its own port's channels during a tick; its
-        cross-shard interactions (EXBAR completion callbacks, central
-        unit recharges, fault events) arrive through the kernel's wake
-        and event services, which the parallel engine defers to the
-        stage barrier.
-        """
-        return getattr(self.ha_link, "shard_key", None)
-
     def reset(self) -> None:
         self._pending_ar.clear()
         self._pending_aw.clear()

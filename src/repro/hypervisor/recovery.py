@@ -194,9 +194,9 @@ class RevocationController(Component):
     :class:`FaultRecoveryAgent` polls before a recouple — and hands the
     drained domain to ``Hypervisor.commit_revocation`` (stage-2 window
     teardown, filter retarget, buddy coalesce, scrub, optional
-    re-grant).  Pure timer component on the serial hub: deadlines are
-    exposed through ``next_event_cycle`` so the fast and parallel
-    kernels wake exactly when a transition is due.
+    re-grant).  Pure timer component: deadlines are exposed through
+    ``next_event_cycle`` so the fast kernel wakes exactly when a
+    transition is due.
     """
 
     def __init__(self, sim, name: str, hypervisor) -> None:

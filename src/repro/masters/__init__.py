@@ -11,13 +11,6 @@ from .chaidnn import (
 from .dma import AxiDma, DmaDescriptor, standard_case_study_dma
 from .engine import AxiMasterEngine, Job
 from .faulty import FAULT_MODES, FaultInjectingMaster
-from .offload import (
-    OffloadEngine,
-    OffloadHub,
-    build_offload_farm,
-    build_offload_sim,
-    offload_digest,
-)
 from .tracefile import (
     BusTraceRecorder,
     TraceRecord,
@@ -46,11 +39,6 @@ __all__ = [
     "Job",
     "FAULT_MODES",
     "FaultInjectingMaster",
-    "OffloadEngine",
-    "OffloadHub",
-    "build_offload_farm",
-    "build_offload_sim",
-    "offload_digest",
     "BusTraceRecorder",
     "TraceRecord",
     "TraceReplayMaster",

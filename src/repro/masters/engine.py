@@ -349,19 +349,6 @@ class AxiMasterEngine(Component):
         link = self.link
         return [link.ar, link.aw, link.w, link.r, link.b]
 
-    def shard_affinity(self) -> Optional[str]:
-        """Engines inherit the shard of the port link they drive.
-
-        A HyperConnect port link carries a ``shard_key``; a plain
-        :class:`~repro.axi.port.AxiLink` (e.g. behind an in-order
-        adapter) does not, which correctly lands the engine in the
-        serial hub shard.  The partitioner additionally demotes engines
-        whose completion callbacks are owned by foreign objects (e.g. a
-        hypervisor interrupt bridge), since those callbacks run inside
-        the engine's tick.
-        """
-        return getattr(self.link, "shard_key", None)
-
     # -- address issue --------------------------------------------------
 
     def _issue_addresses(self, cycle: int) -> None:

@@ -18,9 +18,6 @@ from .errors import (
 from .events import (EventBus, GrantRevocationEvent, PortFaultEvent,
                      PortRecoveryEvent)
 from .kernel import Simulator
-from .parallel import ParallelEngine, measured_backend
-from .partition import ProcessShardInfo, ShardPlan, Stage, build_plan
-from .procpool import ProcessShardPool
 from .stats import (
     Histogram,
     KernelSkipStats,
@@ -53,11 +50,4 @@ __all__ = [
     "Tracer",
     "CommitCohorts",
     "WakeHeap",
-    "ParallelEngine",
-    "measured_backend",
-    "ProcessShardInfo",
-    "ProcessShardPool",
-    "ShardPlan",
-    "Stage",
-    "build_plan",
 ]

@@ -70,7 +70,6 @@ class Channel:
         "_pop_listeners",
         "_watchers",
         "_index",
-        "shard_class",
     )
 
     def __init__(self, sim, name: str, latency: int = 1,
@@ -116,16 +115,6 @@ class Channel:
         self._watchers: tuple = ()
         #: stable index into the kernel's commit-cohort buffers
         self._index = -1
-        #: partition verdict for the sharded parallel kernel, written by
-        #: repro.sim.partition: ``None`` until a plan is built, then
-        #: ``("internal", key)`` — all touchers live in shard ``key`` —
-        #: ``("boundary", key)`` — shard ``key`` on one side, the hub on
-        #: the other — or ``("hub", None)``.  Purely descriptive: the
-        #: two-phase commit already double-buffers every channel (staged
-        #: pushes are invisible until the serial end-of-cycle commit),
-        #: so boundary channels need no extra synchronization — shards
-        #: can never observe each other's same-cycle writes.
-        self.shard_class: Optional[Tuple[str, Optional[str]]] = None
         sim._register_channel(self)
 
     # ------------------------------------------------------------------
@@ -133,20 +122,12 @@ class Channel:
     # ------------------------------------------------------------------
 
     def subscribe_push(self, callback) -> None:
-        """Invoke ``callback(cycle, item)`` whenever an item is pushed.
-
-        Marks the scheduling wiring stale: the shard partitioner merges
-        shards through listener ownership (a tracer watching two ports'
-        channels must serialize them), so a listener attached after the
-        first plan has to force a re-plan.
-        """
+        """Invoke ``callback(cycle, item)`` whenever an item is pushed."""
         self._push_listeners.append(callback)
-        self._sim._wiring_stale = True
 
     def subscribe_pop(self, callback) -> None:
         """Invoke ``callback(cycle, item)`` whenever an item is popped."""
         self._pop_listeners.append(callback)
-        self._sim._wiring_stale = True
 
     # ------------------------------------------------------------------
     # producer side

@@ -120,11 +120,6 @@ class EventBus:
         self._log: Deque[Any] = deque(maxlen=log_limit)
         self.published_total = 0
         self.dropped = 0
-        #: when set (by the parallel kernel during a sharded tick phase),
-        #: publish() hands the event to this callable instead of
-        #: dispatching; the kernel flushes deferred events at the stage
-        #: barrier in deterministic component order
-        self._defer: Optional[Callable[[Any], None]] = None
 
     def subscribe(self, callback: Callable[[Any], None],
                   event_type: Optional[type] = None) -> None:
@@ -136,23 +131,7 @@ class EventBus:
         self._subscribers.append((event_type, callback))
 
     def publish(self, event: Any) -> None:
-        """Deliver ``event`` to subscribers (in subscription order).
-
-        While the parallel kernel runs a sharded tick phase, delivery is
-        deferred: the event is recorded by the kernel and dispatched at
-        the stage barrier, in the deterministic order the publishing
-        components would have run serially.  Publishers cannot observe
-        the difference, because subscriber reactions only feed back
-        through channels and wakes — both already end-of-cycle effects.
-        """
-        defer = self._defer
-        if defer is not None:
-            defer(event)
-            return
-        self._dispatch(event)
-
-    def _dispatch(self, event: Any) -> None:
-        """Log and deliver one event immediately (barrier flush entry)."""
+        """Deliver ``event`` to subscribers (in subscription order)."""
         if (self._log.maxlen is not None
                 and len(self._log) == self._log.maxlen):
             self.dropped += 1

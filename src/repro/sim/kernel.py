@@ -144,75 +144,30 @@ class Simulator:
         every cycle.  Both paths produce bit-identical results for
         components honouring the quiescence contract;
         ``tests/test_kernel_equivalence.py`` enforces this differentially.
-    parallel:
-        Worker count for the sharded parallel tick engine (see
-        :mod:`repro.sim.parallel`).  ``0`` (the default) disables it;
-        any positive count implies ``fast`` and runs each cycle's tick
-        phase as a stage schedule over the component shards derived by
-        :mod:`repro.sim.partition`, with cross-shard wakes and event
-        publishes deferred to stage barriers.  Topologies that do not
-        yield at least two shard groups automatically fall back to the
-        serial fast path.  Results are byte-identical to the reference
-        path either way; the three-way oracle in ``repro.verify``
-        enforces this differentially.
-    parallel_backend:
-        ``"auto"`` (pick ``processes`` when the plan exports shards and
-        cores exist, else measure whether a thread pool beats inline
-        staged execution on this host, once per process),
-        ``"threads"``, ``"inline"``, or ``"processes"`` (long-lived
-        worker processes own the process-exportable shards and exchange
-        boundary beats at epoch barriers; degrades gracefully to
-        ``threads`` when the wiring or platform cannot support it —
-        see :attr:`ParallelEngine.backend_resolution`).
     tlm:
         Transaction-level fast-forward mode (see :mod:`repro.sim.tlm`).
-        Implies ``fast``; incompatible with ``parallel``.  Steady-state
-        reservation traffic advances one epoch (up to a reservation
-        period) per step using the analytic models; contention onsets,
-        faults, watchdog windows, revocation orders and any
-        non-predictable component demote the window to the serial
-        cycle-accurate fast path.  Committed epochs trade per-cycle
-        observables for speed (checked by the ``tlm`` oracle in
-        :mod:`repro.verify`); windows with no committed epoch stay
+        Implies ``fast``.  Steady-state reservation traffic advances
+        one epoch (up to a reservation period) per step using the
+        analytic models; contention onsets, faults, watchdog windows,
+        revocation orders and any non-predictable component demote the
+        window to the cycle-accurate fast path.  Committed epochs trade
+        per-cycle observables for speed (checked by the ``tlm`` oracle
+        in :mod:`repro.verify`); windows with no committed epoch stay
         byte-identical to ``fast=True``.
     """
 
     def __init__(self, name: str = "sim", clock_hz: float = 150e6,
-                 fast: bool = False, parallel: int = 0,
-                 parallel_backend: str = "auto", tlm: bool = False) -> None:
+                 fast: bool = False, tlm: bool = False) -> None:
         if clock_hz <= 0:
             raise SimulationError("clock_hz must be positive")
-        if parallel < 0:
-            raise SimulationError("parallel worker count must be >= 0")
-        if tlm and parallel:
-            raise SimulationError(
-                "tlm=True is incompatible with the sharded parallel "
-                "engine (parallel=0 required)")
         self.name = name
         self.clock_hz = clock_hz
-        self.fast = bool(fast) or bool(parallel) or bool(tlm)
+        self.fast = bool(fast) or bool(tlm)
         #: transaction-level fast-forward mode (see repro.sim.tlm):
         #: steady-state windows advance one reservation epoch per step,
         #: everything else runs on the serial fast path
         self.tlm = bool(tlm)
         self._tlm_engine = None
-        #: sharded-engine worker count (0 = disabled); see repro.sim.parallel
-        self.parallel = int(parallel)
-        self.parallel_backend = parallel_backend
-        #: picklable (builder, args, kwargs) that reproduces this
-        #: simulator; required by the processes backend under spawn-like
-        #: start methods, where live components are never pickled
-        self.parallel_recipe = None
-        #: multiprocessing start-method override for the processes
-        #: backend ("fork" / "spawn" / "forkserver"; None = platform
-        #: default) — mainly for tests exercising the spawn bootstrap
-        self.parallel_mp_context = None
-        self._parallel_engine = None
-        #: when armed (by the parallel engine during a sharded tick
-        #: phase), wake() / _wake_component() hand their target to this
-        #: callable instead of mutating the scheduling dicts; the engine
-        #: replays the wakes at the stage barrier in serial order
-        self._wake_router = None
         self._cycle = 0
         self._components: List[Component] = []
         self._channels: List[Channel] = []
@@ -286,15 +241,6 @@ class Simulator:
         heap entries when they next sleep; superseded entries go stale
         and are dropped by the heap.
         """
-        router = self._wake_router
-        if router is not None:
-            self._quiescent_until = 0
-            router(None)
-            return
-        self._wake_all_direct()
-
-    def _wake_all_direct(self) -> None:
-        """The un-routed body of :meth:`wake` (main thread only)."""
         self._quiescent_until = 0
         asleep = self._asleep
         if asleep:
@@ -309,15 +255,6 @@ class Simulator:
 
     def _wake_component(self, component: Component) -> None:
         """Wake one sleeping component (see :meth:`Component.wake`)."""
-        router = self._wake_router
-        if router is not None:
-            self._quiescent_until = 0
-            router(component)
-            return
-        self._wake_component_direct(component)
-
-    def _wake_component_direct(self, component: Component) -> None:
-        """The un-routed body of :meth:`_wake_component`."""
         self._quiescent_until = 0
         if component._k_asleep:
             component._k_asleep = False
@@ -325,13 +262,6 @@ class Simulator:
             del self._asleep[component]
             self._awake[component] = True
             self._wakeheap.invalidate(component)
-
-    def _wake_direct(self, target: "Component | None") -> None:
-        """Un-routed wake dispatch (parallel-engine fallback hook)."""
-        if target is None:
-            self._wake_all_direct()
-        else:
-            self._wake_component_direct(target)
 
     # ------------------------------------------------------------------
     # time
@@ -363,18 +293,13 @@ class Simulator:
     def _advance(self, end: int) -> None:
         """Advance to ``end`` on the kernel path this simulator runs.
 
-        Without ``fast`` that is the reference loop.  Otherwise it routes
-        to the sharded parallel engine when one is configured *and* the
-        current wiring partitions into at least two shard groups; else
-        (including mid-run, if registrations reshape the wiring) the
-        TLM engine or the serial fast path runs.  All of them produce
-        identical results outside committed TLM epochs, so the routing
-        is purely a performance decision.
+        Without ``fast`` that is the reference loop; otherwise the TLM
+        engine or the fast loop runs.  All of them produce identical
+        results outside committed TLM epochs, so the choice is purely a
+        performance decision.
         """
         if not self.fast:
             self._run_reference(end)
-        elif self.parallel and self._parallel_engine_active():
-            self._parallel_engine.run_to(end)
         elif self.tlm:
             engine = self._tlm_engine
             if engine is None:
@@ -383,26 +308,6 @@ class Simulator:
             engine.advance(end)
         else:
             self._run_fast(end)
-
-    def _parallel_engine_active(self) -> bool:
-        engine = self._parallel_engine
-        if engine is None:
-            from .parallel import ParallelEngine
-            engine = self._parallel_engine = ParallelEngine(
-                self, self.parallel, self.parallel_backend)
-        return engine.active()
-
-    @property
-    def parallel_plan(self):
-        """The current :class:`~repro.sim.partition.ShardPlan` (or None)."""
-        engine = self._parallel_engine
-        return None if engine is None else engine.plan
-
-    @property
-    def parallel_shard_stats(self):
-        """Per-shard :class:`KernelSkipStats` (empty dict when serial)."""
-        engine = self._parallel_engine
-        return {} if engine is None else dict(engine.shard_stats)
 
     def _run_reference(self, end: int) -> None:
         """Run cycles up to ``end`` the long way: tick everything, commit
@@ -543,7 +448,7 @@ class Simulator:
         heap_push = heap.push
         components = self._components
         dirty = self._dirty_channels
-        wake = self._wake_component_direct
+        wake = self._wake_component
         ran_total = 0
         skipped = 0
         slept = 0
@@ -708,18 +613,14 @@ class Simulator:
             stride = min(check_every, max_cycles - elapsed)
             # note: no _quiescent_until reset between strides — an
             # observational predicate cannot unfreeze the system.
-            # _advance runs exactly `stride` cycles on every engine (the
-            # parallel engine checks the stage barrier's cycle count
-            # against the same bound), so the predicate is sampled on
-            # identical cycle boundaries on every path.
+            # _advance runs exactly `stride` cycles on every path, so the
+            # predicate is sampled on identical cycle boundaries.
             self._advance(self._cycle + stride)
         return self._cycle - start
 
     def finish(self) -> None:
         """Mark the simulation as complete; further steps raise."""
         self._finished = True
-        if self._parallel_engine is not None:
-            self._parallel_engine.close()
 
     # ------------------------------------------------------------------
     # introspection

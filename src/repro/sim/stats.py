@@ -164,9 +164,8 @@ class KernelSkipStats:
     __slots__ = ("cycles_total", "cycles_polled", "cycles_frozen",
                  "ticks_run", "ticks_skipped", "ticks_slept",
                  "horizon_scans", "heap_pushes", "heap_pops",
-                 "commit_batches", "commit_channels", "resolved_backend",
-                 "tlm_epochs", "tlm_cycles_skipped", "tlm_rollbacks",
-                 "tlm_demotions")
+                 "commit_batches", "commit_channels", "tlm_epochs",
+                 "tlm_cycles_skipped", "tlm_rollbacks", "tlm_demotions")
 
     def __init__(self) -> None:
         self.reset()
@@ -184,11 +183,6 @@ class KernelSkipStats:
         self.heap_pops = 0
         self.commit_batches = 0
         self.commit_channels = 0
-        # which parallel backend actually executed ("inline", "threads",
-        # "processes", or None when the serial path ran); written by the
-        # parallel engine's backend resolution so bench sidecars and
-        # regressions are attributable to the engine that produced them
-        self.resolved_backend = None
         # transaction-level fast-forward accounting (Simulator(tlm=True))
         self.tlm_epochs = 0
         self.tlm_cycles_skipped = 0
@@ -222,7 +216,6 @@ class KernelSkipStats:
             "commit_batches": self.commit_batches,
             "commit_channels": self.commit_channels,
             "work_avoided_fraction": self.work_avoided_fraction,
-            "resolved_backend": self.resolved_backend,
             "tlm_epochs": self.tlm_epochs,
             "tlm_cycles_skipped": self.tlm_cycles_skipped,
             "tlm_rollbacks": self.tlm_rollbacks,

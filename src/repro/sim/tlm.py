@@ -775,7 +775,7 @@ class TlmEngine:
     def _commit(self, plan: _EpochPlan) -> None:
         sim = self._sim
         sim._cycle = plan.E + 1
-        sim._wake_all_direct()
+        sim.wake()
         stats = sim.skip_stats
         stats.tlm_epochs += 1
         stats.tlm_cycles_skipped += plan.E + 1 - plan.S

@@ -130,15 +130,10 @@ class Tracer:
             if action == "push":
                 on_push = (lambda cycle, item: self.record(
                     cycle, source, "push", **_describe(item)))
-                # identify the tracer as this listener's owner so the
-                # parallel-kernel partitioner serializes every channel
-                # sharing it (the ring buffer is shared mutable state)
-                on_push._owner = self
                 channel.subscribe_push(on_push)
             elif action == "pop":
                 on_pop = (lambda cycle, item: self.record(
                     cycle, source, "pop", **_describe(item)))
-                on_pop._owner = self
                 channel.subscribe_pop(on_pop)
             else:
                 raise ValueError(

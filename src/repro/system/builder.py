@@ -65,8 +65,6 @@ class SocSystem:
               period: int = 65536, with_store: bool = False,
               max_granularity: Optional[int] = None,
               name: str = "soc", fast: bool = False,
-              parallel: Optional[int] = None,
-              parallel_backend: Optional[str] = None,
               tlm: Optional[bool] = None) -> "SocSystem":
         """Assemble a system.
 
@@ -90,35 +88,18 @@ class SocSystem:
         fast:
             Enable the simulator's quiescence-aware fast path (same
             results, fewer Python-level ticks; see ``repro.sim.kernel``).
-        parallel:
-            Worker count for the sharded parallel tick engine (same
-            results again; see ``repro.sim.parallel``).  ``None`` reads
-            the ``REPRO_PARALLEL`` environment variable (default 0,
-            i.e. disabled), so whole experiment suites can be switched
-            over without touching call sites.
-        parallel_backend:
-            Engine backend for the sharded tick engine ("auto",
-            "inline", "threads", or "processes").  ``None`` reads the
-            ``REPRO_PARALLEL_BACKEND`` environment variable (default
-            "auto"), mirroring ``REPRO_PARALLEL``.
         tlm:
             Transaction-level fast-forward mode (see ``repro.sim.tlm``):
             steady-state reservation traffic advances one epoch per
             step, demoting to cycle-accurate execution at every
             non-predictable edge.  ``None`` reads the ``REPRO_TLM``
-            environment variable (default off), mirroring
-            ``REPRO_PARALLEL``.
+            environment variable (default off), so whole experiment
+            suites can be switched over without touching call sites.
         """
-        if parallel is None:
-            parallel = int(os.environ.get("REPRO_PARALLEL", "0") or 0)
-        if parallel_backend is None:
-            parallel_backend = os.environ.get(
-                "REPRO_PARALLEL_BACKEND", "auto") or "auto"
         if tlm is None:
             tlm = os.environ.get("REPRO_TLM", "") not in ("", "0")
         sim = Simulator(name, clock_hz=platform.pl_clock_hz, fast=fast,
-                        parallel=parallel,
-                        parallel_backend=parallel_backend, tlm=tlm)
+                        tlm=tlm)
         store = MemoryStore() if with_store else None
         if interconnect == "hyperconnect":
             master = AxiLink(sim, f"{name}.m",

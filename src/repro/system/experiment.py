@@ -56,9 +56,7 @@ class ChannelLatencies:
 
 def measure_channel_latencies(interconnect: str,
                               platform: Platform = ZCU102,
-                              fast: bool = False,
-                              parallel: Optional[int] = None,
-                              ) -> ChannelLatencies:
+                              fast: bool = False) -> ChannelLatencies:
     """Fig. 3(a) procedure: per-channel propagation in isolation.
 
     One DMA issues a read and a write; probes time each beat from its
@@ -68,7 +66,7 @@ def measure_channel_latencies(interconnect: str,
     without producer-side queueing (see the engine's ``w_beat_gap``).
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
-                          fast=fast, parallel=parallel)
+                          fast=fast)
     probes = {
         "AR": PropagationProbe(soc.port(0).ar, soc.master_link.ar),
         "AW": PropagationProbe(soc.port(0).aw, soc.master_link.aw),
@@ -91,8 +89,7 @@ def measure_channel_latencies(interconnect: str,
 
 def measure_access_time(interconnect: str, nbytes: int,
                         platform: Platform = ZCU102,
-                        fast: bool = False,
-                        parallel: Optional[int] = None) -> int:
+                        fast: bool = False) -> int:
     """Fig. 3(b) procedure: memory access time for one transfer size.
 
     A single DMA reads ``nbytes`` through an otherwise idle system; the
@@ -101,7 +98,7 @@ def measure_access_time(interconnect: str, nbytes: int,
     measurement here because the system is deterministic in isolation).
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
-                          fast=fast, parallel=parallel)
+                          fast=fast)
     dma = AxiDma(soc.sim, "dma", soc.port(0))
     job = dma.enqueue_read(0x1000_0000, nbytes)
     soc.run_until_quiescent(max_cycles=50_000_000)
@@ -139,7 +136,6 @@ def run_case_study(interconnect: str,
                    period: int = 2048,
                    dma_burst_len: int = 64,
                    fast: bool = False,
-                   parallel: Optional[int] = None,
                    tlm: Optional[bool] = None) -> CaseStudyResult:
     """Sections VI-C procedure: CHaiDNN (port 0) + greedy DMA (port 1).
 
@@ -155,8 +151,7 @@ def run_case_study(interconnect: str,
     simulation windows short enough for repeated benchmarking.
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
-                          period=period, fast=fast, parallel=parallel,
-                          tlm=tlm)
+                          period=period, fast=fast, tlm=tlm)
     chaidnn = None
     dma = None
     if run_chaidnn:

@@ -66,7 +66,6 @@ from .oracles import (
     check_tlm,
     containment_bound_for,
     dump_falsifying_example,
-    equivalence_label,
     evaluate_scenario,
     fingerprint_digest,
     isolation_bound_for,
@@ -126,7 +125,6 @@ __all__ = [
     "containment_bound_for",
     "dump_falsifying_example",
     "evaluate_scenario",
-    "equivalence_label",
     "fingerprint_digest",
     "scenario_path_digests",
     "isolation_bound_for",

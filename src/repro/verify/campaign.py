@@ -58,16 +58,14 @@ class CampaignConfig:
 
     #: oracle families (subset of ALL_CHECKS; "tlm" is opt-in)
     checks: Tuple[str, ...] = DEFAULT_CHECKS
-    #: sharded-kernel worker count for the parallel equivalence leg
-    #: (0 = reference vs fast only)
-    kernel_parallel: int = 0
     #: embed the full scenario dict in each record (replayability)
     embed_scenario: bool = True
     #: wall-clock seconds one record may take before its worker is
     #: declared hung and the straggler becomes an ``error`` verdict
     #: (reason "timeout"); ``None`` (default) waits forever, preserving
-    #: historic digests.  Only enforced with ``workers >= 2`` — the
-    #: inline path cannot interrupt a wedged evaluation.
+    #: historic digests.  Needs ``workers >= 2`` (:func:`run_campaign`
+    #: raises otherwise): the inline path cannot interrupt a wedged
+    #: evaluation.
     record_timeout: Optional[float] = None
     #: test hook: evaluate scenarios with this callable instead of
     #: :func:`~repro.verify.oracles.evaluate_scenario` (must be a
@@ -136,8 +134,7 @@ def evaluate_record(index: int, scenario_json: str,
         if config.embed_scenario:
             record["scenario"] = scenario.to_dict()
         evaluate = config.evaluate_hook or evaluate_scenario
-        reference = evaluate(scenario, checks=config.checks,
-                             parallel=config.kernel_parallel)
+        reference = evaluate(scenario, checks=config.checks)
         record["digest"] = fingerprint_digest(reference)
         record["cycles"] = reference.now
         # per-port engine observables (byte counts etc.), so campaigns
@@ -230,8 +227,14 @@ def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
     reference for the N-worker digest-equality regression.  ``output``
     writes the ordered records as canonical JSON-lines.  ``progress``
     is called once per finished record (completion order, not index
-    order — useful for live reporting only).
+    order — useful for live reporting only).  A ``record_timeout`` in
+    ``config`` needs ``workers >= 2``; with fewer it raises
+    :class:`ValueError` rather than run with no timeout at all.
     """
+    if workers <= 1 and config.record_timeout is not None:
+        raise ValueError(
+            "record_timeout needs workers >= 2: the inline path cannot "
+            "interrupt a wedged evaluation")
     payloads = [(index, scenario.to_json())
                 for index, scenario in enumerate(scenarios)]
     started = time.perf_counter()

@@ -87,7 +87,7 @@ def replay_entry(entry: CorpusEntry) -> Tuple[RunResult, str]:
     return result, fingerprint_digest(result)
 
 
-def run_corpus_campaign(path, workers: int = 0, kernel_parallel: int = 2):
+def run_corpus_campaign(path, workers: int = 0):
     """Replay the whole corpus through the campaign runner.
 
     Returns ``(entries, CampaignResult)`` with records in corpus order;
@@ -97,10 +97,9 @@ def run_corpus_campaign(path, workers: int = 0, kernel_parallel: int = 2):
     large grid campaigns, so the runner itself is regression-covered by
     the corpus digests.
     """
-    from .campaign import CampaignConfig, run_campaign
+    from .campaign import run_campaign
 
     entries = load_corpus(path)
     result = run_campaign(
-        [entry.scenario for entry in entries], workers=workers,
-        config=CampaignConfig(kernel_parallel=kernel_parallel))
+        [entry.scenario for entry in entries], workers=workers)
     return entries, result

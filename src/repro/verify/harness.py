@@ -242,21 +242,16 @@ def _arm_churn(hypervisor: Hypervisor, scenario: Scenario,
 
 
 def build_system(scenario: Scenario, fast: bool,
-                 parallel: int = 0,
-                 parallel_backend: str = "auto",
                  tlm: bool = False) -> System:
     """Instantiate the scenario's topology family on a fresh simulator.
 
-    ``parallel`` is the sharded-engine worker count (0 = serial) and
-    ``parallel_backend`` selects its engine ("auto" / "inline" /
-    "threads" / "processes"); together they form the candidate legs of
-    the kernel-equivalence oracle, exercised against the reference and
-    serial-fast legs by ``check_equivalence``.  ``tlm`` enables the
-    transaction-level fast-forward mode, the candidate leg of the
-    ``tlm`` oracle (:func:`~repro.verify.oracles.check_tlm`).
+    ``fast`` selects the kernel path: the candidate leg of the
+    kernel-equivalence oracle, checked against the reference leg by
+    ``check_equivalence``.  ``tlm`` enables the transaction-level
+    fast-forward mode, the candidate leg of the ``tlm`` oracle
+    (:func:`~repro.verify.oracles.check_tlm`).
     """
     sim = Simulator("verify", clock_hz=ZCU102.pl_clock_hz, fast=fast,
-                    parallel=parallel, parallel_backend=parallel_backend,
                     tlm=tlm)
     timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
     plans = scenario.ports
@@ -477,10 +472,6 @@ def run_system(system: System) -> RunResult:
 
 
 def run_scenario(scenario: Scenario, fast: bool,
-                 parallel: int = 0,
-                 parallel_backend: str = "auto",
                  tlm: bool = False) -> RunResult:
     """Convenience: build then run."""
-    return run_system(build_system(scenario, fast, parallel=parallel,
-                                   parallel_backend=parallel_backend,
-                                   tlm=tlm))
+    return run_system(build_system(scenario, fast, tlm=tlm))

@@ -7,8 +7,7 @@ containment bound:
    (genuinely or via synthesized error responses) within the run;
 2. **protocol** — strict :class:`~repro.axi.LinkChecker` monitors on
    every compliant master's port stay clean;
-3. **equivalence** — the labeled kernel paths (reference, fast, and
-   the sharded engine on its threads and processes backends) produce
+3. **equivalence** — the reference and fast kernel paths produce
    bit-identical observables (traffic, events, fault statistics,
    elapsed time);
 4. **containment bound** — for single-rogue-master scenarios the
@@ -167,9 +166,9 @@ def check_protocol(scenario: Scenario, result: RunResult) -> None:
 def check_equivalence(scenario: Scenario, reference: RunResult,
                       candidate: RunResult, label: str = "fast") -> None:
     """Oracle 3: a candidate kernel path must agree bit-for-bit with the
-    reference path.  ``label`` names the candidate ("fast",
-    "parallel=2:threads", ...) in the violation message, which also
-    carries both paths' corpus digests for cross-run triage."""
+    reference path.  ``label`` names the candidate ("fast") in the
+    violation message, which also carries both paths' corpus digests
+    for cross-run triage."""
     if reference.fingerprint != candidate.fingerprint:
         detail = f"{label} fingerprint differs from reference"
         for index, (r, f) in enumerate(zip(reference.fingerprint,
@@ -627,52 +626,26 @@ def dump_falsifying_example(scenario: Scenario, oracle: str) -> Path:
     return path
 
 
-def equivalence_label(parallel: int, backend: str) -> str:
-    """The candidate-leg label for one sharded-engine configuration.
-
-    ``"auto"`` keeps the historic bare ``parallel=N`` label (corpus
-    digests and falsifying-example messages pin it); explicit backends
-    are named so a four-way violation says which engine diverged.
-    """
-    if backend == "auto":
-        return f"parallel={parallel}"
-    return f"parallel={parallel}:{backend}"
-
-
-def scenario_path_digests(scenario: Scenario, parallel: int = 2,
-                          backends: tuple = ("threads", "processes"),
-                          ) -> Dict[str, str]:
+def scenario_path_digests(scenario: Scenario) -> Dict[str, str]:
     """Corpus digest of every kernel path's observables, keyed by label.
 
-    The labeled per-path map ("reference" / "fast" / one entry per
-    sharded backend) is what the corpus replay tests compare: every
-    value must be identical, byte for byte.
+    The labeled per-path map ("reference" / "fast") is what the corpus
+    replay tests compare: every value must be identical, byte for byte.
     """
-    digests = {
+    return {
         "reference": fingerprint_digest(run_scenario(scenario,
                                                      fast=False)),
         "fast": fingerprint_digest(run_scenario(scenario, fast=True)),
     }
-    for backend in backends:
-        digests[equivalence_label(parallel, backend)] = (
-            fingerprint_digest(run_scenario(
-                scenario, fast=False, parallel=parallel,
-                parallel_backend=backend)))
-    return digests
 
 
 def evaluate_scenario(scenario: Scenario,
-                      checks: tuple = DEFAULT_CHECKS,
-                      parallel: int = 2,
-                      parallel_backends: Optional[tuple] = None,
-                      ) -> RunResult:
+                      checks: tuple = DEFAULT_CHECKS) -> RunResult:
     """Run the selected oracle families on one scenario.
 
     ``checks`` subsets :data:`ALL_CHECKS`; "equivalence" runs the
-    scenario on the fast kernel path and — with ``parallel`` > 0 — on
-    the sharded parallel engine once per entry of ``parallel_backends``
-    (default ``("auto",)``), against the reference; "tlm" adds the
-    transaction-level fast-forward leg (:func:`check_tlm`);
+    scenario on the fast kernel path against the reference; "tlm" adds
+    the transaction-level fast-forward leg (:func:`check_tlm`);
     "containment" additionally runs the fault-free baseline when the
     analytic bound applies.  Raises :class:`OracleViolation` on the
     first falsified oracle; returns the reference run.  This is the
@@ -682,20 +655,10 @@ def evaluate_scenario(scenario: Scenario,
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown oracle checks {sorted(unknown)}")
-    if parallel_backends is None:
-        parallel_backends = ("auto",)
     reference = run_scenario(scenario, fast=False)
     if "equivalence" in checks:
         fast = run_scenario(scenario, fast=True)
         check_equivalence(scenario, reference, fast, label="fast")
-        if parallel:
-            for backend in parallel_backends:
-                sharded = run_scenario(scenario, fast=False,
-                                       parallel=parallel,
-                                       parallel_backend=backend)
-                check_equivalence(
-                    scenario, reference, sharded,
-                    label=equivalence_label(parallel, backend))
     if "tlm" in checks:
         check_tlm(scenario, reference,
                   run_scenario(scenario, fast=True, tlm=True))
@@ -723,25 +686,17 @@ def evaluate_scenario(scenario: Scenario,
     return reference
 
 
-def check_scenario(scenario: Scenario, parallel: int = 2,
-                   parallel_backends: tuple = ("threads", "processes"),
-                   ) -> RunResult:
+def check_scenario(scenario: Scenario) -> RunResult:
     """Run every oracle family on one scenario; returns the reference run.
 
-    Runs the scenario on all four labeled kernel paths — reference,
-    fast, and the sharded parallel engine once per backend in
-    ``parallel_backends`` (default threads *and* processes; ``parallel``
-    = 0 skips both sharded legs) — plus the fault-free baseline
-    (reference path) when the containment bound applies.  A topology
-    whose shards are not process-exportable still runs the processes
-    leg: the request degrades to threads inside the engine, so the leg
-    doubles as a regression test of the graceful fallback.  On
-    violation, the scenario is dumped to the artifact directory and the
-    :class:`OracleViolation` re-raised for hypothesis to shrink.
+    Runs the scenario on both kernel paths — reference and fast — plus
+    the fault-free baseline (reference path) when the containment bound
+    applies.  On violation, the scenario is dumped to the artifact
+    directory and the :class:`OracleViolation` re-raised for hypothesis
+    to shrink.
     """
     try:
-        return evaluate_scenario(scenario, parallel=parallel,
-                                 parallel_backends=parallel_backends)
+        return evaluate_scenario(scenario)
     except OracleViolation as violation:
         dump_falsifying_example(scenario, violation.oracle)
         raise

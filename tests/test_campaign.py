@@ -58,7 +58,7 @@ def golden_scenarios():
     return [tiny(256), tiny(512, kind="write", port=1), exploding()]
 
 
-GOLDEN_CONFIG = CampaignConfig(kernel_parallel=0)
+GOLDEN_CONFIG = CampaignConfig()
 
 
 class TestEvaluateRecord:
@@ -92,7 +92,7 @@ class TestEvaluateRecord:
         from repro.verify import campaign as campaign_mod
         from repro.verify.oracles import OracleViolation
 
-        def falsify(scenario, checks, parallel):
+        def falsify(scenario, checks):
             raise OracleViolation("liveness", "synthetic", scenario)
 
         monkeypatch.setattr(campaign_mod, "evaluate_scenario", falsify)
@@ -205,15 +205,14 @@ class TestConfig:
         real = campaign_mod.evaluate_scenario
         seen = {}
 
-        def spy(scenario, checks, parallel):
+        def spy(scenario, checks):
             seen["checks"] = checks
-            seen["parallel"] = parallel
-            return real(scenario, checks=checks, parallel=parallel)
+            return real(scenario, checks=checks)
 
         monkeypatch.setattr(campaign_mod, "evaluate_scenario", spy)
-        config = CampaignConfig(checks=("protocol",), kernel_parallel=3)
+        config = CampaignConfig(checks=("protocol",))
         run_campaign([tiny()], workers=0, config=config)
-        assert seen == {"checks": ("protocol",), "parallel": 3}
+        assert seen == {"checks": ("protocol",)}
 
 
 class TestGoldenFile:
@@ -272,7 +271,7 @@ class TestCli:
 # per-record wall-clock timeouts (hung-worker containment)
 # ----------------------------------------------------------------------
 
-def _sleepy_evaluate(scenario, checks, parallel):
+def _sleepy_evaluate(scenario, checks):
     """Picklable evaluate hook: wedges on the marker scenario.
 
     Module-level on purpose — `CampaignConfig.evaluate_hook` crosses the
@@ -283,7 +282,7 @@ def _sleepy_evaluate(scenario, checks, parallel):
         import time
         time.sleep(300)
     from repro.verify import evaluate_scenario
-    return evaluate_scenario(scenario, checks=checks, parallel=parallel)
+    return evaluate_scenario(scenario, checks=checks)
 
 
 def hanging():
@@ -330,3 +329,18 @@ class TestRecordTimeout:
         args = build_parser().parse_args(
             ["campaign", "--grid", "smoke", "--record-timeout", "2.5"])
         assert args.record_timeout == 2.5
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_inline_run_rejects_a_timeout(self, workers):
+        """The inline path cannot interrupt a record, so a timeout there
+        is an error, not a silently ignored setting."""
+        with pytest.raises(ValueError, match="workers >= 2"):
+            run_campaign([tiny()], workers=workers,
+                         config=CampaignConfig(record_timeout=5.0))
+
+    def test_cli_rejects_a_timeout_without_workers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["campaign", "--grid", "throughput", "--limit", "1",
+                      "--record-timeout", "5"])
+        assert "workers >= 2" in str(exit_info.value)
+        assert "verdicts:" not in capsys.readouterr().out

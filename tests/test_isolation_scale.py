@@ -195,7 +195,7 @@ class TestIsolationOracle:
     def test_small_mixed_storm_passes_all_oracles(self):
         scenario = compile_isolation({"n_domains": 8, "n_faulted": 2,
                                       "mix": "mixed", "seed": 3})
-        evaluate_scenario(scenario, checks=DEFAULT_CHECKS, parallel=0)
+        evaluate_scenario(scenario, checks=DEFAULT_CHECKS)
 
     def test_wild_rogue_is_contained_by_the_region_filter(self):
         scenario = tenant_scenario(n=4, rogues=(1,))
@@ -338,8 +338,7 @@ class TestFaultStormAtScale:
 
     def test_storm_passes_the_full_oracle_stack(self):
         scenario = compile_isolation(self.STORM)
-        result = evaluate_scenario(scenario, checks=DEFAULT_CHECKS,
-                                   parallel=0)
+        result = evaluate_scenario(scenario, checks=DEFAULT_CHECKS)
         tripped = [i for i, trips in enumerate(result.trips) if trips]
         assert tripped == sorted(scenario.rogue_indices)
 
@@ -351,7 +350,7 @@ class TestFaultStormAtScale:
         ]
         checks = ("liveness", "protocol", "isolation")
         from repro.verify import CampaignConfig
-        config = CampaignConfig(checks=checks, kernel_parallel=0)
+        config = CampaignConfig(checks=checks)
         inline = run_campaign(scenarios, workers=1, config=config)
         pooled = run_campaign(scenarios, workers=2, config=config)
         assert inline.ok and pooled.ok

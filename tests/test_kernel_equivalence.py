@@ -1,16 +1,15 @@
-"""Differential harness: every kernel path must equal the reference.
+"""Differential harness: the fast kernel path must equal the reference.
 
-The quiescence-aware fast path (``Simulator(fast=True)``) and the
-sharded parallel engine (``Simulator(parallel=N)``) ship only because
-this harness proves them observationally equivalent to the reference
-path on every system shape the repo models: the Fig. 3(a)
+The quiescence-aware fast path (``Simulator(fast=True)``) ships only
+because this harness proves it observationally equivalent to the
+reference path on every system shape the repo models: the Fig. 3(a)
 channel-latency and Fig. 3(b) access-time procedures, the Fig. 4/5 case
 study, its ablation configurations, misbehaving-HA and fault-injection
 scenarios, and seeded random traffic.  Each scenario is run on
-``fast=False``, ``fast=True``, and (where the harness supports it)
-``parallel=N``, and everything observable is compared: elapsed cycle
-counts, per-engine traffic fingerprints, interconnect and memory
-counters, monitor latencies, trace events, and final memory contents.
+``fast=False`` and ``fast=True``, and everything observable is
+compared: elapsed cycle counts, per-engine traffic fingerprints,
+interconnect and memory counters, monitor latencies, trace events, and
+final memory contents.
 
 If one of these tests fails after a component change, the component's
 ``is_quiescent`` is lying (claiming a tick is a no-op when it is not):
@@ -397,6 +396,69 @@ class TestObservables:
         reference, fast = _both(run)
         assert reference == fast
 
+    def test_tracer_attached_mid_run_while_components_sleep(self):
+        """A tracer subscribed mid-run, while the fast path has the idle
+        components asleep, sees exactly the reference path's beats."""
+        def run(fast):
+            soc = SocSystem.build(ZCU102, n_ports=2, fast=fast)
+            dmas = [AxiDma(soc.sim, f"dma{p}", soc.port(p))
+                    for p in range(2)]
+            dmas[0].enqueue_read(0x1000_0000, 1024)
+            soc.run_until_quiescent()
+            soc.sim.run(2_000)
+            asleep = len(soc.sim._asleep)
+            tracer = Tracer(limit=None)
+            tracer.attach_channel(soc.port(1).ar, "p1.AR")
+            tracer.attach_channel(soc.master_link.ar, "m.AR")
+            tracer.attach_channel(soc.port(1).r, "p1.R", on=("pop",))
+            dmas[1].enqueue_read(0x2000_0000, 1024)
+            dmas[0].enqueue_write(0x3000_0000, 512)
+            soc.run_until_quiescent()
+            return (tracer.as_dicts(), _signature(*dmas), soc.sim.now), asleep
+
+        (reference, __), (fast, asleep) = _both(run)
+        assert asleep > 0   # the subscription really happened mid-sleep
+        assert reference == fast
+        assert reference[0]
+
+
+class TestRunUntilStops:
+    """``run_until`` samples its predicate on the same cycle boundaries
+    on both paths, on a loaded SoC rather than toy components."""
+
+    @staticmethod
+    def loaded_soc(fast):
+        soc = SocSystem.build(ZCU102, n_ports=2, period=2048, fast=fast)
+        dmas = [AxiDma(soc.sim, f"dma{p}", soc.port(p)) for p in range(2)]
+        for port, dma in enumerate(dmas):
+            base = 0x100_0000 * (port + 1)
+            dma.enqueue_copy(base, base + 0x800_0000, 1024)
+            dma.enqueue_read(base + 0x10_0000, 512)
+        return soc, dmas
+
+    @pytest.mark.parametrize("check_every", [1, 64])
+    def test_predicate_stops_on_same_cycle(self, check_every):
+        def run(fast):
+            soc, dmas = self.loaded_soc(fast)
+            elapsed = soc.sim.run_until(
+                lambda: all(len(d.jobs_completed) >= 2 for d in dmas),
+                max_cycles=200_000, check_every=check_every)
+            return elapsed, soc.sim.now, _signature(*dmas)
+
+        reference, fast = _both(run)
+        assert reference == fast
+
+    def test_split_runs_match_one_run(self):
+        def run(fast, splits):
+            soc, dmas = self.loaded_soc(fast)
+            for __ in range(splits):
+                soc.sim.run(12_000 // splits)
+            return soc.sim.now, _signature(*dmas)
+
+        one = run(fast=False, splits=1)
+        assert run(fast=True, splits=1) == one
+        assert run(fast=True, splits=6) == one
+
 
 class TestFastPathActuallySkips:
     """The equivalence results above are meaningful only if the fast
@@ -412,6 +474,15 @@ class TestFastPathActuallySkips:
         assert stats.cycles_frozen > 0
         assert stats.cycles_total == stats.cycles_polled + stats.cycles_frozen
         assert 0.0 < stats.work_avoided_fraction <= 1.0
+
+    def test_idle_tail_puts_components_to_sleep(self):
+        """After a drained burst the idle components sleep: polled
+        cycles stop ticking or even polling them."""
+        soc, __ = TestRunUntilStops.loaded_soc(fast=True)
+        soc.sim.run(40_000)
+        stats = soc.sim.skip_stats
+        assert stats.ticks_slept > 0
+        assert stats.cycles_frozen > 0
 
     def test_reference_path_records_no_skips(self):
         soc = SocSystem.build(ZCU102, n_ports=2, fast=False)
@@ -470,13 +541,12 @@ class TestRandomizedEquivalence:
         period=st.sampled_from((512, 2048, 65536)),
         window=st.integers(min_value=500, max_value=5000),
         intervene=st.booleans(),
-        workers=st.integers(min_value=2, max_value=4),
     )
     def test_random_system_shapes(self, n_ports, kinds, seed, period,
-                                  window, intervene, workers):
-        def run(fast, parallel=0):
+                                  window, intervene):
+        def run(fast):
             soc = SocSystem.build(ZCU102, n_ports=n_ports, period=period,
-                                  fast=fast, parallel=parallel)
+                                  fast=fast)
             engines = [engine for port in range(n_ports)
                        for engine in [_attach_master(
                            soc, port, kinds[port], seed + port)]
@@ -493,13 +563,11 @@ class TestRandomizedEquivalence:
 
         reference, fast = _both(run)
         assert reference == fast
-        sharded = run(fast=False, parallel=workers)
-        assert sharded == reference
 
 
 # ----------------------------------------------------------------------
-# three-way corpus replay: reference / fast / parallel must all hash to
-# the digest recorded when each scenario was promoted into the corpus
+# corpus replay: reference and fast must both hash to the digest
+# recorded when each scenario was promoted into the corpus
 # ----------------------------------------------------------------------
 
 from pathlib import Path  # noqa: E402
@@ -511,12 +579,12 @@ CORPUS_PATH = Path(__file__).parent / "data" / "fault_corpus.json"
 CORPUS = load_corpus(CORPUS_PATH)
 
 
-class TestParallelCorpusEquivalence:
-    """Every promoted regression scenario, on all three kernel paths.
+class TestCorpusPathEquivalence:
+    """Every promoted regression scenario, on both kernel paths.
 
     ``tests/test_verify_corpus.py`` replays the corpus through the full
-    oracle stack (which includes the three-way equivalence oracle); this
-    class pins the stronger per-path property directly — each path's
+    oracle stack (which includes the equivalence oracle); this class
+    pins the stronger per-path property directly — each path's
     fingerprint independently hashes to the checked-in digest, so a
     divergence is attributed to the guilty path instead of surfacing as
     a generic oracle failure.
@@ -528,51 +596,12 @@ class TestParallelCorpusEquivalence:
         assert fingerprint_digest(reference) == entry.digest
         fast = run_scenario(entry.scenario, fast=True)
         assert fingerprint_digest(fast) == entry.digest, "fast path drifted"
-        for workers in (2, 4):
-            sharded = run_scenario(entry.scenario, fast=False,
-                                   parallel=workers)
-            assert fingerprint_digest(sharded) == entry.digest, (
-                f"parallel={workers} drifted")
-
-    @pytest.mark.parametrize("entry", CORPUS[:2], ids=lambda e: e.name)
-    def test_corpus_digests_threads_backend(self, entry):
-        """Same property with a real worker pool instead of the inline
-        backend the auto heuristic picks on small hosts."""
-        from repro.verify.harness import build_system, run_system
-
-        system = build_system(entry.scenario, fast=False, parallel=3)
-        system.sim.parallel_backend = "threads"
-        result = run_system(system)
-        assert fingerprint_digest(result) == entry.digest
-
-    @pytest.mark.parametrize("entry", CORPUS[:2], ids=lambda e: e.name)
-    def test_corpus_digests_processes_backend(self, entry):
-        """Same property again with the processes backend requested.
-
-        The verify fabric's shards are hub-coupled and therefore never
-        process-exportable, so this replay exercises the documented
-        graceful degradation (processes -> threads) end to end: the
-        request must neither error nor change a single digest, and the
-        resolution trail must record why it fell back.
-        """
-        from repro.verify.harness import build_system, run_system
-
-        system = build_system(entry.scenario, fast=False, parallel=3,
-                              parallel_backend="processes")
-        result = run_system(system)
-        assert fingerprint_digest(result) == entry.digest
-        resolution = system.sim._parallel_engine.backend_resolution
-        assert resolution["requested"] == "processes"
-        assert resolution["resolved"] == "threads"
-        assert "processes unavailable" in resolution["reason"]
 
     @pytest.mark.parametrize("entry", CORPUS[:1], ids=lambda e: e.name)
     def test_corpus_path_digests_labeled(self, entry):
-        """The labeled four-way digest map agrees on every path."""
+        """The labeled digest map agrees on both paths."""
         from repro.verify import scenario_path_digests
 
-        digests = scenario_path_digests(entry.scenario, parallel=2)
-        assert set(digests) == {"reference", "fast",
-                                "parallel=2:threads",
-                                "parallel=2:processes"}
+        digests = scenario_path_digests(entry.scenario)
+        assert set(digests) == {"reference", "fast"}
         assert set(digests.values()) == {entry.digest}

@@ -1,5 +1,7 @@
 """Tests for the utilization monitor, trace record/replay, and the CLI."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -174,3 +176,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["case-study", "--interconnect", "smartconnect",
                   "--share", "50"])
+
+    def test_tlm_flag_leaves_the_environment_unchanged(self, monkeypatch):
+        """``--tlm`` reaches the builder through REPRO_TLM; a programmatic
+        call must not leave it set for later builds in the process."""
+        monkeypatch.delenv("REPRO_TLM", raising=False)
+        before = dict(os.environ)
+        assert main(["--tlm", "info"]) == 0
+        assert dict(os.environ) == before
+        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
+
+    def test_tlm_flag_restores_a_preset_value_on_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TLM", "0")
+        with pytest.raises(SystemExit):
+            main(["--tlm", "case-study", "--interconnect", "smartconnect",
+                  "--share", "50"])
+        assert os.environ["REPRO_TLM"] == "0"

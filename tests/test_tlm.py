@@ -22,7 +22,6 @@ from repro.masters import AxiDma, DmaDescriptor, Job
 from repro.masters.chaidnn import ChaiDnnAccelerator
 from repro.platforms import ZCU102
 from repro.sim import Simulator
-from repro.sim.errors import SimulationError
 from repro.sim.tlm import TlmEngine, _Decline
 from repro.system import SocSystem, run_case_study
 from repro.verify import build_system, run_scenario, run_system
@@ -69,10 +68,6 @@ class TestModeSelection:
     def test_tlm_implies_fast(self):
         sim = Simulator("t", tlm=True)
         assert sim.tlm and sim.fast
-
-    def test_tlm_rejects_parallel(self):
-        with pytest.raises(SimulationError):
-            Simulator("t", tlm=True, parallel=2)
 
     def test_builder_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TLM", "1")
@@ -253,7 +248,7 @@ class TestOracle:
     def test_tlm_check_passes_on_reservation_scenario(self):
         scenario = compile_reservation({"share0": 0.5, "period": 2048,
                                         "job_bytes": 16384})
-        evaluate_scenario(scenario, checks=("tlm",), parallel=0)
+        evaluate_scenario(scenario, checks=("tlm",))
 
     def test_tlm_check_flags_fabricated_overrun(self):
         """A TLM result violating the bus-capacity bound must be caught."""
