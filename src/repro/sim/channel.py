@@ -69,7 +69,6 @@ class Channel:
         "_push_listeners",
         "_pop_listeners",
         "_watchers",
-        "_index",
     )
 
     def __init__(self, sim, name: str, latency: int = 1,
@@ -113,8 +112,6 @@ class Channel:
         #: components to wake when this channel commits activity (built by
         #: the kernel from Component.wake_channels declarations)
         self._watchers: tuple = ()
-        #: stable index into the kernel's commit-cohort buffers
-        self._index = -1
         sim._register_channel(self)
 
     # ------------------------------------------------------------------

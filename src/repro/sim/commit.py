@@ -1,23 +1,12 @@
-"""Cohort-batched end-of-cycle channel commit.
+"""The fast path's end-of-cycle channel commit.
 
 The reference kernel commits every dirty channel through
-:meth:`Channel._commit` — one Python method dispatch per channel per
-cycle.  The fast path instead hands its dirty list to a
-:class:`CommitCohorts` instance, which:
-
-* groups the registered channels into **cohorts by latency class** (the
-  only per-channel input to the ready-cycle computation), so the ready
-  stamp ``cycle + latency`` is derived per cohort, not per object;
-* keeps dirty-channel bookkeeping as **index sets** over a stable
-  channel numbering (``Channel._index``) instead of per-object method
-  dispatch;
-* for large dirty sets stages the ready cycles and valid flags in
-  **preallocated numpy buffers** (one vectorized stamp per flush),
-  falling back to an equivalent pure-Python batch when numpy is absent
-  or the dirty set is too small to amortize the array round-trip.
-
-The flush also performs the two kernel-side duties that piggyback on a
-commit because that is when staged work becomes observable:
+:meth:`Channel._commit`, one method call per channel per cycle.  The fast
+path hands its whole dirty list to :meth:`CommitCohorts.flush` once per
+polled cycle instead.  The flush applies the same rule — a push staged in
+cycle *t* becomes visible at ``t + latency`` — and also performs the two
+kernel-side duties that piggyback on a commit, because that is when staged
+work becomes observable:
 
 * components *watching* a committed channel (see
   :meth:`~repro.sim.Component.wake_channels`) are woken, so sleepers are
@@ -29,64 +18,32 @@ commit because that is when staged work becomes observable:
   unit-latency channels never touch the heap.
 
 Semantics are identical to calling ``Channel._commit`` on each dirty
-channel; ``tests/test_commit_cohorts.py`` checks both code paths
-against it directly.
+channel; ``tests/test_commit_cohorts.py`` checks the flush against it
+directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-try:  # numpy is optional for the core library
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_python
-    _np = None
-
-#: below this many dirty channels the vectorized stamp costs more than it
-#: saves; the pure-Python batch is used instead (measured on CPython 3.11)
-_BULK_THRESHOLD = 24
+from typing import List
 
 
 class CommitCohorts:
-    """Latency-cohort commit engine for one simulator's channels."""
+    """The single commit body of the fast path, one per simulator.
 
-    __slots__ = ("_sim", "_channels", "_ready_buf", "_valid_buf",
-                 "_latencies", "_use_numpy", "bulk_flushes")
+    The flush stamps ready cycles in plain Python rather than through a
+    vectorized staging buffer: the fast path rarely has more than a
+    handful of dirty channels per cycle, too few to amortize an array
+    round-trip.  The class keeps its name and module path, although it no
+    longer groups channels into latency cohorts, because the end-to-end
+    benchmark's layer tracer wraps ``repro.sim.commit.CommitCohorts.flush``
+    by that name to time the ``sim.commit`` layer, and every fast-path
+    commit goes through it.
+    """
 
-    def __init__(self, sim, channels: List, use_numpy: Optional[bool] = None) -> None:
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim) -> None:
         self._sim = sim
-        self._channels = list(channels)
-        if use_numpy is None:
-            use_numpy = _np is not None
-        self._use_numpy = bool(use_numpy) and _np is not None
-        self.bulk_flushes = 0
-        for index, channel in enumerate(self._channels):
-            channel._index = index
-        if self._use_numpy:
-            n = max(1, len(self._channels))
-            self._latencies = _np.array(
-                [channel.latency for channel in self._channels] or [1],
-                dtype=_np.int64)
-            #: staging buffer: ready cycle per channel index, stamped in
-            #: one vectorized op per flush
-            self._ready_buf = _np.zeros(n, dtype=_np.int64)
-            #: valid flags: nonzero while the index is in the dirty set
-            self._valid_buf = _np.zeros(n, dtype=_np.bool_)
-        else:
-            self._latencies = None
-            self._ready_buf = None
-            self._valid_buf = None
-
-    # ------------------------------------------------------------------
-
-    def cohorts(self) -> Dict[int, List[str]]:
-        """Channel names grouped by latency class (introspection)."""
-        groups: Dict[int, List[str]] = {}
-        for channel in self._channels:
-            groups.setdefault(channel.latency, []).append(channel.name)
-        return groups
-
-    # ------------------------------------------------------------------
 
     def flush(self, cycle: int, dirty: List) -> None:
         """Commit every channel in ``dirty`` and clear the list.
@@ -96,67 +53,34 @@ class CommitCohorts:
         """
         sim = self._sim
         stats = sim.skip_stats
-        heap = sim._wakeheap
-        wake = sim._wake_component
-        next_cycle = cycle + 1
         stats.commit_batches += 1
         stats.commit_channels += len(dirty)
-        if (self._use_numpy and len(dirty) >= _BULK_THRESHOLD
-                and not sim._wiring_stale):
-            # vectorized ready-cycle staging over the dirty index set
-            np = _np
-            index = np.fromiter((channel._index for channel in dirty),
-                                dtype=np.int64, count=len(dirty))
-            ready_buf = self._ready_buf
-            valid_buf = self._valid_buf
-            valid_buf[index] = True
-            ready_buf[index] = cycle + self._latencies[index]
-            self.bulk_flushes += 1
-            for channel in dirty:
-                staged = channel._staged
-                if staged:
-                    ready = int(ready_buf[channel._index])
-                    queue = channel._queue
-                    if len(staged) == 1:
-                        queue.append((ready, staged[0]))
-                    else:
-                        queue.extend([(ready, item) for item in staged])
-                    staged.clear()
-                channel._occupancy -= channel._popped_this_cycle
-                channel._popped_this_cycle = 0
-                channel._dirty = False
-                queue = channel._queue
-                if queue and queue[0][0] > next_cycle:
-                    if heap.push(channel, queue[0][0]):
-                        stats.heap_pushes += 1
-                for component in channel._watchers:
-                    if component._k_asleep:
-                        wake(component)
-            valid_buf[index] = False
-        else:
-            for channel in dirty:
-                staged = channel._staged
-                if staged:
-                    ready = cycle + channel.latency
-                    queue = channel._queue
-                    if len(staged) == 1:
-                        queue.append((ready, staged[0]))
-                    else:
-                        queue.extend([(ready, item) for item in staged])
-                    staged.clear()
-                channel._occupancy -= channel._popped_this_cycle
-                channel._popped_this_cycle = 0
-                channel._dirty = False
-                queue = channel._queue
-                if queue and queue[0][0] > next_cycle:
-                    if heap.push(channel, queue[0][0]):
-                        stats.heap_pushes += 1
+        heap_push = sim._wakeheap.push
+        wake = sim._wake_component
+        # waking never puts a component to sleep, so one check suffices
+        sleeping = True if sim._asleep else False
+        next_cycle = cycle + 1
+        for channel in dirty:
+            staged = channel._staged
+            queue = channel._queue
+            if staged:
+                ready = cycle + channel.latency
+                if len(staged) == 1:
+                    queue.append((ready, staged[0]))
+                else:
+                    queue.extend([(ready, item) for item in staged])
+                staged.clear()
+            channel._occupancy -= channel._popped_this_cycle
+            channel._popped_this_cycle = 0
+            channel._dirty = False
+            if queue and queue[0][0] > next_cycle:
+                if heap_push(channel, queue[0][0]):
+                    stats.heap_pushes += 1
+            if sleeping:
                 for component in channel._watchers:
                     if component._k_asleep:
                         wake(component)
         dirty.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CommitCohorts(channels={len(self._channels)}, "
-                f"numpy={self._use_numpy}, "
-                f"cohorts={sorted(self.cohorts())})")
+        return f"CommitCohorts({self._sim.name!r})"

@@ -75,11 +75,10 @@ cached horizon *and* wake every sleeper because every public entry point
 calls :meth:`Simulator.wake`; targeted cross-component mutations (a direct
 method call outside ``tick``) call :meth:`Component.wake`.
 
-Channel commits go through :class:`~repro.sim.commit.CommitCohorts`:
-channels are grouped into latency cohorts with index-set dirty bookkeeping,
-and large dirty sets stamp their ready cycles through preallocated numpy
-buffers (pure-Python batch otherwise).  Semantics are identical to the
-reference path's per-channel ``_commit``.
+Every fast-path commit goes through one body,
+:meth:`~repro.sim.commit.CommitCohorts.flush`, called once per polled cycle
+with dirty channels.  Its semantics are identical to the reference path's
+per-channel ``Channel._commit``, which stays as the independent oracle.
 
 Contract for ``run_until`` predicates: they are sampled at ``check_every``
 granularity on both paths and must be observational.  Predicates that pop
@@ -95,7 +94,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from .channel import Channel
-from .commit import _BULK_THRESHOLD, CommitCohorts
+from .commit import CommitCohorts
 from .component import Component
 from .errors import SimulationError
 from .events import EventBus
@@ -189,13 +188,10 @@ class Simulator:
         #: future wake events (sleeping components' hints, far-future
         #: channel heads)
         self._wakeheap = WakeHeap()
-        #: latency-cohort commit engine (rebuilt with the wiring)
-        self._cohorts = CommitCohorts(self, [])
-        #: tri-state numpy override for the commit cohorts (tests force
-        #: the pure-Python batch path by setting this to False)
-        self._commit_numpy: Optional[bool] = None
-        #: scheduling wiring (watcher lists, cohort indices, sleep
-        #: capability) must be rebuilt before the next fast cycle
+        #: the fast path's end-of-cycle commit body
+        self._cohorts = CommitCohorts(self)
+        #: scheduling wiring (watcher lists, sleep capability) must be
+        #: rebuilt before the next fast cycle
         self._wiring_stale = True
         #: components currently eligible for polling, in stable insertion
         #: order (dict-as-ordered-set), and the complementary sleep set
@@ -377,8 +373,6 @@ class Simulator:
                     watcher_lists.setdefault(channel, []).append(component)
         for channel, watchers in watcher_lists.items():
             channel._watchers = tuple(watchers)
-        self._cohorts = CommitCohorts(self, self._channels,
-                                      use_numpy=self._commit_numpy)
         self._wiring_stale = False
 
     def _wake_due(self, cycle: int) -> None:
@@ -423,12 +417,12 @@ class Simulator:
         cycle semantics.  Per-cycle overhead is amortized across the
         window: loop-invariant objects are hoisted into locals (all of
         them mutated in place, never replaced, so the bindings stay
-        valid across ``_rebuild_wiring``), the small-dirty-set commit is
-        inlined rather than dispatched through
-        :meth:`CommitCohorts.flush`, and the skip statistics accumulate
-        in plain integers folded into :attr:`skip_stats` once per window
-        (the ``finally`` keeps them truthful if a component raises
-        mid-window).
+        valid across ``_rebuild_wiring``), and the skip statistics
+        accumulate in plain integers folded into :attr:`skip_stats` once
+        per window (the ``finally`` keeps them truthful if a component
+        raises mid-window).  Every polled cycle with dirty channels
+        commits them through :meth:`CommitCohorts.flush`, the fast
+        path's one commit body.
 
         Within a polled cycle the kernel wakes due heap subjects, then
         iterates the full registration list, skipping sleepers by flag,
@@ -448,14 +442,12 @@ class Simulator:
         heap_push = heap.push
         components = self._components
         dirty = self._dirty_channels
-        wake = self._wake_component
+        flush = self._cohorts.flush
         ran_total = 0
         skipped = 0
         slept = 0
         polled = 0
         frozen = 0
-        batches = 0
-        committed = 0
         heap_pushes = 0
         try:
             while self._cycle < end:
@@ -521,40 +513,7 @@ class Simulator:
                 ran_total += ran
                 polled += 1
                 if dirty:
-                    n_dirty = len(dirty)
-                    if n_dirty >= _BULK_THRESHOLD:
-                        self._cohorts.flush(cycle, dirty)
-                    else:
-                        # inlined pure-Python commit (the overwhelmingly
-                        # common case; semantics identical to
-                        # CommitCohorts.flush, which tests compare
-                        # against Channel._commit directly)
-                        batches += 1
-                        committed += n_dirty
-                        next_cycle = cycle + 1
-                        sleeping = True if self._asleep else False
-                        for channel in dirty:
-                            staged = channel._staged
-                            queue = channel._queue
-                            if staged:
-                                ready = cycle + channel.latency
-                                if len(staged) == 1:
-                                    queue.append((ready, staged[0]))
-                                else:
-                                    queue.extend(
-                                        [(ready, item) for item in staged])
-                                staged.clear()
-                            channel._occupancy -= channel._popped_this_cycle
-                            channel._popped_this_cycle = 0
-                            channel._dirty = False
-                            if queue and queue[0][0] > next_cycle:
-                                if heap_push(channel, queue[0][0]):
-                                    heap_pushes += 1
-                            if sleeping:
-                                for component in channel._watchers:
-                                    if component._k_asleep:
-                                        wake(component)
-                        dirty.clear()
+                    flush(cycle, dirty)
                 elif not ran:
                     horizon = heap.peek_cycle()
                     for component in self._awake:
@@ -572,8 +531,6 @@ class Simulator:
             stats.cycles_polled += polled
             stats.cycles_frozen += frozen
             stats.cycles_total += polled + frozen
-            stats.commit_batches += batches
-            stats.commit_channels += committed
             stats.heap_pushes += heap_pushes
 
     def run(self, cycles: int) -> None:

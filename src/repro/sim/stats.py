@@ -1,7 +1,8 @@
 """Statistics collectors used by monitors and benchmarks.
 
-The collectors are deliberately dependency-free (no numpy) so the core
-library stays importable anywhere; benchmarks may post-process with numpy.
+The collectors are deliberately dependency-free (standard library only)
+so the core library stays importable anywhere; benchmarks may post-process
+with whatever they like.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ class KernelSkipStats:
     * ``heap_pushes`` / ``heap_pops`` — wake-heap entries scheduled
       (component hints and future channel heads) and entries that came due
       and woke their subject.
-    * ``commit_batches`` / ``commit_channels`` — cohort commit flushes and
-      the total dirty channels committed across them.
+    * ``commit_batches`` / ``commit_channels`` — fast-path commit flushes
+      (one per polled cycle with dirty channels, each a call of
+      :meth:`~repro.sim.commit.CommitCohorts.flush`) and the total dirty
+      channels committed across them.
     * ``tlm_epochs`` / ``tlm_cycles_skipped`` — transaction-level
       fast-forward epochs committed and the simulated cycles they crossed
       without cycle-by-cycle execution (``Simulator(tlm=True)`` only;

@@ -153,8 +153,8 @@ def _restore_object(obj, kind, saved) -> None:
 def _save_channel(channel):
     """Channel state touched by :meth:`Channel.clear` (and nothing else
     during an epoch), captured for in-place restore — the queue/staged
-    containers keep their identity because the commit cohorts hold
-    references to them."""
+    containers keep their identity because components (the EXBAR, for
+    one) hold references to them."""
     return (deque(channel._queue), list(channel._staged),
             channel._occupancy, channel._popped_this_cycle,
             channel._dirty, channel.pushed_total, channel.popped_total)

@@ -1,33 +1,32 @@
-"""Unit tests for the cohort-batched channel commit engine.
+"""Unit tests for the fast path's channel commit body.
 
 ``CommitCohorts.flush`` promises semantics identical to calling
 ``Channel._commit`` on every dirty channel (plus the kernel duties that
 piggyback on a commit: waking watchers and scheduling far-future heads
-on the wake heap).  Both code paths — the vectorized numpy staging and
-the pure-Python batch — are checked here directly against the
-per-channel reference, as the module docstring of ``repro.sim.commit``
-advertises.
+on the wake heap).  It is checked here directly against the per-channel
+reference, as the module docstring of ``repro.sim.commit`` advertises,
+and pinned as the one body every fast-path commit goes through.
 """
 
 import pytest
 
-from repro.sim import Channel, Simulator
-from repro.sim.commit import _BULK_THRESHOLD, CommitCohorts
+from repro.masters import AxiDma
+from repro.platforms import ZCU102
+from repro.sim import Channel, Component, Simulator
+from repro.sim.commit import CommitCohorts
+from repro.system import SocSystem
 
 LATENCIES = (1, 2, 3)
 
 
-def _build(n_channels, use_numpy):
+def _build(n_channels):
     sim = Simulator("cohorts", fast=True)
     channels = [
         Channel(sim, f"ch{i}", latency=LATENCIES[i % len(LATENCIES)],
                 capacity=None)
         for i in range(n_channels)
     ]
-    cohorts = CommitCohorts(sim, channels, use_numpy=use_numpy)
-    # the numpy bulk path only engages once the kernel wiring is settled
-    sim._wiring_stale = False
-    return sim, channels, cohorts
+    return sim, channels, CommitCohorts(sim)
 
 
 def _stage_traffic(channels):
@@ -42,19 +41,16 @@ def _state(channel):
             list(channel._staged), channel._popped_this_cycle)
 
 
-@pytest.mark.parametrize("use_numpy", (False, True),
-                         ids=("python", "numpy"))
-@pytest.mark.parametrize("n_channels", (4, _BULK_THRESHOLD + 8),
-                         ids=("small", "bulk"))
-def test_flush_matches_reference_commit(use_numpy, n_channels):
+@pytest.mark.parametrize("n_channels", (4, 32), ids=("small", "large"))
+def test_flush_matches_reference_commit(n_channels):
     cycle = 37
-    sim, channels, cohorts = _build(n_channels, use_numpy)
+    sim, channels, cohorts = _build(n_channels)
     _stage_traffic(channels)
     dirty = list(sim._dirty_channels)
     assert len(dirty) == n_channels
 
     # the reference: an identical twin committed channel by channel
-    ref_sim, ref_channels, __ = _build(n_channels, use_numpy=False)
+    ref_sim, ref_channels, __ = _build(n_channels)
     _stage_traffic(ref_channels)
     for channel in ref_channels:
         channel._commit(cycle)
@@ -68,28 +64,12 @@ def test_flush_matches_reference_commit(use_numpy, n_channels):
             assert ready == cycle + channel.latency
 
 
-def test_bulk_flush_uses_numpy_path():
-    sim, channels, cohorts = _build(_BULK_THRESHOLD, use_numpy=True)
-    _stage_traffic(channels)
-    cohorts.flush(5, sim._dirty_channels)
-    assert cohorts.bulk_flushes == 1
-
-
-def test_small_flush_stays_on_python_path():
-    sim, channels, cohorts = _build(_BULK_THRESHOLD - 1, use_numpy=True)
-    _stage_traffic(channels)
-    cohorts.flush(5, sim._dirty_channels)
-    assert cohorts.bulk_flushes == 0
-
-
-@pytest.mark.parametrize("use_numpy", (False, True),
-                         ids=("python", "numpy"))
-def test_far_future_heads_go_on_the_wake_heap(use_numpy):
+def test_far_future_heads_go_on_the_wake_heap():
     # latency-1 heads are visible by the next polled cycle and are
     # covered by the commit-time watcher wake; only latency > 1 heads
     # need a heap entry
     cycle = 10
-    sim, channels, cohorts = _build(_BULK_THRESHOLD + 3, use_numpy)
+    sim, channels, cohorts = _build(27)
     _stage_traffic(channels)
     cohorts.flush(cycle, sim._dirty_channels)
     heap = sim._wakeheap
@@ -100,12 +80,8 @@ def test_far_future_heads_go_on_the_wake_heap(use_numpy):
     assert heap.peek_cycle() == float("inf")
 
 
-@pytest.mark.parametrize("use_numpy", (False, True),
-                         ids=("python", "numpy"))
-def test_flush_wakes_sleeping_watchers(use_numpy):
-    sim, channels, cohorts = _build(4, use_numpy)
-
-    from repro.sim import Component
+def test_flush_wakes_sleeping_watchers():
+    sim, channels, cohorts = _build(4)
 
     class Sleeper(Component):
         def tick(self, cycle):
@@ -119,7 +95,6 @@ def test_flush_wakes_sleeping_watchers(use_numpy):
 
     sleeper = Sleeper(sim, "sleeper")
     sim._rebuild_wiring()
-    sim._wiring_stale = False
     # put the watcher to sleep the way the kernel would
     sleeper._k_asleep = True
     sim._asleep[sleeper] = True
@@ -133,9 +108,9 @@ def test_flush_wakes_sleeping_watchers(use_numpy):
 
 def test_pop_accounting_matches_reference():
     # a channel dirtied by pops alone (no staged pushes) must shrink its
-    # occupancy identically on both engines
+    # occupancy exactly as Channel._commit does
     cycle = 50
-    sim, channels, cohorts = _build(2, use_numpy=False)
+    sim, channels, cohorts = _build(2)
     channel = channels[0]
     channel.push("a")
     channel.push("b")
@@ -150,8 +125,23 @@ def test_pop_accounting_matches_reference():
     assert channel._dirty is False
 
 
-def test_cohorts_group_by_latency():
-    __, channels, cohorts = _build(6, use_numpy=False)
-    groups = cohorts.cohorts()
-    assert sorted(groups) == sorted(set(LATENCIES))
-    assert sum(len(names) for names in groups.values()) == len(channels)
+def test_every_fast_path_commit_goes_through_flush(monkeypatch):
+    # the end-to-end layer tracer times the sim.commit layer by wrapping
+    # CommitCohorts.flush, so every fast-path commit batch must be one
+    # flush call
+    calls = []
+    original = CommitCohorts.flush
+
+    def counting_flush(self, cycle, dirty):
+        calls.append(cycle)
+        return original(self, cycle, dirty)
+
+    monkeypatch.setattr(CommitCohorts, "flush", counting_flush)
+    soc = SocSystem.build(ZCU102, n_ports=2, fast=True)
+    for port in range(2):
+        dma = AxiDma(soc.sim, f"dma{port}", soc.port(port))
+        dma.enqueue_read(0x1000_0000 + port * 0x10_0000, 4096)
+    soc.sim.run(50_000)
+    batches = soc.sim.skip_stats.commit_batches
+    assert batches > 0
+    assert len(calls) == batches
