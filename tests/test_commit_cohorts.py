@@ -6,6 +6,11 @@ piggyback on a commit: waking watchers and scheduling far-future heads
 on the wake heap).  It is checked here directly against the per-channel
 reference, as the module docstring of ``repro.sim.commit`` advertises,
 and pinned as the one body every fast-path commit goes through.
+
+The equivalence checks run over two payload kinds: plain Python tuples
+and numpy-array-like payloads, whose truthiness raises and whose ``==``
+is elementwise.  The commit must carry any payload through untouched,
+never testing or comparing it.
 """
 
 import pytest
@@ -19,6 +24,33 @@ from repro.system import SocSystem
 LATENCIES = (1, 2, 3)
 
 
+class _ArrayLike:
+    """A payload that behaves like a numpy array under ``bool`` and ``==``.
+
+    A stand-in, so the check needs no numpy install.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __bool__(self):
+        raise ValueError("truth value of an array is ambiguous")
+
+    def __eq__(self, other):
+        return _ArrayLike(("eq", self.key, other))
+
+    __hash__ = None
+
+
+PAYLOADS = {"python": tuple, "numpy": _ArrayLike}
+
+
+def _key(item):
+    return item.key if isinstance(item, _ArrayLike) else item
+
+
 def _build(n_channels):
     sim = Simulator("cohorts", fast=True)
     channels = [
@@ -29,29 +61,32 @@ def _build(n_channels):
     return sim, channels, CommitCohorts(sim)
 
 
-def _stage_traffic(channels):
+def _stage_traffic(channels, payload=tuple):
     """Stage a varied mix: multi-item, single-item, and pop-only dirt."""
     for index, channel in enumerate(channels):
         for item in range(index % 3 + 1):
-            channel.push((index, item))
+            channel.push(payload((index, item)))
 
 
 def _state(channel):
-    return (list(channel._queue), channel._occupancy, channel._dirty,
-            list(channel._staged), channel._popped_this_cycle)
+    return ([(ready, _key(item)) for ready, item in channel._queue],
+            channel._occupancy, channel._dirty,
+            [_key(item) for item in channel._staged],
+            channel._popped_this_cycle)
 
 
-@pytest.mark.parametrize("n_channels", (4, 32), ids=("small", "large"))
-def test_flush_matches_reference_commit(n_channels):
+@pytest.mark.parametrize("payload", ("python", "numpy"))
+@pytest.mark.parametrize("n_channels", (4, 32), ids=("small", "bulk"))
+def test_flush_matches_reference_commit(payload, n_channels):
     cycle = 37
     sim, channels, cohorts = _build(n_channels)
-    _stage_traffic(channels)
+    _stage_traffic(channels, PAYLOADS[payload])
     dirty = list(sim._dirty_channels)
     assert len(dirty) == n_channels
 
     # the reference: an identical twin committed channel by channel
     ref_sim, ref_channels, __ = _build(n_channels)
-    _stage_traffic(ref_channels)
+    _stage_traffic(ref_channels, PAYLOADS[payload])
     for channel in ref_channels:
         channel._commit(cycle)
 
@@ -64,13 +99,14 @@ def test_flush_matches_reference_commit(n_channels):
             assert ready == cycle + channel.latency
 
 
-def test_far_future_heads_go_on_the_wake_heap():
+@pytest.mark.parametrize("payload", ("python", "numpy"))
+def test_far_future_heads_go_on_the_wake_heap(payload):
     # latency-1 heads are visible by the next polled cycle and are
     # covered by the commit-time watcher wake; only latency > 1 heads
     # need a heap entry
     cycle = 10
     sim, channels, cohorts = _build(27)
-    _stage_traffic(channels)
+    _stage_traffic(channels, PAYLOADS[payload])
     cohorts.flush(cycle, sim._dirty_channels)
     heap = sim._wakeheap
     assert heap.peek_cycle() == cycle + 2
@@ -80,7 +116,8 @@ def test_far_future_heads_go_on_the_wake_heap():
     assert heap.peek_cycle() == float("inf")
 
 
-def test_flush_wakes_sleeping_watchers():
+@pytest.mark.parametrize("payload", ("python", "numpy"))
+def test_flush_wakes_sleeping_watchers(payload):
     sim, channels, cohorts = _build(4)
 
     class Sleeper(Component):
@@ -100,7 +137,7 @@ def test_flush_wakes_sleeping_watchers():
     sim._asleep[sleeper] = True
     del sim._awake[sleeper]
 
-    channels[0].push("payload")
+    channels[0].push(PAYLOADS[payload](("payload",)))
     cohorts.flush(3, sim._dirty_channels)
     assert sleeper._k_asleep is False
     assert sleeper in sim._awake and sleeper not in sim._asleep
