@@ -6,9 +6,10 @@ cycles per host second) on three workloads:
 * the reference two-master contention system, measured under BOTH kernel
   paths with a warm best-of-N timer that excludes construction.  This
   workload is fully saturated (one data beat moves on the shared bus
-  every cycle), so the event-heap fast path has nothing to freeze — the
-  section therefore tracks the raw per-cycle model cost and doubles as a
-  divergence check: both paths must produce byte-identical traffic.
+  every cycle), so polling finds little to skip; the fast path hands
+  most of the window to the reference loop in dense windows and must
+  stay within 0.9x of it.  The section doubles as a divergence check:
+  both paths must produce byte-identical traffic.
 * a latency-dominated single-word DMA read on the Fig. 3(a) topology.
   This is the workload class the fast path exists for: after the
   ~330-cycle transaction the system is frozen and the kernel bulk-skips
@@ -27,7 +28,8 @@ and, machine-readably, ``benchmarks/results/sim_throughput.json``.  The
 CI perf-smoke job runs this module with ``SIM_THROUGHPUT_CYCLES`` set to
 a short window and compares the sidecar against the committed
 ``sim_throughput.baseline.json`` (the contention and 8-port bursty
-reference throughputs).
+reference throughputs); it also fails when the contention fast/reference
+ratio drops below 0.9.
 """
 
 import gc
@@ -145,8 +147,8 @@ def test_sim_throughput(benchmark):
     if benchmark.stats is not None:
         benchmark.extra_info["cycles_per_second"] = reference
     assert reference > 10_000   # sanity floor
-    # the saturated workload leaves the fast path nothing to skip; it
-    # must still stay within a modest constant factor of the reference
+    # sanity floor only; CI's perf-smoke compare step holds the 0.9x
+    # floor that dense windows are there to keep
     assert speedup > 0.5
 
 

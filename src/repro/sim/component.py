@@ -21,13 +21,10 @@ class Component:
         self.name = name
         # Kernel-managed scheduling state (see Simulator._rebuild_wiring):
         # whether the fast path may put this component to sleep, whether it
-        # is currently asleep, and the poll-backoff stride mask / miss
-        # counter.  Kept as plain attributes for speed; components never
-        # touch them.
+        # is currently asleep, and its run of consecutive quiescent polls.
+        # Kept as plain attributes for speed; components never touch them.
         self._k_sleepable = False
         self._k_asleep = False
-        self._k_mask = 0
-        self._k_miss = 0
         self._k_quiet = 0
         sim._register_component(self)
 

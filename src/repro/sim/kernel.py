@@ -33,17 +33,12 @@ change state, while keeping results bit-identical to the reference path:
   :meth:`~repro.sim.Component.next_event_cycle` hint comes due on the wake
   heap, or an explicit wake arrives.  Components that do not opt in are
   polled every cycle, exactly as before.
-* **Poll backoff** — a component that keeps answering "not quiescent" is
-  evidently busy; after eight *net* misses (each miss counts one up, each
-  quiescent answer decays one down, so components that are busy most —
-  not all — cycles still accumulate) the kernel stops polling it and
-  ticks it unconditionally, re-polling only on stride-aligned cycles
-  (stride doubling 8 → 64).  A quiescent answer on a stride poll halves
-  the stride rather than clearing it, so a briefly-idle hot component
-  does not bounce straight back to per-cycle polling.  Ticking a
-  quiescent component is always sound (the reference path does nothing
-  else), so this trades at most a few bounded-delay cycles of freeze
-  entry for the poll cost of hot components.
+* **Dense windows** — after ``_DENSE_AFTER`` polled cycles in a row that
+  each committed channel traffic and ran more than one tick per two
+  quiescent polls, the kernel hands ``_DENSE_WINDOW`` cycles to the
+  reference loop, which ticks everything unpolled.  Ticking a quiescent
+  component is always sound, and the window marks the wiring stale, so
+  the next polled cycle re-derives sleep state and wake-heap entries.
 * **Bulk skipping (frozen horizons)** — when no tick ran and no channel has
   uncommitted work, the system state is frozen: the kernel computes the
   earliest future wake event and advances the clock in bulk up to it,
@@ -75,10 +70,11 @@ cached horizon *and* wake every sleeper because every public entry point
 calls :meth:`Simulator.wake`; targeted cross-component mutations (a direct
 method call outside ``tick``) call :meth:`Component.wake`.
 
-Every fast-path commit goes through one body,
+Every polled fast-path commit goes through one body,
 :meth:`~repro.sim.commit.CommitCohorts.flush`, called once per polled cycle
 with dirty channels.  Its semantics are identical to the reference path's
-per-channel ``Channel._commit``, which stays as the independent oracle.
+per-channel ``Channel._commit``, which stays as the independent oracle and
+also commits the cycles of a dense window.
 
 Contract for ``run_until`` predicates: they are sampled at ``check_every``
 granularity on both paths and must be observational.  Predicates that pop
@@ -105,14 +101,10 @@ from .wakeheap import WakeHeap
 #: callers clamp to their own end-of-run bound).
 _FOREVER = float("inf")
 
-#: net non-quiescent polls (misses count up, quiescent answers decay one
-#: down) before a component enters poll backoff
-_BACKOFF_AFTER = 8
-#: initial and maximum backoff stride masks (stride - 1; power-of-two
-#: strides aligned to absolute cycle numbers so every backed-off component
-#: re-polls on a common boundary and freezes are delayed boundedly)
-_BACKOFF_MASK_FIRST = 0x7
-_BACKOFF_MASK_MAX = 0x3F
+#: dense polled cycles in a row before a window of reference cycles,
+#: and that window's length (see "Dense windows" above)
+_DENSE_AFTER = 16
+_DENSE_WINDOW = 256
 
 #: consecutive quiescent polls before a sleep-capable component actually
 #: sleeps.  Sleeping is not free — it computes a hint, may push a heap
@@ -342,12 +334,13 @@ class Simulator:
         """(Re)derive the fast path's scheduling structures.
 
         Runs lazily at the start of the next fast cycle after any
-        component/channel registration, never at construction time —
-        :meth:`Component.wake_channels` may reference attributes that
-        only exist once the subclass constructor finished.  A rebuild
-        wakes every component (new arrivals start awake, sleepers
-        re-poll and re-sleep with fresh hints) and re-seeds the heap
-        with any in-flight far-future channel heads.
+        component/channel registration or dense window, never at
+        construction time — :meth:`Component.wake_channels` may
+        reference attributes that only exist once the subclass
+        constructor finished.  A rebuild wakes every component (new
+        arrivals start awake, sleepers re-poll and re-sleep with fresh
+        hints) and re-seeds the heap with every head not visible yet,
+        including one due next cycle, whose commit-time entry it clears.
         """
         heap = self._wakeheap
         heap.clear()
@@ -357,13 +350,11 @@ class Simulator:
         for channel in self._channels:
             channel._watchers = ()
             queue = channel._queue
-            if queue and queue[0][0] > cycle + 1:
+            if queue and queue[0][0] > cycle:
                 heap.push(channel, queue[0][0])
         watcher_lists: Dict[Channel, List[Component]] = {}
         for component in self._components:
             component._k_asleep = False
-            component._k_mask = 0
-            component._k_miss = 0
             component._k_quiet = 0
             declared = component.wake_channels()
             component._k_sleepable = declared is not None
@@ -422,7 +413,8 @@ class Simulator:
         per window (the ``finally`` keeps them truthful if a component
         raises mid-window).  Every polled cycle with dirty channels
         commits them through :meth:`CommitCohorts.flush`, the fast
-        path's one commit body.
+        path's one commit body; a dense window's cycles count as polled,
+        with every component ticked in each.
 
         Within a polled cycle the kernel wakes due heap subjects, then
         iterates the full registration list, skipping sleepers by flag,
@@ -448,7 +440,9 @@ class Simulator:
         slept = 0
         polled = 0
         frozen = 0
+        dense = 0
         heap_pushes = 0
+        streak = 0
         try:
             while self._cycle < end:
                 if self._finished:
@@ -467,23 +461,13 @@ class Simulator:
                 if heap_list and heap_list[0][0] <= cycle:
                     self._wake_due(cycle)
                 ran = 0
+                skipped_before = skipped
                 for component in components:
                     if component._k_asleep:
                         slept += 1
                         continue
-                    mask = component._k_mask
-                    if mask and cycle & mask:
-                        # backed off: tick without polling (sound either
-                        # way)
-                        component.tick(cycle)
-                        ran += 1
-                        continue
                     if component.is_quiescent(cycle):
                         skipped += 1
-                        if mask:
-                            component._k_mask = mask >> 1
-                        elif component._k_miss:
-                            component._k_miss -= 1
                         if component._k_sleepable:
                             quiet = component._k_quiet + 1
                             if quiet >= _SLEEP_AFTER:
@@ -500,18 +484,14 @@ class Simulator:
                         component.tick(cycle)
                         ran += 1
                         component._k_quiet = 0
-                        if mask:
-                            if mask < _BACKOFF_MASK_MAX:
-                                component._k_mask = (mask << 1) | 1
-                        else:
-                            miss = component._k_miss + 1
-                            if miss >= _BACKOFF_AFTER:
-                                component._k_mask = _BACKOFF_MASK_FIRST
-                                component._k_miss = 0
-                            else:
-                                component._k_miss = miss
                 ran_total += ran
                 polled += 1
+                # a cycle that commits traffic cannot freeze, so a dense
+                # stretch of them hands off without delaying a freeze
+                if dirty and ran * 2 > skipped - skipped_before:
+                    streak += 1
+                else:
+                    streak = 0
                 if dirty:
                     flush(cycle, dirty)
                 elif not ran:
@@ -524,13 +504,21 @@ class Simulator:
                         self._quiescent_until = horizon
                         stats.horizon_scans += 1
                 self._cycle = cycle + 1
+                if streak >= _DENSE_AFTER:
+                    streak = 0
+                    self._wiring_stale = True
+                    self._run_reference(min(cycle + 1 + _DENSE_WINDOW, end))
+                    window = self._cycle - cycle - 1
+                    dense += window
+                    ran_total += window * len(components)
         finally:
             stats.ticks_run += ran_total
             stats.ticks_skipped += skipped
             stats.ticks_slept += slept
-            stats.cycles_polled += polled
+            stats.cycles_polled += polled + dense
+            stats.cycles_dense += dense
             stats.cycles_frozen += frozen
-            stats.cycles_total += polled + frozen
+            stats.cycles_total += polled + dense + frozen
             stats.heap_pushes += heap_pushes
 
     def run(self, cycles: int) -> None:

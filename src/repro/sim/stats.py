@@ -133,6 +133,9 @@ class KernelSkipStats:
     * ``cycles_polled`` — cycles executed the long way (every component
       either polled via ``is_quiescent`` or ticked, dirty channels
       committed).
+    * ``cycles_dense`` — the part of ``cycles_polled`` handed to the
+      reference loop in dense windows; every component ticks unpolled in
+      each, counted under ``ticks_run``.
     * ``cycles_frozen`` — cycles crossed inside a frozen horizon, where
       nothing was polled, ticked, or committed at all.
     * ``ticks_run`` / ``ticks_skipped`` — component ticks executed versus
@@ -164,8 +167,8 @@ class KernelSkipStats:
     "work avoided" figure is ``work_avoided_fraction`` which folds both in.
     """
 
-    __slots__ = ("cycles_total", "cycles_polled", "cycles_frozen",
-                 "ticks_run", "ticks_skipped", "ticks_slept",
+    __slots__ = ("cycles_total", "cycles_polled", "cycles_dense",
+                 "cycles_frozen", "ticks_run", "ticks_skipped", "ticks_slept",
                  "horizon_scans", "heap_pushes", "heap_pops",
                  "commit_batches", "commit_channels", "tlm_epochs",
                  "tlm_cycles_skipped", "tlm_rollbacks", "tlm_demotions")
@@ -177,6 +180,7 @@ class KernelSkipStats:
         """Zero every counter."""
         self.cycles_total = 0
         self.cycles_polled = 0
+        self.cycles_dense = 0
         self.cycles_frozen = 0
         self.ticks_run = 0
         self.ticks_skipped = 0
@@ -209,6 +213,7 @@ class KernelSkipStats:
         return {
             "cycles_total": self.cycles_total,
             "cycles_polled": self.cycles_polled,
+            "cycles_dense": self.cycles_dense,
             "cycles_frozen": self.cycles_frozen,
             "ticks_run": self.ticks_run,
             "ticks_skipped": self.ticks_skipped,

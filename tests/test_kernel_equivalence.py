@@ -28,7 +28,7 @@ from repro.masters import (
 )
 from repro.memory import FaultInjectingMemory
 from repro.platforms import ZCU102
-from repro.sim import Tracer
+from repro.sim import Component, Tracer
 from repro.system import SocSystem
 from repro.system.experiment import (
     measure_access_time,
@@ -484,6 +484,28 @@ class TestFastPathActuallySkips:
         assert stats.ticks_slept > 0
         assert stats.cycles_frozen > 0
 
+    def test_saturated_contention_runs_dense_windows(self):
+        """Saturated contention leaves polling nothing to find, so the
+        fast path hands most cycles to the reference loop."""
+
+        def run(fast):
+            soc = SocSystem.build(ZCU102, n_ports=2, period=2048,
+                                  fast=fast)
+            a = GreedyTrafficGenerator(soc.sim, "a", soc.port(0),
+                                       job_bytes=8192, depth=4)
+            b = GreedyTrafficGenerator(soc.sim, "b", soc.port(1),
+                                       job_bytes=8192, depth=4)
+            soc.driver.set_bandwidth_shares({0: 0.5, 1: 0.5})
+            soc.sim.run(5_000)
+            return (_signature(a, b), _memory_counters(soc.memory),
+                    soc.sim.now), soc.sim.skip_stats
+
+        (reference, __), (fast, stats) = _both(run)
+        assert fast == reference
+        assert stats.cycles_dense > 0
+        assert stats.cycles_total == stats.cycles_polled + stats.cycles_frozen
+        assert stats.cycles_dense <= stats.cycles_polled
+
     def test_reference_path_records_no_skips(self):
         soc = SocSystem.build(ZCU102, n_ports=2, fast=False)
         dma = AxiDma(soc.sim, "dma", soc.port(0))
@@ -529,6 +551,16 @@ def _attach_master(soc, port, kind, seed):
     return None   # idle port: pure quiescence pressure
 
 
+class _Noop(Component):
+    """Never does anything; registering one forces a wiring rebuild."""
+
+    def tick(self, cycle):
+        pass
+
+    def is_quiescent(self, cycle):
+        return True
+
+
 class TestRandomizedEquivalence:
     """Property: no reachable system shape distinguishes the paths."""
 
@@ -558,6 +590,41 @@ class TestRandomizedEquivalence:
                 soc.sim.run(window // 4)
                 soc.driver.couple(n_ports - 1)
             soc.sim.run(window // 2)
+            return (_signature(*engines), _memory_counters(soc.memory),
+                    _interconnect_counters(soc), soc.sim.now)
+
+        reference, fast = _both(run)
+        assert reference == fast
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        interconnect=st.sampled_from(INTERCONNECTS),
+        kinds=st.lists(st.sampled_from(_MASTER_KINDS), min_size=2,
+                       max_size=2),
+        seed=st.integers(min_value=0, max_value=999),
+        window=st.integers(min_value=1100, max_value=5000),
+        register_at=st.one_of(st.none(),
+                              st.integers(min_value=1, max_value=1000)),
+    )
+    def test_kernel_switch_mid_run(self, interconnect, kinds, seed, window,
+                                   register_at):
+        """Kernel switches (a wiring rebuild after a mid-run
+        registration, dense windows on the reference loop) while heads
+        are in flight must not change what a pure reference run sees."""
+
+        def run(fast):
+            soc = SocSystem.build(ZCU102, interconnect=interconnect,
+                                  n_ports=2, period=2048, fast=fast)
+            engines = [engine for port in range(2)
+                       for engine in [_attach_master(
+                           soc, port, kinds[port], seed + port)]
+                       if engine is not None]
+            if fast and register_at is not None:
+                # the rebuild runs inside the remaining window, so a
+                # freeze entered on the rebuild cycle is not cut short
+                soc.sim.run(register_at)
+                _Noop(soc.sim, "noop")
+            soc.sim.run(window - soc.sim.now)
             return (_signature(*engines), _memory_counters(soc.memory),
                     _interconnect_counters(soc), soc.sim.now)
 

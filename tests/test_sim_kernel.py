@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.masters import AxiDma
+from repro.platforms import ZCU102
 from repro.sim import Channel, Component, SimulationError, Simulator
+from repro.system import SocSystem
 
 
 class Producer(Component):
@@ -419,3 +422,35 @@ def test_reference_ticks_go_through_the_class_attribute():
     sim.step()
     sim.run_until(lambda: sim.now >= 10)
     assert calls == list(range(3, 10))
+
+
+class QuiescentNoop(Component):
+    """Never does anything; registering one forces a wiring rebuild."""
+
+    def tick(self, cycle):
+        pass
+
+    def is_quiescent(self, cycle):
+        return True
+
+
+class TestMidRunRegistration:
+    """A registration between runs rebuilds the fast path's wiring; a
+    channel head due on the very next cycle must survive the rebuild."""
+
+    @staticmethod
+    def _bytes_read(fast):
+        soc = SocSystem.build(ZCU102, interconnect="smartconnect",
+                              n_ports=2, fast=fast)
+        dma = AxiDma(soc.sim, "dma", soc.port(0))
+        dma.enqueue_read(0x1000_0000, 64)
+        # after 11 cycles the read's head on the latency-6 soc.m.AR
+        # channel is due at cycle 12, one cycle after the rebuild
+        soc.sim.run(11)
+        QuiescentNoop(soc.sim, "noop")
+        soc.sim.run(5000)
+        return dma.bytes_read
+
+    def test_head_due_next_cycle_survives_rebuild(self):
+        assert self._bytes_read(fast=False) == 64
+        assert self._bytes_read(fast=True) == 64
