@@ -15,7 +15,6 @@ experiment harnesses::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -87,7 +86,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     result = run_case_study(args.interconnect, shares=shares,
                             scale=args.scale,
                             window_cycles=args.window,
-                            platform=platform)
+                            platform=platform, tlm=args.tlm)
     print(f"{label} on {platform.name}: "
           f"CHaiDNN {result.chaidnn_fps:.0f} scaled fps "
           f"({result.chaidnn_frames} frames), "
@@ -198,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--platform", default="ZCU102",
                         help="platform model (default: ZCU102)")
     parser.add_argument("--tlm", action="store_true",
-                        help="transaction-level fast-forward mode: skip "
-                             "steady-state epochs analytically, demote "
+                        help="case-study in transaction-level "
+                             "fast-forward mode: skip steady-state "
+                             "epochs analytically, demote "
                              "to cycle-accurate at every unpredictable "
-                             "edge (default: REPRO_TLM env var)")
+                             "edge")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser(
@@ -285,20 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _platform(args.platform)   # validate once, before any work
-    if not args.tlm:
-        return args.handler(args)
-    # the builder reads REPRO_TLM, so one flag reaches every simulator
-    # any experiment constructs; restore it afterwards so a programmatic
-    # call does not switch later builds in the same process to TLM
-    previous = os.environ.get("REPRO_TLM")
-    os.environ["REPRO_TLM"] = "1"
-    try:
-        return args.handler(args)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_TLM"]
-        else:
-            os.environ["REPRO_TLM"] = previous
+    return args.handler(args)
 
 
 if __name__ == "__main__":   # pragma: no cover - module execution path

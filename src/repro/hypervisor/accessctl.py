@@ -123,10 +123,6 @@ class AccessControl:
         regions.remove(region)
         self._record("revoke", domain.name, region, cycle)
 
-    def grants_of(self, domain_name: str) -> List[MemoryRegion]:
-        """Snapshot of a domain's current grants."""
-        return list(self._grants.get(domain_name, []))
-
     def _record(self, kind: str, domain_name: str, region: MemoryRegion,
                 cycle: Optional[int]) -> None:
         self.transitions.append(

@@ -3,12 +3,15 @@
 from .buddy import AllocationError, BuddyAllocator
 from .dram import DramTiming, MemorySubsystem
 from .faulty import FaultInjectingMemory
-from .multiport import MultiPortMemorySubsystem
 from .ooo import OutOfOrderMemory
 from .psport import AxiPipe, FpgaPsPort
 from .qos400 import PsQosRegulator
 from .store import MemoryAccessFault, MemoryStore, TranslationFault
 from .virt import Stage2Table, Stage2Window, VirtualizedStore
+
+#: the one in-order controller serves several ports when given a list of
+#: links; the old name stays importable
+MultiPortMemorySubsystem = MemorySubsystem
 
 __all__ = [
     "AllocationError",

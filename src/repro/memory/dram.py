@@ -8,6 +8,13 @@ command processing: while one burst streams its data, the access latency of
 the next command overlaps — so back-to-back requests sustain full bus
 bandwidth, but an isolated request pays the full access latency.
 
+Fig. 1 of the paper shows the PS exposing *several* FPGA-PS slave ports
+(HP0..HP3 on Zynq devices), all funnelling into that one controller, so
+the model serves one link or a list of them: round-robin ingest into the
+shared command queue, one write-data FIFO per port, and data and
+responses routed back to the link each command arrived on.  A single
+link is simply the one-port case.
+
 Timing is configurable through :class:`DramTiming`; an optional bank/row
 model adds row-hit/row-miss latency variation for studies that need it
 (disabled by default to keep the headline experiments deterministic).
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from ..axi.burst import beat_addresses
 from ..axi.payloads import AddrBeat, DataBeat, RespBeat, WriteBeat
@@ -61,11 +68,13 @@ class _Command:
     beat: AddrBeat
     arrival: int
     beats_left: int
+    #: index of the served link the command arrived on (R/B go back there)
+    port: int = 0
     data_start: Optional[int] = None
-    address_cursor: int = 0
     #: per-beat addresses for non-INCR bursts (FIXED repeats, WRAP wraps);
-    #: None for the common INCR case, where the cursor just increments
+    #: None for the common INCR case, where the address just increments
     addresses: Optional[list] = None
+    #: beats served so far
     beat_index: int = 0
     #: a beat of this command faulted in the backing store; the write
     #: response (and subsequent read beats) carry DECERR instead of OKAY
@@ -74,11 +83,7 @@ class _Command:
     def current_address(self) -> int:
         if self.addresses is not None:
             return self.addresses[self.beat_index]
-        return self.address_cursor
-
-    def step_address(self) -> None:
-        self.beat_index += 1
-        self.address_cursor += self.beat.size_bytes
+        return self.beat.address + self.beat_index * self.beat.size_bytes
 
 
 class MemorySubsystem(Component):
@@ -90,7 +95,10 @@ class MemorySubsystem(Component):
         Simulation bookkeeping.
     link:
         The AXI link whose slave side this component serves (it pops
-        AR/AW/W and pushes R/B).
+        AR/AW/W and pushes R/B), or a list of them, one per FPGA-PS port.
+        Ports are ingested round-robin from a pointer that rotates every
+        cycle, so none has structural priority when the command queue is
+        scarce.
     timing:
         :class:`DramTiming` latency parameters.
     store:
@@ -104,21 +112,41 @@ class MemorySubsystem(Component):
         becomes observable.
     """
 
-    def __init__(self, sim, name: str, link: AxiLink,
+    def __init__(self, sim, name: str,
+                 link: Union[AxiLink, Sequence[AxiLink]],
                  timing: DramTiming = DramTiming(),
                  store: Optional[MemoryStore] = None,
                  command_depth: int = 16) -> None:
         super().__init__(sim, name)
+        links = list(link) if isinstance(link, (list, tuple)) else [link]
+        if not links:
+            raise ConfigurationError("at least one link required")
         if command_depth < 1:
             raise ConfigurationError("command_depth must be >= 1")
-        self.link = link
+        self.links = links
+        #: the first served link (the only one on a single-port controller)
+        self.link = links[0]
         self.timing = timing
         self.store = store
         self.command_depth = command_depth
+        self._n_ports = n_ports = len(links)
+        #: per-cycle ingest order starting at port ``cycle % n_ports``:
+        #: ``(port, link, ar_queue, aw_queue, w_queue)``.  The pointer
+        #: comes from the cycle number rather than a counter so bulk-
+        #: skipped idle cycles cannot desynchronize it; the rotations and
+        #: channel queues (whose identity never changes) are precomputed
+        #: because this tick runs every cycle
+        ports = [(port, served, served.ar._queue, served.aw._queue,
+                  served.w._queue) for port, served in enumerate(links)]
+        self._orders = [ports[first:] + ports[:first]
+                        for first in range(n_ports)]
         self._commands: Deque[_Command] = deque()
         self._current: Optional[_Command] = None
-        self._write_beats: Deque[WriteBeat] = deque()
-        self._pending_b: List[Tuple[int, RespBeat]] = []
+        #: per-port write-data FIFOs (W beats follow AW order per port)
+        self._write_beats: List[Deque[WriteBeat]] = [
+            deque() for _ in links]
+        #: (due cycle, port, response)
+        self._pending_b: List[Tuple[int, int, RespBeat]] = []
         self._bus_free_at = 0
         #: open row per bank (bank/row model, when enabled)
         self._open_rows = {}
@@ -126,6 +154,7 @@ class MemorySubsystem(Component):
         self.reads_served = 0
         self.writes_served = 0
         self.beats_served = 0
+        self.per_port_beats = [0] * n_ports
         #: beats that faulted in the backing store and answered DECERR
         self.decode_errors = 0
 
@@ -147,7 +176,6 @@ class MemorySubsystem(Component):
                 else self.timing.write_latency)
         base += self._row_penalty(command.beat.address)
         command.data_start = max(command.arrival + base, self._bus_free_at)
-        command.address_cursor = command.beat.address
         if command.beat.burst is not BurstType.INCR:
             command.addresses = beat_addresses(
                 command.beat.address, command.beat.length,
@@ -157,42 +185,39 @@ class MemorySubsystem(Component):
     # ------------------------------------------------------------------
 
     def tick(self, cycle: int) -> None:
-        link = self.link
         commands = self._commands
-        # 1. ingest at most one address beat per channel per cycle while
+        # 1. per port, ingest at most one address beat per channel while
         #    the command queue has room (AR before AW: a fixed,
-        #    documented tie-break for determinism).  The channel-head
-        #    visibility guards are inlined: this tick runs every cycle of
-        #    every bandwidth experiment.
-        if len(commands) < self.command_depth:
-            queue = link.ar._queue
-            if queue and queue[0][0] <= cycle:
-                beat = link.ar.pop()
-                commands.append(_Command(True, beat, cycle, beat.length))
-            if len(commands) < self.command_depth:
-                queue = link.aw._queue
-                if queue and queue[0][0] <= cycle:
+        #    documented tie-break for determinism), then one write-data
+        #    beat.  The channel-head visibility guards are inlined: this
+        #    tick runs every cycle of every bandwidth experiment.
+        for port, link, ar, aw, w in self._orders[cycle % self._n_ports]:
+            if (ar or aw) and len(commands) < self.command_depth:
+                if ar and ar[0][0] <= cycle:
+                    beat = link.ar.pop()
+                    commands.append(
+                        _Command(True, beat, cycle, beat.length, port))
+                if (aw and aw[0][0] <= cycle
+                        and len(commands) < self.command_depth):
                     beat = link.aw.pop()
                     commands.append(
-                        _Command(False, beat, cycle, beat.length))
-        # 2. ingest one write-data beat per cycle
-        queue = link.w._queue
-        if queue and queue[0][0] <= cycle:
-            self._write_beats.append(link.w.pop())
-        # 3. pick the next command when idle
+                        _Command(False, beat, cycle, beat.length, port))
+            if w and w[0][0] <= cycle:
+                self._write_beats[port].append(link.w.pop())
+        # 2. pick the next command when idle
         current = self._current
         if current is None and commands:
             current = self._current = self._take_next_command(cycle)
             self._start_command(current, cycle)
-        # 4. stream one data beat of the current command
+        # 3. stream one data beat of the current command
         if current is not None:
             self._advance(current, cycle)
-        # 5. emit one due write response per cycle
+        # 4. emit one due write response per cycle
         pending = self._pending_b
         if pending and pending[0][0] <= cycle:
-            if link.b.can_push():
-                __, resp = pending.pop(0)
-                link.b.push(resp)
+            b = self.links[pending[0][1]].b
+            if b.can_push():
+                b.push(pending.pop(0)[2])
 
     def is_quiescent(self, cycle: int) -> bool:
         """True when no tick step could act: nothing to ingest, no command
@@ -203,24 +228,26 @@ class MemorySubsystem(Component):
         the write-advance case because a W beat poppable this cycle makes
         the component non-quiescent before ``_advance`` is considered.
         """
-        link = self.link
-        if (len(self._commands) < self.command_depth
-                and (link.ar.can_pop() or link.aw.can_pop())):
-            return False
-        if link.w.can_pop():
-            return False
+        room = len(self._commands) < self.command_depth
+        for __, __, ar, aw, w in self._orders[0]:
+            if w and w[0][0] <= cycle:
+                return False
+            if room and ((ar and ar[0][0] <= cycle)
+                         or (aw and aw[0][0] <= cycle)):
+                return False
         command = self._current
         if command is None:
             if self._commands:
                 return False
         elif cycle >= command.data_start:
             if command.is_read:
-                if link.r.can_push():
+                if self.links[command.port].r.can_push():
                     return False
-            elif self._write_beats:
+            elif self._write_beats[command.port]:
                 return False
-        if (self._pending_b and self._pending_b[0][0] <= cycle
-                and link.b.can_push()):
+        pending = self._pending_b
+        if (pending and pending[0][0] <= cycle
+                and self.links[pending[0][1]].b.can_push()):
             return False
         return True
 
@@ -238,12 +265,12 @@ class MemorySubsystem(Component):
         return horizon
 
     def wake_channels(self) -> list:
-        """All quiescence inputs are states of the served link's channels
+        """All quiescence inputs are states of the served links' channels
         (poppable AR/AW/W, pushable R/B); the access-latency window and
         due responses are internal timers covered by
         :meth:`next_event_cycle`."""
-        link = self.link
-        return [link.ar, link.aw, link.w, link.r, link.b]
+        return [channel for link in self.links
+                for channel in (link.ar, link.aw, link.w, link.r, link.b)]
 
     # ------------------------------------------------------------------
 
@@ -261,9 +288,9 @@ class MemorySubsystem(Component):
     def _advance(self, command: _Command, cycle: int) -> None:
         if cycle < command.data_start:
             return
-        beat_bytes = command.beat.size_bytes
+        port = command.port
         if command.is_read:
-            r = self.link.r
+            r = self.links[port].r
             if r.capacity is not None and r._occupancy >= r.capacity:
                 return  # backpressured: the bus slot is lost
             data = None
@@ -271,7 +298,7 @@ class MemorySubsystem(Component):
             if self.store is not None:
                 try:
                     data = self.store.read(command.current_address(),
-                                           beat_bytes)
+                                           command.beat.size_bytes)
                 except MemoryAccessFault:
                     # address decode / stage-2 miss: the beat answers
                     # DECERR with no data; the exception never escapes
@@ -288,9 +315,10 @@ class MemorySubsystem(Component):
                 addr_beat=command.beat,
             ))
         else:
-            if not self._write_beats:
+            queue = self._write_beats[port]
+            if not queue:
                 return  # write data not here yet
-            wbeat = self._write_beats.popleft()
+            wbeat = queue.popleft()
             if self.store is not None and wbeat.data is not None:
                 try:
                     self.store.write(command.current_address(), wbeat.data)
@@ -302,16 +330,15 @@ class MemorySubsystem(Component):
             command.beats_left -= 1
             if command.beats_left == 0:
                 self._pending_b.append((
-                    cycle + self.timing.resp_latency,
+                    cycle + self.timing.resp_latency, port,
                     RespBeat(txn_id=command.beat.txn_id,
                              resp=(Resp.DECERR if command.error
                                    else Resp.OKAY),
                              addr_beat=command.beat),
                 ))
-        # inlined step_address (one call per served beat otherwise)
         command.beat_index += 1
-        command.address_cursor += beat_bytes
         self.beats_served += 1
+        self.per_port_beats[port] += 1
         if command.beats_left == 0:
             if command.is_read:
                 self.reads_served += 1
@@ -330,4 +357,4 @@ class MemorySubsystem(Component):
     def idle(self) -> bool:
         """True when no command is queued, active, or awaiting response."""
         return (self._current is None and not self._commands
-                and not self._pending_b and not self._write_beats)
+                and not self._pending_b and not any(self._write_beats))

@@ -50,6 +50,9 @@ class FaultInjectingMemory(MemorySubsystem):
                  freeze_window: Optional[tuple] = None,
                  seed: int = 1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        if len(self.links) != 1:
+            raise ConfigurationError(
+                "fault injection serves exactly one link")
         if not 0.0 <= error_rate <= 1.0:
             raise ConfigurationError("error_rate must be in [0, 1]")
         if not 0.0 <= stall_rate <= 1.0:
@@ -172,8 +175,9 @@ class FaultInjectingMemory(MemorySubsystem):
         super()._advance(command, cycle)
         # fault the beat that was just emitted, if any
         if self.beats_served > before:
-            resp = self._maybe_error(command.address_cursor
-                                     - command.beat.size_bytes)
+            beat = command.beat   # INCR address of the beat just served
+            resp = self._maybe_error(
+                beat.address + (command.beat_index - 1) * beat.size_bytes)
             if resp is not Resp.OKAY:
                 self._poison_last_emission(resp)
 
@@ -186,4 +190,4 @@ class FaultInjectingMemory(MemorySubsystem):
         if self.link.r.amend_staged(_set_resp):    # read beat this cycle
             return
         if self._pending_b:                        # write response due
-            self._pending_b[-1][1].resp = resp
+            self._pending_b[-1][2].resp = resp

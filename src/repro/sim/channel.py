@@ -312,20 +312,6 @@ class Channel:
             self._dirty = True
             self._sim._mark_dirty(self)
 
-    def next_wake_cycle(self, cycle: int) -> Optional[int]:
-        """Cycle at which an in-flight item becomes visible, if any.
-
-        Used by the fast kernel to bound bulk skips: a committed item whose
-        ready time lies in the future may un-quiesce its consumer exactly
-        when it becomes poppable.  A head that is already visible cannot
-        wake anyone later by itself, so it contributes no bound.
-        """
-        if self._queue:
-            ready = self._queue[0][0]
-            if ready > cycle:
-                return ready
-        return None
-
     # ------------------------------------------------------------------
     # kernel interface
     # ------------------------------------------------------------------

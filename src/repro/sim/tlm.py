@@ -115,10 +115,13 @@ class _Mispredict(Exception):
 # ----------------------------------------------------------------------
 
 def _copy_value(value):
-    """Shallow, type-preserving copy of one attribute value."""
+    """Shallow, type-preserving copy of one attribute value; a list of
+    deques (the memory's per-port write FIFOs) copies its deques too."""
     if isinstance(value, deque):
         return deque(value)
     if isinstance(value, list):
+        if value and isinstance(value[0], deque):
+            return [deque(item) for item in value]
         return list(value)
     if isinstance(value, dict):
         return dict(value)
@@ -322,7 +325,7 @@ class TlmEngine:
             raise _Decline("memory-store")
         if memory.timing.row_miss_penalty is not None:
             raise _Decline("memory-rowmiss")
-        if memory.link is not exbar.master_link:
+        if len(memory.links) != 1 or memory.link is not exbar.master_link:
             raise _Decline("memory")
 
         links = list(exbar.ha_links)
@@ -584,13 +587,15 @@ class TlmEngine:
             commands.append(memory._current)
         for command in commands:
             memory.beats_served += command.beats_left
+            memory.per_port_beats[0] += command.beats_left
             if command.is_read:
                 memory.reads_served += 1
             else:
                 memory.writes_served += 1
         memory._commands.clear()
         memory._current = None
-        memory._write_beats.clear()
+        for queue in memory._write_beats:
+            queue.clear()
         memory._pending_b.clear()
         memory._bus_free_at = start
 
@@ -662,6 +667,7 @@ class TlmEngine:
                     config.issued_write += 1
                     exbar.grants_aw += 1
                 memory.beats_served += sub_beats
+                memory.per_port_beats[0] += sub_beats
                 progressed = True
                 if current[2] == 0:
                     if request.is_read:

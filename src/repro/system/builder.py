@@ -19,7 +19,6 @@ This is the library's main entry point::
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from ..axi.port import AxiLink
@@ -65,7 +64,7 @@ class SocSystem:
               period: int = 65536, with_store: bool = False,
               max_granularity: Optional[int] = None,
               name: str = "soc", fast: bool = False,
-              tlm: Optional[bool] = None) -> "SocSystem":
+              tlm: bool = False) -> "SocSystem":
         """Assemble a system.
 
         Parameters
@@ -92,12 +91,8 @@ class SocSystem:
             Transaction-level fast-forward mode (see ``repro.sim.tlm``):
             steady-state reservation traffic advances one epoch per
             step, demoting to cycle-accurate execution at every
-            non-predictable edge.  ``None`` reads the ``REPRO_TLM``
-            environment variable (default off), so whole experiment
-            suites can be switched over without touching call sites.
+            non-predictable edge.
         """
-        if tlm is None:
-            tlm = os.environ.get("REPRO_TLM", "") not in ("", "0")
         sim = Simulator(name, clock_hz=platform.pl_clock_hz, fast=fast,
                         tlm=tlm)
         store = MemoryStore() if with_store else None

@@ -136,7 +136,7 @@ def run_case_study(interconnect: str,
                    period: int = 2048,
                    dma_burst_len: int = 64,
                    fast: bool = False,
-                   tlm: Optional[bool] = None) -> CaseStudyResult:
+                   tlm: bool = False) -> CaseStudyResult:
     """Sections VI-C procedure: CHaiDNN (port 0) + greedy DMA (port 1).
 
     ``shares`` maps port index to a reserved bandwidth fraction (the

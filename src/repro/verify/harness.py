@@ -22,7 +22,6 @@ from ..memory import (
     FaultInjectingMemory,
     MemoryStore,
     MemorySubsystem,
-    MultiPortMemorySubsystem,
     OutOfOrderMemory,
 )
 from ..platforms import ZCU102
@@ -298,8 +297,7 @@ def build_system(scenario: Scenario, fast: bool,
         hc1 = (SmartConnect(sim, "hc1", 1, hp1)
                if scenario.fabric == "mixed"
                else HyperConnect(sim, "hc1", 1, hp1))
-        memory = MultiPortMemorySubsystem(sim, "mem", [hp0, hp1],
-                                          timing=timing)
+        memory = MemorySubsystem(sim, "mem", [hp0, hp1], timing=timing)
         hyperconnects = [hc0, hc1]
         for index in range(len(plans) - 1):
             station(index, hc0, index)

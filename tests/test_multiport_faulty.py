@@ -2,17 +2,34 @@
 
 import pytest
 
-from repro.axi import AxiLink, PropagationProbe, Resp
-from repro.hyperconnect import HyperConnect
-from repro.masters import AxiDma, AxiMasterEngine, GreedyTrafficGenerator
+from repro.axi import (
+    AxiLink,
+    BurstType,
+    PropagationProbe,
+    Resp,
+    Transaction,
+    WriteBeat,
+    make_read_request,
+    make_write_request,
+)
+from repro.hyperconnect import HyperConnect, HyperConnectDriver
+from repro.masters import (
+    AxiDma,
+    AxiMasterEngine,
+    DmaDescriptor,
+    GreedyTrafficGenerator,
+)
+from repro.masters.chaidnn import ChaiDnnAccelerator
 from repro.memory import (
     DramTiming,
     FaultInjectingMemory,
     MemoryStore,
+    MemorySubsystem,
     MultiPortMemorySubsystem,
 )
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError, Simulator
+from repro.smartconnect import SmartConnect, smartconnect_master_link
 
 
 def build_dual_hp_system(with_store=False):
@@ -95,6 +112,124 @@ class TestMultiPortMemory:
         link = AxiLink(sim, "l")
         with pytest.raises(ConfigurationError):
             MultiPortMemorySubsystem(sim, "m2", [link], command_depth=0)
+
+
+TIMING = DramTiming(read_latency=10, write_latency=5, resp_latency=2)
+
+
+def bare_controller(n_links, timing=TIMING, store=None):
+    """A controller whose links are driven directly by the test."""
+    sim = Simulator("bare")
+    links = [AxiLink(sim, f"p{i}", data_bytes=16, data_depth=64)
+             for i in range(n_links)]
+    if n_links == 1:
+        memory = MemorySubsystem(sim, "mem", links[0], timing=timing,
+                                 store=store)
+    else:
+        memory = MultiPortMemorySubsystem(sim, "mem", links, timing=timing,
+                                          store=store)
+    return sim, links, memory
+
+
+def push_read(link, address, length, burst=BurstType.INCR):
+    txn = Transaction("read", "m", address, length, 16, burst=burst)
+    link.ar.push(make_read_request(txn, 0))
+
+
+def push_write(link, address, length):
+    txn = Transaction("write", "m", address, length, 16)
+    link.aw.push(make_write_request(txn, 0))
+    for index in range(length):
+        link.w.push(WriteBeat(last=index == length - 1,
+                              data=bytes([index]) * 16))
+
+
+class TestOneControllerForAnyPortCount:
+    """A multi-link controller is the single-link one with more ports:
+    burst addressing, the row model and the served counters apply."""
+
+    def wrap_read(self, n_links):
+        store = MemoryStore()
+        for index in range(4):
+            store.write(0x200 + index * 16, bytes([index]) * 16)
+        sim, links, memory = bare_controller(n_links, store=store)
+        link = links[-1]
+        push_read(link, 0x220, 4, burst=BurstType.WRAP)
+        sim.run(60)
+        return [beat.data[0] for beat in link.r.drain()]
+
+    def test_wrap_read_on_a_second_port_wraps(self):
+        assert self.wrap_read(2) == self.wrap_read(1) == [2, 3, 0, 1]
+
+    def test_row_miss_penalty_delays_a_multiport_read(self):
+        def first_beat_cycle(timing):
+            sim, links, memory = bare_controller(2, timing=timing)
+            arrivals = []
+            links[1].r.subscribe_push(
+                lambda cycle, beat: arrivals.append(cycle))
+            push_read(links[1], 0x0, 1)
+            sim.run(80)
+            return arrivals[0]
+
+        missing = DramTiming(read_latency=10, write_latency=5,
+                             resp_latency=2, row_miss_penalty=20)
+        assert first_beat_cycle(missing) == first_beat_cycle(TIMING) + 20
+
+    def test_served_counters_count_on_a_multiport_controller(self):
+        sim, links, memory = bare_controller(2)
+        push_read(links[0], 0x100, 4)
+        push_write(links[1], 0x900, 2)
+        sim.run(60)
+        assert memory.reads_served == 1
+        assert memory.writes_served == 1
+        assert memory.beats_served == 6
+        assert memory.per_port_beats == [4, 2]
+        assert len(links[1].b.drain()) == 1
+        assert memory.idle()
+
+    def test_fault_injection_rejects_several_links(self):
+        sim = Simulator("faulty-mp")
+        links = [AxiLink(sim, f"p{i}") for i in range(2)]
+        with pytest.raises(ConfigurationError):
+            FaultInjectingMemory(sim, "m", links, error_rate=0.5)
+
+
+def run_mixed_topology(tlm):
+    """HyperConnect (reserved CHaiDNN + greedy DMA) on HP0 and a
+    SmartConnect DMA on HP1, both served by one controller."""
+    sim = Simulator("mixed", clock_hz=ZCU102.pl_clock_hz, fast=True,
+                    tlm=tlm)
+    hp0 = AxiLink(sim, "hp0", data_bytes=16)
+    hp1 = smartconnect_master_link(sim, "hp1", data_bytes=16)
+    hc = HyperConnect(sim, "hc", 2, hp0)
+    sc = SmartConnect(sim, "sc", 1, hp1)
+    memory = MemorySubsystem(sim, "mem", [hp0, hp1], timing=ZCU102.dram)
+    chai = ChaiDnnAccelerator(sim, "chai", hc.port(0), scale=1 / 64)
+    chai.start()
+    dma = AxiDma(sim, "dma", hc.port(1), burst_len=64)
+    dma.program([DmaDescriptor("read", 0x1000_0000, 65536),
+                 DmaDescriptor("write", 0x2000_0000, 65536)], repeat=True)
+    dma.start()
+    side = AxiDma(sim, "side", sc.port(0))
+    side.enqueue_read(0x3000_0000, 16384)
+    driver = HyperConnectDriver(hc)
+    driver.set_period(2048)
+    driver.set_bandwidth_shares({0: 0.5, 1: 0.5})
+    sim.run(60_000)
+    return sim, (sim.now, chai.frames_completed, chai.bytes_read,
+                 dma.bytes_read, dma.bytes_written, side.bytes_read,
+                 tuple(memory.per_port_beats), memory.reads_served,
+                 memory.writes_served)
+
+
+def test_tlm_declines_a_multiport_controller():
+    """TLM accounts one link's traffic; with a SmartConnect port on the
+    same controller it must stay cycle-accurate."""
+    __, expected = run_mixed_topology(tlm=False)
+    sim, observed = run_mixed_topology(tlm=True)
+    assert sim.skip_stats.tlm_epochs == 0
+    assert sim.skip_stats.tlm_demotions.get("memory", 0) > 0
+    assert observed == expected
 
 
 class TestCascadedHyperConnect:

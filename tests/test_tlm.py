@@ -15,11 +15,14 @@ Three properties anchor the suite:
 """
 
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 
+from repro.axi import AxiLink, Transaction, WriteBeat, make_write_request
 from repro.masters import AxiDma, DmaDescriptor, Job
 from repro.masters.chaidnn import ChaiDnnAccelerator
+from repro.memory import MultiPortMemorySubsystem
 from repro.platforms import ZCU102
 from repro.sim import Simulator
 from repro.sim.tlm import TlmEngine, _Decline
@@ -68,14 +71,6 @@ class TestModeSelection:
     def test_tlm_implies_fast(self):
         sim = Simulator("t", tlm=True)
         assert sim.tlm and sim.fast
-
-    def test_builder_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TLM", "1")
-        assert SocSystem.build(ZCU102, n_ports=2).sim.tlm
-        monkeypatch.setenv("REPRO_TLM", "0")
-        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
-        monkeypatch.delenv("REPRO_TLM")
-        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
 
 
 class TestEngagement:
@@ -221,6 +216,29 @@ class TestSnapshot:
                 == state_fingerprint(twin_soc, twin_chai, twin_dma))
         assert (finished_job_fields(chai, dma)
                 == finished_job_fields(twin_chai, twin_dma))
+
+    def test_round_trip_restores_per_port_write_fifos(self):
+        """The multi-link controller keeps one W FIFO per port in a list;
+        a snapshot must copy the FIFOs, not share them."""
+        sim = Simulator("fifo")
+        links = [AxiLink(sim, f"p{i}", data_bytes=16) for i in range(2)]
+        memory = MultiPortMemorySubsystem(sim, "mem", links,
+                                          timing=ZCU102.dram)
+        txn = Transaction("write", "m", 0x900, 4, 16)
+        links[1].aw.push(make_write_request(txn, 0))
+        for index in range(4):
+            links[1].w.push(WriteBeat(last=index == 3,
+                                      data=bytes([index]) * 16))
+        sim.run(6)   # W beats queue while the command waits out latency
+        queued = list(memory._write_beats[1])
+        assert len(queued) == 4
+        engine = TlmEngine(sim)
+        snap = engine._take_snapshot(
+            SimpleNamespace(checkers=[], lanes=[], fabric_channels=[]))
+        sim.run(40)  # the write completes and drains the FIFO
+        assert not memory._write_beats[1]
+        engine._restore(snap)
+        assert list(memory._write_beats[1]) == queued
 
 
 class TestDeclinePath:
