@@ -69,16 +69,15 @@ class CentralUnit(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        if cycle >= self._next_recharge:
-            self._next_recharge = cycle + self._period
-            self.recharges += 1
-            for supervisor in self.supervisors:
-                supervisor.recharge()
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Between recharge deadlines the central unit does nothing."""
-        return cycle < self._next_recharge
+    def tick(self, cycle: int) -> bool:
+        # between recharge deadlines the central unit does nothing
+        if cycle < self._next_recharge:
+            return True
+        self._next_recharge = cycle + self._period
+        self.recharges += 1
+        for supervisor in self.supervisors:
+            supervisor.recharge()
+        return False
 
     def next_event_cycle(self, cycle: int) -> int:
         """The recharge deadline is a guaranteed internal event."""

@@ -103,12 +103,15 @@ class Exbar(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         # Round-robin arbitration (one grant per address channel, fixed
         # granularity of one transaction) is written out inline and the
         # routing sub-steps are gated on their routing buffers: this tick
         # runs every cycle of every saturated-bandwidth experiment, so
-        # call economy here is measurable end to end.
+        # call economy here is measurable end to end.  The arbitration
+        # pointers only move on a grant and the routing buffers only
+        # change when a beat transfers, so a tick without either is idle.
+        idle = True
         n_ports = self.n_ports
         out = self.out_ar
         if any(self._ar_queues) and (out.capacity is None
@@ -131,6 +134,7 @@ class Exbar(Component):
                     self.grants_ar += 1
                     self._route_r.append(
                         [beat.port, beat, beat.length, beat.final_sub])
+                    idle = False
                     break
                 port += 1
                 if port >= n_ports:
@@ -154,6 +158,7 @@ class Exbar(Component):
                     self.grants_aw += 1
                     self._route_w.append([beat.port, beat, beat.length])
                     self._route_b.append([beat.port, beat.final_sub, beat])
+                    idle = False
                     break
                 port += 1
                 if port >= n_ports:
@@ -163,27 +168,32 @@ class Exbar(Component):
         master = self.master_link
         if self._route_w:
             out = master.w
-            if out.capacity is None or out._occupancy < out.capacity:
-                self._route_write_data(cycle)
+            if ((out.capacity is None or out._occupancy < out.capacity)
+                    and not self._route_write_data(cycle)):
+                idle = False
         if self._route_r:
             queue = master.r._queue
-            if queue and queue[0][0] <= cycle:
-                self._route_read_data(cycle)
+            if (queue and queue[0][0] <= cycle
+                    and not self._route_read_data(cycle)):
+                idle = False
         if self._route_b:
             queue = master.b._queue
-            if queue and queue[0][0] <= cycle:
-                self._route_write_responses(cycle)
+            if (queue and queue[0][0] <= cycle
+                    and not self._route_write_responses(cycle)):
+                idle = False
+        return idle
 
     # ------------------------------------------------------------------
     # proactive data-path routing
     # ------------------------------------------------------------------
 
-    def _route_write_data(self, cycle: int) -> None:
+    def _route_write_data(self, cycle: int) -> bool:
         """Move one W beat from the granted port to the master side.
 
         Caller guarantees ``self._route_w`` is non-empty and the master W
         channel has room; the remaining channel guards are inlined (see
-        the tick docstring).
+        the tick docstring).  Like each router, returns ``True`` when no
+        beat moved.
         """
         master_w = self.master_link.w
         entry = self._route_w[0]
@@ -198,15 +208,16 @@ class Exbar(Component):
         else:
             beat = link.w.try_pop()
             if beat is None:
-                return
+                return True
             beat.last = beats_left == 1
             beat.addr_beat = sub
         master_w.push(beat)
         entry[2] -= 1
         if entry[2] == 0:
             self._route_w.popleft()
+        return False
 
-    def _route_read_data(self, cycle: int) -> None:
+    def _route_read_data(self, cycle: int) -> bool:
         """Route one R beat from the master side to its port.
 
         Caller guarantees ``self._route_r`` is non-empty and the master R
@@ -220,7 +231,7 @@ class Exbar(Component):
         if link.gate.coupled:
             r = link.r
             if r.capacity is not None and r._occupancy >= r.capacity:
-                return  # backpressure towards the memory side
+                return True  # backpressure towards the memory side
             master_r.pop()
             if beat.last and not final_sub:
                 beat.last = False   # seam between merged sub-bursts
@@ -233,8 +244,9 @@ class Exbar(Component):
         if entry[2] == 0:
             self._route_r.popleft()
             self.supervisors[port].note_read_complete()
+        return False
 
-    def _route_write_responses(self, cycle: int) -> None:
+    def _route_write_responses(self, cycle: int) -> bool:
         """Consume one B response, merging per the equalization rules.
 
         Caller guarantees ``self._route_b`` is non-empty and the master B
@@ -247,7 +259,7 @@ class Exbar(Component):
         origin = sub.origin()
         if final_sub and link.gate.coupled:
             if not link.b.can_push():
-                return
+                return True
             master_b.pop()
             merged = origin.resp_acc.merged_with(response.resp)
             link.b.push(RespBeat(txn_id=origin.txn_id, resp=merged,
@@ -259,39 +271,7 @@ class Exbar(Component):
                 self.dropped_beats += 1
         self._route_b.popleft()
         self.supervisors[port].note_write_complete()
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Mirrors every tick action's guard exactly.
-
-        The arbitration pointers only move on a grant, and the routing
-        buffers only change when a beat actually transfers, so a cycle in
-        which every guard below fails is a strict no-op.
-        """
-        if self.out_ar.can_push():
-            for channel in self.ts_ar:
-                if channel.can_pop():
-                    return False
-        if self.out_aw.can_push():
-            for channel in self.ts_aw:
-                if channel.can_pop():
-                    return False
-        master = self.master_link
-        if self._route_w and master.w.can_push():
-            port = self._route_w[0][0]
-            link = self.ha_links[port]
-            if not link.coupled or link.w.can_pop():
-                return False
-        if self._route_r and master.r.can_pop():
-            port = self._route_r[0][0]
-            link = self.ha_links[port]
-            if not link.coupled or link.r.can_push():
-                return False
-        if self._route_b and master.b.can_pop():
-            port, final_sub, _sub = self._route_b[0]
-            link = self.ha_links[port]
-            if not (final_sub and link.coupled) or link.b.can_push():
-                return False
-        return True
+        return False
 
     def wake_channels(self) -> list:
         """Every channel whose activity can end the EXBAR's quiescence.

@@ -67,35 +67,25 @@ class MasterEFifo(Component):
         self.in_aw = in_aw
         self.master_link = master_link
 
-    def tick(self, cycle: int) -> None:
-        # channel guards inlined: the forwarder runs (or is polled) every
-        # cycle of every bandwidth experiment
+    def tick(self, cycle: int) -> bool:
+        # channel guards inlined: the forwarder runs every cycle of every
+        # bandwidth experiment.  Stateless: idle unless a beat moved.
+        idle = True
         in_ar = self.in_ar
         queue = in_ar._queue
         if queue and queue[0][0] <= cycle:
             out = self.master_link.ar
             if out.capacity is None or out._occupancy < out.capacity:
                 out.push(in_ar.pop())
+                idle = False
         in_aw = self.in_aw
         queue = in_aw._queue
         if queue and queue[0][0] <= cycle:
             out = self.master_link.aw
             if out.capacity is None or out._occupancy < out.capacity:
                 out.push(in_aw.pop())
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Stateless forwarder: only acts when a beat can move."""
-        queue = self.in_ar._queue
-        if queue and queue[0][0] <= cycle:
-            out = self.master_link.ar
-            if out.capacity is None or out._occupancy < out.capacity:
-                return False
-        queue = self.in_aw._queue
-        if queue and queue[0][0] <= cycle:
-            out = self.master_link.aw
-            if out.capacity is None or out._occupancy < out.capacity:
-                return False
-        return True
+                idle = False
+        return idle
 
     def wake_channels(self) -> list:
         """Stateless: only channel activity can make a beat movable."""

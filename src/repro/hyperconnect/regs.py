@@ -219,9 +219,13 @@ class ControlSlave(Component):
         self.base_address = base_address
         self._pending_write: Optional[tuple] = None
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        # the slave acts only when a register read can be served, an AW
+        # can be accepted, or a pending write can complete
+        idle = True
         # reads
         if self.link.ar.can_pop() and self.link.r.can_push():
+            idle = False
             request = self.link.ar.pop()
             offset = request.address - self.base_address
             if request.length != 1:
@@ -243,6 +247,7 @@ class ControlSlave(Component):
         # writes: accept AW, then consume the matching W beat
         if self._pending_write is None and self.link.aw.can_pop():
             self._pending_write = (self.link.aw.pop(),)
+            idle = False
         if (self._pending_write is not None and self.link.w.can_pop()
                 and self.link.b.can_push()):
             request = self._pending_write[0]
@@ -260,20 +265,8 @@ class ControlSlave(Component):
                     resp = Resp.DECERR
             self.link.b.push(RespBeat(txn_id=request.txn_id, resp=resp,
                                       addr_beat=request))
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Mirrors :meth:`tick`: the slave acts only when a register read
-        can be served, an AW can be accepted, or a pending write can
-        complete (W beat visible and B pushable)."""
-        link = self.link
-        if link.ar.can_pop() and link.r.can_push():
-            return False
-        if self._pending_write is None:
-            if link.aw.can_pop():
-                return False
-        elif link.w.can_pop() and link.b.can_push():
-            return False
-        return True
+            idle = False
+        return idle
 
     def wake_channels(self) -> list:
         """Stateless request server: all five control-link channels."""

@@ -81,12 +81,15 @@ class InOrderAdapter(Component):
     # request path (upstream -> downstream)
     # ------------------------------------------------------------------
 
+    # Each step below returns ``True`` when it did nothing, so the tick
+    # can report idle (see :meth:`Component.tick`).
+
     def _forward_request(self, source, destination,
-                         order: Deque[list]) -> None:
+                         order: Deque[list]) -> bool:
         if not source.can_pop() or not destination.can_push():
-            return
+            return True
         if not self._ids.available():
-            return
+            return True
         beat: AddrBeat = source.front()
         is_read = order is self._read_order
         if is_read:
@@ -96,37 +99,39 @@ class InOrderAdapter(Component):
                     f"the reorder buffer ({self.buffer_beats} beats); "
                     f"raise buffer_beats or lower the nominal burst")
             if self._reserved_beats + beat.length > self.buffer_beats:
-                return  # admission control: no space promised yet
+                return True  # admission control: no space promised yet
             self._reserved_beats += beat.length
         tracking_id = self._ids.allocate()
         retagged = dataclasses.replace(beat, txn_id=tracking_id)
         source.pop()
         destination.push(retagged)
         order.append([tracking_id, beat.txn_id, beat.length, beat])
+        return False
 
     # ------------------------------------------------------------------
     # return path (downstream -> upstream), in original order
     # ------------------------------------------------------------------
 
-    def _ingest_read_data(self) -> None:
+    def _ingest_read_data(self) -> bool:
         if not self.downstream.r.can_pop():
-            return
+            return True
         if self._buffered_beats >= self.buffer_beats:
-            return
+            return True
         beat: DataBeat = self.downstream.r.pop()
         if (self._read_order and beat.txn_id != self._read_order[0][0]
                 and not self._read_buffers.get(self._read_order[0][0])):
             self.out_of_order_arrivals += 1
         self._read_buffers.setdefault(beat.txn_id, []).append(beat)
         self._buffered_beats += 1
+        return False
 
-    def _release_read_data(self) -> None:
+    def _release_read_data(self) -> bool:
         if not self._read_order or not self.upstream.r.can_push():
-            return
+            return True
         tracking_id, original_id, beats_left, request = self._read_order[0]
         buffered = self._read_buffers.get(tracking_id)
         if not buffered:
-            return
+            return True
         beat = buffered.pop(0)
         self._buffered_beats -= 1
         beat.txn_id = original_id
@@ -139,86 +144,58 @@ class InOrderAdapter(Component):
             self._read_order.popleft()
             self._read_buffers.pop(tracking_id, None)
             self._ids.release(tracking_id)
+        return False
 
-    def _ingest_write_response(self) -> None:
+    def _ingest_write_response(self) -> bool:
         if not self.downstream.b.can_pop():
-            return
+            return True
         response: RespBeat = self.downstream.b.front()
         if response.txn_id in self._resp_buffers:
-            return  # cannot happen with unique ids; defensive
+            return True  # cannot happen with unique ids; defensive
         self.downstream.b.pop()
         self._resp_buffers[response.txn_id] = response
+        return False
 
-    def _release_write_response(self) -> None:
+    def _release_write_response(self) -> bool:
         if not self._write_order or not self.upstream.b.can_push():
-            return
+            return True
         tracking_id, original_id, __, request = self._write_order[0]
         response = self._resp_buffers.pop(tracking_id, None)
         if response is None:
-            return
+            return True
         response.txn_id = original_id
         response.addr_beat = request
         self.upstream.b.push(response)
         self._write_order.popleft()
         self._ids.release(tracking_id)
+        return False
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        self._forward_request(self.upstream.ar, self.downstream.ar,
-                              self._read_order)
-        self._forward_request(self.upstream.aw, self.downstream.aw,
-                              self._write_order)
+    def tick(self, cycle: int) -> bool:
+        idle = self._forward_request(self.upstream.ar, self.downstream.ar,
+                                     self._read_order)
+        idle &= self._forward_request(self.upstream.aw, self.downstream.aw,
+                                      self._write_order)
         # write data needs no re-tagging: it follows AW order on both
         # sides (the OoO controller never reorders writes)
         if self.upstream.w.can_pop() and self.downstream.w.can_push():
             self.downstream.w.push(self.upstream.w.pop())
-        self._ingest_read_data()
-        self._release_read_data()
-        self._ingest_write_response()
-        self._release_write_response()
+            idle = False
+        idle &= self._ingest_read_data()
+        idle &= self._release_read_data()
+        idle &= self._ingest_write_response()
+        idle &= self._release_write_response()
+        return idle
 
     # ------------------------------------------------------------------
     # fast-path contract
     # ------------------------------------------------------------------
 
-    def is_quiescent(self, cycle: int) -> bool:
-        """Mirrors :meth:`tick` sub-step by sub-step.
-
-        The only subtle case is the read-forward guard: an oversized
-        burst at the upstream AR head makes :meth:`tick` *raise*, which
-        is a (terminal) state change — the cycle must not be skipped, or
-        the fast path would hide the configuration error.
-        """
-        up, down = self.upstream, self.downstream
-        if self._ids.available():
-            if up.ar.can_pop() and down.ar.can_push():
-                beat = up.ar.front()
-                if beat.length > self.buffer_beats:
-                    return False  # tick would raise
-                if (self._reserved_beats + beat.length
-                        <= self.buffer_beats):
-                    return False
-            if up.aw.can_pop() and down.aw.can_push():
-                return False
-        if up.w.can_pop() and down.w.can_push():
-            return False
-        if down.r.can_pop() and self._buffered_beats < self.buffer_beats:
-            return False
-        if (self._read_order and up.r.can_push()
-                and self._read_buffers.get(self._read_order[0][0])):
-            return False
-        if down.b.can_pop():
-            return False
-        if (self._write_order and up.b.can_push()
-                and self._write_order[0][0] in self._resp_buffers):
-            return False
-        return True
-
     def wake_channels(self) -> list:
         """Both links' channels; the adapter has no internal timers —
-        every guard in :meth:`is_quiescent` reads channel state plus
-        bookkeeping that only :meth:`tick` itself mutates."""
+        every guard in :meth:`tick` reads channel state plus bookkeeping
+        that only the tick itself mutates."""
         up, down = self.upstream, self.downstream
         return [up.ar, up.aw, up.w, up.r, up.b,
                 down.ar, down.aw, down.w, down.r, down.b]

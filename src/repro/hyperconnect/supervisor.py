@@ -81,7 +81,7 @@ class PortConfig:
 
 
 def drain_and_complete_orphans(link, inflight_reads, inflight_writes,
-                               synth_resp, stats) -> None:
+                               synth_resp, stats) -> bool:
     """One containment cycle on a decoupled port: drain, then synthesize.
 
     Pure with respect to its arguments — it touches only the given eFIFO
@@ -97,18 +97,25 @@ def drain_and_complete_orphans(link, inflight_reads, inflight_writes,
       ``synth_resp``, so the upstream master's protocol state machine
       finishes every burst it started — with an error, but without
       hanging.
+
+    Returns ``True`` when the call changed nothing (the idle report of
+    the containment tick that calls it).
     """
+    idle = True
     while link.ar.can_pop():
         beat = link.ar.pop()
         inflight_reads.append([beat, beat.length])
         stats.drained_requests += 1
+        idle = False
     while link.aw.can_pop():
         beat = link.aw.pop()
         inflight_writes.append(beat)
         stats.drained_requests += 1
+        idle = False
     while link.w.can_pop():
         link.w.pop()
         stats.drained_w_beats += 1
+        idle = False
     if inflight_reads and link.r.can_push():
         origin, owed = inflight_reads[0]
         link.r.push(DataBeat(last=owed == 1, txn_id=origin.txn_id,
@@ -116,12 +123,15 @@ def drain_and_complete_orphans(link, inflight_reads, inflight_writes,
         stats.synth_r_beats += 1
         if owed == 1:
             stats.orphans_completed += 1
+        idle = False
     if inflight_writes and link.b.can_push():
         origin = inflight_writes[0]
         link.b.push(RespBeat(txn_id=origin.txn_id,
                              resp=synth_resp, addr_beat=origin))
         stats.synth_b_beats += 1
         stats.orphans_completed += 1
+        idle = False
+    return idle
 
 
 class TransactionSupervisor(Component):
@@ -430,26 +440,31 @@ class TransactionSupervisor(Component):
         self.wake()
         self.sim.wake()
 
-    def _containment_tick(self, cycle: int) -> None:
+    def _containment_tick(self, cycle: int) -> bool:
         """Drain the decoupled port and complete its orphans (delegates
-        to the pure :func:`drain_and_complete_orphans` helper)."""
-        self._swallow_residual_w()
-        drain_and_complete_orphans(self.ha_link, self._inflight_reads,
-                                   self._inflight_writes, self._synth_resp,
-                                   self.fault_stats)
+        to the pure :func:`drain_and_complete_orphans` helper); ``True``
+        when nothing moved."""
+        idle = self._swallow_residual_w()
+        return drain_and_complete_orphans(
+            self.ha_link, self._inflight_reads, self._inflight_writes,
+            self._synth_resp, self.fault_stats) and idle
 
-    def _swallow_residual_w(self) -> None:
+    def _swallow_residual_w(self) -> bool:
         """Discard W beats owed by revocation-retired writes.
 
         Their B was synthesized during the quiesce; once the engine is
         recoupled it finishes pushing the burst it had started, and no
         consumer exists for those beats (the EXBAR only pops W for
         routed sub-writes) — without this they wedge the port forever.
+        Returns ``True`` when no beat was swallowed.
         """
+        idle = True
         while self._w_residue > 0 and self.ha_link.w.can_pop():
             self.ha_link.w.pop()
             self._w_residue -= 1
             self.fault_stats.drained_w_beats += 1
+            idle = False
+        return idle
 
     @property
     def drained(self) -> bool:
@@ -481,19 +496,23 @@ class TransactionSupervisor(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        # decoupled/disabled supervisors are fully idle; otherwise the TS
+        # acts when it can ingest, can forward, or is budget-stalled (the
+        # stall counter makes a budget-blocked cycle a state change).  A
+        # faulted TS acts while the eFIFO still holds anything or orphans
+        # remain to be answered; a due watchdog deadline is itself an
+        # action.
         if self.faulted:
-            self._containment_tick(cycle)
-            return
+            return self._containment_tick(cycle)
         link = self.ha_link
         if not link.gate.coupled or not self.enabled:
-            return
-        if self._w_residue:
-            self._swallow_residual_w()
+            return True
+        idle = not self._w_residue or self._swallow_residual_w()
         # the reference kernel ticks every port's TS every cycle, so an
         # idle tick must stay O(1): the watchdog deadline is inlined
         # (same test as _watchdog_deadline) and a TS with nothing pending
-        # and nothing queued returns after one check, as is_quiescent does
+        # and nothing queued returns after one check
         timeout = self.config.timeout_cycles
         if timeout is not None:
             reads = self._read_issue_cycles
@@ -503,13 +522,14 @@ class TransactionSupervisor(Component):
                 self._trip(cycle, "watchdog_timeout", Resp.SLVERR,
                            age=timeout)
                 self._containment_tick(cycle)
-                return
+                return False
         if not (self._pending_ar or self._pending_aw
                 or link.ar._queue or link.aw._queue):
-            return
+            return idle
         # ingest at most one new request per channel per cycle, keeping the
         # pending queues shallow (the eFIFO provides the real buffering)
         if not self._pending_ar and self.ha_link.ar.can_pop():
+            idle = False
             beat = self.ha_link.ar.pop()
             kind = "protocol_violation"
             violation = self._guard_request(beat)
@@ -521,9 +541,10 @@ class TransactionSupervisor(Component):
             if violation is not None:
                 self._trip(cycle, kind, Resp.DECERR, detail=violation)
                 self._containment_tick(cycle)
-                return
+                return False
             self._pending_ar = self._split(beat)
         if not self._pending_aw and self.ha_link.aw.can_pop():
+            idle = False
             beat = self.ha_link.aw.pop()
             kind = "protocol_violation"
             violation = self._guard_request(beat)
@@ -535,7 +556,7 @@ class TransactionSupervisor(Component):
             if violation is not None:
                 self._trip(cycle, kind, Resp.DECERR, detail=violation)
                 self._containment_tick(cycle)
-                return
+                return False
             self._pending_aw = self._split(beat)
         # forward at most one sub-request per address channel per cycle,
         # subject to the outstanding limit and the reservation budget
@@ -550,8 +571,10 @@ class TransactionSupervisor(Component):
                 self._read_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_read += 1
+                idle = False
             elif not self._budget_available():
                 self.stalled_on_budget += 1
+                idle = False
         if self._pending_aw:
             if (self.outstanding_writes < self.config.max_outstanding
                     and self._budget_available()
@@ -563,71 +586,11 @@ class TransactionSupervisor(Component):
                 self._write_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_write += 1
+                idle = False
             elif not self._budget_available():
                 self.stalled_on_budget += 1
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Mirrors :meth:`tick`: decoupled/disabled supervisors are fully
-        idle; otherwise the TS acts when it can ingest, can forward, or is
-        budget-stalled (the stall counter makes a budget-blocked cycle a
-        state change, so it must not be skipped).  A faulted TS acts
-        while the eFIFO still holds anything or orphans remain to be
-        answered; a due watchdog deadline is itself an action.
-        """
-        if self.faulted:
-            link = self.ha_link
-            if (link.ar.can_pop() or link.aw.can_pop()
-                    or link.w.can_pop()):
-                return False
-            if self._inflight_reads and link.r.can_push():
-                return False
-            if self._inflight_writes and link.b.can_push():
-                return False
-            return True
-        link = self.ha_link
-        if not link.gate.coupled or not self.enabled:
-            return True
-        if self._w_residue:
-            queue = link.w._queue
-            if queue and queue[0][0] <= cycle:
-                return False
-        # channel and budget guards inlined: this predicate is the fast
-        # path's per-cycle poll of every supervisor, so it must cost less
-        # than the tick it elides
-        timeout = self.config.timeout_cycles
-        if timeout is not None:
-            if (self._read_issue_cycles
-                    and cycle >= self._read_issue_cycles[0] + timeout):
-                return False
-            if (self._write_issue_cycles
-                    and cycle >= self._write_issue_cycles[0] + timeout):
-                return False
-        pending_ar = self._pending_ar
-        if not pending_ar:
-            queue = link.ar._queue
-            if queue and queue[0][0] <= cycle:
-                return False
-        pending_aw = self._pending_aw
-        if not pending_aw:
-            queue = link.aw._queue
-            if queue and queue[0][0] <= cycle:
-                return False
-        budget = self.budget_remaining
-        if pending_ar:
-            if budget is not None and budget <= 0:
-                return False
-            if self.outstanding_reads < self.config.max_outstanding:
-                out = self.out_ar
-                if out.capacity is None or out._occupancy < out.capacity:
-                    return False
-        if pending_aw:
-            if budget is not None and budget <= 0:
-                return False
-            if self.outstanding_writes < self.config.max_outstanding:
-                out = self.out_aw
-                if out.capacity is None or out._occupancy < out.capacity:
-                    return False
-        return True
+                idle = False
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """The watchdog deadline is the TS's only internal alarm.

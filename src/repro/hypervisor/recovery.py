@@ -118,12 +118,15 @@ class FaultRecoveryAgent(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        # pure timer component: acts only when an attempt is due
         if not self._due:
-            return
+            return True
+        idle = True
         for port, due in list(self._due.items()):
             if cycle < due:
                 continue
+            idle = False
             supervisor = self.hypervisor.hyperconnect.supervisors[port]
             attempt = self.retries.get(port, 0)
             self.retries[port] = attempt + 1
@@ -139,10 +142,7 @@ class FaultRecoveryAgent(Component):
                 self._give_up(cycle, port, attempt + 1)
             else:
                 self._due[port] = cycle + policy.backoff_for(attempt + 1)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Pure timer component: acts only when an attempt is due."""
-        return not self._due or cycle < min(self._due.values())
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest pending recovery deadline."""
@@ -228,12 +228,15 @@ class RevocationController(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        # pure timer component: acts only when a step is due
         if not self._due:
-            return
+            return True
+        idle = True
         for order_id, due in sorted(self._due.items()):
             if cycle < due:
                 continue
+            idle = False
             order = self._orders[order_id]
             if order.state == "scheduled":
                 self.hypervisor.quiesce_for_revocation(order, cycle)
@@ -252,10 +255,7 @@ class RevocationController(Component):
                     # orphans still draining; poll again next cycle
                     # (same pattern as FaultRecoveryAgent's drained wait)
                     self._due[order_id] = cycle + 1
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Pure timer component: acts only when a step is due."""
-        return not self._due or cycle < min(self._due.values())
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest pending revocation step."""

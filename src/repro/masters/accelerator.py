@@ -116,17 +116,23 @@ class PhasedAccelerator(AxiMasterEngine):
         if job is self._waiting_job:
             self._waiting_job = None
 
-    def _advance(self, cycle: int) -> None:
-        """Drive the phase state machine as far as possible this cycle."""
+    def _advance(self, cycle: int) -> bool:
+        """Drive the phase state machine as far as possible this cycle.
+
+        Returns ``True`` when the machine could not move: blocked on a
+        memory job or mid-compute.
+        """
+        if self._waiting_job is not None or cycle < self._compute_until:
+            return True
         while True:
             if self._waiting_job is not None:
-                return
+                return False
             if cycle < self._compute_until:
-                return
+                return False
             if self._phase_index >= len(self.phases):
                 self._finish_frame(cycle)
                 if not self._running:
-                    return
+                    return False
                 continue
             if self._frame_started is None:
                 self._frame_started = cycle
@@ -137,11 +143,9 @@ class PhasedAccelerator(AxiMasterEngine):
                 if self.busy:
                     self._phase_index -= 1
                     self._waiting_job = self._last_enqueued_job()
-                    if self._waiting_job is None:
-                        return
-                    return
+                    return False
                 self._compute_until = cycle + phase.cycles
-                return
+                return False
             if phase.kind == "read":
                 job = self.enqueue_read(phase.address, phase.nbytes,
                                         label=phase.label or "phase-read")
@@ -150,7 +154,7 @@ class PhasedAccelerator(AxiMasterEngine):
                                          label=phase.label or "phase-write")
             if not self.overlap:
                 self._waiting_job = job
-                return
+                return False
 
     def _last_enqueued_job(self) -> Optional[Job]:
         if self._jobs:
@@ -173,18 +177,9 @@ class PhasedAccelerator(AxiMasterEngine):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        if self._running:
-            self._advance(cycle)
-        super().tick(cycle)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """The phase machine needs its tick whenever it could advance:
-        running, not blocked on a memory job, and not mid-compute."""
-        if (self._running and self._waiting_job is None
-                and cycle >= self._compute_until):
-            return False
-        return super().is_quiescent(cycle)
+    def tick(self, cycle: int) -> bool:
+        idle = not self._running or self._advance(cycle)
+        return super().tick(cycle) and idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Compute-phase completion is a guaranteed internal event."""

@@ -70,8 +70,8 @@ def googlenet_total_weight_bytes() -> int:
 class ChaiDnnAccelerator(PhasedAccelerator):
     """HA_CHaiDNN: the CHaiDNN accelerator subsystem as a bus master.
 
-    Inherits :class:`PhasedAccelerator`'s quiescence contract unchanged:
-    during compute phases the model is quiescent with a
+    Inherits :class:`PhasedAccelerator`'s idle report unchanged: during
+    compute phases the model ticks idle with a
     ``next_event_cycle`` hint at the phase end, so the fast kernel path
     skips the long MAC-bound stretches (the dominant fraction of a frame
     at realistic ``macs_per_cycle``) in bulk.

@@ -54,8 +54,8 @@ class AxiDma(AxiMasterEngine):
 
     The DMA adds no per-cycle behaviour of its own (round bookkeeping runs
     inside job-completion callbacks, i.e. within engine ticks), so the
-    engine's quiescence hook applies unchanged: an idle DMA costs the fast
-    kernel path nothing.
+    engine tick's idle report applies unchanged: an idle DMA costs the
+    fast kernel path nothing.
     """
 
     def __init__(self, sim, name: str, link, burst_len: int = 16,

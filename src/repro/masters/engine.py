@@ -269,68 +269,38 @@ class AxiMasterEngine(Component):
     # per-cycle behaviour
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         if not self._active:
-            return
+            return True
+        idle = True
         # start queued jobs (keeping the issue queue shallow: one job's
         # bursts at a time plus the next job for pipelining)
         if self._jobs:
             while self._jobs and len(self._issue_queue) < 2 * self.burst_len:
                 self._prepare_job(self._jobs.popleft(), cycle)
+                idle = False
         # each sub-step call is gated on the cheap part of its own guard,
         # so an idle step costs an attribute test instead of a call (the
-        # guards repeat inside the sub-steps, which subclasses override)
-        if self._issue_queue and self._n_outstanding < self.max_outstanding:
-            self._issue_addresses(cycle)
-        if self._write_data and cycle >= self._w_gap_until:
-            self._supply_write_data(cycle)
-        link = self.link
-        queue = link.r._queue
-        if queue and queue[0][0] <= cycle:
-            self._collect_read_data(cycle)
-        queue = link.b._queue
-        if queue and queue[0][0] <= cycle:
-            self._collect_write_responses(cycle)
-        if self._copy_buffer:
-            self._drain_copy_buffer(cycle)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """True when no tick sub-step could act this cycle.
-
-        Mirrors :meth:`tick` exactly: nothing to collect (R/B heads not
-        visible), nothing to prepare, the issue-queue head blocked by
-        outstanding/ID/channel limits, and W supply gated or blocked.
-        Copy staging is treated conservatively (never quiescent while the
-        copy buffer holds beats).
-        """
-        if not self._active:
-            return True
-        link = self.link
-        # inlined can_pop on the two hottest guards (polled every cycle
-        # the engine is awake)
-        queue = link.r._queue
-        if queue and queue[0][0] <= cycle:
-            return False
-        queue = link.b._queue
-        if queue and queue[0][0] <= cycle:
-            return False
-        if self._jobs and len(self._issue_queue) < 2 * self.burst_len:
-            return False
-        if self._copy_buffer:
-            return False
-        if self._issue_queue:
-            if (self._n_outstanding < self.max_outstanding
-                    and self._ids.available()):
-                request, _job = self._issue_queue[0]
-                if request.is_read:
-                    if link.ar.can_push():
-                        return False
-                elif link.aw.can_push():
-                    return False
+        # guards repeat inside the sub-steps, which subclasses override);
+        # every sub-step returns True when it did nothing
+        if (self._issue_queue and self._n_outstanding < self.max_outstanding
+                and not self._issue_addresses(cycle)):
+            idle = False
         if (self._write_data and cycle >= self._w_gap_until
-                and link.w.can_push()):
-            return False
-        return True
+                and not self._supply_write_data(cycle)):
+            idle = False
+        link = self.link
+        queue = link.r._queue
+        if (queue and queue[0][0] <= cycle
+                and not self._collect_read_data(cycle)):
+            idle = False
+        queue = link.b._queue
+        if (queue and queue[0][0] <= cycle
+                and not self._collect_write_responses(cycle)):
+            idle = False
+        if self._copy_buffer and not self._drain_copy_buffer(cycle):
+            idle = False
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """The W-beat gap timer is the engine's only internal alarm."""
@@ -341,7 +311,8 @@ class AxiMasterEngine(Component):
     def wake_channels(self) -> list:
         """The engine's five AXI channels.
 
-        Every other un-quiescing input arrives through explicit wakes:
+        Every other input that can end an idle spell arrives through
+        explicit wakes:
         job enqueues, the ``active`` setter, and :meth:`reset` all call
         :meth:`Simulator.wake`, and the W-gap timer rides the wake heap
         via :meth:`next_event_cycle`.
@@ -351,7 +322,7 @@ class AxiMasterEngine(Component):
 
     # -- address issue --------------------------------------------------
 
-    def _issue_addresses(self, cycle: int) -> None:
+    def _issue_addresses(self, cycle: int) -> bool:
         issued_ar = issued_aw = False
         scan = len(self._issue_queue)
         while scan and (not issued_ar or not issued_aw):
@@ -391,6 +362,7 @@ class AxiMasterEngine(Component):
                 self._n_outstanding += 1
                 self._queue_write_beats(request)
                 issued_aw = True
+        return not (issued_ar or issued_aw)
 
     def _queue_write_beats(self, request: AddrBeat) -> None:
         beat_bytes = request.size_bytes
@@ -407,22 +379,24 @@ class AxiMasterEngine(Component):
 
     # -- data movement ---------------------------------------------------
 
-    def _supply_write_data(self, cycle: int) -> None:
+    def _supply_write_data(self, cycle: int) -> bool:
         if cycle < self._w_gap_until:
-            return
+            return True
         write_data = self._write_data
         if write_data and self.link.w.try_push(write_data[0]):
             write_data.popleft()
             self._w_gap_until = cycle + self.w_beat_gap + 1
+            return False
+        return True
 
-    def _collect_read_data(self, cycle: int) -> None:
+    def _collect_read_data(self, cycle: int) -> bool:
         # inlined Channel.try_pop: one beat per cycle at full bandwidth
         # runs through here, so the pop is spelled out (the R channel is
         # never gated — only the HA-driven AR/AW/W sides are)
         r = self.link.r
         queue = r._queue
         if not queue or queue[0][0] > cycle:
-            return
+            return True
         __, beat = queue.popleft()
         r._popped_this_cycle += 1
         r.popped_total += 1
@@ -467,11 +441,12 @@ class AxiMasterEngine(Component):
                     self.read_latency.add(cycle - txn.issued)
             if job.kind == "read":
                 self._maybe_finish(job, cycle)
+        return False
 
-    def _collect_write_responses(self, cycle: int) -> None:
+    def _collect_write_responses(self, cycle: int) -> bool:
         response = self.link.b.try_pop()
         if response is None:
-            return
+            return True
         if not self._outstanding_writes:
             raise ConfigurationError(
                 f"{self.name}: B response with no outstanding write")
@@ -490,11 +465,14 @@ class AxiMasterEngine(Component):
         self.bytes_written += request.length * request.size_bytes
         job.write_bytes_done += request.length * request.size_bytes
         self._maybe_finish(job, cycle)
+        return False
 
     # -- copy jobs ---------------------------------------------------------
 
-    def _drain_copy_buffer(self, cycle: int) -> None:
-        """Turn buffered read beats of copy jobs into write bursts."""
+    def _drain_copy_buffer(self, cycle: int) -> bool:
+        """Turn buffered read beats of copy jobs into write bursts;
+        ``True`` when no burst was ready."""
+        idle = True
         beat_bytes = self.link.data_bytes
         while self._copy_buffer:
             job = self._copy_buffer[0][0]
@@ -522,6 +500,8 @@ class AxiMasterEngine(Component):
                 self._issue_queue.append((request, job))
                 payload = None  # only attach once; sub-splits are rare
             job.meta["copy_issued_beats"] = written + chunk
+            idle = False
+        return idle
 
     # -- reset -------------------------------------------------------------
 

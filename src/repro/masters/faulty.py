@@ -9,9 +9,8 @@ burst and an unchecked interconnect forwards the corruption downstream.
 top of the stock :class:`~repro.masters.engine.AxiMasterEngine`.
 
 Determinism contract: the fault trigger is drawn **once** at
-construction from a seeded RNG, never per cycle, so the component's
-``is_quiescent`` promise stays exact and reference/fast kernel runs are
-bit-identical.
+construction from a seeded RNG, never per cycle, so an idle tick stays a
+true no-op and reference/fast kernel runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class FaultInjectingMaster(AxiMasterEngine):
             if not 0 <= lo <= hi:
                 raise ConfigurationError(
                     f"bad hang_after_beats range {hang_after_beats}")
-            # drawn exactly once: per-cycle RNG would void is_quiescent
+            # drawn exactly once: a per-cycle draw would make every tick act
             hang_after_beats = random.Random(seed).randint(lo, hi)
         if hang_after_beats < 0:
             raise ConfigurationError("hang_after_beats must be >= 0")
@@ -95,71 +94,33 @@ class FaultInjectingMaster(AxiMasterEngine):
         return list(split_burst(address, nbytes // beat, beat,
                                 self.burst_len))
 
-    def _collect_read_data(self, cycle: int) -> None:
+    def _collect_read_data(self, cycle: int) -> bool:
         if self.fault_mode == "hung_r":
             if self.hung_at is not None:
-                return  # ready low forever: R beats pile up behind us
+                return True  # ready low forever: R beats pile up behind us
             if self.link.r.can_pop():
                 if self._beats_seen >= self.hang_after_beats:
                     self.hung_at = cycle
                     self.sim.wake()
-                    return
+                    return False
                 self._beats_seen += 1
-        super()._collect_read_data(cycle)
+        return super()._collect_read_data(cycle)
 
-    def _supply_write_data(self, cycle: int) -> None:
+    def _supply_write_data(self, cycle: int) -> bool:
         if self.fault_mode == "withheld_w":
             if self.hung_at is not None:
-                return
+                return True
             would_supply = (cycle >= self._w_gap_until and self._write_data
                             and self.link.w.can_push())
             if would_supply:
                 if self._beats_seen >= self.hang_after_beats:
                     self.hung_at = cycle
                     self.sim.wake()
-                    return
-                self._beats_seen += 1
-        super()._supply_write_data(cycle)
-
-    # ------------------------------------------------------------------
-    # fast-path contract
-    # ------------------------------------------------------------------
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Exact mirror of the faulty tick.
-
-        Pre-hang the base predicate is already exact (the cycle that
-        *would* consume/supply the triggering beat is a state change
-        either way).  Post-hang, the hung channel must be masked out of
-        the base predicate or the fast path would believe the master
-        still wants to act on it.
-        """
-        if self.hung_at is None:
-            return super().is_quiescent(cycle)
-        if not self._active:
-            return True
-        link = self.link
-        if self.fault_mode != "hung_r" and link.r.can_pop():
-            return False
-        if link.b.can_pop():
-            return False
-        if self._jobs and len(self._issue_queue) < 2 * self.burst_len:
-            return False
-        if self._copy_buffer:
-            return False
-        if self._issue_queue:
-            if (self._n_outstanding < self.max_outstanding
-                    and self._ids.available()):
-                request, _job = self._issue_queue[0]
-                if request.is_read:
-                    if link.ar.can_push():
-                        return False
-                elif link.aw.can_push():
                     return False
-        if (self.fault_mode != "withheld_w" and self._write_data
-                and cycle >= self._w_gap_until and link.w.can_push()):
-            return False
-        return True
+                self._beats_seen += 1
+        return super()._supply_write_data(cycle)
+
+    # ------------------------------------------------------------------
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if self.hung_at is not None and self.fault_mode == "withheld_w":

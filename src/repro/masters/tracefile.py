@@ -111,7 +111,8 @@ class TraceReplayMaster(AxiMasterEngine):
                 and self._cursor >= len(self.trace)
                 and not self.busy)
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        idle = True
         if self._start_cycle is not None:
             elapsed = cycle - self._start_cycle
             while (self._cursor < len(self.trace)
@@ -125,21 +126,14 @@ class TraceReplayMaster(AxiMasterEngine):
                 else:
                     self.enqueue_write(record.address, nbytes,
                                        label="replay")
-        super().tick(cycle)
+                idle = False
+        return super().tick(cycle) and idle
 
     def _next_release(self) -> "int | None":
         """Absolute cycle of the next trace-record release, if any."""
         if self._start_cycle is None or self._cursor >= len(self.trace):
             return None
         return self._start_cycle + self.trace[self._cursor].cycle
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Quiescent between scheduled releases (the release times are
-        fixed offsets from :meth:`start`, so they are exactly known)."""
-        release = self._next_release()
-        if release is not None and release <= cycle:
-            return False
-        return super().is_quiescent(cycle)
 
     def next_event_cycle(self, cycle: int) -> "int | None":
         """The next scheduled release is a guaranteed internal event."""

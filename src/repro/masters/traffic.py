@@ -69,24 +69,19 @@ class GreedyTrafficGenerator(AxiMasterEngine):
         if self.enabled:
             self._issue_one()
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         # replenishment normally happens in the job-completion callback;
         # this loop only fills the pipeline at start-up or after a
         # re-enable, so the steady-state cost is one comparison (the
         # explicit base-class call skips building a super() proxy in the
-        # hottest tick of every bandwidth experiment)
+        # hottest tick of every bandwidth experiment).  It issues even
+        # when the engine is inactive, before the ``active`` early-out.
         if self._inflight < self.depth and self.enabled:
             while self._inflight < self.depth:
                 self._issue_one()
-        AxiMasterEngine.tick(self, cycle)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Replenishment happens even when the engine is inactive (the
-        tick issues before the ``active`` early-out), so an unfilled
-        pipeline always needs the tick."""
-        if self.enabled and self._inflight < self.depth:
+            AxiMasterEngine.tick(self, cycle)
             return False
-        return super().is_quiescent(cycle)
+        return AxiMasterEngine.tick(self, cycle)
 
     def reset(self) -> None:
         super().reset()
@@ -116,25 +111,22 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
         self.releases = 0
         self._last_release: Optional[int] = None
 
-    def tick(self, cycle: int) -> None:
-        if cycle % self.period == 0:
-            if self.busy:
-                self.deadline_misses += 1
-            self.releases += 1
-            if self.read:
-                self.enqueue_read(self.address, self.job_bytes,
-                                  label="periodic")
-            else:
-                self.enqueue_write(self.address, self.job_bytes,
-                                   label="periodic")
+    def tick(self, cycle: int) -> bool:
+        if cycle % self.period:
+            return super().tick(cycle)
+        # a release happens at every period boundary, even if the engine
+        # itself has nothing in flight
+        if self.busy:
+            self.deadline_misses += 1
+        self.releases += 1
+        if self.read:
+            self.enqueue_read(self.address, self.job_bytes,
+                              label="periodic")
+        else:
+            self.enqueue_write(self.address, self.job_bytes,
+                               label="periodic")
         super().tick(cycle)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Never skip a period boundary: a release happens there even if
-        the engine itself has nothing in flight."""
-        if cycle % self.period == 0:
-            return False
-        return super().is_quiescent(cycle)
+        return False
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """The next period boundary is a guaranteed internal event."""
@@ -190,14 +182,11 @@ class RandomTrafficGenerator(AxiMasterEngine):
         else:
             self.enqueue_read(address, nbytes, label="random")
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         if self._rng.random() < self.arrival_probability:
             self._random_job()
         super().tick(cycle)
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Never quiescent: every tick draws from the RNG stream, and
-        skipping a draw would change every subsequent arrival."""
+        # never idle: every tick draws from the RNG stream
         return False
 
 

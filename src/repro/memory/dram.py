@@ -184,8 +184,9 @@ class MemorySubsystem(Component):
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
         commands = self._commands
+        idle = True
         # 1. per port, ingest at most one address beat per channel while
         #    the command queue has room (AR before AW: a fixed,
         #    documented tie-break for determinism), then one write-data
@@ -197,59 +198,33 @@ class MemorySubsystem(Component):
                     beat = link.ar.pop()
                     commands.append(
                         _Command(True, beat, cycle, beat.length, port))
+                    idle = False
                 if (aw and aw[0][0] <= cycle
                         and len(commands) < self.command_depth):
                     beat = link.aw.pop()
                     commands.append(
                         _Command(False, beat, cycle, beat.length, port))
+                    idle = False
             if w and w[0][0] <= cycle:
                 self._write_beats[port].append(link.w.pop())
+                idle = False
         # 2. pick the next command when idle
         current = self._current
         if current is None and commands:
             current = self._current = self._take_next_command(cycle)
             self._start_command(current, cycle)
+            idle = False
         # 3. stream one data beat of the current command
-        if current is not None:
-            self._advance(current, cycle)
+        if current is not None and not self._advance(current, cycle):
+            idle = False
         # 4. emit one due write response per cycle
         pending = self._pending_b
         if pending and pending[0][0] <= cycle:
             b = self.links[pending[0][1]].b
             if b.can_push():
                 b.push(pending.pop(0)[2])
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """True when no tick step could act: nothing to ingest, no command
-        to pick, the current command still in its access-latency window (or
-        blocked on backpressure/missing write data), and no due response.
-
-        Mirrors :meth:`tick` step by step; the W-ingest check also covers
-        the write-advance case because a W beat poppable this cycle makes
-        the component non-quiescent before ``_advance`` is considered.
-        """
-        room = len(self._commands) < self.command_depth
-        for __, __, ar, aw, w in self._orders[0]:
-            if w and w[0][0] <= cycle:
                 return False
-            if room and ((ar and ar[0][0] <= cycle)
-                         or (aw and aw[0][0] <= cycle)):
-                return False
-        command = self._current
-        if command is None:
-            if self._commands:
-                return False
-        elif cycle >= command.data_start:
-            if command.is_read:
-                if self.links[command.port].r.can_push():
-                    return False
-            elif self._write_beats[command.port]:
-                return False
-        pending = self._pending_b
-        if (pending and pending[0][0] <= cycle
-                and self.links[pending[0][1]].b.can_push()):
-            return False
-        return True
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Access-latency expiry and due write responses are the internal
@@ -265,10 +240,10 @@ class MemorySubsystem(Component):
         return horizon
 
     def wake_channels(self) -> list:
-        """All quiescence inputs are states of the served links' channels
-        (poppable AR/AW/W, pushable R/B); the access-latency window and
-        due responses are internal timers covered by
-        :meth:`next_event_cycle`."""
+        """Every input that can end an idle spell is a state of the served
+        links' channels (poppable AR/AW/W, pushable R/B); the
+        access-latency window and due responses are internal timers
+        covered by :meth:`next_event_cycle`."""
         return [channel for link in self.links
                 for channel in (link.ar, link.aw, link.w, link.r, link.b)]
 
@@ -285,14 +260,17 @@ class MemorySubsystem(Component):
 
     # ------------------------------------------------------------------
 
-    def _advance(self, command: _Command, cycle: int) -> None:
+    def _advance(self, command: _Command, cycle: int) -> bool:
+        """Stream one data beat of ``command``; ``True`` when none moved
+        (still in its access-latency window, backpressured, or waiting
+        for write data)."""
         if cycle < command.data_start:
-            return
+            return True
         port = command.port
         if command.is_read:
             r = self.links[port].r
             if r.capacity is not None and r._occupancy >= r.capacity:
-                return  # backpressured: the bus slot is lost
+                return True  # backpressured: the bus slot is lost
             data = None
             resp = Resp.OKAY
             if self.store is not None:
@@ -317,7 +295,7 @@ class MemorySubsystem(Component):
         else:
             queue = self._write_beats[port]
             if not queue:
-                return  # write data not here yet
+                return True  # write data not here yet
             wbeat = queue.popleft()
             if self.store is not None and wbeat.data is not None:
                 try:
@@ -346,6 +324,7 @@ class MemorySubsystem(Component):
                 self.writes_served += 1
             self._bus_free_at = cycle + 1
             self._current = None
+        return False
 
     # ------------------------------------------------------------------
 

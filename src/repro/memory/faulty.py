@@ -75,62 +75,25 @@ class FaultInjectingMemory(MemorySubsystem):
         self.errors_injected = 0
         self.stalls_injected = 0
 
-    def is_quiescent(self, cycle: int) -> bool:
-        """Quiescent exactly when this tick cannot change state *or* the
-        RNG stream.
-
-        ``stall_rate`` is the one knob that draws randomness on every
-        advance attempt (even while backpressured or inside the access-
-        latency window), so any tick with an active command must run when
-        it is armed — skipping would change the sequence of injected
-        faults.  ``error_rate`` draws only when a beat is actually
-        served, which the base predicate already treats as
-        non-quiescent.
-
-        While the data pipeline is deterministically frozen (``is_dead``
-        or inside ``freeze_window``) the advance step is a guaranteed
-        no-op, so the component is quiescent unless one of the *other*
-        tick steps (ingest, command pick, due B response) could act —
-        mirrored below exactly as :meth:`MemorySubsystem.is_quiescent`
-        mirrors them, minus the advance branch."""
-        if (self.stall_rate > 0.0
-                and (self._current is not None or self._commands)):
-            return False
-        if not self._data_frozen(cycle):
-            return super().is_quiescent(cycle)
-        link = self.link
-        if (len(self._commands) < self.command_depth
-                and (link.ar.can_pop() or link.aw.can_pop())):
-            return False
-        if link.w.can_pop():
-            return False
-        if self._current is None and self._commands:
-            return False
-        if (self._pending_b and self._pending_b[0][0] <= cycle
-                and link.b.can_push()):
-            return False
-        return True
-
     def next_event_cycle(self, cycle: int):
-        """Adds the freeze-window *revive edge* to the base timers.
+        """Adds the end of an injected stall and the freeze-window
+        *revive edge* to the base timers.
 
-        Without it a fabric frozen alongside the memory would sleep
-        through ``freeze_window[1]`` and silently never observe the
-        revival — the targeted kernel-equivalence test pins this."""
+        Stalled and frozen advance attempts tick idle, so without these
+        edges a fabric frozen alongside the memory would sleep through
+        them and silently never observe the revival — the targeted
+        kernel-equivalence tests pin both."""
         horizon = super().next_event_cycle(cycle)
+        stalled_until = self._stalled_until
+        if self._current is not None and cycle < stalled_until:
+            if horizon is None or stalled_until < horizon:
+                horizon = stalled_until
         fw = self.freeze_window
         if fw is not None and cycle < fw[1]:
             edge = fw[1] if cycle >= fw[0] else fw[0]
             if horizon is None or edge < horizon:
                 horizon = edge
         return horizon
-
-    def _data_frozen(self, cycle: int) -> bool:
-        """True while the advance step is a deterministic no-op."""
-        return (self.is_dead
-                or (self.freeze_window is not None
-                    and self.freeze_window[0] <= cycle
-                    < self.freeze_window[1]))
 
     # ------------------------------------------------------------------
 
@@ -158,28 +121,32 @@ class FaultInjectingMemory(MemorySubsystem):
             return Resp.SLVERR
         return Resp.OKAY
 
-    def _advance(self, command, cycle: int) -> None:
+    def _advance(self, command, cycle: int) -> bool:
         if self.is_dead:
-            return
+            return True
         if (self.freeze_window is not None
                 and self.freeze_window[0] <= cycle < self.freeze_window[1]):
-            return
+            return True
         if cycle < self._stalled_until:
-            return
+            return True
         if (self.stall_rate > 0.0
                 and self._rng.random() < self.stall_rate):
             self._stalled_until = cycle + self.stall_cycles
             self.stalls_injected += 1
-            return
+            return False
         before = self.beats_served
-        super()._advance(command, cycle)
-        # fault the beat that was just emitted, if any
+        idle = super()._advance(command, cycle)
+        # fault the beat that was just emitted, if any; ``error_rate``
+        # draws only then
         if self.beats_served > before:
             beat = command.beat   # INCR address of the beat just served
             resp = self._maybe_error(
                 beat.address + (command.beat_index - 1) * beat.size_bytes)
             if resp is not Resp.OKAY:
                 self._poison_last_emission(resp)
+        # an armed stall draws from the RNG on every attempt, so the
+        # attempt acted even when no beat moved
+        return idle and self.stall_rate == 0.0
 
     def _poison_last_emission(self, resp: Resp) -> None:
         """Rewrite the response of the beat just pushed (R) or just

@@ -36,17 +36,14 @@ class AxiPipe(Component):
             (downstream.b, upstream.b),
         )
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        # stateless: idle unless some pair forwarded
+        idle = True
         for source, destination in self._forward:
             if source.can_pop() and destination.can_push():
                 destination.push(source.pop())
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """A pipe is stateless: it only acts when some pair can forward."""
-        for source, destination in self._forward:
-            if source.can_pop() and destination.can_push():
-                return False
-        return True
+                idle = False
+        return idle
 
     def wake_channels(self) -> list:
         """Stateless forwarder: both ends of every forwarding pair."""

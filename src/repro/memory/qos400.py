@@ -73,20 +73,15 @@ class PsQosRegulator(AxiPipe):
             return False
         return True
 
-    def is_quiescent(self, cycle: int) -> bool:
-        """Never quiescent: the token-bucket countdown decrements every
-        cycle, so no tick is a no-op (unlike the base pipe's stateless
-        forwarding)."""
-        return False
-
     def _account_forward(self) -> None:
         self._outstanding += 1
         self.forwarded_transactions += 1
         if self.rate_budget is not None:
             self._tokens -= 1
 
-    def tick(self, cycle: int) -> None:
-        # token-bucket recharge
+    def tick(self, cycle: int) -> bool:
+        # token-bucket recharge: the countdown moves every cycle, so no
+        # tick is a no-op (unlike the base pipe's stateless forwarding)
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = self.rate_period
@@ -115,3 +110,4 @@ class PsQosRegulator(AxiPipe):
         if self.downstream.b.can_pop() and self.upstream.b.can_push():
             self._outstanding = max(0, self._outstanding - 1)
             self.upstream.b.push(self.downstream.b.pop())
+        return False

@@ -22,27 +22,28 @@ Quiescence-aware fast path
 With ``fast=True`` the kernel additionally skips work that provably cannot
 change state, while keeping results bit-identical to the reference path:
 
-* **Tick skipping** — before ticking a component the kernel polls
-  :meth:`~repro.sim.Component.is_quiescent`; a ``True`` answer is a strict
-  promise that ``tick`` would be a pure no-op *this* cycle, so the call is
-  elided.
+* **Idle reports** — every awake component ticks once per polled cycle,
+  and the tick reports idle after it runs: a return of exactly ``True``
+  means the call was a pure no-op.  Any other return, including the
+  implicit ``None``, counts as "may have acted".  The report drives
+  everything below; the kernel keeps no second copy of a tick's guards.
 * **Component sleep** — a component that declares its wake sources via
-  :meth:`~repro.sim.Component.wake_channels` is put to *sleep* when it
-  reports quiescent: it is neither polled nor ticked again until one of its
-  wake channels commits activity, its
+  :meth:`~repro.sim.Component.wake_channels` is put to *sleep* after
+  ``_SLEEP_AFTER`` idle reports in a row: it is not ticked again until one
+  of its wake channels commits activity, its
   :meth:`~repro.sim.Component.next_event_cycle` hint comes due on the wake
   heap, or an explicit wake arrives.  Components that do not opt in are
-  polled every cycle, exactly as before.
+  ticked every cycle, exactly as on the reference path.
 * **Dense windows** — after ``_DENSE_AFTER`` polled cycles in a row that
-  each committed channel traffic and ran more than one tick per two
-  quiescent polls, the kernel hands ``_DENSE_WINDOW`` cycles to the
-  reference loop, which ticks everything unpolled.  Ticking a quiescent
-  component is always sound, and the window marks the wiring stale, so
-  the next polled cycle re-derives sleep state and wake-heap entries.
-* **Bulk skipping (frozen horizons)** — when no tick ran and no channel has
-  uncommitted work, the system state is frozen: the kernel computes the
-  earliest future wake event and advances the clock in bulk up to it,
-  touching nothing.
+  each committed channel traffic and had more than one acting tick per
+  two idle reports, the kernel hands ``_DENSE_WINDOW`` cycles to the
+  reference loop, which ticks everything, sleepers included.  Ticking an
+  idle component is always sound, and the window marks the wiring stale,
+  so the next polled cycle re-derives sleep state and wake-heap entries.
+* **Bulk skipping (frozen horizons)** — when every tick reported idle and
+  no channel has uncommitted work, the system state is frozen: the kernel
+  computes the earliest future wake event and advances the clock in bulk
+  up to it, touching nothing.
 
 Event-heap wake scheduling
 --------------------------
@@ -62,13 +63,14 @@ scanning every channel and component per freeze:
   fresh hints of the components that are still awake.
 
 Determinism is preserved by construction: a frozen horizon is only entered
-when zero ticks ran in the preceding cycle, so there is no state a skipped
-cycle could have observed or changed, and a sleeping component's inputs are
-exactly its wake channels, its own timer, and explicit wakes.  External
-mutations between kernel calls (e.g. enqueueing a DMA job) invalidate the
-cached horizon *and* wake every sleeper because every public entry point
-calls :meth:`Simulator.wake`; targeted cross-component mutations (a direct
-method call outside ``tick``) call :meth:`Component.wake`.
+when every tick of the preceding cycle was a no-op, so there is no state a
+skipped cycle could have observed or changed, and a sleeping component's
+inputs are exactly its wake channels, its own timer, and explicit wakes.
+External mutations between kernel calls (e.g. enqueueing a DMA job)
+invalidate the cached horizon *and* wake every sleeper because every
+public entry point calls :meth:`Simulator.wake`; targeted cross-component
+mutations (a direct method call outside ``tick``) call
+:meth:`Component.wake`.
 
 Every polled fast-path commit goes through one body,
 :meth:`~repro.sim.commit.CommitCohorts.flush`, called once per polled cycle
@@ -106,12 +108,12 @@ _FOREVER = float("inf")
 _DENSE_AFTER = 16
 _DENSE_WINDOW = 256
 
-#: consecutive quiescent polls before a sleep-capable component actually
+#: consecutive idle reports before a sleep-capable component actually
 #: sleeps.  Sleeping is not free — it computes a hint, may push a heap
 #: entry, and the eventual wake walks the watcher list — so a component
 #: that merely idles between bursts of work (a master waiting out
 #: another port's service window, a supervisor between sub-request
-#: forwards) is cheaper to keep polling than to bounce in and out of
+#: forwards) is cheaper to keep ticking than to bounce in and out of
 #: sleep.  The threshold is sized past the longest such natural gap
 #: (a nominal burst service window) so only genuinely idle components
 #: pay the sleep/wake round trip.
@@ -133,7 +135,7 @@ class Simulator:
         Enable the quiescence-aware fast path (see module docstring).  The
         default ``False`` runs the reference path: every component ticks
         every cycle.  Both paths produce bit-identical results for
-        components honouring the quiescence contract;
+        components whose ticks report idle truthfully;
         ``tests/test_kernel_equivalence.py`` enforces this differentially.
     tlm:
         Transaction-level fast-forward mode (see :mod:`repro.sim.tlm`).
@@ -223,11 +225,11 @@ class Simulator:
 
         Components whose externally-callable API mutates state outside a
         tick (job enqueues, gate decoupling, configuration writes) call
-        this so the fast path re-polls everything on the next cycle.
-        Calling it spuriously is always safe — it only costs one poll
-        round.  Woken components whose hints changed re-schedule fresh
-        heap entries when they next sleep; superseded entries go stale
-        and are dropped by the heap.
+        this so the fast path ticks everything on the next cycle.
+        Calling it spuriously is always safe — it only costs one round
+        of idle ticks.  Woken components whose hints changed re-schedule
+        fresh heap entries when they next sleep; superseded entries go
+        stale and are dropped by the heap.
         """
         self._quiescent_until = 0
         asleep = self._asleep
@@ -338,7 +340,7 @@ class Simulator:
         construction time — :meth:`Component.wake_channels` may
         reference attributes that only exist once the subclass
         constructor finished.  A rebuild wakes every component (new
-        arrivals start awake, sleepers re-poll and re-sleep with fresh
+        arrivals start awake, sleepers tick again and re-sleep with fresh
         hints) and re-seeds the heap with every head not visible yet,
         including one due next cycle, whose commit-time entry it clears.
         """
@@ -405,16 +407,19 @@ class Simulator:
 
         The single inner loop of the fast path — ``run``, ``run_until``
         and ``step`` all funnel here, so there is exactly one copy of the
-        cycle semantics.  Per-cycle overhead is amortized across the
-        window: loop-invariant objects are hoisted into locals (all of
-        them mutated in place, never replaced, so the bindings stay
-        valid across ``_rebuild_wiring``), and the skip statistics
-        accumulate in plain integers folded into :attr:`skip_stats` once
-        per window (the ``finally`` keeps them truthful if a component
-        raises mid-window).  Every polled cycle with dirty channels
-        commits them through :meth:`CommitCohorts.flush`, the fast
-        path's one commit body; a dense window's cycles count as polled,
-        with every component ticked in each.
+        cycle semantics.  Each awake component ticks once per polled
+        cycle, and its idle report (a return of exactly ``True``) feeds
+        the skip, sleep, freeze and dense-window bookkeeping.  Per-cycle
+        overhead is amortized across the window: loop-invariant objects
+        are hoisted into locals (all of them mutated in place, never
+        replaced, so the bindings stay valid across ``_rebuild_wiring``),
+        and the skip statistics accumulate in plain integers folded into
+        :attr:`skip_stats` once per window (the ``finally`` keeps them
+        truthful if a component raises mid-window).  Every polled cycle
+        with dirty channels commits them through
+        :meth:`CommitCohorts.flush`, the fast path's one commit body; a
+        dense window's cycles count as polled, with every component
+        ticked in each.
 
         Within a polled cycle the kernel wakes due heap subjects, then
         iterates the full registration list, skipping sleepers by flag,
@@ -424,9 +429,10 @@ class Simulator:
         a TS, or the recovery agent re-coupling a gate) are observable
         within the same cycle — and a sleeper woken by an earlier
         component mid-loop must still be reached *this* cycle, exactly
-        as the reference path would tick it.  If nothing ticked and no
-        channel has uncommitted work, the system is frozen and the cycle
-        at which it may change again is cached in ``_quiescent_until``.
+        as the reference path would tick it.  If every tick reported
+        idle and no channel has uncommitted work, the system is frozen
+        and the cycle at which it may change again is cached in
+        ``_quiescent_until``.
         """
         stats = self.skip_stats
         heap = self._wakeheap
@@ -466,7 +472,7 @@ class Simulator:
                     if component._k_asleep:
                         slept += 1
                         continue
-                    if component.is_quiescent(cycle):
+                    if component.tick(cycle) is True:
                         skipped += 1
                         if component._k_sleepable:
                             quiet = component._k_quiet + 1
@@ -481,7 +487,6 @@ class Simulator:
                             else:
                                 component._k_quiet = quiet
                     else:
-                        component.tick(cycle)
                         ran += 1
                         component._k_quiet = 0
                 ran_total += ran

@@ -130,21 +130,24 @@ class KernelSkipStats:
     The counters describe *simulated* cycles and component ticks:
 
     * ``cycles_total`` — cycles advanced since the last :meth:`reset`.
-    * ``cycles_polled`` — cycles executed the long way (every component
-      either polled via ``is_quiescent`` or ticked, dirty channels
+    * ``cycles_polled`` — cycles executed the long way (every awake
+      component ticked and its idle report read, dirty channels
       committed).
     * ``cycles_dense`` — the part of ``cycles_polled`` handed to the
-      reference loop in dense windows; every component ticks unpolled in
-      each, counted under ``ticks_run``.
+      reference loop in dense windows; every component ticks there with
+      its report ignored, counted under ``ticks_run``.
     * ``cycles_frozen`` — cycles crossed inside a frozen horizon, where
-      nothing was polled, ticked, or committed at all.
-    * ``ticks_run`` / ``ticks_skipped`` — component ticks executed versus
-      elided (after an ``is_quiescent`` poll) during polled cycles.
+      nothing was ticked or committed at all.
+    * ``ticks_run`` / ``ticks_skipped`` — polled ticks that may have
+      acted versus polled ticks that reported idle (a return of exactly
+      ``True``; see :meth:`~repro.sim.Component.tick`).  A tick reported
+      idle still ran: "skipped" is the work the report let the kernel
+      treat as a no-op.
     * ``ticks_slept`` — component-cycles spent fully asleep during polled
-      cycles: the component was neither polled nor ticked because it
-      declared :meth:`~repro.sim.Component.wake_channels` and nothing woke
-      it.  (The cycle a sleeper enters or leaves sleep it is still polled,
-      and counted under ``ticks_skipped``.)
+      cycles: the component was not ticked because it declared
+      :meth:`~repro.sim.Component.wake_channels` and nothing woke it.
+      (The cycle a sleeper enters sleep it still ticks, and is counted
+      under ``ticks_skipped``.)
     * ``horizon_scans`` — how many times the kernel froze the system and
       computed a bulk-skip horizon (heap minimum + awake-component hints).
     * ``heap_pushes`` / ``heap_pops`` — wake-heap entries scheduled

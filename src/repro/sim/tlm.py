@@ -19,7 +19,8 @@ The protocol per attempted epoch is *predict / commit / rollback*:
    engines on the ports) plus dynamic eligibility (no faults armed
    in-window, no revocation orders pending, watchdogs disarmed, region
    filters off, no foreign channel listeners, all non-fabric channels
-   idle, every unclassified component quiescent past the epoch end).
+   idle, every unclassified component a pure timer with nothing due
+   before the epoch end).
    Any failed check *declines* the epoch with a recorded demotion reason
    and the window runs cycle-accurately — byte-identical to
    ``fast=True`` by construction, because the decline path mutates
@@ -90,6 +91,16 @@ DECLINE_HOLDOFF = 192
 #: leaf statistic objects nested one level inside components whose
 #: in-place mutation the generic snapshot must also capture
 _LEAF_TYPES = (OnlineStats, PortFaultStats, RateCounter, PortConfig)
+
+
+def _pure_timers() -> tuple:
+    """Component classes that act only at their ``next_event_cycle``.
+
+    Imported on first use: only systems with a hypervisor contain them.
+    """
+    from ..hypervisor.recovery import (FaultRecoveryAgent,
+                                       RevocationController)
+    return (FaultRecoveryAgent, RevocationController)
 
 
 class _Decline(Exception):
@@ -379,12 +390,14 @@ class TlmEngine:
             else:
                 others.append(comp)
 
+        # a component outside the fabric and the lanes may sit out the
+        # epoch only if it is a pure timer: it acts exactly at its
+        # next_event_cycle, so a hint past the epoch end proves it inert
+        timers = _pure_timers() if others else ()
         for comp in others:
-            quiescent = getattr(comp, "is_quiescent", None)
-            if quiescent is None or not quiescent(start):
+            if type(comp) not in timers:
                 raise _Decline(f"component:{comp.name}")
-            hint = getattr(comp, "next_event_cycle", None)
-            when = hint(start) if hint is not None else None
+            when = comp.next_event_cycle(start)
             if when is not None and when <= epoch_end:
                 raise _Decline(f"component:{comp.name}")
 

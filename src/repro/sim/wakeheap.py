@@ -21,10 +21,10 @@ are elided, and popped entries that no longer match the side table are
 dropped as stale.  This makes invalidation O(1) and keeps the heap free
 of unbounded duplicate churn.
 
-Waking a subject early (or spuriously) is always harmless — the waker
-merely re-polls ``is_quiescent`` and goes back to sleep — so the heap
-never needs to *guarantee* staleness detection, only to guarantee that
-no genuine wake event is lost: an entry at cycle ``c`` for subject ``s``
+Waking a subject early (or spuriously) is always harmless — the woken
+component merely ticks idle and goes back to sleep — so the heap never
+needs to *guarantee* staleness detection, only to guarantee that no
+genuine wake event is lost: an entry at cycle ``c`` for subject ``s``
 survives until some entry for ``s`` at a cycle ``<= c`` has fired.
 """
 

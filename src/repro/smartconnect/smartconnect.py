@@ -151,7 +151,10 @@ class SmartConnect(Component):
     # mirror watchdog (no containment quality: drop, don't complete)
     # ------------------------------------------------------------------
 
-    def _check_watchdogs(self, cycle: int) -> None:
+    def _check_watchdogs(self, cycle: int) -> bool:
+        """Trip every live port with an expired deadline; ``True`` when
+        none tripped."""
+        idle = True
         for port in range(self.n_ports):
             if port in self._dead_ports:
                 continue
@@ -169,17 +172,23 @@ class SmartConnect(Component):
                 outstanding_writes=len(writes)))
             reads.clear()
             writes.clear()
+            idle = False
+        return idle
 
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        if self.timeout_cycles is not None:
-            self._check_watchdogs(cycle)
-        # AR arbitration: at most one grant per cycle
+    def tick(self, cycle: int) -> bool:
+        idle = self.timeout_cycles is None or self._check_watchdogs(cycle)
+        # AR arbitration: at most one grant per cycle.  An attempt that
+        # finds no requester still drops a held grant (``_pick`` returns
+        # ``(None, None, 0)``), which is a state change too.
         if self.master_link.ar.can_push():
             ar_channels = [link.ar for link in self.ports]
+            held = self._hold_ar
             port, self._hold_ar, self._streak_ar = self._pick(
-                ar_channels, self._rr_ar, self._hold_ar, self._streak_ar)
+                ar_channels, self._rr_ar, held, self._streak_ar)
+            if port is not None or held is not None:
+                idle = False
             if port is not None:
                 beat: AddrBeat = ar_channels[port].pop()
                 beat.port = port
@@ -194,8 +203,11 @@ class SmartConnect(Component):
         # AW arbitration
         if self.master_link.aw.can_push():
             aw_channels = [link.aw for link in self.ports]
+            held = self._hold_aw
             port, self._hold_aw, self._streak_aw = self._pick(
-                aw_channels, self._rr_aw, self._hold_aw, self._streak_aw)
+                aw_channels, self._rr_aw, held, self._streak_aw)
+            if port is not None or held is not None:
+                idle = False
             if port is not None:
                 beat = aw_channels[port].pop()
                 beat.port = port
@@ -208,53 +220,10 @@ class SmartConnect(Component):
                 if self.timeout_cycles is not None:
                     self._write_deadlines[port].append(
                         cycle + self.timeout_cycles)
-        self._route_write_data()
-        self._route_read_data()
-        self._route_write_responses()
-
-    def is_quiescent(self, cycle: int) -> bool:
-        """Mirrors :meth:`tick`, including one subtlety: an arbitration
-        attempt that finds *no* requester still clears the held-grant
-        state (``_pick`` returns ``(None, None, 0)``), so a cycle with a
-        pushable master address channel and a live holder/streak is a
-        state change and must not be skipped.
-        """
-        if self.timeout_cycles is not None:
-            for port in range(self.n_ports):
-                if port in self._dead_ports:
-                    continue
-                reads = self._read_deadlines[port]
-                writes = self._write_deadlines[port]
-                if ((reads and reads[0] <= cycle)
-                        or (writes and writes[0] <= cycle)):
-                    return False  # a watchdog would trip this cycle
-        master = self.master_link
-        dead = self._dead_ports
-        if master.ar.can_push():
-            if self._hold_ar is not None or self._streak_ar != 0:
-                return False
-            for index, link in enumerate(self.ports):
-                if index not in dead and link.ar.can_pop():
-                    return False
-        if master.aw.can_push():
-            if self._hold_aw is not None or self._streak_aw != 0:
-                return False
-            for index, link in enumerate(self.ports):
-                if index not in dead and link.aw.can_pop():
-                    return False
-        if (self._route_w and master.w.can_push()
-                and (self._route_w[0][0] in dead
-                     or self.ports[self._route_w[0][0]].w.can_pop())):
-            return False
-        if (self._route_r and master.r.can_pop()
-                and (self._route_r[0][0] in dead
-                     or self.ports[self._route_r[0][0]].r.can_push())):
-            return False
-        if (self._route_b and master.b.can_pop()
-                and (self._route_b[0] in dead
-                     or self.ports[self._route_b[0]].b.can_push())):
-            return False
-        return True
+        idle &= self._route_write_data()
+        idle &= self._route_read_data()
+        idle &= self._route_write_responses()
+        return idle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest armed watchdog deadline over the live ports."""
@@ -289,9 +258,11 @@ class SmartConnect(Component):
     # data-path routing (no equalization: bursts pass through unmodified)
     # ------------------------------------------------------------------
 
-    def _route_write_data(self) -> None:
+    # each router returns ``True`` when no beat moved
+
+    def _route_write_data(self) -> bool:
         if not self._route_w or not self.master_link.w.can_push():
-            return
+            return True
         entry = self._route_w[0]
         port, request, beats_left = entry
         if port in self._dead_ports:
@@ -303,15 +274,16 @@ class SmartConnect(Component):
         else:
             source = self.ports[port].w
             if not source.can_pop():
-                return
+                return True
             self.master_link.w.push(source.pop())
         entry[2] = beats_left - 1
         if entry[2] == 0:
             self._route_w.popleft()
+        return False
 
-    def _route_read_data(self) -> None:
+    def _route_read_data(self) -> bool:
         if not self.master_link.r.can_pop() or not self._route_r:
-            return
+            return True
         entry = self._route_r[0]
         port, __, beats_left = entry
         if port in self._dead_ports:
@@ -320,17 +292,18 @@ class SmartConnect(Component):
         else:
             destination = self.ports[port].r
             if not destination.can_push():
-                return
+                return True
             destination.push(self.master_link.r.pop())
         entry[2] = beats_left - 1
         if entry[2] == 0:
             self._route_r.popleft()
             if self._read_deadlines[port]:
                 self._read_deadlines[port].popleft()
+        return False
 
-    def _route_write_responses(self) -> None:
+    def _route_write_responses(self) -> bool:
         if not self.master_link.b.can_pop() or not self._route_b:
-            return
+            return True
         port = self._route_b[0]
         if port in self._dead_ports:
             self.master_link.b.pop()
@@ -338,11 +311,12 @@ class SmartConnect(Component):
         else:
             destination = self.ports[port].b
             if not destination.can_push():
-                return
+                return True
             destination.push(self.master_link.b.pop())
         self._route_b.popleft()
         if self._write_deadlines[port]:
             self._write_deadlines[port].popleft()
+        return False
 
     # ------------------------------------------------------------------
 

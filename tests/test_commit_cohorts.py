@@ -122,9 +122,6 @@ def test_flush_wakes_sleeping_watchers(payload):
 
     class Sleeper(Component):
         def tick(self, cycle):
-            pass
-
-        def is_quiescent(self, cycle):
             return True
 
         def wake_channels(self):

@@ -1,6 +1,6 @@
 """Differential harness: the fast kernel path must equal the reference.
 
-The quiescence-aware fast path (``Simulator(fast=True)``) ships only
+The idle-report-driven fast path (``Simulator(fast=True)``) ships only
 because this harness proves it observationally equivalent to the
 reference path on every system shape the repo models: the Fig. 3(a)
 channel-latency and Fig. 3(b) access-time procedures, the Fig. 4/5 case
@@ -12,8 +12,10 @@ interconnect and memory counters, monitor latencies, trace events, and
 final memory contents.
 
 If one of these tests fails after a component change, the component's
-``is_quiescent`` is lying (claiming a tick is a no-op when it is not):
-fix the hook, never the harness.
+tick is reporting idle wrongly (returning ``True`` from a call that
+changed state, or going idle while an input the kernel does not watch
+can still make it act): fix the tick's idle report or its wake sources,
+never the harness.
 """
 
 import pytest
@@ -236,6 +238,44 @@ class TestContentionScenarios:
 
         reference, fast = _both(run)
         assert reference == fast
+
+    def test_rate_limited_qos_regulator(self):
+        """The PS-side regulator overrides the tick of a sleep-capable
+        pipe, and its token-bucket countdown moves every cycle: no tick
+        of it is a no-op, so the system must never freeze around it."""
+        def run(fast):
+            from repro.axi.port import AxiLink
+            from repro.memory import MemorySubsystem, PsQosRegulator
+            from repro.sim import Simulator
+            from repro.smartconnect import (SmartConnect,
+                                            smartconnect_master_link)
+
+            sim = Simulator("qos", clock_hz=ZCU102.pl_clock_hz, fast=fast)
+            fabric_side = smartconnect_master_link(sim, "fabric")
+            ps_side = AxiLink(sim, "ps", data_bytes=16)
+            interconnect = SmartConnect(sim, "sc", 2, fabric_side)
+            regulator = PsQosRegulator(sim, "qos400", fabric_side, ps_side,
+                                       rate_budget=4, rate_period=1024)
+            memory = MemorySubsystem(sim, "mem", ps_side,
+                                     timing=ZCU102.dram)
+            reader = AxiDma(sim, "reader", interconnect.port(0))
+            writer = AxiDma(sim, "writer", interconnect.port(1))
+            # bursts of six transactions against a budget of four per
+            # period, with idle gaps long enough to sleep through
+            for burst in range(4):
+                reader.enqueue_read(0x1000_0000 + burst * 0x1000, 1024)
+                writer.enqueue_write(0x2000_0000 + burst * 0x1000, 512)
+                sim.run(3_000 + 77 * burst)
+            if fast:
+                assert sim.skip_stats.cycles_frozen == 0
+            return (_signature(reader, writer), _memory_counters(memory),
+                    regulator.throttled_cycles,
+                    regulator.forwarded_transactions,
+                    regulator._tokens, regulator._countdown, sim.now)
+
+        reference, fast = _both(run)
+        assert reference == fast
+        assert fast[2] > 0   # the rate limit actually throttled
 
 
 class TestFutureWorkTopologies:
@@ -555,9 +595,6 @@ class _Noop(Component):
     """Never does anything; registering one forces a wiring rebuild."""
 
     def tick(self, cycle):
-        pass
-
-    def is_quiescent(self, cycle):
         return True
 
 

@@ -151,12 +151,12 @@ class PulseSource(Component):
                 and cycle >= self.schedule[self._index])
 
     def tick(self, cycle):
-        if self._due(cycle) and self.channel.can_push():
+        if not self._due(cycle):
+            return True
+        if self.channel.can_push():
             self.channel.push(cycle)
             self._index += 1
-
-    def is_quiescent(self, cycle):
-        return not self._due(cycle)
+        return False
 
     def next_event_cycle(self, cycle):
         if self._index < len(self.schedule):
@@ -165,14 +165,17 @@ class PulseSource(Component):
 
 
 class QuiescentConsumer(Consumer):
-    """A consumer that declares itself idle when nothing is visible."""
+    """A consumer that reports idle when nothing is visible."""
 
-    def is_quiescent(self, cycle):
-        return not self.channel.can_pop()
+    def tick(self, cycle):
+        if not self.channel.can_pop():
+            return True
+        super().tick(cycle)
+        return False
 
 
 class TestFastPath:
-    """Unit-level checks of the quiescence-aware kernel."""
+    """Unit-level checks of the fast kernel path."""
 
     SCHEDULE = (3, 4, 200, 1000, 1001)
 
@@ -257,11 +260,10 @@ class TestFastPath:
                 self.fired_at = None
 
             def tick(self, cycle):
-                if self.armed and self.fired_at is None:
-                    self.fired_at = cycle
-
-            def is_quiescent(self, cycle):
-                return not (self.armed and self.fired_at is None)
+                if not (self.armed and self.fired_at is None):
+                    return True
+                self.fired_at = cycle
+                return False
 
         sim = Simulator("wake2", fast=True)
         component = Flagged(sim, "f")
@@ -288,6 +290,60 @@ class TestFastPath:
         sim.finish()
         with pytest.raises(SimulationError):
             sim.run(10)
+
+
+class Countdown(Component):
+    """Bumps a countdown every cycle and reports nothing about it.
+
+    It declares no wake channels, as a timer-driven component would, but
+    its tick returns ``None``, which the kernel must read as "may have
+    acted": the component never sleeps and the system never freezes.
+    """
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.remaining = 1000
+        self.expired_at = None
+
+    def tick(self, cycle):
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.expired_at = cycle
+
+    def wake_channels(self):
+        return []
+
+
+class TestIdleReports:
+    """The fast path learns idleness only from what ``tick`` returns."""
+
+    def test_unreported_tick_is_never_treated_as_idle(self):
+        def run(fast):
+            sim = Simulator("countdown", fast=fast)
+            countdown = Countdown(sim, "c")
+            sim.run(1500)
+            return sim, (countdown.remaining, countdown.expired_at)
+
+        fast_sim, fast_state = run(fast=True)
+        __, reference_state = run(fast=False)
+        assert fast_state == reference_state == (-500, 999)
+        stats = fast_sim.skip_stats
+        assert stats.ticks_slept == 0 and not fast_sim._asleep
+        assert stats.cycles_frozen == 0
+        assert stats.ticks_skipped == 0
+
+    def test_kernel_never_consults_is_quiescent(self):
+        class Idle(Component):
+            def tick(self, cycle):
+                return True
+
+            def is_quiescent(self, cycle):
+                raise AssertionError("the kernel polled is_quiescent")
+
+        sim = Simulator("idle", fast=True)
+        Idle(sim, "i")
+        sim.run(100)
+        assert sim.skip_stats.cycles_frozen > 0
 
 
 class TestRegistry:
@@ -428,9 +484,6 @@ class QuiescentNoop(Component):
     """Never does anything; registering one forces a wiring rebuild."""
 
     def tick(self, cycle):
-        pass
-
-    def is_quiescent(self, cycle):
         return True
 
 

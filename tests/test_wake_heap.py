@@ -106,12 +106,11 @@ class RetimableTimer(Component):
         self.fired = []
 
     def tick(self, cycle):
-        if self.due is not None and cycle >= self.due:
-            self.fired.append(cycle)
-            self.due = None
-
-    def is_quiescent(self, cycle):
-        return self.due is None or cycle < self.due
+        if self.due is None or cycle < self.due:
+            return True
+        self.fired.append(cycle)
+        self.due = None
+        return False
 
     def next_event_cycle(self, cycle):
         return self.due
@@ -139,9 +138,6 @@ class BusyUntil(Component):
         self.until = until
 
     def tick(self, cycle):
-        pass
-
-    def is_quiescent(self, cycle):
         return cycle >= self.until
 
 
