@@ -18,9 +18,8 @@ cycles per host second) on three workloads:
 * bursty contention at 2, 4, and 8 ports.  Each port's DMA issues a
   burst of contended copy jobs at the top of every window; the fabric
   drains the contention, then idles until the next burst.  On that duty
-  cycle the fast path ticks only the awake components during the burst
-  and sleeps or freezes through the idle tail, work the reference path
-  pays for cycle by cycle.  Every port count asserts byte-identical
+  cycle the fast path freezes through the idle tail of every burst, work
+  the reference path pays for cycle by cycle.  Every port count asserts byte-identical
   traffic on both paths, and the 8-port row must clear a 1.8x floor.
 
 All sections are persisted to ``benchmarks/results/sim_throughput.txt``
@@ -131,7 +130,7 @@ def test_sim_throughput(benchmark):
         f"reference contention system ({CYCLES} cycle window, saturated "
         f"shared bus,\nbest of {ROUNDS} warm rounds, build excluded):\n"
         f"  fast=False (reference): {reference:,.0f} cycles / host second\n"
-        f"  fast=True  (event heap): {fast:,.0f} cycles / host second "
+        f"  fast=True  (skipping): {fast:,.0f} cycles / host second "
         f"({speedup:.2f}x)\n"
         f"  traffic signature identical on both paths: {ref_signature}")
     _METRICS["contention"] = {

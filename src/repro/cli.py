@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .platforms import PLATFORMS
 from .resources import resource_table
+from .sim import ConfigurationError
 from .system import (
     measure_access_time,
     measure_channel_latencies,
@@ -144,13 +145,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(f"campaign {args.grid!r}: {len(scenarios)} scenarios, "
           f"checks={','.join(checks) or '-'} "
           f"workers={max(1, args.workers)}", flush=True)
-    try:
-        config = CampaignConfig(checks=checks,
-                                record_timeout=args.record_timeout)
-        result = run_campaign(scenarios, workers=args.workers,
-                              config=config, output=args.output)
-    except ValueError as error:
-        raise SystemExit(f"campaign: {error}") from None
+    config = CampaignConfig(checks=checks,
+                            record_timeout=args.record_timeout)
+    result = run_campaign(scenarios, workers=args.workers,
+                          config=config, output=args.output)
     counts = " ".join(f"{verdict}={count}"
                       for verdict, count in sorted(result.counts.items()))
     print(f"verdicts: {counts}")
@@ -282,10 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A bad argument value that only a handler can judge (a library
+    :class:`ConfigurationError` or ``ValueError``) exits with
+    ``"<command>: <message>"`` instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
     _platform(args.platform)   # validate once, before any work
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ConfigurationError, ValueError) as error:
+        raise SystemExit(f"{args.command}: {error}") from None
 
 
 if __name__ == "__main__":   # pragma: no cover - module execution path

@@ -83,12 +83,6 @@ class CentralUnit(Component):
         """The recharge deadline is a guaranteed internal event."""
         return self._next_recharge
 
-    def wake_channels(self) -> list:
-        """Pure timer component: wakes only via the recharge deadline
-        (heap entry from :meth:`next_event_cycle`) or explicit wakes from
-        the enable/period/reset paths."""
-        return []
-
     def reset(self) -> None:
         self._next_recharge = self.sim.now + self._period - 1
         for supervisor in self.supervisors:

@@ -273,22 +273,6 @@ class Exbar(Component):
         self.supervisors[port].note_write_complete()
         return False
 
-    def wake_channels(self) -> list:
-        """Every channel whose activity can end the EXBAR's quiescence.
-
-        The EXBAR has no internal timers (``next_event_cycle`` stays
-        ``None``): its state only moves when a beat can transfer, which
-        requires activity on one of the channels below.  Gate flips
-        (couple/decouple) call :meth:`Simulator.wake` globally.
-        """
-        master = self.master_link
-        channels = [self.out_ar, self.out_aw, master.w, master.r, master.b]
-        channels.extend(self.ts_ar)
-        channels.extend(self.ts_aw)
-        for link in self.ha_links:
-            channels.extend((link.w, link.r, link.b))
-        return channels
-
     # ------------------------------------------------------------------
 
     @property

@@ -87,11 +87,6 @@ class MasterEFifo(Component):
                 idle = False
         return idle
 
-    def wake_channels(self) -> list:
-        """Stateless: only channel activity can make a beat movable."""
-        return [self.in_ar, self.in_aw,
-                self.master_link.ar, self.master_link.aw]
-
 
 class HyperConnect:
     """The AXI HyperConnect: N slave ports, one master port.

@@ -267,8 +267,3 @@ class ControlSlave(Component):
                                       addr_beat=request))
             idle = False
         return idle
-
-    def wake_channels(self) -> list:
-        """Stateless request server: all five control-link channels."""
-        link = self.link
-        return [link.ar, link.aw, link.w, link.r, link.b]

@@ -189,18 +189,6 @@ class InOrderAdapter(Component):
         return idle
 
     # ------------------------------------------------------------------
-    # fast-path contract
-    # ------------------------------------------------------------------
-
-    def wake_channels(self) -> list:
-        """Both links' channels; the adapter has no internal timers —
-        every guard in :meth:`tick` reads channel state plus bookkeeping
-        that only the tick itself mutates."""
-        up, down = self.upstream, self.downstream
-        return [up.ar, up.aw, up.w, up.r, up.b,
-                down.ar, down.aw, down.w, down.r, down.b]
-
-    # ------------------------------------------------------------------
 
     @property
     def outstanding(self) -> int:

@@ -271,27 +271,19 @@ class TransactionSupervisor(Component):
     def recharge(self) -> None:
         """Synchronous budget recharge at the reservation period boundary.
 
-        Called by the central unit from *its* tick — a cross-component
-        mutation the fast path cannot see through channels, so a sleeping
-        TS (e.g. budget-exhausted with nothing outstanding) is woken
-        explicitly.
+        Called by the central unit from *its* tick, which reports acting,
+        so the fast path cannot freeze over the cycle of the recharge.
         """
         self.budget_remaining = self.config.budget
-        self.wake()
 
     def note_read_complete(self) -> None:
-        """A sub-read's last data beat was delivered (EXBAR callback).
-
-        Direct cross-component call: outstanding counters gate issue, so
-        the TS is woken in case it slept on the outstanding limit.
-        """
+        """A sub-read's last data beat was delivered (EXBAR callback)."""
         if self.outstanding_reads <= 0:
             raise ConfigurationError(
                 f"{self.name}: read completion with none outstanding")
         self.outstanding_reads -= 1
         if self._read_issue_cycles:
             self._read_issue_cycles.popleft()
-        self.wake()
 
     def note_write_complete(self) -> None:
         """A sub-write's response arrived (EXBAR callback)."""
@@ -301,7 +293,6 @@ class TransactionSupervisor(Component):
         self.outstanding_writes -= 1
         if self._write_issue_cycles:
             self._write_issue_cycles.popleft()
-        self.wake()
 
     # ------------------------------------------------------------------
 
@@ -437,7 +428,6 @@ class TransactionSupervisor(Component):
         self._pending_ar.clear()
         self._pending_aw.clear()
         self.ha_link.decouple()
-        self.wake()
         self.sim.wake()
 
     def _containment_tick(self, cycle: int) -> bool:
@@ -601,19 +591,6 @@ class TransactionSupervisor(Component):
         if self.faulted or not self.coupled or not self.enabled:
             return None
         return self._watchdog_deadline()
-
-    def wake_channels(self) -> list:
-        """Channels whose activity can end the TS's quiescence.
-
-        Everything else that can un-quiesce a TS arrives through explicit
-        wakes: EXBAR completion callbacks and central-unit recharges call
-        :meth:`~repro.sim.Component.wake`, gate flips and register writes
-        call :meth:`Simulator.wake`, and the watchdog deadline rides the
-        wake heap via :meth:`next_event_cycle`.
-        """
-        link = self.ha_link
-        return [link.ar, link.aw, link.w, link.r, link.b,
-                self.out_ar, self.out_aw]
 
     def reset(self) -> None:
         self._pending_ar.clear()

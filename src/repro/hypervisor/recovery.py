@@ -222,7 +222,6 @@ class RevocationController(Component):
                                 size, start_cycle, regrant_to, on_commit)
         self._orders.append(order)
         self._due[order.order_id] = start_cycle
-        self.wake()
         self.sim.wake()
         return order
 

@@ -308,18 +308,6 @@ class AxiMasterEngine(Component):
             return self._w_gap_until
         return None
 
-    def wake_channels(self) -> list:
-        """The engine's five AXI channels.
-
-        Every other input that can end an idle spell arrives through
-        explicit wakes:
-        job enqueues, the ``active`` setter, and :meth:`reset` all call
-        :meth:`Simulator.wake`, and the W-gap timer rides the wake heap
-        via :meth:`next_event_cycle`.
-        """
-        link = self.link
-        return [link.ar, link.aw, link.w, link.r, link.b]
-
     # -- address issue --------------------------------------------------
 
     def _issue_addresses(self, cycle: int) -> bool:

@@ -239,14 +239,6 @@ class MemorySubsystem(Component):
                 horizon = due
         return horizon
 
-    def wake_channels(self) -> list:
-        """Every input that can end an idle spell is a state of the served
-        links' channels (poppable AR/AW/W, pushable R/B); the
-        access-latency window and due responses are internal timers
-        covered by :meth:`next_event_cycle`."""
-        return [channel for link in self.links
-                for channel in (link.ar, link.aw, link.w, link.r, link.b)]
-
     # ------------------------------------------------------------------
 
     def _take_next_command(self, cycle: int) -> _Command:

@@ -80,7 +80,7 @@ class FaultInjectingMemory(MemorySubsystem):
         *revive edge* to the base timers.
 
         Stalled and frozen advance attempts tick idle, so without these
-        edges a fabric frozen alongside the memory would sleep through
+        edges a fabric frozen alongside the memory would skip past
         them and silently never observe the revival — the targeted
         kernel-equivalence tests pin both."""
         horizon = super().next_event_cycle(cycle)

@@ -45,14 +45,6 @@ class AxiPipe(Component):
                 idle = False
         return idle
 
-    def wake_channels(self) -> list:
-        """Stateless forwarder: both ends of every forwarding pair."""
-        channels = []
-        for source, destination in self._forward:
-            channels.append(source)
-            channels.append(destination)
-        return channels
-
 
 class FpgaPsPort(AxiPipe):
     """The FPGA-PS slave interface of the SoC.

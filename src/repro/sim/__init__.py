@@ -26,7 +26,6 @@ from .stats import (
     RateCounter,
 )
 from .trace import TraceEvent, Tracer
-from .wakeheap import WakeHeap
 
 __all__ = [
     "Channel",
@@ -49,5 +48,4 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "CommitCohorts",
-    "WakeHeap",
 ]

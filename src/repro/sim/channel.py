@@ -68,7 +68,6 @@ class Channel:
         "popped_total",
         "_push_listeners",
         "_pop_listeners",
-        "_watchers",
     )
 
     def __init__(self, sim, name: str, latency: int = 1,
@@ -109,9 +108,6 @@ class Channel:
         #: mutate the channel.
         self._push_listeners: List[Any] = []
         self._pop_listeners: List[Any] = []
-        #: components to wake when this channel commits activity (built by
-        #: the kernel from Component.wake_channels declarations)
-        self._watchers: tuple = ()
         sim._register_channel(self)
 
     # ------------------------------------------------------------------

@@ -22,61 +22,35 @@ Quiescence-aware fast path
 With ``fast=True`` the kernel additionally skips work that provably cannot
 change state, while keeping results bit-identical to the reference path:
 
-* **Idle reports** — every awake component ticks once per polled cycle,
-  and the tick reports idle after it runs: a return of exactly ``True``
+* **Idle reports** — every component ticks once per polled cycle, and
+  the tick reports idle after it runs: a return of exactly ``True``
   means the call was a pure no-op.  Any other return, including the
   implicit ``None``, counts as "may have acted".  The report drives
-  everything below; the kernel keeps no second copy of a tick's guards.
-* **Component sleep** — a component that declares its wake sources via
-  :meth:`~repro.sim.Component.wake_channels` is put to *sleep* after
-  ``_SLEEP_AFTER`` idle reports in a row: it is not ticked again until one
-  of its wake channels commits activity, its
-  :meth:`~repro.sim.Component.next_event_cycle` hint comes due on the wake
-  heap, or an explicit wake arrives.  Components that do not opt in are
-  ticked every cycle, exactly as on the reference path.
+  everything below; the kernel keeps no second copy of a tick's guards
+  or inputs.
 * **Dense windows** — after ``_DENSE_AFTER`` polled cycles in a row that
   each committed channel traffic and had more than one acting tick per
   two idle reports, the kernel hands ``_DENSE_WINDOW`` cycles to the
-  reference loop, which ticks everything, sleepers included.  Ticking an
-  idle component is always sound, and the window marks the wiring stale,
-  so the next polled cycle re-derives sleep state and wake-heap entries.
+  reference loop, which skips the idle-report bookkeeping.
 * **Bulk skipping (frozen horizons)** — when every tick reported idle and
   no channel has uncommitted work, the system state is frozen: the kernel
-  computes the earliest future wake event and advances the clock in bulk
-  up to it, touching nothing.
-
-Event-heap wake scheduling
---------------------------
-
-Future wake events live on a lazily-invalidated min-heap
-(:class:`~repro.sim.wakeheap.WakeHeap`) instead of being rediscovered by
-scanning every channel and component per freeze:
-
-* a sleeping component's ``next_event_cycle`` hint is pushed when it goes
-  to sleep;
-* a committed channel head whose ready cycle lies more than one cycle in
-  the future (only possible with ``latency > 1``) is pushed at commit time;
-  unit-latency traffic is covered by the commit-time wake of the channel's
-  watchers, so hot channels never touch the heap;
-* each polled cycle the kernel pops the due entries and wakes their
-  subjects; a frozen horizon is simply the heap minimum combined with the
-  fresh hints of the components that are still awake.
+  scans the channels and components for the earliest future event (a
+  queued channel head not yet visible, or a component's
+  :meth:`~repro.sim.Component.next_event_cycle` hint) and advances the
+  clock in bulk up to it, touching nothing.
 
 Determinism is preserved by construction: a frozen horizon is only entered
 when every tick of the preceding cycle was a no-op, so there is no state a
-skipped cycle could have observed or changed, and a sleeping component's
-inputs are exactly its wake channels, its own timer, and explicit wakes.
-External mutations between kernel calls (e.g. enqueueing a DMA job)
-invalidate the cached horizon *and* wake every sleeper because every
-public entry point calls :meth:`Simulator.wake`; targeted cross-component
-mutations (a direct method call outside ``tick``) call
-:meth:`Component.wake`.
+skipped cycle could have observed or changed until a channel head becomes
+visible or a component's own timer comes due.  External mutations between
+kernel calls (e.g. enqueueing a DMA job) invalidate the cached horizon
+because every public entry point calls :meth:`Simulator.wake`.
 
-Every polled fast-path commit goes through one body,
+Every polled fast-path commit goes through
 :meth:`~repro.sim.commit.CommitCohorts.flush`, called once per polled cycle
-with dirty channels.  Its semantics are identical to the reference path's
-per-channel ``Channel._commit``, which stays as the independent oracle and
-also commits the cycles of a dense window.
+with dirty channels.  It commits each channel through the same
+``Channel._commit`` the reference path calls, so both kernels share one
+commit body.
 
 Contract for ``run_until`` predicates: they are sampled at ``check_every``
 granularity on both paths and must be observational.  Predicates that pop
@@ -97,7 +71,6 @@ from .component import Component
 from .errors import SimulationError
 from .events import EventBus
 from .stats import KernelSkipStats
-from .wakeheap import WakeHeap
 
 #: Horizon value meaning "no wake-up source known" (frozen indefinitely;
 #: callers clamp to their own end-of-run bound).
@@ -107,17 +80,6 @@ _FOREVER = float("inf")
 #: and that window's length (see "Dense windows" above)
 _DENSE_AFTER = 16
 _DENSE_WINDOW = 256
-
-#: consecutive idle reports before a sleep-capable component actually
-#: sleeps.  Sleeping is not free — it computes a hint, may push a heap
-#: entry, and the eventual wake walks the watcher list — so a component
-#: that merely idles between bursts of work (a master waiting out
-#: another port's service window, a supervisor between sub-request
-#: forwards) is cheaper to keep ticking than to bounce in and out of
-#: sleep.  The threshold is sized past the longest such natural gap
-#: (a nominal burst service window) so only genuinely idle components
-#: pay the sleep/wake round trip.
-_SLEEP_AFTER = 32
 
 
 class Simulator:
@@ -179,18 +141,8 @@ class Simulator:
         #: :mod:`repro.sim.events`); components publish, the hypervisor
         #: and observers subscribe.
         self.events = EventBus()
-        #: future wake events (sleeping components' hints, far-future
-        #: channel heads)
-        self._wakeheap = WakeHeap()
         #: the fast path's end-of-cycle commit body
         self._cohorts = CommitCohorts(self)
-        #: scheduling wiring (watcher lists, sleep capability) must be
-        #: rebuilt before the next fast cycle
-        self._wiring_stale = True
-        #: components currently eligible for polling, in stable insertion
-        #: order (dict-as-ordered-set), and the complementary sleep set
-        self._awake: Dict[Component, bool] = {}
-        self._asleep: Dict[Component, bool] = {}
 
     # ------------------------------------------------------------------
     # registration (called from Component / Channel constructors)
@@ -201,14 +153,12 @@ class Simulator:
         self._components.append(component)
         self._names[component.name] = component
         self._quiescent_until = 0
-        self._wiring_stale = True
 
     def _register_channel(self, channel: Channel) -> None:
         self._check_name(channel.name)
         self._channels.append(channel)
         self._names[channel.name] = channel
         self._quiescent_until = 0
-        self._wiring_stale = True
 
     def _check_name(self, name: str) -> None:
         if name in self._names:
@@ -221,37 +171,15 @@ class Simulator:
         self._quiescent_until = 0
 
     def wake(self) -> None:
-        """Invalidate any cached quiescence horizon and wake all sleepers.
+        """Invalidate any cached quiescence horizon.
 
         Components whose externally-callable API mutates state outside a
         tick (job enqueues, gate decoupling, configuration writes) call
-        this so the fast path ticks everything on the next cycle.
-        Calling it spuriously is always safe — it only costs one round
-        of idle ticks.  Woken components whose hints changed re-schedule
-        fresh heap entries when they next sleep; superseded entries go
-        stale and are dropped by the heap.
+        this so the fast path polls every component on the next cycle
+        instead of staying frozen.  Calling it spuriously is always safe
+        — it only costs one round of idle ticks.
         """
         self._quiescent_until = 0
-        asleep = self._asleep
-        if asleep:
-            awake = self._awake
-            heap = self._wakeheap
-            for component in asleep:
-                component._k_asleep = False
-                component._k_quiet = 0
-                awake[component] = True
-                heap.invalidate(component)
-            asleep.clear()
-
-    def _wake_component(self, component: Component) -> None:
-        """Wake one sleeping component (see :meth:`Component.wake`)."""
-        self._quiescent_until = 0
-        if component._k_asleep:
-            component._k_asleep = False
-            component._k_quiet = 0
-            del self._asleep[component]
-            self._awake[component] = True
-            self._wakeheap.invalidate(component)
 
     # ------------------------------------------------------------------
     # time
@@ -332,88 +260,19 @@ class Simulator:
             cycle += 1
             self._cycle = cycle
 
-    def _rebuild_wiring(self) -> None:
-        """(Re)derive the fast path's scheduling structures.
-
-        Runs lazily at the start of the next fast cycle after any
-        component/channel registration or dense window, never at
-        construction time — :meth:`Component.wake_channels` may
-        reference attributes that only exist once the subclass
-        constructor finished.  A rebuild wakes every component (new
-        arrivals start awake, sleepers tick again and re-sleep with fresh
-        hints) and re-seeds the heap with every head not visible yet,
-        including one due next cycle, whose commit-time entry it clears.
-        """
-        heap = self._wakeheap
-        heap.clear()
-        self._awake = {}
-        self._asleep = {}
-        cycle = self._cycle
-        for channel in self._channels:
-            channel._watchers = ()
-            queue = channel._queue
-            if queue and queue[0][0] > cycle:
-                heap.push(channel, queue[0][0])
-        watcher_lists: Dict[Channel, List[Component]] = {}
-        for component in self._components:
-            component._k_asleep = False
-            component._k_quiet = 0
-            declared = component.wake_channels()
-            component._k_sleepable = declared is not None
-            self._awake[component] = True
-            if declared:
-                for channel in declared:
-                    watcher_lists.setdefault(channel, []).append(component)
-        for channel, watchers in watcher_lists.items():
-            channel._watchers = tuple(watchers)
-        self._wiring_stale = False
-
-    def _wake_due(self, cycle: int) -> None:
-        """Pop due heap entries and wake their subjects.
-
-        Component entries re-enter the awake set; channel entries wake
-        the channel's watchers and are revalidated — if the head is
-        somehow still in the future (a stale entry that fired early),
-        the channel is rescheduled at the true ready cycle.
-        """
-        stats = self.skip_stats
-        awake = self._awake
-        asleep = self._asleep
-        heap = self._wakeheap
-        for subject in heap.pop_due(cycle):
-            stats.heap_pops += 1
-            watchers = getattr(subject, "_watchers", None)
-            if watchers is None:
-                # a component's next_event_cycle hint came due
-                if subject._k_asleep:
-                    subject._k_asleep = False
-                    subject._k_quiet = 0
-                    del asleep[subject]
-                    awake[subject] = True
-            else:
-                for component in watchers:
-                    if component._k_asleep:
-                        component._k_asleep = False
-                        component._k_quiet = 0
-                        del asleep[component]
-                        awake[component] = True
-                queue = subject._queue
-                if queue and queue[0][0] > cycle:
-                    if heap.push(subject, queue[0][0]):
-                        stats.heap_pushes += 1
-
     def _run_fast(self, end: int) -> None:
         """Run polled cycles up to ``end``, bulk-skipping frozen spans.
 
         The single inner loop of the fast path — ``run``, ``run_until``
         and ``step`` all funnel here, so there is exactly one copy of the
-        cycle semantics.  Each awake component ticks once per polled
-        cycle, and its idle report (a return of exactly ``True``) feeds
-        the skip, sleep, freeze and dense-window bookkeeping.  Per-cycle
-        overhead is amortized across the window: loop-invariant objects
-        are hoisted into locals (all of them mutated in place, never
-        replaced, so the bindings stay valid across ``_rebuild_wiring``),
-        and the skip statistics accumulate in plain integers folded into
+        cycle semantics.  Each component ticks once per polled cycle, in
+        registration order (the reference path's order, since direct
+        cross-component calls are observable within the same cycle), and
+        its idle report (a return of exactly ``True``) feeds the skip,
+        freeze and dense-window bookkeeping.  Per-cycle overhead is
+        amortized across the window: loop-invariant objects are hoisted
+        into locals (all of them mutated in place, never replaced), and
+        the skip statistics accumulate in plain integers folded into
         :attr:`skip_stats` once per window (the ``finally`` keeps them
         truthful if a component raises mid-window).  Every polled cycle
         with dirty channels commits them through
@@ -421,33 +280,21 @@ class Simulator:
         dense window's cycles count as polled, with every component
         ticked in each.
 
-        Within a polled cycle the kernel wakes due heap subjects, then
-        iterates the full registration list, skipping sleepers by flag,
-        instead of snapshotting the awake set: components must tick in
-        registration order (the reference path's order) because direct
-        cross-component calls (e.g. EXBAR completion notifications into
-        a TS, or the recovery agent re-coupling a gate) are observable
-        within the same cycle — and a sleeper woken by an earlier
-        component mid-loop must still be reached *this* cycle, exactly
-        as the reference path would tick it.  If every tick reported
-        idle and no channel has uncommitted work, the system is frozen
-        and the cycle at which it may change again is cached in
-        ``_quiescent_until``.
+        If every tick reported idle and no channel has uncommitted work,
+        the system is frozen, and the cycle at which it may change again
+        — the earliest channel head not yet visible or component hint —
+        is cached in ``_quiescent_until``.
         """
         stats = self.skip_stats
-        heap = self._wakeheap
-        heap_list = heap._heap
-        heap_push = heap.push
         components = self._components
+        channels = self._channels
         dirty = self._dirty_channels
         flush = self._cohorts.flush
         ran_total = 0
         skipped = 0
-        slept = 0
         polled = 0
         frozen = 0
         dense = 0
-        heap_pushes = 0
         streak = 0
         try:
             while self._cycle < end:
@@ -462,33 +309,13 @@ class Simulator:
                     frozen += jump_to - cycle
                     self._cycle = jump_to
                     continue
-                if self._wiring_stale:
-                    self._rebuild_wiring()
-                if heap_list and heap_list[0][0] <= cycle:
-                    self._wake_due(cycle)
                 ran = 0
                 skipped_before = skipped
                 for component in components:
-                    if component._k_asleep:
-                        slept += 1
-                        continue
                     if component.tick(cycle) is True:
                         skipped += 1
-                        if component._k_sleepable:
-                            quiet = component._k_quiet + 1
-                            if quiet >= _SLEEP_AFTER:
-                                component._k_asleep = True
-                                del self._awake[component]
-                                self._asleep[component] = True
-                                hint = component.next_event_cycle(cycle)
-                                if hint is not None and hint > cycle:
-                                    if heap_push(component, hint):
-                                        heap_pushes += 1
-                            else:
-                                component._k_quiet = quiet
                     else:
                         ran += 1
-                        component._k_quiet = 0
                 ran_total += ran
                 polled += 1
                 # a cycle that commits traffic cannot freeze, so a dense
@@ -500,8 +327,14 @@ class Simulator:
                 if dirty:
                     flush(cycle, dirty)
                 elif not ran:
-                    horizon = heap.peek_cycle()
-                    for component in self._awake:
+                    horizon = _FOREVER
+                    for channel in channels:
+                        queue = channel._queue
+                        if queue:
+                            ready = queue[0][0]
+                            if cycle < ready < horizon:
+                                horizon = ready
+                    for component in components:
                         hint = component.next_event_cycle(cycle)
                         if hint is not None and hint < horizon:
                             horizon = hint
@@ -511,7 +344,6 @@ class Simulator:
                 self._cycle = cycle + 1
                 if streak >= _DENSE_AFTER:
                     streak = 0
-                    self._wiring_stale = True
                     self._run_reference(min(cycle + 1 + _DENSE_WINDOW, end))
                     window = self._cycle - cycle - 1
                     dense += window
@@ -519,12 +351,10 @@ class Simulator:
         finally:
             stats.ticks_run += ran_total
             stats.ticks_skipped += skipped
-            stats.ticks_slept += slept
             stats.cycles_polled += polled + dense
             stats.cycles_dense += dense
             stats.cycles_frozen += frozen
             stats.cycles_total += polled + dense + frozen
-            stats.heap_pushes += heap_pushes
 
     def run(self, cycles: int) -> None:
         """Run for a fixed number of cycles."""

@@ -130,7 +130,7 @@ class KernelSkipStats:
     The counters describe *simulated* cycles and component ticks:
 
     * ``cycles_total`` — cycles advanced since the last :meth:`reset`.
-    * ``cycles_polled`` — cycles executed the long way (every awake
+    * ``cycles_polled`` — cycles executed the long way (every
       component ticked and its idle report read, dirty channels
       committed).
     * ``cycles_dense`` — the part of ``cycles_polled`` handed to the
@@ -143,16 +143,13 @@ class KernelSkipStats:
       ``True``; see :meth:`~repro.sim.Component.tick`).  A tick reported
       idle still ran: "skipped" is the work the report let the kernel
       treat as a no-op.
-    * ``ticks_slept`` — component-cycles spent fully asleep during polled
-      cycles: the component was not ticked because it declared
-      :meth:`~repro.sim.Component.wake_channels` and nothing woke it.
-      (The cycle a sleeper enters sleep it still ticks, and is counted
-      under ``ticks_skipped``.)
     * ``horizon_scans`` — how many times the kernel froze the system and
-      computed a bulk-skip horizon (heap minimum + awake-component hints).
-    * ``heap_pushes`` / ``heap_pops`` — wake-heap entries scheduled
-      (component hints and future channel heads) and entries that came due
-      and woke their subject.
+      scanned the channel heads and component hints for a bulk-skip
+      horizon.
+    * ``ticks_slept`` / ``heap_pushes`` / ``heap_pops`` — always 0: the
+      kernel puts no component to sleep and keeps no wake heap.  The
+      counters stay only because code that reads them by name (the
+      end-to-end benchmark's layer tracer) still expects them.
     * ``commit_batches`` / ``commit_channels`` — fast-path commit flushes
       (one per polled cycle with dirty channels, each a call of
       :meth:`~repro.sim.commit.CommitCohorts.flush`) and the total dirty
@@ -203,7 +200,7 @@ class KernelSkipStats:
     def work_avoided_fraction(self) -> float:
         """Fraction of potential component ticks that were not executed."""
         n_per_cycle = 0
-        polled_ticks = self.ticks_run + self.ticks_skipped + self.ticks_slept
+        polled_ticks = self.ticks_run + self.ticks_skipped
         if self.cycles_polled:
             n_per_cycle = polled_ticks / self.cycles_polled
         potential = polled_ticks + self.cycles_frozen * n_per_cycle

@@ -5,10 +5,9 @@ scheduling: with every component busy every cycle there are no freezable
 cycles, so the fast path pays full per-cycle cost.  This module goes past
 that ceiling the way the TLM literature does (Prediction Packetizing
 Scheme; Rapid Cycle-Accurate Simulator for HLS): when the pending traffic
-of every awake component matches a closed-form pattern, a whole
-*epoch* — up to one reservation period — is advanced in a single step
-using the analytic latency/reservation models in :mod:`repro.analysis`,
-and the kernel drops back to cycle-accurate execution at every edge the
+of every component matches a closed-form pattern, a whole *epoch* — up to
+one reservation period — is advanced in a single step using the analytic
+latency/reservation models in :mod:`repro.analysis`, and the kernel drops back to cycle-accurate execution at every edge the
 models cannot predict.
 
 The protocol per attempted epoch is *predict / commit / rollback*:
@@ -44,9 +43,9 @@ The protocol per attempted epoch is *predict / commit / rollback*:
    capacity is spent.  Partially-served bursts are re-queued as
    remainder requests so cycle-accurate execution resumes seamlessly.
 5. **Commit / rollback**: on success the clock jumps to the epoch end
-   and every component is woken; on any validation failure (or the
-   test-only forced-mispredict hook) the snapshot is restored, the
-   rollback is counted, and the same window replays cycle-accurately.
+   and the cached freeze horizon is dropped; on any validation failure
+   (or the test-only forced-mispredict hook) the snapshot is restored,
+   the rollback is counted, and the same window replays cycle-accurately.
 
 Fidelity contract: committed epochs preserve *byte totals, job
 completion, budget enforcement and rate behaviour* within analytic
@@ -522,16 +521,6 @@ class TlmEngine:
         sim._cycle = snap.cycle
         sim._dirty_channels = [c for c in sim._channels if c._dirty]
         sim._quiescent_until = 0
-        # normalize scheduling: everything awake, hysteresis reset; the
-        # wake heap keeps stale entries (they fire as harmless spurious
-        # wakes) and sleepers re-push fresh hints when they re-sleep
-        awake = {}
-        for comp in sim._components:
-            comp._k_asleep = False
-            comp._k_quiet = 0
-            awake[comp] = True
-        sim._awake = awake
-        sim._asleep = {}
 
     # ------------------------------------------------------------------
     # flush: credit and clear in-flight traffic

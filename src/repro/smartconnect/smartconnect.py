@@ -240,20 +240,6 @@ class SmartConnect(Component):
                     horizon = deadlines[0]
         return horizon
 
-    def wake_channels(self) -> list:
-        """Master-side channels plus every slave port's five channels.
-
-        A live held grant with a full master address channel stays
-        dormant until that channel frees a slot — a commit on the watched
-        master channel — so the holder/streak subtlety needs no extra
-        wake source.  Watchdog deadlines ride :meth:`next_event_cycle`.
-        """
-        master = self.master_link
-        channels = [master.ar, master.aw, master.w, master.r, master.b]
-        for link in self.ports:
-            channels.extend((link.ar, link.aw, link.w, link.r, link.b))
-        return channels
-
     # ------------------------------------------------------------------
     # data-path routing (no equalization: bursts pass through unmodified)
     # ------------------------------------------------------------------

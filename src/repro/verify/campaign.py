@@ -45,9 +45,6 @@ from .scenario import Scenario, canonical_json
 
 #: bump when the record schema changes field names or meanings
 RESULT_SCHEMA = 1
-#: start method: fork where the platform has it (cheap, inherits the
-#: already-imported package), spawn otherwise; override via env for A/B
-START_METHOD_ENV = "REPRO_CAMPAIGN_START"
 #: volatile per-record fields excluded from the campaign verdict digest
 VOLATILE_FIELDS = ("elapsed_ms",)
 
@@ -171,11 +168,11 @@ def _worker(item: Tuple[int, str]) -> dict:
 
 
 def _context() -> multiprocessing.context.BaseContext:
-    method = os.environ.get(START_METHOD_ENV)
-    if method is None:
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(method)
+    """Fork where the platform has it (cheap, inherits the
+    already-imported package), spawn otherwise."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 def _timeout_record(index: int, scenario_json: str,

@@ -1,11 +1,9 @@
 """Unit tests for the fast path's channel commit body.
 
 ``CommitCohorts.flush`` promises semantics identical to calling
-``Channel._commit`` on every dirty channel (plus the kernel duties that
-piggyback on a commit: waking watchers and scheduling far-future heads
-on the wake heap).  It is checked here directly against the per-channel
-reference, as the module docstring of ``repro.sim.commit`` advertises,
-and pinned as the one body every fast-path commit goes through.
+``Channel._commit`` on every dirty channel.  It is checked here directly
+against the per-channel reference and pinned as the one entry point
+every fast-path commit goes through.
 
 The equivalence checks run over two payload kinds: plain Python tuples
 and numpy-array-like payloads, whose truthiness raises and whose ``==``
@@ -17,7 +15,7 @@ import pytest
 
 from repro.masters import AxiDma
 from repro.platforms import ZCU102
-from repro.sim import Channel, Component, Simulator
+from repro.sim import Channel, Simulator
 from repro.sim.commit import CommitCohorts
 from repro.system import SocSystem
 
@@ -97,47 +95,6 @@ def test_flush_matches_reference_commit(payload, n_channels):
         # ready stamps really are cycle + latency
         for ready, __item in channel._queue:
             assert ready == cycle + channel.latency
-
-
-@pytest.mark.parametrize("payload", ("python", "numpy"))
-def test_far_future_heads_go_on_the_wake_heap(payload):
-    # latency-1 heads are visible by the next polled cycle and are
-    # covered by the commit-time watcher wake; only latency > 1 heads
-    # need a heap entry
-    cycle = 10
-    sim, channels, cohorts = _build(27)
-    _stage_traffic(channels, PAYLOADS[payload])
-    cohorts.flush(cycle, sim._dirty_channels)
-    heap = sim._wakeheap
-    assert heap.peek_cycle() == cycle + 2
-    due = heap.pop_due(cycle + 3)
-    assert due and all(channel.latency > 1 for channel in due)
-    assert {channel.latency for channel in due} == {2, 3}
-    assert heap.peek_cycle() == float("inf")
-
-
-@pytest.mark.parametrize("payload", ("python", "numpy"))
-def test_flush_wakes_sleeping_watchers(payload):
-    sim, channels, cohorts = _build(4)
-
-    class Sleeper(Component):
-        def tick(self, cycle):
-            return True
-
-        def wake_channels(self):
-            return [channels[0]]
-
-    sleeper = Sleeper(sim, "sleeper")
-    sim._rebuild_wiring()
-    # put the watcher to sleep the way the kernel would
-    sleeper._k_asleep = True
-    sim._asleep[sleeper] = True
-    del sim._awake[sleeper]
-
-    channels[0].push(PAYLOADS[payload](("payload",)))
-    cohorts.flush(3, sim._dirty_channels)
-    assert sleeper._k_asleep is False
-    assert sleeper in sim._awake and sleeper not in sim._asleep
 
 
 def test_pop_accounting_matches_reference():

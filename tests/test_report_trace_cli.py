@@ -177,6 +177,16 @@ class TestCli:
             main(["case-study", "--interconnect", "smartconnect",
                   "--share", "50"])
 
+    @pytest.mark.parametrize("argv", [
+        ["case-study", "--share", "150"],
+        ["access-time", "--size", "0"],
+        ["wcrt", "--bytes", "0"],
+    ], ids=("share-150", "size-0", "bytes-0"))
+    def test_bad_argument_exits_without_a_traceback(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value.code).startswith(f"{argv[0]}: ")
+
     def test_tlm_flag_leaves_the_environment_unchanged(self, monkeypatch):
         """``--tlm`` reaches the builder through REPRO_TLM; a programmatic
         call must not leave it set for later builds in the process."""

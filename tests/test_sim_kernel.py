@@ -295,9 +295,8 @@ class TestFastPath:
 class Countdown(Component):
     """Bumps a countdown every cycle and reports nothing about it.
 
-    It declares no wake channels, as a timer-driven component would, but
-    its tick returns ``None``, which the kernel must read as "may have
-    acted": the component never sleeps and the system never freezes.
+    Its tick returns ``None``, which the kernel must read as "may have
+    acted": the system never freezes around it.
     """
 
     def __init__(self, sim, name):
@@ -309,9 +308,6 @@ class Countdown(Component):
         self.remaining -= 1
         if self.remaining == 0:
             self.expired_at = cycle
-
-    def wake_channels(self):
-        return []
 
 
 class TestIdleReports:
@@ -328,7 +324,6 @@ class TestIdleReports:
         __, reference_state = run(fast=False)
         assert fast_state == reference_state == (-500, 999)
         stats = fast_sim.skip_stats
-        assert stats.ticks_slept == 0 and not fast_sim._asleep
         assert stats.cycles_frozen == 0
         assert stats.ticks_skipped == 0
 
@@ -343,6 +338,130 @@ class TestIdleReports:
         sim = Simulator("idle", fast=True)
         Idle(sim, "i")
         sim.run(100)
+        assert sim.skip_stats.cycles_frozen > 0
+
+
+class RetimableTimer(Component):
+    """Fires once at ``due``; the deadline can be moved mid-run.
+
+    ``retime`` models an external event (register write, hypervisor
+    decision) that changes the component's internal schedule without any
+    channel activity — the documented protocol is to call
+    :meth:`Simulator.wake` after such a silent mutation.
+    """
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.due = None
+        self.fired = []
+
+    def tick(self, cycle):
+        if self.due is None or cycle < self.due:
+            return True
+        self.fired.append(cycle)
+        self.due = None
+        return False
+
+    def next_event_cycle(self, cycle):
+        return self.due
+
+    def retime(self, due):
+        self.due = due
+        self.sim.wake()
+
+
+class BusyUntil(Component):
+    """Acts (without any effect) every cycle until a fixed cycle.
+
+    Keeps the kernel polling, so the freeze on a neighbour's hint starts
+    mid-run rather than at the first cycle.
+    """
+
+    def __init__(self, sim, name, until):
+        super().__init__(sim, name)
+        self.until = until
+
+    def tick(self, cycle):
+        return cycle >= self.until
+
+
+class TestStaleHintRegression:
+    """A hint the kernel froze on moves earlier: the kernel must act at
+    the *new* cycle, not the stale one."""
+
+    def _run(self, fast):
+        sim = Simulator("retime", fast=fast)
+        timer = RetimableTimer(sim, "timer")
+        BusyUntil(sim, "busy", until=200)
+        timer.due = 5_000
+        sim.run(1_000)           # long enough to freeze on the 5000 hint
+        timer.retime(1_500)      # external event moves the wake EARLIER
+        sim.run(2_000)           # window ends long before the stale 5000
+        return timer.fired, sim.now
+
+    def test_fast_path_honours_earlier_hint(self):
+        fired, now = self._run(fast=True)
+        assert fired == [1_500]
+        assert now == 3_000
+
+    def test_matches_reference(self):
+        assert self._run(fast=False) == self._run(fast=True)
+
+    def test_fast_path_actually_froze_on_the_stale_hint(self):
+        # the regression is only meaningful if the first window really
+        # froze with the 5000-cycle hint as its horizon
+        sim = Simulator("retime", fast=True)
+        timer = RetimableTimer(sim, "timer")
+        BusyUntil(sim, "busy", until=200)
+        timer.due = 5_000
+        sim.run(1_000)
+        assert sim.skip_stats.cycles_frozen > 0
+        timer.retime(1_500)
+        sim.run(2_000)
+        assert timer.fired == [1_500]
+
+
+@pytest.mark.parametrize("fast", (False, True))
+def test_retimed_later_hint_is_also_safe(fast):
+    # moving a deadline LATER after the kernel froze on the earlier one
+    sim = Simulator("retime", fast=fast)
+    timer = RetimableTimer(sim, "timer")
+    timer.due = 1_500
+    sim.run(1_000)
+    timer.retime(2_500)
+    sim.run(2_000)
+    assert timer.fired == [2_500]
+    assert sim.now == 3_000
+
+
+class OneShotProducer(Component):
+    """Stages one item at cycle 0, then idles."""
+
+    def __init__(self, sim, name, channel):
+        super().__init__(sim, name)
+        self.channel = channel
+        self.sent = False
+
+    def tick(self, cycle):
+        if self.sent:
+            return True
+        self.channel.push("item")
+        self.sent = True
+        return False
+
+
+@pytest.mark.parametrize("fast", (False, True))
+def test_freeze_ends_exactly_at_a_far_future_head(fast):
+    # no component hint covers the delivery: only the scan of queued
+    # channel heads can end the freeze, and it must end on the head's
+    # ready cycle, not before or after
+    sim = Simulator("slow", fast=fast)
+    channel = Channel(sim, "slow", 500, None)
+    OneShotProducer(sim, "producer", channel)
+    sink = QuiescentConsumer(sim, "consumer", channel)
+    sim.run(1_000)
+    assert sink.received == [(500, "item")]
+    if fast:
         assert sim.skip_stats.cycles_frozen > 0
 
 
@@ -481,15 +600,15 @@ def test_reference_ticks_go_through_the_class_attribute():
 
 
 class QuiescentNoop(Component):
-    """Never does anything; registering one forces a wiring rebuild."""
+    """Never does anything; registering one drops the cached horizon."""
 
     def tick(self, cycle):
         return True
 
 
 class TestMidRunRegistration:
-    """A registration between runs rebuilds the fast path's wiring; a
-    channel head due on the very next cycle must survive the rebuild."""
+    """A registration between runs must not lose a channel head due on
+    the very next cycle."""
 
     @staticmethod
     def _bytes_read(fast):
@@ -498,7 +617,7 @@ class TestMidRunRegistration:
         dma = AxiDma(soc.sim, "dma", soc.port(0))
         dma.enqueue_read(0x1000_0000, 64)
         # after 11 cycles the read's head on the latency-6 soc.m.AR
-        # channel is due at cycle 12, one cycle after the rebuild
+        # channel is due at cycle 12, one cycle after the registration
         soc.sim.run(11)
         QuiescentNoop(soc.sim, "noop")
         soc.sim.run(5000)
