@@ -4,8 +4,9 @@ The tenant-isolation tentpole claims containment stays graceful as the
 domain count grows: dozens of tenants, several simultaneously faulted,
 healthy tenants bit-identical to their fault-free baseline.  This bench
 measures what that verification costs — full oracle-stack evaluation
-(reference + fast kernel + fault-free baseline + isolation checks) of a
-mixed fault storm at 8, 16, 32 and 64 domains — and gates the scaling
+(reference kernel, fast kernel, the fault-free baseline twin on the fast
+kernel, and the isolation checks) of a mixed fault storm at 8, 16, 32
+and 64 domains — and gates the scaling
 shape: simulated cycles/sec through the 64-domain storm must stay within
 an order of magnitude of the 8-domain rate (per-port work is constant,
 so the kernel must not degrade super-linearly with tenant count).

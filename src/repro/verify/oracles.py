@@ -9,7 +9,7 @@ containment bound:
    every compliant master's port stay clean;
 3. **equivalence** — the reference and fast kernel paths produce
    bit-identical observables (traffic, events, fault statistics,
-   elapsed time);
+   elapsed time, per-port completion cycles);
 4. **containment bound** — for single-rogue-master scenarios the
    measured healthy-port completion delta against the fault-free
    baseline respects
@@ -36,6 +36,13 @@ containment bound:
    budgets), make progress wherever the reference did, and synthesize
    no spurious error responses.
 
+Families 4 and 5 compare the run with a *model twin*: the same
+scenario with its faults (:meth:`Scenario.baseline`) or its churn
+stripped.  Twins run on the fast kernel.  The reference kernel runs
+exactly one leg per scenario, the one family 3 compares the fast leg
+against; that comparison is what licenses the fast kernel to stand in
+for the reference on the twins.
+
 :func:`check_scenario` composes the default families; on failure it
 dumps the falsifying scenario as JSON (for CI artifact upload and
 corpus promotion) and raises :class:`OracleViolation`.
@@ -46,6 +53,7 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 from hashlib import sha256
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, Optional, Set
 
@@ -166,9 +174,10 @@ def check_protocol(scenario: Scenario, result: RunResult) -> None:
 def check_equivalence(scenario: Scenario, reference: RunResult,
                       candidate: RunResult, label: str = "fast") -> None:
     """Oracle 3: a candidate kernel path must agree bit-for-bit with the
-    reference path.  ``label`` names the candidate ("fast") in the
-    violation message, which also carries both paths' corpus digests
-    for cross-run triage."""
+    reference path: same fingerprint and same per-port completion
+    cycles.  ``label`` names the candidate ("fast") in the violation
+    message, which for a fingerprint mismatch also carries both paths'
+    corpus digests for cross-run triage."""
     if reference.fingerprint != candidate.fingerprint:
         detail = f"{label} fingerprint differs from reference"
         for index, (r, f) in enumerate(zip(reference.fingerprint,
@@ -181,6 +190,16 @@ def check_equivalence(scenario: Scenario, reference: RunResult,
                    f"{fingerprint_digest(reference)[:12]} "
                    f"{label}={fingerprint_digest(candidate)[:12]}]")
         raise OracleViolation("equivalence", detail, scenario)
+    if reference.done_cycles != candidate.done_cycles:
+        # the twin-based oracles read these, and the fingerprint omits them
+        index, (r, f) = next(
+            (i, pair) for i, pair in enumerate(zip_longest(
+                reference.done_cycles, candidate.done_cycles))
+            if pair[0] != pair[1])
+        raise OracleViolation(
+            "equivalence",
+            f"{label} completion cycle of port {index} differs from "
+            f"reference: {r!r} != {f!r}", scenario)
 
 
 def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
@@ -646,11 +665,14 @@ def evaluate_scenario(scenario: Scenario,
     ``checks`` subsets :data:`ALL_CHECKS`; "equivalence" runs the
     scenario on the fast kernel path against the reference; "tlm" adds
     the transaction-level fast-forward leg (:func:`check_tlm`);
-    "containment" additionally runs the fault-free baseline when the
-    analytic bound applies.  Raises :class:`OracleViolation` on the
-    first falsified oracle; returns the reference run.  This is the
-    worker body of the campaign runner (:mod:`repro.verify.campaign`),
-    which records violations as verdicts instead of raising.
+    "containment" and "isolation" additionally run the fault-free
+    baseline twin, and "isolation" the churn-free twin, when their
+    oracles apply.  Twins run on the fast kernel, so the reference
+    kernel runs only the scenario itself.  Raises
+    :class:`OracleViolation` on the first falsified oracle; returns the
+    reference run.  This is the worker body of the campaign runner
+    (:mod:`repro.verify.campaign`), which records violations as verdicts
+    instead of raising.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -669,19 +691,19 @@ def evaluate_scenario(scenario: Scenario,
     baseline: Optional[RunResult] = None
     if ("containment" in checks
             and containment_bound_for(scenario) is not None):
-        baseline = run_scenario(scenario.baseline(), fast=False)
+        baseline = run_scenario(scenario.baseline(), fast=True)
         check_containment_bound(scenario, reference, baseline)
     if ("isolation" in checks and scenario.is_tenanted
             and scenario.rogue_indices):
         if baseline is None:
-            baseline = run_scenario(scenario.baseline(), fast=False)
+            baseline = run_scenario(scenario.baseline(), fast=True)
         check_isolation(scenario, reference, baseline)
     if "isolation" in checks and scenario.churn is not None:
         # the stale-window oracle's twin strips *only* the churn (the
         # fault storm stays), unlike baseline() which keeps churn and
         # strips faults — the two twins probe orthogonal properties
         churnfree = run_scenario(replace(scenario, churn=None),
-                                 fast=False)
+                                 fast=True)
         check_stale_window(scenario, reference, churnfree)
     return reference
 
@@ -690,10 +712,10 @@ def check_scenario(scenario: Scenario) -> RunResult:
     """Run every oracle family on one scenario; returns the reference run.
 
     Runs the scenario on both kernel paths — reference and fast — plus
-    the fault-free baseline (reference path) when the containment bound
-    applies.  On violation, the scenario is dumped to the artifact
-    directory and the :class:`OracleViolation` re-raised for hypothesis
-    to shrink.
+    the fault-free and churn-free twins (fast path) where the
+    containment, isolation and stale-window oracles apply.  On
+    violation, the scenario is dumped to the artifact directory and the
+    :class:`OracleViolation` re-raised for hypothesis to shrink.
     """
     try:
         return evaluate_scenario(scenario)

@@ -24,6 +24,7 @@ from repro.verify import (
     OracleViolation,
     PortPlan,
     Scenario,
+    check_equivalence,
     check_isolation,
     evaluate_scenario,
     isolation_bound_for,
@@ -341,6 +342,13 @@ class TestFaultStormAtScale:
         result = evaluate_scenario(scenario, checks=DEFAULT_CHECKS)
         tripped = [i for i, trips in enumerate(result.trips) if trips]
         assert tripped == sorted(scenario.rogue_indices)
+
+    def test_storm_baseline_twin_agrees_across_kernels(self):
+        """The isolation oracle runs this twin on the fast kernel only;
+        pin that the reference kernel would have given the same run."""
+        twin = compile_isolation(self.STORM).baseline()
+        check_equivalence(twin, run_scenario(twin, fast=False),
+                          run_scenario(twin, fast=True))
 
     def test_storm_campaign_digest_is_worker_count_independent(self):
         scenarios = [

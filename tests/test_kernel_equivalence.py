@@ -707,3 +707,31 @@ class TestCorpusPathEquivalence:
         digests = scenario_path_digests(entry.scenario)
         assert set(digests) == {"reference", "fast"}
         assert set(digests.values()) == {entry.digest}
+
+
+class TestEquivalenceOracleSeesCompletionCycles:
+    """The containment, isolation and stale-window oracles read per-port
+    completion cycles from a twin that runs on the fast kernel, so the
+    equivalence oracle must pin those cycles, not just the fingerprint."""
+
+    def test_equal_fingerprints_with_shifted_completion_fail(self):
+        from dataclasses import replace
+
+        from repro.verify import OracleViolation, check_equivalence
+
+        entry = CORPUS[0]
+        reference = run_scenario(entry.scenario, fast=False)
+        finished = [i for i, done in enumerate(reference.done_cycles)
+                    if done is not None]
+        assert finished
+        shifted = list(reference.done_cycles)
+        shifted[finished[0]] += 1
+        candidate = replace(reference, done_cycles=tuple(shifted))
+        assert candidate.fingerprint == reference.fingerprint
+        with pytest.raises(OracleViolation, match="completion cycle") as err:
+            check_equivalence(entry.scenario, reference, candidate,
+                              label="tlm")
+        assert err.value.oracle == "equivalence"
+        assert "tlm" in str(err.value)
+        check_equivalence(entry.scenario, reference,
+                          run_scenario(entry.scenario, fast=True))

@@ -36,6 +36,7 @@ from repro.verify import (
     OracleViolation,
     PortPlan,
     Scenario,
+    check_equivalence,
     check_scenario,
     evaluate_scenario,
     run_campaign,
@@ -360,6 +361,31 @@ class TestAcceptance:
         result = check_scenario(scenario)
         assert len(result.fingerprint) == 5   # churn probes are pinned
         assert result.churn_probes[0]["victim_synth_beats"] > 0
+        # the oracles run both model twins on the fast kernel only
+        for twin in (scenario.baseline(),
+                     dataclasses.replace(scenario, churn=None)):
+            check_equivalence(twin, run_scenario(twin, fast=False),
+                              run_scenario(twin, fast=True))
+
+    def test_reference_kernel_runs_one_leg_per_scenario(self, monkeypatch):
+        """Twins run on the fast kernel: the reference kernel serves only
+        the leg the equivalence oracle compares."""
+        from repro.verify import DEFAULT_CHECKS, oracles
+
+        scenario = compile_isolation(
+            {"n_domains": 6, "n_faulted": 1, "mix": "wild",
+             "churn": "regrant", "churn_cycle": 64, "seed": 3})
+        assert scenario.rogue_indices and scenario.churn
+        calls = []
+
+        def spy(scenario, fast, **kwargs):
+            calls.append(fast)
+            return run_scenario(scenario, fast=fast, **kwargs)
+
+        monkeypatch.setattr(oracles, "run_scenario", spy)
+        evaluate_scenario(scenario, DEFAULT_CHECKS)
+        assert calls.count(False) == 1
+        assert calls.count(True) == 3   # fast leg, baseline, churn-free
 
     def test_worker_count_independent_campaign_digest(self):
         scenarios = [
