@@ -57,6 +57,18 @@ class HyperConnectWcrt:
     period: Optional[int] = None
     interferer_outstanding: int = 8
 
+    def __post_init__(self) -> None:
+        if self.n_ports < 1:
+            raise ValueError("n_ports must be >= 1")
+        if self.nominal_burst < 1:
+            raise ValueError("nominal_burst must be >= 1")
+        if self.interferer_outstanding < 0:
+            raise ValueError("interferer_outstanding must be >= 0")
+        if (self.budget is None) != (self.period is None):
+            raise ValueError("budget and period must be given together")
+        if self.budget is not None and (self.budget < 1 or self.period < 1):
+            raise ValueError("budget and period must be >= 1")
+
     def _sub_transactions(self, beats: int) -> int:
         return math.ceil(beats / self.nominal_burst)
 
@@ -88,7 +100,7 @@ class HyperConnectWcrt:
         backlog = ((self.n_ports - 1) * self.interferer_outstanding
                    * service)
         unreserved = prop + backlog + m * round_cycles
-        if self.budget is None or self.period is None:
+        if self.budget is None:
             return unreserved
         # With a reservation, issue times are additionally governed by the
         # supply bound.  The budget effective within one period is capped

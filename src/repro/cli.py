@@ -115,7 +115,7 @@ def cmd_wcrt(args: argparse.Namespace) -> int:
     print(f"WCRT bound for a {args.bytes} B read on {platform.name} "
           f"({args.ports} ports, nominal {args.nominal}"
           + (f", budget {args.budget}/{args.period}"
-             if args.budget else "")
+             if args.budget is not None else "")
           + f"): {bound} cycles "
           f"({platform.cycles_to_seconds(bound) * 1e6:.1f} us)")
     return 0

@@ -72,8 +72,8 @@ class Hypervisor:
         #: engines registered via :meth:`attach_accelerator`, so
         #: :meth:`reset_port` can reset the accelerator with its port
         self._port_engines: Dict[int, AxiMasterEngine] = {}
+        #: how :class:`FaultRecoveryAgent` treats every contained port
         self.default_recovery_policy = RecoveryPolicy()
-        self._recovery_policies: Dict[str, RecoveryPolicy] = {}
         self.recovery: Optional[FaultRecoveryAgent] = None
         self.revocation: Optional[RevocationController] = None
         #: memory virtualization (set up by :meth:`attach_memory`)
@@ -343,21 +343,6 @@ class Hypervisor:
     # ------------------------------------------------------------------
     # fault recovery (watchdog containment aftermath)
     # ------------------------------------------------------------------
-
-    def set_recovery_policy(self, domain_name: str,
-                            policy: RecoveryPolicy) -> None:
-        """Choose how faults on a domain's ports are handled."""
-        self.domain(domain_name)  # validate the name
-        self._recovery_policies[domain_name] = policy
-
-    def policy_for_port(self, port: int) -> RecoveryPolicy:
-        """The recovery policy governing a port (owning domain's, or the
-        hypervisor-wide default when no domain claims the port)."""
-        for name, domain in self.domains.items():
-            if port in domain.ports:
-                return self._recovery_policies.get(
-                    name, self.default_recovery_policy)
-        return self.default_recovery_policy
 
     def enable_fault_recovery(self) -> FaultRecoveryAgent:
         """Start listening for port faults and applying recovery policy.

@@ -6,7 +6,8 @@ orphans) but deliberately stops there: whether the port comes back is a
 policy decision, and policy belongs to the hypervisor.  This module is
 that policy layer:
 
-* :class:`RecoveryPolicy` — per-domain knobs: retry automatically or stay
+* :class:`RecoveryPolicy` — the hypervisor-wide knobs
+  (``Hypervisor.default_recovery_policy``): retry automatically or stay
   quarantined, how many times, and with what (exponentially growing)
   cycle backoff between attempts.
 * :class:`FaultRecoveryAgent` — a clocked component the hypervisor
@@ -33,14 +34,13 @@ from ..sim.events import PortFaultEvent, PortRecoveryEvent
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """How the hypervisor treats faults on a domain's ports.
+    """How the hypervisor treats faults on its HyperConnect's ports.
 
     Attributes
     ----------
     auto_retry:
-        ``False`` means quarantine forever (appropriate for high-
-        criticality neighbours of an untrusted domain: a port that
-        misbehaved once never gets the bus back without operator action).
+        ``False`` means quarantine forever: a port that misbehaved once
+        never gets the bus back without operator action.
     max_retries:
         Recovery attempts before giving up and leaving the port
         quarantined.
@@ -98,10 +98,10 @@ class FaultRecoveryAgent(Component):
         if not 0 <= event.port < hyperconnect.n_ports:
             return
         if hyperconnect.supervisors[event.port].name != event.source:
-            return  # someone else's fault (e.g. a SmartConnect baseline)
+            return  # another HyperConnect's fault (cascade, multiport)
         port = event.port
         self.hypervisor.quarantine(port)
-        policy = self.hypervisor.policy_for_port(port)
+        policy = self.hypervisor.default_recovery_policy
         attempt = self.retries.get(port, 0)
         if policy.auto_retry and attempt < policy.max_retries:
             self._due[port] = event.cycle + policy.backoff_for(attempt)
@@ -137,7 +137,7 @@ class FaultRecoveryAgent(Component):
                 continue
             # containment is still draining orphans: the attempt is
             # burned (the backoff was evidently too optimistic)
-            policy = self.hypervisor.policy_for_port(port)
+            policy = self.hypervisor.default_recovery_policy
             if attempt + 1 >= policy.max_retries:
                 self._give_up(cycle, port, attempt + 1)
             else:

@@ -240,8 +240,8 @@ class PortFaultStats:
     """Per-port accounting of watchdog containment work.
 
     Kept by every :class:`~repro.hyperconnect.supervisor.TransactionSupervisor`
-    (and the SmartConnect mirror) in the same always-on, dependency-free
-    style as :class:`KernelSkipStats`:
+    in the same always-on, dependency-free style as
+    :class:`KernelSkipStats`:
 
     * ``watchdog_trips`` / ``protocol_trips`` — containment entries, by
       trigger (transaction age timeout vs. illegal request at ingest).

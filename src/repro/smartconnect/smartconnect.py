@@ -27,14 +27,13 @@ The model exposes the same structural interface as
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional
 
-from ..axi.payloads import AddrBeat, WriteBeat
+from ..axi.payloads import AddrBeat
 from ..axi.port import AxiLink
 from ..axi.types import AxiVersion
 from ..sim.component import Component
 from ..sim.errors import ConfigurationError
-from ..sim.events import PortFaultEvent
 
 #: Input-side pipeline depth per channel (HA -> arbitration core).
 INPUT_STAGE_LATENCY = {"AR": 6, "AW": 6, "W": 1, "R": 5, "B": 1}
@@ -63,21 +62,13 @@ class SmartConnect(Component):
         paper measured).
     max_granularity:
         The variable round-robin granularity bound ``g``.
-    timeout_cycles:
-        Optional transaction watchdog, mirroring the HyperConnect's.
-        When armed, a port whose oldest granted transaction stays
-        unanswered for this many cycles is declared dead: its pending
-        routes are drained (read beats dropped, missing write beats
-        flushed as null beats, responses discarded) and it is excluded
-        from arbitration.  Unlike the HyperConnect there is *no* orphan
-        completion and *no* recovery path — the hung master never sees a
-        response and stays hung, which is exactly the baseline behaviour
-        the paper's hypervisor-level containment improves upon.
+
+    Like the real IP, the model has no transaction watchdog: a master
+    that hangs mid-transaction stalls every port routed behind it.
     """
 
     def __init__(self, sim, name: str, n_ports: int, master_link: AxiLink,
                  max_granularity: int = DEFAULT_MAX_GRANULARITY,
-                 timeout_cycles: Optional[int] = None,
                  data_bytes: Optional[int] = None,
                  version: Optional[AxiVersion] = None,
                  addr_depth: int = 8, data_depth: int = 64) -> None:
@@ -104,24 +95,12 @@ class SmartConnect(Component):
         self._hold_aw: Optional[int] = None
         self._streak_ar = 0
         self._streak_aw = 0
+        # [port, beats left] per granted burst, in grant order
         self._route_r: Deque[list] = deque()
         self._route_w: Deque[list] = deque()
         self._route_b: Deque[int] = deque()
         self.grants_ar = 0
         self.grants_aw = 0
-        if timeout_cycles is not None and timeout_cycles < 1:
-            raise ConfigurationError("timeout_cycles must be >= 1 or None")
-        self.timeout_cycles = timeout_cycles
-        # absolute-cycle deadlines of granted transactions, per port, in
-        # grant order (responses retire per port in grant order too)
-        self._read_deadlines: List[Deque[int]] = [deque()
-                                                  for _ in range(n_ports)]
-        self._write_deadlines: List[Deque[int]] = [deque()
-                                                   for _ in range(n_ports)]
-        self._dead_ports: Set[int] = set()
-        self.watchdog_trips = 0
-        self.dropped_beats = 0
-        self.flushed_w_beats = 0
 
     # ------------------------------------------------------------------
     # variable-granularity round-robin
@@ -135,50 +114,19 @@ class SmartConnect(Component):
         streak is below ``max_granularity``, it retains the grant — the
         behaviour that penalizes SmartConnect's worst case.
         """
-        if (holder is not None and holder not in self._dead_ports
-                and streak < self.max_granularity
+        if (holder is not None and streak < self.max_granularity
                 and channels[holder].can_pop()):
             return holder, holder, streak + 1
         for offset in range(self.n_ports):
             port = (pointer + offset) % self.n_ports
-            if port in self._dead_ports:
-                continue
             if channels[port].can_pop():
                 return port, port, 1
         return None, None, 0
 
     # ------------------------------------------------------------------
-    # mirror watchdog (no containment quality: drop, don't complete)
-    # ------------------------------------------------------------------
-
-    def _check_watchdogs(self, cycle: int) -> bool:
-        """Trip every live port with an expired deadline; ``True`` when
-        none tripped."""
-        idle = True
-        for port in range(self.n_ports):
-            if port in self._dead_ports:
-                continue
-            reads = self._read_deadlines[port]
-            writes = self._write_deadlines[port]
-            if not ((reads and reads[0] <= cycle)
-                    or (writes and writes[0] <= cycle)):
-                continue
-            self._dead_ports.add(port)
-            self.watchdog_trips += 1
-            self.sim.events.publish(PortFaultEvent(
-                cycle=cycle, source=self.name, port=port,
-                kind="watchdog_timeout", age=self.timeout_cycles,
-                outstanding_reads=len(reads),
-                outstanding_writes=len(writes)))
-            reads.clear()
-            writes.clear()
-            idle = False
-        return idle
-
-    # ------------------------------------------------------------------
 
     def tick(self, cycle: int) -> bool:
-        idle = self.timeout_cycles is None or self._check_watchdogs(cycle)
+        idle = True
         # AR arbitration: at most one grant per cycle.  An attempt that
         # finds no requester still drops a held grant (``_pick`` returns
         # ``(None, None, 0)``), which is a state change too.
@@ -196,10 +144,7 @@ class SmartConnect(Component):
                 self.master_link.ar.push(beat)
                 self.grants_ar += 1
                 self._rr_ar = (port + 1) % self.n_ports
-                self._route_r.append([port, beat, beat.length])
-                if self.timeout_cycles is not None:
-                    self._read_deadlines[port].append(
-                        cycle + self.timeout_cycles)
+                self._route_r.append([port, beat.length])
         # AW arbitration
         if self.master_link.aw.can_push():
             aw_channels = [link.aw for link in self.ports]
@@ -215,30 +160,12 @@ class SmartConnect(Component):
                 self.master_link.aw.push(beat)
                 self.grants_aw += 1
                 self._rr_aw = (port + 1) % self.n_ports
-                self._route_w.append([port, beat, beat.length])
+                self._route_w.append([port, beat.length])
                 self._route_b.append(port)
-                if self.timeout_cycles is not None:
-                    self._write_deadlines[port].append(
-                        cycle + self.timeout_cycles)
         idle &= self._route_write_data()
         idle &= self._route_read_data()
         idle &= self._route_write_responses()
         return idle
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest armed watchdog deadline over the live ports."""
-        if self.timeout_cycles is None:
-            return None
-        horizon: Optional[int] = None
-        for port in range(self.n_ports):
-            if port in self._dead_ports:
-                continue
-            for deadlines in (self._read_deadlines[port],
-                              self._write_deadlines[port]):
-                if deadlines and (horizon is None
-                                  or deadlines[0] < horizon):
-                    horizon = deadlines[0]
-        return horizon
 
     # ------------------------------------------------------------------
     # data-path routing (no equalization: bursts pass through unmodified)
@@ -250,20 +177,12 @@ class SmartConnect(Component):
         if not self._route_w or not self.master_link.w.can_push():
             return True
         entry = self._route_w[0]
-        port, request, beats_left = entry
-        if port in self._dead_ports:
-            # the hung master withholds its W beats; flush null beats so
-            # the already-granted burst completes downstream
-            self.master_link.w.push(WriteBeat(last=beats_left == 1,
-                                              addr_beat=request))
-            self.flushed_w_beats += 1
-        else:
-            source = self.ports[port].w
-            if not source.can_pop():
-                return True
-            self.master_link.w.push(source.pop())
-        entry[2] = beats_left - 1
-        if entry[2] == 0:
+        source = self.ports[entry[0]].w
+        if not source.can_pop():
+            return True
+        self.master_link.w.push(source.pop())
+        entry[1] -= 1
+        if entry[1] == 0:
             self._route_w.popleft()
         return False
 
@@ -271,37 +190,23 @@ class SmartConnect(Component):
         if not self.master_link.r.can_pop() or not self._route_r:
             return True
         entry = self._route_r[0]
-        port, __, beats_left = entry
-        if port in self._dead_ports:
-            self.master_link.r.pop()
-            self.dropped_beats += 1
-        else:
-            destination = self.ports[port].r
-            if not destination.can_push():
-                return True
-            destination.push(self.master_link.r.pop())
-        entry[2] = beats_left - 1
-        if entry[2] == 0:
+        destination = self.ports[entry[0]].r
+        if not destination.can_push():
+            return True
+        destination.push(self.master_link.r.pop())
+        entry[1] -= 1
+        if entry[1] == 0:
             self._route_r.popleft()
-            if self._read_deadlines[port]:
-                self._read_deadlines[port].popleft()
         return False
 
     def _route_write_responses(self) -> bool:
         if not self.master_link.b.can_pop() or not self._route_b:
             return True
-        port = self._route_b[0]
-        if port in self._dead_ports:
-            self.master_link.b.pop()
-            self.dropped_beats += 1
-        else:
-            destination = self.ports[port].b
-            if not destination.can_push():
-                return True
-            destination.push(self.master_link.b.pop())
+        destination = self.ports[self._route_b[0]].b
+        if not destination.can_push():
+            return True
+        destination.push(self.master_link.b.pop())
         self._route_b.popleft()
-        if self._write_deadlines[port]:
-            self._write_deadlines[port].popleft()
         return False
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from ..axi.monitor import PropagationProbe
 from ..masters.chaidnn import ChaiDnnAccelerator
-from ..masters.dma import AxiDma, DmaDescriptor
+from ..masters.dma import AxiDma, standard_case_study_dma
 from ..platforms.zynq import ZCU102, Platform
 from .builder import SocSystem
 
@@ -162,11 +162,8 @@ def run_case_study(interconnect: str,
         beat = platform.hp_data_bytes
         dma_bytes = max(4096, int(CASE_STUDY_DMA_BYTES * scale))
         dma_bytes = (dma_bytes // beat) * beat   # bus-width aligned
-        dma = AxiDma(soc.sim, "ha-dma", soc.port(1),
-                     burst_len=dma_burst_len)
-        dma.program([DmaDescriptor("read", 0x1000_0000, dma_bytes),
-                     DmaDescriptor("write", 0x2000_0000, dma_bytes)],
-                    repeat=True)
+        dma = standard_case_study_dma(soc.sim, "ha-dma", soc.port(1),
+                                      dma_bytes, burst_len=dma_burst_len)
         dma.start()
     if shares:
         if soc.driver is None:

@@ -58,7 +58,10 @@ from pathlib import Path
 from typing import Dict, Optional, Set
 
 from ..analysis import ContainmentBound
-from .harness import CHURN_WRITE_BYTES, RunResult, churn_pattern, run_scenario
+from ..memory.dram import DramTiming
+from ..platforms import ZCU102
+from .harness import (CHURN_WRITE_BYTES, OOO_TIMING, RunResult,
+                      churn_pattern, run_scenario)
 from .scenario import Scenario, canonical_json
 
 #: where falsifying examples are written (CI uploads this directory)
@@ -202,6 +205,16 @@ def check_equivalence(scenario: Scenario, reference: RunResult,
             f"reference: {r!r} != {f!r}", scenario)
 
 
+def _harness_bound(scenario: Scenario, timeout: int,
+                   timing: DramTiming) -> ContainmentBound:
+    """The containment bound for the harness's masters: 16-beat nominal
+    bursts, 8 outstanding per rogue, a period only under equal shares."""
+    return ContainmentBound(
+        n_ports=len(scenario.ports), nominal_burst=16, memory=timing,
+        timeout_cycles=timeout, rogue_outstanding=8,
+        period=scenario.period if scenario.equal_shares else None)
+
+
 def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
     """The analytic bound instance governing a scenario, if applicable.
 
@@ -217,13 +230,8 @@ def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
     timeout = scenario.ports[rogue].timeout
     if timeout is None:
         return None
-    from .harness import OOO_TIMING
-    from ..platforms import ZCU102
     timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
-    return ContainmentBound(
-        n_ports=len(scenario.ports), nominal_burst=16, memory=timing,
-        timeout_cycles=timeout, rogue_outstanding=8,
-        period=scenario.period if scenario.equal_shares else None)
+    return _harness_bound(scenario, timeout, timing)
 
 
 def check_containment_bound(scenario: Scenario, result: RunResult,
@@ -268,13 +276,8 @@ def isolation_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
         if plan.timeout is None:
             return None  # undetectable fault: no analytic bound
         timeouts.append(plan.timeout)
-    from ..platforms import ZCU102
-    return ContainmentBound(
-        n_ports=len(scenario.ports), nominal_burst=16,
-        memory=ZCU102.dram,
-        timeout_cycles=max(timeouts) if timeouts else 1,
-        rogue_outstanding=8,
-        period=scenario.period if scenario.equal_shares else None)
+    return _harness_bound(scenario, max(timeouts) if timeouts else 1,
+                          ZCU102.dram)
 
 
 def check_isolation(scenario: Scenario, result: RunResult,
@@ -372,12 +375,8 @@ def churn_delay_bound_for(scenario: Scenario) -> int:
     most ``CHURN_WRITE_BYTES`` = 32 beats on the 16-byte bus), charged
     as up to 64 beats of extra round-robin interference per port.
     """
-    from ..platforms import ZCU102
     n_ops = len(scenario.churn or ())
-    bound = ContainmentBound(
-        n_ports=len(scenario.ports), nominal_burst=16,
-        memory=ZCU102.dram, timeout_cycles=1, rogue_outstanding=8,
-        period=scenario.period if scenario.equal_shares else None)
+    bound = _harness_bound(scenario, 1, ZCU102.dram)
     return (bound.multi_fault_delay_bound(n_ops)
             + n_ops * 64 * len(scenario.ports))
 

@@ -217,3 +217,11 @@ class TestHyperConnectWcrt:
             wcrt.job_bound_cycles(0)
         with pytest.raises(ValueError):
             wcrt.job_bound_bytes(0, 16)
+        for kwargs in (dict(n_ports=0), dict(nominal_burst=0),
+                       dict(interferer_outstanding=-1),
+                       dict(budget=10), dict(period=1024),
+                       dict(budget=0, period=1024),
+                       dict(budget=10, period=0)):
+            with pytest.raises(ValueError):
+                HyperConnectWcrt(**{"n_ports": 2, "nominal_burst": 16,
+                                    "memory": ZCU102.dram, **kwargs})

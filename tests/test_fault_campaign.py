@@ -406,59 +406,47 @@ class TestFaultCampaign:
         assert reference_done == baseline_done
 
 
-class TestSmartConnectMirror:
-    """The baseline interconnect's watchdog: containment, no repair."""
+class TestIsolationContrast:
+    """The paper's case for hypervisor-level containment: the
+    SmartConnect baseline has no watchdog, so a hung master starves its
+    healthy neighbour; the HyperConnect's Transaction Supervisor contains
+    the fault and the neighbour finishes error-free."""
 
-    def test_smartconnect_watchdog_disarmed_by_default(self):
+    @pytest.mark.parametrize("fault_mode", ["hung_r", "withheld_w"])
+    def test_healthy_dma_behind_a_hung_master(self, fault_mode):
         from repro.smartconnect import SmartConnect
 
-        sim = Simulator("sc", clock_hz=ZCU102.pl_clock_hz)
-        link = AxiLink(sim, "m", data_bytes=16)
-        sc = SmartConnect(sim, "sc", 2, link)
-        assert sc.timeout_cycles is None
-        with pytest.raises(ConfigurationError):
-            SmartConnect(sim, "sc-bad", 2, link, timeout_cycles=0)
-
-    def test_hung_master_trips_without_recovery(self):
-        """The mirror watchdog protects the healthy neighbour, but with
-        no supervisor there is no orphan synthesis and no recovery: the
-        rogue's transactions are never answered and its port stays dead.
-        """
-        from repro.smartconnect import SmartConnect
-
-        def run(fast):
-            sim = Simulator("sc-campaign", clock_hz=ZCU102.pl_clock_hz,
-                            fast=fast)
-            link = AxiLink(sim, "m", data_bytes=16)
-            sc = SmartConnect(sim, "sc", 2, link, timeout_cycles=TIMEOUT)
-            MemorySubsystem(sim, "mem", link, timing=ZCU102.dram)
-            healthy = AxiDma(sim, "healthy", sc.ports[0])
-            rogue = FaultInjectingMaster(sim, "rogue", sc.ports[1],
-                                         fault_mode="hung_r",
-                                         hang_after_beats=(8, 24), seed=5)
-            rogue.enqueue_read(0x3000_0000, 8192)
-            # The SmartConnect watchdog is one global knob (no per-port
-            # timeouts), so the victim's grants must be younger than the
-            # culprit's or both would time out together; stagger the
-            # healthy master past the rogue's deadline window.
+        def run(fast, fabric):
+            if fabric == "hc":
+                sim, hc, hv, __ = build(fast, timeout=None)
+                hv.driver.set_watchdog_timeout(1, TIMEOUT)
+                ports = hc.ports
+            else:
+                sim = Simulator("sc", clock_hz=ZCU102.pl_clock_hz, fast=fast)
+                link = AxiLink(sim, "m", data_bytes=16)
+                ports = SmartConnect(sim, "sc", 2, link).ports
+                MemorySubsystem(sim, "mem", link, timing=ZCU102.dram)
+            rogue = FaultInjectingMaster(sim, "rogue", ports[1],
+                                         fault_mode=fault_mode,
+                                         hang_after_beats=8)
+            if fault_mode == "hung_r":
+                rogue.enqueue_read(0x3000_0000, 8192)
+            else:
+                rogue.enqueue_write(0x3000_0000, 8192)
             sim.run(200)
+            healthy = AxiDma(sim, "healthy", ports[0])
             for index in range(4):
                 healthy.enqueue_read(0x1000_0000 + index * 0x1_0000, 4096)
-            sim.run_until(lambda: not healthy.busy, max_cycles=60_000)
-            sim.run(1024)
-            assert sc.watchdog_trips == 1
-            assert sc.dropped_beats > 0
-            assert len(healthy.jobs_completed) == 4
-            assert healthy.error_responses == 0
-            assert rogue.is_hung
-            assert rogue.outstanding > 0  # nobody synthesizes completions
-            events = sim.events.events(PortFaultEvent, port=1)
-            assert [e.kind for e in events] == ["watchdog_timeout"]
-            return ((healthy.bytes_read, len(healthy.jobs_completed)),
-                    rogue.bytes_read, rogue.outstanding,
-                    sc.watchdog_trips, sc.dropped_beats,
-                    sc.flushed_w_beats,
+                healthy.enqueue_write(0x2000_0000 + index * 0x1_0000, 4096)
+            sim.run(60_000)
+            if fabric == "hc":
+                events = sim.events.events(PortFaultEvent, port=1)
+                assert events[0].kind == "watchdog_timeout"
+            return (len(healthy.jobs_completed), healthy.error_responses,
+                    healthy.bytes_read, healthy.bytes_written,
                     tuple(sim.events.as_dicts()), sim.now)
 
-        reference, fast = run(fast=False), run(fast=True)
-        assert reference == fast
+        for fabric, jobs in (("sc", 0), ("hc", 8)):
+            reference = run(False, fabric)
+            assert reference == run(True, fabric)
+            assert reference[:2] == (jobs, 0)

@@ -181,7 +181,11 @@ class TestCli:
         ["case-study", "--share", "150"],
         ["access-time", "--size", "0"],
         ["wcrt", "--bytes", "0"],
-    ], ids=("share-150", "size-0", "bytes-0"))
+        ["wcrt", "--bytes", "4096", "--budget", "0", "--period", "1024"],
+        ["wcrt", "--bytes", "4096", "--budget", "10"],
+        ["wcrt", "--bytes", "4096", "--nominal", "0"],
+    ], ids=("share-150", "size-0", "bytes-0", "budget-0",
+            "budget-without-period", "nominal-0"))
     def test_bad_argument_exits_without_a_traceback(self, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
