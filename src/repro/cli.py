@@ -6,6 +6,7 @@ experiment harnesses::
     python -m repro latency                         # Fig. 3(a)
     python -m repro access-time --size 16384        # Fig. 3(b) point
     python -m repro case-study --share 70           # Fig. 5 row (HC-70-30)
+    python -m repro case-study --share 70 --tlm     # ... TLM fast-forward
     python -m repro resources --ports 4             # Table I extrapolated
     python -m repro wcrt --bytes 65536 --budget 32 --period 1024
     python -m repro campaign --grid smoke --workers 4 -o results.jsonl
@@ -194,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--platform", default="ZCU102",
                         help="platform model (default: ZCU102)")
-    parser.add_argument("--tlm", action="store_true",
-                        help="case-study in transaction-level "
-                             "fast-forward mode: skip steady-state "
-                             "epochs analytically, demote "
-                             "to cycle-accurate at every unpredictable "
-                             "edge")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser(
@@ -221,6 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="CHaiDNN bandwidth percentage (HC-X-Y)")
     case.add_argument("--window", type=int, default=400_000)
     case.add_argument("--scale", type=float, default=1 / 64)
+    case.add_argument("--tlm", action="store_true",
+                      help="transaction-level fast-forward mode: skip "
+                           "steady-state epochs analytically, demote to "
+                           "cycle-accurate at every unpredictable edge")
     case.set_defaults(handler=cmd_case_study)
 
     resources = commands.add_parser(

@@ -287,28 +287,29 @@ class Hypervisor:
                     "traffic; release_memory() is an idle-time "
                     "operation — use revoke_memory() to tear down a "
                     "grant under traffic")
-        table = self.stage2(domain_name)
+        self._tear_down_grant(domain, region, self.sim.now)
+
+    def _tear_down_grant(self, domain: Domain, region: MemoryRegion,
+                         cycle: int) -> None:
+        """Undo a grant: unmap its stage-2 window, drop the domain
+        region, audit-revoke the access grant, coalesce its allocator
+        blocks back into the free pool, and re-arm the region filters."""
+        table = self.stage2(domain.name)
         window = table.window_for_host(region.base)
         if window is not None:
             table.unmap(window.guest_base)
         domain.regions.remove(region)
-        self.access.revoke(domain, region, cycle=self.sim.now)
-        self._release_backing(domain.name, region)
+        self.access.revoke(domain, region, cycle=cycle)
+        blocks = self._backing.pop((domain.name, region.base), None)
+        if self.allocator is not None:
+            if blocks is not None:
+                for address in blocks:
+                    self.allocator.free(address)
+            elif self.allocator.is_granted(region.base):
+                # legacy grant without a backing record
+                self.allocator.free(region.base)
         if domain.ports:
             self._apply_region_filters(domain)
-
-    def _release_backing(self, domain_name: str,
-                         region: MemoryRegion) -> None:
-        """Coalesce a grant's allocator blocks back into the free pool."""
-        blocks = self._backing.pop((domain_name, region.base), None)
-        if self.allocator is None:
-            return
-        if blocks is not None:
-            for address in blocks:
-                self.allocator.free(address)
-        elif self.allocator.is_granted(region.base):
-            # legacy grant without a backing record
-            self.allocator.free(region.base)
 
     def domain_store(self, domain_name: str) -> VirtualizedStore:
         """The domain's view of memory: every access translated (and
@@ -449,18 +450,10 @@ class Hypervisor:
             raise ConfigurationError(
                 f"revocation #{order.order_id}: domain "
                 f"{order.domain!r} no longer holds 0x{order.base:x}")
-        table = self.stage2(domain.name)
-        window = table.window_for_host(region.base)
-        if window is not None:
-            table.unmap(window.guest_base)
-        domain.regions.remove(region)
-        self.access.revoke(domain, region, cycle=cycle)
-        self._release_backing(domain.name, region)
+        self._tear_down_grant(domain, region, cycle)
         if self.store is not None:
             # the next grantee must never observe the victim's data
             self.store.scrub(region.base, region.size)
-        if domain.ports:
-            self._apply_region_filters(domain)
         for port in order.ports:
             supervisor = self.hyperconnect.supervisors[port]
             if domain.regions:

@@ -13,8 +13,7 @@ class ReproError(Exception):
 class SimulationError(ReproError):
     """An invariant of the simulation kernel was violated.
 
-    Raised, for instance, when a component is registered twice, when a
-    simulation is stepped after :meth:`repro.sim.Simulator.finish`, or when a
+    Raised, for instance, when a component is registered twice or when a
     run exceeds its cycle bound without meeting its termination predicate.
     """
 

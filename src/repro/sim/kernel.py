@@ -52,8 +52,8 @@ with dirty channels.  It commits each channel through the same
 ``Channel._commit`` the reference path calls, so both kernels share one
 commit body.
 
-Contract for ``run_until`` predicates: they are sampled at ``check_every``
-granularity on both paths and must be observational.  Predicates that pop
+Contract for ``run_until`` predicates: they are sampled on every cycle
+boundary on both paths and must be observational.  Predicates that pop
 channels (e.g. test drains) are still safe — pops mark the channel dirty and
 un-freeze the kernel — but a predicate that silently mutates a component
 attribute without touching a channel must call :meth:`Simulator.wake`.
@@ -127,7 +127,6 @@ class Simulator:
         self._components: List[Component] = []
         self._channels: List[Channel] = []
         self._names: Dict[str, object] = {}
-        self._finished = False
         #: channels with uncommitted work this cycle (no duplicates: a
         #: channel enqueues itself only on its clean -> dirty transition)
         self._dirty_channels: List[Channel] = []
@@ -202,9 +201,6 @@ class Simulator:
 
     def step(self) -> None:
         """Advance the simulation by exactly one clock cycle."""
-        if self._finished:
-            raise SimulationError(
-                f"simulator {self.name!r} stepped after finish()")
         self._quiescent_until = 0
         self._advance(self._cycle + 1)
 
@@ -248,9 +244,6 @@ class Simulator:
         dirty = self._dirty_channels
         cycle = self._cycle
         while cycle < end:
-            if self._finished:
-                raise SimulationError(
-                    f"simulator {self.name!r} stepped after finish()")
             for component in components:
                 component.tick(cycle)
             if dirty:
@@ -298,9 +291,6 @@ class Simulator:
         streak = 0
         try:
             while self._cycle < end:
-                if self._finished:
-                    raise SimulationError(
-                        f"simulator {self.name!r} stepped after finish()")
                 cycle = self._cycle
                 if cycle < self._quiescent_until:
                     jump_to = self._quiescent_until
@@ -364,43 +354,28 @@ class Simulator:
         self._advance(self._cycle + cycles)
 
     def run_until(self, predicate: Callable[[], bool],
-                  max_cycles: int = 1_000_000,
-                  check_every: int = 1) -> int:
+                  max_cycles: int = 1_000_000) -> int:
         """Run until ``predicate()`` is true; return the cycles elapsed.
 
-        The predicate is evaluated every ``check_every`` cycles (checking
-        less often speeds up long simulations whose termination condition is
-        expensive).  With ``check_every == 1`` the returned elapsed count is
-        exact: the simulation stops on the first cycle boundary where the
-        predicate holds.  With larger values the stop is quantised — up to
-        ``check_every - 1`` extra cycles may run past the cycle where the
-        predicate first became true, but never past ``max_cycles``.
+        The predicate is evaluated on every cycle boundary, so the
+        returned count is exact: the simulation stops on the first
+        boundary where the predicate holds.
 
         Raises :class:`SimulationError` if ``max_cycles`` elapse without the
         predicate becoming true — silent timeouts hide deadlock bugs, so the
         failure is loud.
         """
-        if check_every < 1:
-            raise SimulationError("check_every must be >= 1")
         start = self._cycle
         self._quiescent_until = 0
         while not predicate():
-            elapsed = self._cycle - start
-            if elapsed >= max_cycles:
+            if self._cycle - start >= max_cycles:
                 raise SimulationError(
                     f"run_until exceeded {max_cycles} cycles in simulator "
                     f"{self.name!r} (started at cycle {start})")
-            stride = min(check_every, max_cycles - elapsed)
-            # note: no _quiescent_until reset between strides — an
-            # observational predicate cannot unfreeze the system.
-            # _advance runs exactly `stride` cycles on every path, so the
-            # predicate is sampled on identical cycle boundaries.
-            self._advance(self._cycle + stride)
+            # no _quiescent_until reset between cycles: an observational
+            # predicate cannot unfreeze the system
+            self._advance(self._cycle + 1)
         return self._cycle - start
-
-    def finish(self) -> None:
-        """Mark the simulation as complete; further steps raise."""
-        self._finished = True
 
     # ------------------------------------------------------------------
     # introspection

@@ -19,7 +19,7 @@ This is the library's main entry point::
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..axi.port import AxiLink
 from ..hyperconnect.driver import HyperConnectDriver
@@ -30,11 +30,42 @@ from ..platforms.zynq import ZCU102, Platform
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Simulator
 from ..smartconnect.smartconnect import (
+    DEFAULT_MAX_GRANULARITY,
     SmartConnect,
     smartconnect_master_link,
 )
 
 Interconnect = Union[HyperConnect, SmartConnect]
+
+#: cycles a system must stay idle before :meth:`SocSystem.run_until_quiescent`
+#: calls it drained
+SETTLE_CYCLES = 64
+
+
+def build_fabric(sim: Simulator, kind: str, link_name: str, name: str,
+                 n_ports: int, data_bytes: int, period: int = 65536,
+                 max_granularity: int = DEFAULT_MAX_GRANULARITY
+                 ) -> Tuple[AxiLink, Interconnect]:
+    """Build one interconnect of ``kind`` and its master-side link.
+
+    The only place that turns a fabric kind (``"hyperconnect"`` or
+    ``"smartconnect"``) into components: :meth:`SocSystem.build` and
+    every family of ``repro.verify``'s ``build_system`` call it.  A
+    SmartConnect's master link carries the IP's output-stage latencies.
+    ``period`` applies to the HyperConnect, ``max_granularity`` to the
+    SmartConnect.
+    """
+    if kind == "hyperconnect":
+        link = AxiLink(sim, link_name, data_bytes=data_bytes)
+        return link, HyperConnect(sim, name, n_ports, link, period=period)
+    if kind == "smartconnect":
+        link = smartconnect_master_link(sim, link_name,
+                                        data_bytes=data_bytes)
+        return link, SmartConnect(sim, name, n_ports, link,
+                                  max_granularity=max_granularity)
+    raise ConfigurationError(
+        f"unknown interconnect {kind!r} "
+        f"(expected 'hyperconnect' or 'smartconnect')")
 
 
 class SocSystem:
@@ -62,9 +93,8 @@ class SocSystem:
     def build(cls, platform: Platform = ZCU102,
               interconnect: str = "hyperconnect", n_ports: int = 2,
               period: int = 65536, with_store: bool = False,
-              max_granularity: Optional[int] = None,
-              name: str = "soc", fast: bool = False,
-              tlm: bool = False) -> "SocSystem":
+              max_granularity: int = DEFAULT_MAX_GRANULARITY,
+              fast: bool = False, tlm: bool = False) -> "SocSystem":
         """Assemble a system.
 
         Parameters
@@ -83,7 +113,8 @@ class SocSystem:
             Attach a functional :class:`MemoryStore` (needed only when
             experiments verify data contents).
         max_granularity:
-            Override the SmartConnect's variable round-robin granularity.
+            The SmartConnect's variable round-robin granularity (ignored
+            for HyperConnect).
         fast:
             Enable the simulator's quiescence-aware fast path (same
             results, fewer Python-level ticks; see ``repro.sim.kernel``).
@@ -93,27 +124,15 @@ class SocSystem:
             step, demoting to cycle-accurate execution at every
             non-predictable edge.
         """
-        sim = Simulator(name, clock_hz=platform.pl_clock_hz, fast=fast,
+        sim = Simulator("soc", clock_hz=platform.pl_clock_hz, fast=fast,
                         tlm=tlm)
         store = MemoryStore() if with_store else None
-        if interconnect == "hyperconnect":
-            master = AxiLink(sim, f"{name}.m",
-                             data_bytes=platform.hp_data_bytes)
-            fabric: Interconnect = HyperConnect(
-                sim, f"{name}.hc", n_ports, master, period=period)
-        elif interconnect == "smartconnect":
-            master = smartconnect_master_link(
-                sim, f"{name}.m", data_bytes=platform.hp_data_bytes)
-            kwargs = {}
-            if max_granularity is not None:
-                kwargs["max_granularity"] = max_granularity
-            fabric = SmartConnect(sim, f"{name}.sc", n_ports, master,
-                                  **kwargs)
-        else:
-            raise ConfigurationError(
-                f"unknown interconnect {interconnect!r} "
-                f"(expected 'hyperconnect' or 'smartconnect')")
-        memory = MemorySubsystem(sim, f"{name}.mem", master,
+        name = "soc.sc" if interconnect == "smartconnect" else "soc.hc"
+        master, fabric = build_fabric(
+            sim, interconnect, "soc.m", name, n_ports,
+            platform.hp_data_bytes, period=period,
+            max_granularity=max_granularity)
+        memory = MemorySubsystem(sim, "soc.mem", master,
                                  timing=platform.dram, store=store)
         return cls(sim, platform, fabric, memory, store)
 
@@ -128,9 +147,9 @@ class SocSystem:
         """The interconnect's master-side link (towards the PS)."""
         return self.interconnect.master_link
 
-    def run_until_quiescent(self, settle_cycles: int = 64,
-                            max_cycles: int = 10_000_000) -> int:
-        """Run until all traffic has drained; returns elapsed cycles."""
+    def run_until_quiescent(self, max_cycles: int = 10_000_000) -> int:
+        """Run until all traffic has drained (no traffic in flight for
+        :data:`SETTLE_CYCLES` cycles); returns elapsed cycles."""
         start = self.sim.now
 
         def _quiet() -> bool:
@@ -143,7 +162,7 @@ class SocSystem:
             if _quiet():
                 if quiet_since[0] is None:
                     quiet_since[0] = self.sim.now
-                return self.sim.now - quiet_since[0] >= settle_cycles
+                return self.sim.now - quiet_since[0] >= SETTLE_CYCLES
             quiet_since[0] = None
             return False
 

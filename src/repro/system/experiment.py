@@ -27,6 +27,14 @@ from .builder import SocSystem
 
 #: paper's case-study DMA payload (4 MiB in + 4 MiB out per round)
 CASE_STUDY_DMA_BYTES = 4 << 20
+#: HyperConnect reservation period T of the case study, cycles
+CASE_STUDY_PERIOD = 2048
+#: HA_DMA burst length: "more greedy in accessing the bus" than the
+#: 16-beat CHaiDNN, so through a variable-granularity round-robin with
+#: no equalization it takes most of the bandwidth.  64 beats (4x the
+#: CHaiDNN burst) reproduces the starvation shape within simulation
+#: windows short enough for repeated benchmarking.
+CASE_STUDY_DMA_BURST_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,6 @@ def run_case_study(interconnect: str,
                    scale: float = 1 / 64,
                    window_cycles: int = 400_000,
                    platform: Platform = ZCU102,
-                   period: int = 2048,
-                   dma_burst_len: int = 64,
                    fast: bool = False,
                    tlm: bool = False) -> CaseStudyResult:
     """Sections VI-C procedure: CHaiDNN (port 0) + greedy DMA (port 1).
@@ -143,15 +149,10 @@ def run_case_study(interconnect: str,
     HC-X-Y configurations); only valid with the HyperConnect.  ``scale``
     shrinks both workloads equally (CHaiDNN layer bytes/MACs and the DMA
     round payload), preserving rate *ratios* between configurations.
-
-    ``dma_burst_len`` makes HA_DMA "more greedy in accessing the bus"
-    than the 16-beat CHaiDNN: through a variable-granularity round-robin
-    with no equalization it then takes most of the bandwidth.  64 beats
-    (4x the CHaiDNN burst) reproduces the starvation shape within
-    simulation windows short enough for repeated benchmarking.
+    HA_DMA issues :data:`CASE_STUDY_DMA_BURST_LEN`-beat bursts.
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
-                          period=period, fast=fast, tlm=tlm)
+                          period=CASE_STUDY_PERIOD, fast=fast, tlm=tlm)
     chaidnn = None
     dma = None
     if run_chaidnn:
@@ -163,7 +164,8 @@ def run_case_study(interconnect: str,
         dma_bytes = max(4096, int(CASE_STUDY_DMA_BYTES * scale))
         dma_bytes = (dma_bytes // beat) * beat   # bus-width aligned
         dma = standard_case_study_dma(soc.sim, "ha-dma", soc.port(1),
-                                      dma_bytes, burst_len=dma_burst_len)
+                                      dma_bytes,
+                                      burst_len=CASE_STUDY_DMA_BURST_LEN)
         dma.start()
     if shares:
         if soc.driver is None:

@@ -26,7 +26,7 @@ from ..memory import (
 )
 from ..platforms import ZCU102
 from ..sim import Simulator
-from ..smartconnect import SmartConnect, smartconnect_master_link
+from ..system.builder import build_fabric
 from .scenario import PortPlan, Scenario
 
 #: short retry leash so unrecoverable faults give up inside the horizon
@@ -253,6 +253,7 @@ def build_system(scenario: Scenario, fast: bool,
     sim = Simulator("verify", clock_hz=ZCU102.pl_clock_hz, fast=fast,
                     tlm=tlm)
     timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
+    bus = ZCU102.hp_data_bytes
     plans = scenario.ports
     stations: List[Station] = []
     hyperconnects: List[HyperConnect] = []
@@ -271,8 +272,8 @@ def build_system(scenario: Scenario, fast: bool,
         # innermost level hosts every remaining plan.  Depth 2 keeps the
         # historic "outer"/"inner" naming (corpus digests pin it).
         depth = scenario.cascade_depth
-        link = AxiLink(sim, "m", data_bytes=16)
-        outer = HyperConnect(sim, "outer", 2, link)
+        link, outer = build_fabric(sim, "hyperconnect", "m", "outer", 2,
+                                   bus)
         memory = _make_memory(sim, scenario, link, timing)
         hyperconnects = [outer]
         for level in range(1, depth):
@@ -288,29 +289,21 @@ def build_system(scenario: Scenario, fast: bool,
         for index in range(depth - 1, len(plans)):
             station(index, inner, index - (depth - 1))
     elif scenario.family == "multiport":
-        hp0 = AxiLink(sim, "hp0", data_bytes=16)
-        if scenario.fabric == "mixed":
-            hp1 = smartconnect_master_link(sim, "hp1", data_bytes=16)
-        else:
-            hp1 = AxiLink(sim, "hp1", data_bytes=16)
-        hc0 = HyperConnect(sim, "hc0", len(plans) - 1, hp0)
-        hc1 = (SmartConnect(sim, "hc1", 1, hp1)
-               if scenario.fabric == "mixed"
-               else HyperConnect(sim, "hc1", 1, hp1))
+        hp0, hc0 = build_fabric(sim, "hyperconnect", "hp0", "hc0",
+                                len(plans) - 1, bus)
+        hp1, hc1 = build_fabric(
+            sim, "smartconnect" if scenario.fabric == "mixed"
+            else "hyperconnect", "hp1", "hc1", 1, bus)
         memory = MemorySubsystem(sim, "mem", [hp0, hp1], timing=timing)
         hyperconnects = [hc0, hc1]
         for index in range(len(plans) - 1):
             station(index, hc0, index)
         station(len(plans) - 1, hc1, 0)
     else:  # flat / ooo share the single-interconnect layout
-        if scenario.fabric == "smartconnect":
-            link = smartconnect_master_link(sim, "m", data_bytes=16)
-            hc = SmartConnect(sim, "hc", len(plans), link)
-        else:
-            link = AxiLink(sim, "m", data_bytes=16)
-            hc = HyperConnect(sim, "hc", len(plans), link)
+        link, hc = build_fabric(sim, scenario.fabric, "m", "hc", len(plans),
+                                bus)
         if scenario.family == "ooo":
-            down = AxiLink(sim, "down", data_bytes=16)
+            down = AxiLink(sim, "down", data_bytes=bus)
             InOrderAdapter(sim, "adapter", link, down)
             memory = OutOfOrderMemory(sim, "mem", down, timing=timing,
                                       lookahead=8)

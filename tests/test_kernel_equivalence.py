@@ -476,13 +476,12 @@ class TestRunUntilStops:
             dma.enqueue_read(base + 0x10_0000, 512)
         return soc, dmas
 
-    @pytest.mark.parametrize("check_every", [1, 64])
-    def test_predicate_stops_on_same_cycle(self, check_every):
+    def test_predicate_stops_on_same_cycle(self):
         def run(fast):
             soc, dmas = self.loaded_soc(fast)
             elapsed = soc.sim.run_until(
                 lambda: all(len(d.jobs_completed) >= 2 for d in dmas),
-                max_cycles=200_000, check_every=check_every)
+                max_cycles=200_000)
             return elapsed, soc.sim.now, _signature(*dmas)
 
         reference, fast = _both(run)

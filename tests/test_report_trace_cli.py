@@ -1,7 +1,5 @@
 """Tests for the utilization monitor, trace record/replay, and the CLI."""
 
-import os
-
 import pytest
 
 from repro.cli import main
@@ -14,7 +12,7 @@ from repro.masters import (
 )
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
-from repro.system import BusUtilizationMonitor, SocSystem
+from repro.system import BusUtilizationMonitor, CaseStudyResult, SocSystem
 
 from conftest import drain
 
@@ -191,18 +189,21 @@ class TestCli:
             main(argv)
         assert str(exit_info.value.code).startswith(f"{argv[0]}: ")
 
-    def test_tlm_flag_leaves_the_environment_unchanged(self, monkeypatch):
-        """``--tlm`` reaches the builder through REPRO_TLM; a programmatic
-        call must not leave it set for later builds in the process."""
-        monkeypatch.delenv("REPRO_TLM", raising=False)
-        before = dict(os.environ)
-        assert main(["--tlm", "info"]) == 0
-        assert dict(os.environ) == before
-        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
+    def test_tlm_flag_belongs_to_case_study(self, monkeypatch, capsys):
+        """``--tlm`` is a ``case-study`` option passed straight to
+        ``run_case_study``: no other command accepts it, and it leaves
+        no state behind for later builds in the process."""
+        calls = []
 
-    def test_tlm_flag_restores_a_preset_value_on_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TLM", "0")
-        with pytest.raises(SystemExit):
-            main(["--tlm", "case-study", "--interconnect", "smartconnect",
-                  "--share", "50"])
-        assert os.environ["REPRO_TLM"] == "0"
+        def fake_case_study(interconnect, **kwargs):
+            calls.append(kwargs)
+            return CaseStudyResult(0.0, 0.0, 0, 0, kwargs["window_cycles"])
+
+        monkeypatch.setattr("repro.cli.run_case_study", fake_case_study)
+        assert main(["case-study", "--window", "100", "--tlm"]) == 0
+        assert [call["tlm"] for call in calls] == [True]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--tlm", "latency"])
+        assert exit_info.value.code == 2
+        assert "--tlm" in capsys.readouterr().err
+        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm

@@ -100,41 +100,17 @@ class TestExecution:
         with pytest.raises(SimulationError):
             sim.run_until(lambda: False, max_cycles=10)
 
-    def test_run_until_check_every(self):
-        sim = Simulator()
-        sim.run_until(lambda: sim.now >= 10, check_every=4)
-        # predicate only checked every 4 cycles, so we overshoot to 12
-        assert sim.now == 12
-
     def test_run_until_never_overshoots_max_cycles(self):
-        # regression: with check_every > 1 the kernel used to run whole
-        # strides past max_cycles before noticing the timeout
+        # the timeout fires exactly at max_cycles
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.run_until(lambda: False, max_cycles=10, check_every=4)
+            sim.run_until(lambda: False, max_cycles=10)
         assert sim.now == 10
 
-    def test_run_until_exact_for_check_every_one(self):
+    def test_run_until_is_exact(self):
         sim = Simulator()
-        elapsed = sim.run_until(lambda: sim.now >= 13, check_every=1)
+        elapsed = sim.run_until(lambda: sim.now >= 13)
         assert elapsed == 13 and sim.now == 13
-
-    def test_run_until_quantisation_bounded(self):
-        # overshoot past the predicate is bounded by check_every - 1
-        sim = Simulator()
-        elapsed = sim.run_until(lambda: sim.now >= 10, check_every=7)
-        assert 10 <= elapsed <= 16
-        assert elapsed % 7 == 0
-
-    def test_run_until_rejects_bad_check_every(self):
-        with pytest.raises(SimulationError):
-            Simulator().run_until(lambda: True, check_every=0)
-
-    def test_finish_blocks_further_steps(self):
-        sim = Simulator()
-        sim.finish()
-        with pytest.raises(SimulationError):
-            sim.step()
 
 
 class PulseSource(Component):
@@ -211,8 +187,7 @@ class TestFastPath:
                                          max_cycles=5000))
         assert elapsed[0] == elapsed[1]
 
-    @pytest.mark.parametrize("check_every", (1, 3, 7, 64))
-    def test_run_until_check_every_stops_match_reference(self, check_every):
+    def test_run_until_stops_match_reference(self):
         outcomes = []
         for fast in (False, True):
             sim, _, sink = self.build(fast)
@@ -222,11 +197,11 @@ class TestFastPath:
                 sampled.append(sim.now)
                 return len(sink.received) >= 4
 
-            elapsed = sim.run_until(done, max_cycles=5000,
-                                    check_every=check_every)
+            elapsed = sim.run_until(done, max_cycles=5000)
             outcomes.append((elapsed, sim.now, sampled, sink.received))
         assert outcomes[0] == outcomes[1]
-        assert all(cycle % check_every == 0 for cycle in outcomes[0][2])
+        # sampled on every cycle boundary from the start to the stop
+        assert outcomes[0][2] == list(range(outcomes[0][1] + 1))
 
     def test_bulk_skip_happens(self):
         sim, _, _ = self.build(fast=True)
@@ -284,12 +259,6 @@ class TestFastPath:
                                 "ticks_skipped"}
         stats.reset()
         assert stats.cycles_total == 0 and stats.ticks_run == 0
-
-    def test_finish_blocks_fast_run(self):
-        sim, _, _ = self.build(fast=True)
-        sim.finish()
-        with pytest.raises(SimulationError):
-            sim.run(10)
 
 
 class Countdown(Component):
@@ -511,20 +480,6 @@ class TestRegistry:
         assert sim.idle()
 
 
-class Finisher(Component):
-    """Calls ``sim.finish()`` from inside its tick at one chosen cycle."""
-
-    def __init__(self, sim, name, at):
-        super().__init__(sim, name)
-        self.at = at
-        self.ticked = []
-
-    def tick(self, cycle):
-        self.ticked.append(cycle)
-        if cycle == self.at:
-            self.sim.finish()
-
-
 class Spawner(Component):
     """Registers a new producer from inside its tick at one chosen cycle."""
 
@@ -542,34 +497,6 @@ class Spawner(Component):
 @pytest.mark.parametrize("fast", (False, True), ids=("reference", "fast"))
 class TestRunLoopEdges:
     """Edge cases of the run loops, identical on both kernel paths."""
-
-    def test_finish_inside_tick_stops_at_next_cycle_boundary(self, fast):
-        sim = Simulator(fast=fast)
-        channel = Channel(sim, "ch", latency=1, capacity=4)
-        finisher = Finisher(sim, "f", at=5)
-        consumer = Consumer(sim, "c", channel)
-        producer = Producer(sim, "p", channel)
-        with pytest.raises(SimulationError):
-            sim.run(20)
-        # the finishing cycle completes (later components tick, pushes
-        # commit); the next cycle boundary raises
-        assert sim.now == 6
-        assert finisher.ticked == [0, 1, 2, 3, 4, 5]
-        assert [v for (_, v) in consumer.received] == [0, 1, 2, 3, 4]
-        assert producer.counter == 6 and len(channel) == 1
-        with pytest.raises(SimulationError):
-            sim.run(1)
-        assert sim.now == 6
-
-    def test_run_zero_after_finish_is_a_noop(self, fast):
-        sim = Simulator(fast=fast)
-        sim.run(3)
-        sim.finish()
-        sim.run(0)
-        assert sim.now == 3
-        with pytest.raises(SimulationError):
-            sim.step()
-        assert sim.now == 3
 
     def test_component_registered_mid_tick_ticks_that_cycle(self, fast):
         sim = Simulator(fast=fast)

@@ -6,8 +6,9 @@ from repro.hyperconnect import HyperConnect
 from repro.masters import AxiDma
 from repro.platforms import PLATFORMS, ZCU102, ZYNQ_7020
 from repro.sim import ConfigurationError
-from repro.smartconnect import SmartConnect
+from repro.smartconnect import OUTPUT_STAGE_LATENCY, SmartConnect
 from repro.system import SocSystem
+from repro.verify import PortPlan, Scenario, build_system
 
 
 class TestBuilder:
@@ -57,6 +58,46 @@ class TestBuilder:
     def test_quiescent_on_empty_system(self):
         soc = SocSystem.build(ZCU102)
         assert soc.run_until_quiescent() >= 0
+
+
+def _verify_build(family, fabric="hyperconnect"):
+    ports = tuple(PortPlan(jobs=(("read", 0x100_0000 * (i + 1), 256),))
+                  for i in range(3))
+    system = build_system(Scenario(family=family, ports=ports,
+                                   fabric=fabric), fast=False)
+    return system.sim, system.hyperconnects, system.memory_timing
+
+
+def _soc_build(interconnect):
+    soc = SocSystem.build(interconnect=interconnect)
+    return soc.sim, [soc.interconnect], soc.memory.timing
+
+
+@pytest.mark.parametrize("build, in_order, smartconnects", [
+    (lambda: _verify_build("flat"), True, 0),
+    (lambda: _verify_build("flat", "smartconnect"), True, 1),
+    (lambda: _verify_build("ooo"), False, 0),
+    (lambda: _verify_build("cascade"), True, 0),
+    (lambda: _verify_build("multiport"), True, 0),
+    (lambda: _verify_build("multiport", "mixed"), True, 1),
+    (lambda: _soc_build("smartconnect"), True, 1),
+], ids=("flat-hc", "flat-sc", "ooo", "cascade", "multiport", "mixed",
+        "soc-sc"))
+def test_every_build_runs_on_the_paper_platform(build, in_order,
+                                                smartconnects):
+    """The oracles and the paper figures share ZCU102: its PL clock, its
+    128-bit HP port and, outside the OOO family, its DRAM timing; every
+    SmartConnect's master link carries the IP's output stage."""
+    sim, fabrics, timing = build()
+    assert sim.clock_hz == ZCU102.pl_clock_hz
+    assert {fabric.master_link.data_bytes for fabric in fabrics} == {
+        ZCU102.hp_data_bytes}
+    assert (timing == ZCU102.dram) == in_order
+    output_stages = [
+        dict(zip(("AR", "AW", "W", "R", "B"),
+                 (channel.latency for channel in fabric.master_link.channels)))
+        for fabric in fabrics if isinstance(fabric, SmartConnect)]
+    assert output_stages == [OUTPUT_STAGE_LATENCY] * smartconnects
 
 
 class TestPlatforms:
