@@ -18,6 +18,7 @@ from .latency import (
 from .reservation import (
     ReservationAnalysis,
     bandwidth_fraction,
+    budget_for_share,
     supply_transactions,
     wcrt_transactions,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "write_propagation",
     "ReservationAnalysis",
     "bandwidth_fraction",
+    "budget_for_share",
     "supply_transactions",
     "wcrt_transactions",
     "HyperConnectWcrt",

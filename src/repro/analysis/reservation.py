@@ -12,6 +12,8 @@ resource model.  This module provides:
   pins;
 * :func:`wcrt_transactions` — worst-case completion time of a stream of
   ``m`` sub-transactions under the reservation;
+* :func:`budget_for_share` — the budget that reserves a bus fraction (the
+  one formula the driver programs and the oracles bound ports with);
 * :class:`ReservationAnalysis` — the above bundled per configuration,
   including the paper's HC-X-Y percentage notation.
 """
@@ -81,6 +83,21 @@ def wcrt_transactions(m: int, budget: int, period: int,
     return blackout + full_periods * period + remainder * service
 
 
+def budget_for_share(fraction: float, period: int,
+                     nominal_burst: int = 16) -> int:
+    """Sub-transaction budget reserving ``fraction`` of the data bus.
+
+    Each equalized sub-transaction moves ``nominal_burst`` beats and the
+    bus streams one beat per cycle, so a period of T cycles offers
+    ``T / nominal_burst`` transaction slots in total; a port always keeps
+    at least one.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(
+            f"bandwidth fraction must be in (0, 1], got {fraction}")
+    return max(1, int(fraction * period / nominal_burst))
+
+
 @dataclass(frozen=True)
 class ReservationAnalysis:
     """Analysis bundle for one port's reservation configuration."""
@@ -115,8 +132,5 @@ class ReservationAnalysis:
     def for_share(cls, fraction: float, period: int,
                   nominal_burst: int = 16) -> "ReservationAnalysis":
         """Build the configuration the driver programs for HC-X-Y."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        budget = max(1, int(fraction * period / nominal_burst))
-        return cls(budget=budget, period=period,
-                   nominal_burst=nominal_burst)
+        return cls(budget=budget_for_share(fraction, period, nominal_burst),
+                   period=period, nominal_burst=nominal_burst)

@@ -15,7 +15,6 @@ from .payloads import (
     AddrBeat,
     DataBeat,
     RespBeat,
-    Transaction,
     WriteBeat,
     make_read_request,
     make_write_request,
@@ -47,7 +46,6 @@ __all__ = [
     "AddrBeat",
     "DataBeat",
     "RespBeat",
-    "Transaction",
     "WriteBeat",
     "make_read_request",
     "make_write_request",

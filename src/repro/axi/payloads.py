@@ -1,77 +1,29 @@
-"""Wire-level AXI payload objects and transaction bookkeeping.
+"""Wire-level AXI payload objects.
 
-Three kinds of objects travel on the simulated channels:
+Four kinds of objects travel on the simulated channels:
 
 * :class:`AddrBeat` — one AR or AW request (a whole burst's address phase);
 * :class:`WriteBeat` — one W data beat;
 * :class:`DataBeat` — one R data beat;
 * :class:`RespBeat` — one B write response.
 
-A :class:`Transaction` is *not* a wire object: it is the master-side
-bookkeeping record of a whole logical read or write, carrying the cycle
-stamps the monitors use to compute response times.  When the Transaction
-Supervisor splits a burst into nominal-size sub-bursts, the sub-``AddrBeat``
-objects keep a ``parent`` reference to the original request so that data can
-be merged back and probes can attribute latency to the original transaction.
+The :class:`AddrBeat` a master pushes is also that master's only record
+of the request: it carries the cycle the master issued it (``issued``,
+the start of the engine's per-burst latency) and, for writes, the
+payload the W beats are cut from (``data``).  Channel timing is observed
+from outside, by probes subscribed to the channels
+(:mod:`repro.axi.monitor`).  When the Transaction Supervisor splits a
+burst into nominal-size sub-bursts, the sub-``AddrBeat`` objects keep a
+``parent`` reference to the original request so that data can be merged
+back and probes can attribute latency to the original request.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .types import BurstType, ChannelName, Resp
-
-_txn_counter = itertools.count(1)
-
-
-def _next_serial() -> int:
-    """Globally unique serial for transactions (debugging/tracing)."""
-    return next(_txn_counter)
-
-
-@dataclass
-class Transaction:
-    """Master-side record of one logical read or write burst.
-
-    The cycle stamps are filled in as the transaction progresses:
-    ``issued`` when the master pushes the address beat, ``first_data`` /
-    ``last_data`` as data beats reach (reads) or leave (writes) the master,
-    ``completed`` when the last R beat (reads) or the B response (writes)
-    arrives back at the master.
-    """
-
-    kind: str                      # "read" or "write"
-    master: str                    # issuing master's name
-    address: int
-    length: int                    # beats in the original burst
-    size_bytes: int                # bytes per beat
-    burst: BurstType = BurstType.INCR
-    serial: int = field(default_factory=_next_serial)
-    issued: Optional[int] = None
-    first_data: Optional[int] = None
-    last_data: Optional[int] = None
-    completed: Optional[int] = None
-    resp: Resp = Resp.OKAY
-    data: Optional[bytes] = None   # write payload / assembled read result
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def bytes_total(self) -> int:
-        """Bytes moved by this transaction."""
-        return self.length * self.size_bytes
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Cycles from issue to completion, if complete."""
-        if self.issued is None or self.completed is None:
-            return None
-        return self.completed - self.issued
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Transaction(#{self.serial} {self.kind} {self.master} "
-                f"addr=0x{self.address:x} len={self.length})")
 
 
 @dataclass(slots=True)
@@ -84,7 +36,6 @@ class AddrBeat:
     length: int                    # beats
     size_bytes: int
     burst: BurstType = BurstType.INCR
-    qos: int = 0
     port: Optional[int] = None     # interconnect input-port index
     parent: Optional["AddrBeat"] = None   # original beat if this is a split
     #: True when this is the last (or only) sub-burst of its original
@@ -93,8 +44,10 @@ class AddrBeat:
     #: accumulated response of already-merged sub-bursts (kept on the
     #: origin beat; "worst response wins")
     resp_acc: Resp = Resp.OKAY
-    txn: Optional[Transaction] = None
-    stamps: Dict[str, int] = field(default_factory=dict)
+    #: cycle the issuing master pushed this request (None until issued)
+    issued: Optional[int] = None
+    #: write payload of the whole burst (None = timing-only beats)
+    data: Optional[bytes] = None
 
     def origin(self) -> "AddrBeat":
         """The original (pre-split) request this beat derives from."""
@@ -118,11 +71,9 @@ class AddrBeat:
             length=length,
             size_bytes=self.size_bytes,
             burst=self.burst,
-            qos=self.qos,
             port=self.port,
             parent=self,
             final_sub=final_sub,
-            txn=self.txn,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -133,16 +84,10 @@ class AddrBeat:
 
 @dataclass(slots=True)
 class WriteBeat:
-    """One W data beat.
-
-    Data-phase beats carry no ``stamps`` dict: only address beats are
-    timestamped by the interconnect stages (grant/forward/issue events all
-    happen on the address phase).
-    """
+    """One W data beat."""
 
     last: bool
     data: Optional[bytes] = None
-    strobe: Optional[int] = None   # byte-enable mask; None = all bytes
     addr_beat: Optional[AddrBeat] = None  # the (sub-)AW this beat belongs to
 
 
@@ -166,31 +111,17 @@ class RespBeat:
     addr_beat: Optional[AddrBeat] = None  # the (sub-)AW this acknowledges
 
 
-def make_read_request(txn: Transaction, txn_id: int,
-                      qos: int = 0) -> AddrBeat:
-    """Build the AR beat for a read transaction."""
-    return AddrBeat(
-        channel=ChannelName.AR,
-        txn_id=txn_id,
-        address=txn.address,
-        length=txn.length,
-        size_bytes=txn.size_bytes,
-        burst=txn.burst,
-        qos=qos,
-        txn=txn,
-    )
+def make_read_request(address: int, length: int, size_bytes: int,
+                      txn_id: int = 0,
+                      burst: BurstType = BurstType.INCR) -> AddrBeat:
+    """Build the AR beat of a read burst."""
+    return AddrBeat(ChannelName.AR, txn_id, address, length, size_bytes,
+                    burst)
 
 
-def make_write_request(txn: Transaction, txn_id: int,
-                       qos: int = 0) -> AddrBeat:
-    """Build the AW beat for a write transaction."""
-    return AddrBeat(
-        channel=ChannelName.AW,
-        txn_id=txn_id,
-        address=txn.address,
-        length=txn.length,
-        size_bytes=txn.size_bytes,
-        burst=txn.burst,
-        qos=qos,
-        txn=txn,
-    )
+def make_write_request(address: int, length: int, size_bytes: int,
+                       txn_id: int = 0, burst: BurstType = BurstType.INCR,
+                       data: Optional[bytes] = None) -> AddrBeat:
+    """Build the AW beat of a write burst carrying payload ``data``."""
+    return AddrBeat(ChannelName.AW, txn_id, address, length, size_bytes,
+                    burst, data=data)

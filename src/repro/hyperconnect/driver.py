@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
+from ..analysis.reservation import budget_for_share
 from ..sim.errors import ConfigurationError
 from .hyperconnect import HyperConnect
 from .regs import (
@@ -225,18 +226,15 @@ class HyperConnectDriver:
 
     def budget_for_share(self, fraction: float, period: Optional[int] = None,
                          nominal_burst: int = 16) -> int:
-        """Sub-transaction budget reserving ``fraction`` of the data bus.
-
-        Each equalized sub-transaction moves ``nominal_burst`` beats and
-        the bus streams one beat per cycle, so a period of T cycles offers
-        ``T / nominal_burst`` transaction slots in total.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"bandwidth fraction must be in (0, 1], got {fraction}")
+        """Sub-transaction budget reserving ``fraction`` of the data bus
+        (:func:`repro.analysis.reservation.budget_for_share`) over
+        ``period``, by default the programmed one."""
         if period is None:
             period = self.period
-        return max(1, int(fraction * period / nominal_burst))
+        try:
+            return budget_for_share(fraction, period, nominal_burst)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
 
     def set_bandwidth_shares(self, shares: Mapping[int, float],
                              period: Optional[int] = None) -> Dict[int, int]:

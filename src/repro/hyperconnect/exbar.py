@@ -126,7 +126,6 @@ class Exbar(Component):
                 if queue and queue[0][0] <= cycle:
                     beat = channel.pop()
                     out.push(beat)
-                    beat.stamps["exbar_grant"] = cycle
                     # granularity 1: the pointer moves past the granted
                     # port
                     port += 1
@@ -152,7 +151,6 @@ class Exbar(Component):
                 if queue and queue[0][0] <= cycle:
                     beat = channel.pop()
                     out.push(beat)
-                    beat.stamps["exbar_grant"] = cycle
                     port += 1
                     self._rr_aw = port if port < n_ports else 0
                     self.grants_aw += 1

@@ -555,7 +555,6 @@ class TransactionSupervisor(Component):
                     and self._budget_available()
                     and self.out_ar.can_push()):
                 sub = self._pending_ar.popleft()
-                sub.stamps["ts_forward"] = cycle
                 self.out_ar.push(sub)
                 self.outstanding_reads += 1
                 self._read_issue_cycles.append(cycle)
@@ -570,7 +569,6 @@ class TransactionSupervisor(Component):
                     and self._budget_available()
                     and self.out_aw.can_push()):
                 sub = self._pending_aw.popleft()
-                sub.stamps["ts_forward"] = cycle
                 self.out_aw.push(sub)
                 self.outstanding_writes += 1
                 self._write_issue_cycles.append(cycle)

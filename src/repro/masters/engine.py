@@ -20,14 +20,13 @@ The engine obeys the AXI rules the rest of the system depends on:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional
 
 from ..axi.burst import legalize, split_burst
 from ..axi.idgen import IdAllocator
 from ..axi.payloads import (
     AddrBeat,
-    Transaction,
     WriteBeat,
     make_read_request,
     make_write_request,
@@ -66,7 +65,7 @@ class Job:
     read_bytes_done: int = 0
     write_bytes_done: int = 0
     result: Optional[bytearray] = None   # assembled read data, if collected
-    meta: Dict[str, object] = field(default_factory=dict)
+    copy_issued_beats: int = 0     # copy beats already re-issued as writes
 
     @property
     def latency(self) -> Optional[int]:
@@ -97,15 +96,12 @@ class AxiMasterEngine(Component):
         Keep the data bytes of read jobs in ``job.result`` (requires the
         memory model to carry real data).  Off by default: timing studies
         do not need payloads and run much faster without them.
-    qos:
-        Value driven on the AxQOS signals (the paper notes SmartConnect
-        ignores it; it is carried for completeness).
     """
 
     def __init__(self, sim, name: str, link: AxiLink,
                  burst_len: int = 16, max_outstanding: int = 8,
                  id_bits: int = 4, collect_data: bool = False,
-                 qos: int = 0, w_beat_gap: int = 0) -> None:
+                 w_beat_gap: int = 0) -> None:
         super().__init__(sim, name)
         if burst_len < 1:
             raise ConfigurationError("burst_len must be >= 1")
@@ -115,7 +111,6 @@ class AxiMasterEngine(Component):
         self.burst_len = burst_len
         self.max_outstanding = max_outstanding
         self.collect_data = collect_data
-        self.qos = qos
         #: idle cycles inserted between W beats (0 = stream at full rate).
         #: Latency-measurement experiments use a non-zero gap so the W
         #: path is observed without self-inflicted queueing.
@@ -249,19 +244,16 @@ class AxiMasterEngine(Component):
         beat = self.link.data_bytes
         if job.kind in ("read", "copy"):
             for addr, beats in self._bursts_for(job.address, job.nbytes):
-                txn = Transaction("read", self.name, addr, beats, beat)
-                request = make_read_request(txn, txn_id=0, qos=self.qos)
-                self._issue_queue.append((request, job))
+                self._issue_queue.append(
+                    (make_read_request(addr, beats, beat), job))
         if job.kind == "write":
             offset = 0
             for addr, beats in self._bursts_for(job.address, job.nbytes):
                 chunk = None
                 if job.data is not None:
                     chunk = job.data[offset:offset + beats * beat]
-                txn = Transaction("write", self.name, addr, beats, beat,
-                                  data=chunk)
-                request = make_write_request(txn, txn_id=0, qos=self.qos)
-                self._issue_queue.append((request, job))
+                self._issue_queue.append(
+                    (make_write_request(addr, beats, beat, data=chunk), job))
                 offset += beats * beat
         self._active_jobs.append(job)
 
@@ -327,8 +319,7 @@ class AxiMasterEngine(Component):
                     break
                 self._issue_queue.popleft()
                 request.txn_id = self._ids.allocate()
-                request.txn.issued = cycle
-                request.stamps["issued"] = cycle
+                request.issued = cycle
                 if job.started is None:
                     job.started = cycle
                 self.link.ar.push(request)
@@ -341,8 +332,7 @@ class AxiMasterEngine(Component):
                     break
                 self._issue_queue.popleft()
                 request.txn_id = self._ids.allocate()
-                request.txn.issued = cycle
-                request.stamps["issued"] = cycle
+                request.issued = cycle
                 if job.started is None:
                     job.started = cycle
                 self.link.aw.push(request)
@@ -354,7 +344,7 @@ class AxiMasterEngine(Component):
 
     def _queue_write_beats(self, request: AddrBeat) -> None:
         beat_bytes = request.size_bytes
-        payload = request.txn.data if request.txn else None
+        payload = request.data
         for index in range(request.length):
             chunk = None
             if payload is not None:
@@ -401,14 +391,9 @@ class AxiMasterEngine(Component):
                 f"{self.name}: R beat with no outstanding read")
         entry = self._outstanding_reads[0]
         request, beats_left, job = entry
-        txn = request.txn
-        if txn is not None and txn.first_data is None:
-            txn.first_data = cycle
         resp = beat.resp
         if resp is not _RESP_OKAY and resp.is_error:
             self.error_responses += 1
-            if txn is not None:
-                txn.resp = txn.resp.merged_with(resp)
         entry[1] = beats_left - 1
         self.bytes_read += request.size_bytes
         job.read_bytes_done += request.size_bytes
@@ -422,11 +407,7 @@ class AxiMasterEngine(Component):
             self._outstanding_reads.popleft()
             self._n_outstanding -= 1
             self._ids.release(request.txn_id)
-            if txn is not None:
-                txn.last_data = cycle
-                txn.completed = cycle
-                if txn.issued is not None:
-                    self.read_latency.add(cycle - txn.issued)
+            self.read_latency.add(cycle - request.issued)
             if job.kind == "read":
                 self._maybe_finish(job, cycle)
         return False
@@ -444,12 +425,7 @@ class AxiMasterEngine(Component):
         resp = response.resp
         if resp is not _RESP_OKAY and resp.is_error:
             self.error_responses += 1
-        txn = request.txn
-        if txn is not None:
-            txn.completed = cycle
-            txn.resp = txn.resp.merged_with(response.resp)
-            if txn.issued is not None:
-                self.write_latency.add(cycle - txn.issued)
+        self.write_latency.add(cycle - request.issued)
         self.bytes_written += request.length * request.size_bytes
         job.write_bytes_done += request.length * request.size_bytes
         self._maybe_finish(job, cycle)
@@ -467,7 +443,7 @@ class AxiMasterEngine(Component):
             buffered = sum(1 for entry in self._copy_buffer
                            if entry[0] is job)
             total_beats = job.nbytes // beat_bytes
-            written = job.meta.get("copy_issued_beats", 0)
+            written = job.copy_issued_beats
             remaining = total_beats - written
             chunk = min(self.burst_len, remaining)
             if buffered < chunk:
@@ -482,12 +458,10 @@ class AxiMasterEngine(Component):
                 payload = b"".join(data_parts)
             for sub_addr, sub_beats in legalize(
                     address, chunk, beat_bytes, self.link.version):
-                txn = Transaction("write", self.name, sub_addr, sub_beats,
-                                  beat_bytes, data=payload)
-                request = make_write_request(txn, txn_id=0, qos=self.qos)
-                self._issue_queue.append((request, job))
+                self._issue_queue.append((make_write_request(
+                    sub_addr, sub_beats, beat_bytes, data=payload), job))
                 payload = None  # only attach once; sub-splits are rare
-            job.meta["copy_issued_beats"] = written + chunk
+            job.copy_issued_beats = written + chunk
             idle = False
         return idle
 

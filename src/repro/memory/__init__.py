@@ -4,14 +4,10 @@ from .buddy import AllocationError, BuddyAllocator
 from .dram import DramTiming, MemorySubsystem
 from .faulty import FaultInjectingMemory
 from .ooo import OutOfOrderMemory
-from .psport import AxiPipe, FpgaPsPort
+from .psport import AxiPipe
 from .qos400 import PsQosRegulator
 from .store import MemoryAccessFault, MemoryStore, TranslationFault
 from .virt import Stage2Table, Stage2Window, VirtualizedStore
-
-#: the one in-order controller serves several ports when given a list of
-#: links; the old name stays importable
-MultiPortMemorySubsystem = MemorySubsystem
 
 __all__ = [
     "AllocationError",
@@ -19,10 +15,8 @@ __all__ = [
     "DramTiming",
     "MemorySubsystem",
     "FaultInjectingMemory",
-    "MultiPortMemorySubsystem",
     "OutOfOrderMemory",
     "AxiPipe",
-    "FpgaPsPort",
     "PsQosRegulator",
     "MemoryAccessFault",
     "MemoryStore",

@@ -5,8 +5,10 @@ beat from one link to another at one beat per channel per cycle.  Each
 traversed link contributes its channel latency, so a pipe between two
 unit-latency links models one extra pipeline stage in both directions.
 
-It is used to model the FPGA-PS port (a registered boundary between the
-fabric and the PS) and, in tests, to build arbitrary pipeline depths.
+It models the FPGA-PS port (a registered boundary between the fabric
+and the PS), is the base of the QoS-400 regulator
+(:class:`~repro.memory.qos400.PsQosRegulator`), and builds arbitrary
+pipeline depths in tests.
 """
 
 from __future__ import annotations
@@ -44,17 +46,3 @@ class AxiPipe(Component):
                 destination.push(source.pop())
                 idle = False
         return idle
-
-
-class FpgaPsPort(AxiPipe):
-    """The FPGA-PS slave interface of the SoC.
-
-    Functionally a registered boundary; kept as its own class so that
-    system builders and diagrams can name it, and so that platform models
-    can attach port-specific width or counting logic later.
-    """
-
-    def __init__(self, sim, name: str, fabric_side: AxiLink,
-                 ps_side: AxiLink) -> None:
-        super().__init__(sim, name, upstream=fabric_side,
-                         downstream=ps_side)

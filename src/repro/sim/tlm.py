@@ -25,12 +25,12 @@ The protocol per attempted epoch is *predict / commit / rollback*:
    ``fast=True`` by construction, because the decline path mutates
    nothing.
 2. **Snapshot**: a generic shallow-copy snapshot of every component,
-   link checker, fabric channel and *live* job (plus the global
-   transaction serial counter), so a mispredicted epoch can be rolled
-   back and replayed cycle-accurately with identical results.  Live
-   means queued (``_jobs``) or prepared and unfinished
-   (``_active_jobs``): a finished :class:`Job` is never written again,
-   so the snapshot costs the same at the last epoch as at the first.
+   link checker, fabric channel and *live* job, so a mispredicted
+   epoch can be rolled back and replayed cycle-accurately with
+   identical results.  Live means queued (``_jobs``) or prepared and
+   unfinished (``_active_jobs``): a finished :class:`Job` is never
+   written again, so the snapshot costs the same at the last epoch as
+   at the first.
 3. **Flush**: in-flight traffic (outstanding bursts, routed beats,
    queued memory commands, expected W beats) is credited as complete and
    cleared, putting the fabric in the regular state the analytic models
@@ -50,7 +50,7 @@ The protocol per attempted epoch is *predict / commit / rollback*:
 Fidelity contract: committed epochs preserve *byte totals, job
 completion, budget enforcement and rate behaviour* within analytic
 bounds (checked by the ``tlm`` oracle in :mod:`repro.verify.oracles`),
-but do not reproduce per-cycle observables (transaction stamps,
+but do not reproduce per-cycle observables (request issue cycles,
 queue-delay samples, per-cycle stall counters).  Windows in which no
 epoch engages remain byte-identical to ``fast=True``.
 """
@@ -62,10 +62,9 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from ..analysis.latency import AccessTimeModel, hyperconnect_propagation
-from ..axi import payloads
 from ..axi.checker import LinkChecker
 from ..axi.idgen import IdAllocator
-from ..axi.payloads import Transaction, make_read_request, make_write_request
+from ..axi.payloads import make_read_request, make_write_request
 from ..hyperconnect.central import CentralUnit
 from ..hyperconnect.exbar import Exbar
 from ..hyperconnect.hyperconnect import MasterEFifo
@@ -189,7 +188,7 @@ def _restore_channel(channel, saved) -> None:
 
 
 class _Snapshot:
-    __slots__ = ("cycle", "serial", "objects", "channels")
+    __slots__ = ("cycle", "objects", "channels")
 
 
 class _Lane:
@@ -478,11 +477,6 @@ class TlmEngine:
         sim = self._sim
         snap = _Snapshot()
         snap.cycle = sim._cycle
-        # itertools.count cannot be peeked: consume one value, then
-        # rebuild the counter at that same value — net effect nil
-        serial = next(payloads._txn_counter)
-        payloads._txn_counter = itertools.count(serial)
-        snap.serial = serial
 
         seen = set()
         objects = []
@@ -517,7 +511,6 @@ class TlmEngine:
             _restore_object(obj, kind, saved)
         for channel, saved in snap.channels:
             _restore_channel(channel, saved)
-        payloads._txn_counter = itertools.count(snap.serial)
         sim._cycle = snap.cycle
         sim._dirty_channels = [c for c in sim._channels if c._dirty]
         sim._quiescent_until = 0
@@ -717,8 +710,7 @@ class TlmEngine:
         request, job = engine._issue_queue[0]
         if job.kind == "copy" or request.length <= 0:
             raise _Mispredict("job-shape")
-        if (not request.is_read and request.txn is not None
-                and request.txn.data is not None):
+        if not request.is_read and request.data is not None:
             raise _Mispredict("write-data")
         subs_needed = -(-request.length // lane.nominal)
         if lane.quota is not None:
@@ -762,18 +754,11 @@ class TlmEngine:
             request, job, beats_left, served, _issued = current
             beat = request.size_bytes
             address = request.address + served * beat
-            engine = lane.engine
             if request.is_read:
-                txn = Transaction("read", engine.name, address,
-                                  beats_left, beat)
-                remainder = make_read_request(txn, txn_id=0,
-                                              qos=engine.qos)
+                remainder = make_read_request(address, beats_left, beat)
             else:
-                txn = Transaction("write", engine.name, address,
-                                  beats_left, beat)
-                remainder = make_write_request(txn, txn_id=0,
-                                               qos=engine.qos)
-            engine._issue_queue.appendleft((remainder, job))
+                remainder = make_write_request(address, beats_left, beat)
+            lane.engine._issue_queue.appendleft((remainder, job))
             lane.current = None
 
     # ------------------------------------------------------------------

@@ -140,7 +140,6 @@ class SmartConnect(Component):
             if port is not None:
                 beat: AddrBeat = ar_channels[port].pop()
                 beat.port = port
-                beat.stamps["sc_grant"] = cycle
                 self.master_link.ar.push(beat)
                 self.grants_ar += 1
                 self._rr_ar = (port + 1) % self.n_ports
@@ -156,7 +155,6 @@ class SmartConnect(Component):
             if port is not None:
                 beat = aw_channels[port].pop()
                 beat.port = port
-                beat.stamps["sc_grant"] = cycle
                 self.master_link.aw.push(beat)
                 self.grants_aw += 1
                 self._rr_aw = (port + 1) % self.n_ports

@@ -26,6 +26,7 @@ from ..memory import (
 )
 from ..platforms import ZCU102
 from ..sim import Simulator
+from ..smartconnect import SmartConnect
 from ..system.builder import build_fabric
 from .scenario import PortPlan, Scenario
 
@@ -50,7 +51,7 @@ class Station:
     plan_index: int
     plan: PortPlan
     engine: object
-    hyperconnect: object          # HyperConnect or SmartConnect
+    fabric: HyperConnect | SmartConnect
     port_index: int
     checker: Optional[LinkChecker]
     jobs: List[object] = field(default_factory=list)
@@ -58,7 +59,7 @@ class Station:
     @property
     def supervisor(self):
         """The port's Transaction Supervisor (None on SmartConnect)."""
-        supervisors = getattr(self.hyperconnect, "supervisors", None)
+        supervisors = getattr(self.fabric, "supervisors", None)
         if supervisors is None:
             return None
         return supervisors[self.port_index]
@@ -71,7 +72,7 @@ class System:
     sim: Simulator
     scenario: Scenario
     stations: List[Station]
-    hyperconnects: List[HyperConnect]
+    fabrics: List[HyperConnect | SmartConnect]
     hypervisors: List[Hypervisor]
     memory: object
     memory_timing: DramTiming
@@ -151,7 +152,7 @@ def _arm(hypervisor: Hypervisor, scenario: Scenario,
          stations: List[Station]) -> None:
     hc = hypervisor.hyperconnect
     for station in stations:
-        if station.hyperconnect is hc and station.plan.timeout is not None:
+        if station.fabric is hc and station.plan.timeout is not None:
             hypervisor.driver.set_watchdog_timeout(
                 station.port_index, station.plan.timeout)
     if scenario.equal_shares:
@@ -188,7 +189,7 @@ def _arm_tenants(hypervisor: Hypervisor, scenario: Scenario,
     hypervisor.attach_memory(store)
     hc = hypervisor.hyperconnect
     for st in stations:
-        if st.hyperconnect is not hc:
+        if st.fabric is not hc:
             continue
         base, size = scenario.grants[st.plan_index]
         domain = hypervisor.create_domain(f"tenant{st.plan_index}")
@@ -256,15 +257,16 @@ def build_system(scenario: Scenario, fast: bool,
     bus = ZCU102.hp_data_bytes
     plans = scenario.ports
     stations: List[Station] = []
-    hyperconnects: List[HyperConnect] = []
+    fabrics: List[HyperConnect | SmartConnect] = []
     store: Optional[MemoryStore] = None
 
-    def station(index: int, hc: HyperConnect, port: int) -> None:
+    def station(index: int, fabric: HyperConnect | SmartConnect,
+                port: int) -> None:
         plan = plans[index]
-        link = hc.port(port)
+        link = fabric.port(port)
         engine = _make_engine(sim, f"ha{index}", plan, link)
         checker = None if plan.is_rogue else LinkChecker(link)
-        stations.append(Station(index, plan, engine, hc, port, checker))
+        stations.append(Station(index, plan, engine, fabric, port, checker))
 
     if scenario.family == "cascade":
         # depth-d chain: each level before the innermost has 2 ports —
@@ -275,17 +277,17 @@ def build_system(scenario: Scenario, fast: bool,
         link, outer = build_fabric(sim, "hyperconnect", "m", "outer", 2,
                                    bus)
         memory = _make_memory(sim, scenario, link, timing)
-        hyperconnects = [outer]
+        fabrics = [outer]
         for level in range(1, depth):
             innermost = level == depth - 1
             name = "inner" if innermost else f"mid{level}"
             n_ports = len(plans) - (depth - 1) if innermost else 2
-            hyperconnects.append(HyperConnect(
-                sim, name, n_ports, hyperconnects[-1].port(0)))
+            fabrics.append(HyperConnect(
+                sim, name, n_ports, fabrics[-1].port(0)))
         station(0, outer, 1)
         for level in range(1, depth - 1):
-            station(level, hyperconnects[level], 1)
-        inner = hyperconnects[-1]
+            station(level, fabrics[level], 1)
+        inner = fabrics[-1]
         for index in range(depth - 1, len(plans)):
             station(index, inner, index - (depth - 1))
     elif scenario.family == "multiport":
@@ -295,13 +297,13 @@ def build_system(scenario: Scenario, fast: bool,
             sim, "smartconnect" if scenario.fabric == "mixed"
             else "hyperconnect", "hp1", "hc1", 1, bus)
         memory = MemorySubsystem(sim, "mem", [hp0, hp1], timing=timing)
-        hyperconnects = [hc0, hc1]
+        fabrics = [hc0, hc1]
         for index in range(len(plans) - 1):
             station(index, hc0, index)
         station(len(plans) - 1, hc1, 0)
     else:  # flat / ooo share the single-interconnect layout
-        link, hc = build_fabric(sim, scenario.fabric, "m", "hc", len(plans),
-                                bus)
+        link, fabric = build_fabric(sim, scenario.fabric, "m", "hc",
+                                    len(plans), bus)
         if scenario.family == "ooo":
             down = AxiLink(sim, "down", data_bytes=bus)
             InOrderAdapter(sim, "adapter", link, down)
@@ -312,15 +314,15 @@ def build_system(scenario: Scenario, fast: bool,
                 store = MemoryStore()  # functional data for tenants
             memory = _make_memory(sim, scenario, link, timing,
                                   store=store)
-        hyperconnects = [hc]
+        fabrics = [fabric]
         for index in range(len(plans)):
-            station(index, hc, index)
+            station(index, fabric, index)
 
     hypervisors = []
-    for hc in hyperconnects:
-        if not isinstance(hc, HyperConnect):
+    for fabric in fabrics:
+        if not isinstance(fabric, HyperConnect):
             continue               # SmartConnect has no hypervisor hooks
-        hypervisor = Hypervisor(hc)
+        hypervisor = Hypervisor(fabric)
         _arm(hypervisor, scenario, stations)
         hypervisors.append(hypervisor)
     if scenario.is_tenanted:
@@ -350,7 +352,7 @@ def build_system(scenario: Scenario, fast: bool,
             else:
                 raise ValueError(f"unknown job kind {kind!r}")
 
-    return System(sim, scenario, stations, hyperconnects, hypervisors,
+    return System(sim, scenario, stations, fabrics, hypervisors,
                   memory, timing, store=store)
 
 

@@ -474,9 +474,9 @@ class GridSpec:
 
     def scenarios(self, mode: Optional[str] = None, seed: int = 0,
                   samples: int = 64, limit: Optional[int] = None,
-                  horizon: Optional[int] = None,
-                  dedupe: bool = True) -> List[Scenario]:
-        """Compile the grid, optionally overriding every horizon."""
+                  horizon: Optional[int] = None) -> List[Scenario]:
+        """Compile the grid, dropping duplicate scenarios and optionally
+        overriding every horizon."""
         out: List[Scenario] = []
         seen = set()
         for assignment in self.space(mode=mode, seed=seed,
@@ -484,11 +484,10 @@ class GridSpec:
             scenario = self.compile(assignment)
             if horizon is not None:
                 scenario = replace(scenario, horizon=horizon)
-            if dedupe:
-                key = scenario.to_json()
-                if key in seen:
-                    continue
-                seen.add(key)
+            key = scenario.to_json()
+            if key in seen:
+                continue
+            seen.add(key)
             out.append(scenario)
             if limit is not None and len(out) >= limit:
                 break

@@ -4,8 +4,8 @@ from repro.axi import (
     ChannelThroughputProbe,
     PropagationProbe,
     RespBeat,
-    Transaction,
     make_read_request,
+    make_write_request,
 )
 from repro.sim import Channel, Component
 
@@ -39,8 +39,7 @@ def test_propagation_through_two_stages(sim):
     Forwarder(sim, "f", a, b)
     Sink(sim, "s", b)
     probe = PropagationProbe(a, b)
-    txn = Transaction("read", "m", 0, 1, 16)
-    a.push(make_read_request(txn, 0))
+    a.push(make_read_request(0, 1, 16))
     sim.run(10)
     # push at 0, visible at 1, forwarded, visible on b at 2, popped at 2
     assert probe.latency_max == 2
@@ -52,8 +51,7 @@ def test_propagation_matches_split_descendants(sim):
     b = Channel(sim, "b", latency=1, capacity=4)
     Sink(sim, "s", b)
     probe = PropagationProbe(a, b)
-    txn = Transaction("read", "m", 0, 32, 16)
-    parent = make_read_request(txn, 0)
+    parent = make_read_request(0, 32, 16)
     a.push(parent)
     sim.run(3)
     # a split descendant arrives downstream instead of the parent
@@ -69,8 +67,7 @@ def test_propagation_resp_beat_matched_via_origin(sim):
     b = Channel(sim, "b", latency=1, capacity=4)
     Sink(sim, "s", b)
     probe = PropagationProbe(a, b)
-    txn = Transaction("write", "m", 0, 16, 16)
-    aw = make_read_request(txn, 0)
+    aw = make_write_request(0, 16, 16)
     sub = aw.split_child(0, 16, final_sub=True)
     a.push(RespBeat(addr_beat=sub))
     sim.run(2)
@@ -86,8 +83,7 @@ def test_propagation_max_samples_cap(sim):
     Sink(sim, "s", b)
     probe = PropagationProbe(a, b, max_samples=3)
     for i in range(10):
-        txn = Transaction("read", "m", i * 64, 1, 16)
-        a.push(make_read_request(txn, 0))
+        a.push(make_read_request(i * 64, 1, 16))
         sim.step()
     sim.run(10)
     assert probe.stats.count == 3
@@ -99,8 +95,7 @@ def test_propagation_exit_on_push(sim):
     Forwarder(sim, "f", a, b)
     Sink(sim, "s", b)
     probe = PropagationProbe(a, b, exit_on="push")
-    txn = Transaction("read", "m", 0, 1, 16)
-    a.push(make_read_request(txn, 0))
+    a.push(make_read_request(0, 1, 16))
     sim.run(10)
     assert probe.latency_max == 1  # pushed on b one cycle after a-push
 

@@ -7,52 +7,29 @@ from repro.axi import (
     ChannelName,
     IdAllocator,
     Resp,
-    Transaction,
     make_read_request,
     make_write_request,
 )
 from repro.sim import ConfigurationError
 
 
-class TestTransaction:
-    def test_latency_requires_both_stamps(self):
-        txn = Transaction("read", "m", 0x0, 4, 16)
-        assert txn.latency is None
-        txn.issued = 10
-        assert txn.latency is None
-        txn.completed = 25
-        assert txn.latency == 15
-
-    def test_bytes_total(self):
-        txn = Transaction("write", "m", 0x0, 8, 16)
-        assert txn.bytes_total == 128
-
-    def test_serials_unique(self):
-        a = Transaction("read", "m", 0, 1, 16)
-        b = Transaction("read", "m", 0, 1, 16)
-        assert a.serial != b.serial
-
-
 class TestAddrBeat:
     def test_request_factories(self):
-        txn = Transaction("read", "m", 0x1000, 16, 16)
-        ar = make_read_request(txn, txn_id=3)
+        ar = make_read_request(0x1000, 16, 16, txn_id=3)
         assert ar.channel is ChannelName.AR and ar.is_read
         assert ar.address == 0x1000 and ar.length == 16
-        assert ar.txn is txn
+        assert ar.txn_id == 3 and ar.issued is None and ar.data is None
 
-        txn_w = Transaction("write", "m", 0x2000, 4, 16)
-        aw = make_write_request(txn_w, txn_id=1)
+        aw = make_write_request(0x2000, 4, 16, txn_id=1, data=b"\x5a" * 64)
         assert aw.channel is ChannelName.AW and not aw.is_read
+        assert aw.txn_id == 1 and aw.data == b"\x5a" * 64
 
     def test_origin_of_unsplit_beat_is_itself(self):
-        txn = Transaction("read", "m", 0, 4, 16)
-        beat = make_read_request(txn, 0)
+        beat = make_read_request(0, 4, 16)
         assert beat.origin() is beat
 
     def test_split_child_chains_to_origin(self):
-        txn = Transaction("read", "m", 0, 32, 16)
-        parent = make_read_request(txn, 0)
+        parent = make_read_request(0, 32, 16)
         child = parent.split_child(0x100, 16, final_sub=False)
         grandchild = child.split_child(0x180, 8, final_sub=True)
         assert child.origin() is parent
@@ -61,18 +38,15 @@ class TestAddrBeat:
         assert not child.final_sub and grandchild.final_sub
 
     def test_split_child_inherits_metadata(self):
-        txn = Transaction("read", "m", 0, 32, 16)
-        parent = make_read_request(txn, 5)
+        parent = make_read_request(0, 32, 16, txn_id=5)
         parent.port = 2
         child = parent.split_child(0x10, 16, final_sub=False)
         assert child.txn_id == 5
         assert child.port == 2
         assert child.size_bytes == 16
-        assert child.txn is txn
 
     def test_default_resp_acc(self):
-        txn = Transaction("write", "m", 0, 4, 16)
-        beat = make_write_request(txn, 0)
+        beat = make_write_request(0, 4, 16)
         assert beat.resp_acc is Resp.OKAY
 
 

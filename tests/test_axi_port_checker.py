@@ -10,7 +10,6 @@ from repro.axi import (
     LinkChecker,
     ProtocolError,
     RespBeat,
-    Transaction,
     WriteBeat,
     check_addr_beat,
     make_read_request,
@@ -19,13 +18,11 @@ from repro.axi import (
 
 
 def read_beat(address=0x0, length=4, size=16, txn_id=0):
-    txn = Transaction("read", "m", address, length, size)
-    return make_read_request(txn, txn_id)
+    return make_read_request(address, length, size, txn_id=txn_id)
 
 
 def write_beat(address=0x0, length=4, size=16, txn_id=0):
-    txn = Transaction("write", "m", address, length, size)
-    return make_write_request(txn, txn_id)
+    return make_write_request(address, length, size, txn_id=txn_id)
 
 
 class TestAxiLink:

@@ -1,13 +1,12 @@
 """Unit tests for the eFIFO module (gated link + decoupling)."""
 
-from repro.axi import DataBeat, Transaction, make_read_request
+from repro.axi import DataBeat, make_read_request
 from repro.hyperconnect import EFifoLink, GatedChannel, PortGate
 from repro.sim import Channel, Simulator
 
 
 def request(address=0, length=1):
-    txn = Transaction("read", "m", address, length, 16)
-    return make_read_request(txn, 0)
+    return make_read_request(address, length, 16)
 
 
 class TestGatedChannel:

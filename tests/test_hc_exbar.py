@@ -9,7 +9,6 @@ from repro.axi import (
     DataBeat,
     Resp,
     RespBeat,
-    Transaction,
     make_read_request,
 )
 from repro.hyperconnect import (
@@ -159,12 +158,14 @@ class TestIdleArbitration:
         exbar = Exbar(sim, "EXBAR", [ts], [ts_ar], [ts_aw], [link],
                       Channel(sim, "x.AR", 1, 2), Channel(sim, "x.AW", 1, 2),
                       master)
-        link.ar.push(make_read_request(
-            Transaction("read", "m", 0x1000, 16, 16), 0))
+        forwarded, granted = [], []
+        ts_ar.subscribe_push(lambda cycle, beat: forwarded.append(cycle))
+        exbar.out_ar.subscribe_push(lambda cycle, beat: granted.append(cycle))
+        link.ar.push(make_read_request(0x1000, 16, 16))
         sim.run(20)
         assert exbar.grants_ar == 1
-        beat = exbar.out_ar.pop()
-        assert beat.stamps["exbar_grant"] - beat.stamps["ts_forward"] == latency
+        assert len(forwarded) == len(granted) == 1
+        assert granted[0] - forwarded[0] == latency
 
 
 class TestRouting:

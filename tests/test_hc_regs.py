@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.axi import AxiLink, Resp, Transaction, WriteBeat, \
+from repro.axi import AxiLink, Resp, WriteBeat, \
     make_read_request, make_write_request
 from repro.hyperconnect import (
     BUDGET_UNLIMITED,
@@ -94,8 +94,7 @@ class TestControlSlave:
         return sim, link, regs
 
     def read_register(self, sim, link, offset):
-        txn = Transaction("read", "hv", self.BASE + offset, 1, 4)
-        link.ar.push(make_read_request(txn, 0))
+        link.ar.push(make_read_request(self.BASE + offset, 1, 4))
         beats = []
         link.r.subscribe_push(lambda cycle, beat: beats.append(beat))
         sim.run(5)
@@ -103,8 +102,7 @@ class TestControlSlave:
         return beats[-1]
 
     def write_register(self, sim, link, offset, value):
-        txn = Transaction("write", "hv", self.BASE + offset, 1, 4)
-        link.aw.push(make_write_request(txn, 0))
+        link.aw.push(make_write_request(self.BASE + offset, 1, 4))
         link.w.push(WriteBeat(last=True, data=value.to_bytes(4, "little")))
         responses = []
         link.b.subscribe_push(lambda cycle, beat: responses.append(beat))
@@ -141,8 +139,7 @@ class TestControlSlave:
 
     def test_burst_access_slverr(self):
         sim, link, regs = self.build()
-        txn = Transaction("read", "hv", self.BASE, 4, 4)
-        link.ar.push(make_read_request(txn, 0))
+        link.ar.push(make_read_request(self.BASE, 4, 4))
         beats = []
         link.r.subscribe_push(lambda cycle, beat: beats.append(beat))
         sim.run(5)

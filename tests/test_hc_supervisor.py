@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.axi import Transaction, make_read_request, make_write_request
+from repro.axi import make_read_request, make_write_request
 from repro.hyperconnect import EFifoLink, PortConfig, TransactionSupervisor
 from repro.sim import Channel, ConfigurationError, Simulator
 
@@ -18,13 +18,11 @@ def build(config=None):
 
 
 def read_request(address=0, length=16):
-    txn = Transaction("read", "m", address, length, 16)
-    return make_read_request(txn, 0)
+    return make_read_request(address, length, 16)
 
 
 def write_request(address=0, length=16):
-    txn = Transaction("write", "m", address, length, 16)
-    return make_write_request(txn, 0)
+    return make_write_request(address, length, 16)
 
 
 class TestSplitting:

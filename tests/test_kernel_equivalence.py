@@ -322,7 +322,7 @@ class TestFutureWorkTopologies:
         def run(fast):
             from repro.axi.port import AxiLink
             from repro.hyperconnect import HyperConnect
-            from repro.memory import MultiPortMemorySubsystem
+            from repro.memory import MemorySubsystem
             from repro.sim import Simulator
 
             sim = Simulator("hp", clock_hz=ZCU102.pl_clock_hz, fast=fast)
@@ -330,8 +330,8 @@ class TestFutureWorkTopologies:
             hp1 = AxiLink(sim, "hp1", data_bytes=16)
             hc0 = HyperConnect(sim, "hc0", 2, hp0)
             hc1 = HyperConnect(sim, "hc1", 1, hp1)
-            memory = MultiPortMemorySubsystem(sim, "mem", [hp0, hp1],
-                                              timing=ZCU102.dram)
+            memory = MemorySubsystem(sim, "mem", [hp0, hp1],
+                                     timing=ZCU102.dram)
             a = AxiDma(sim, "a", hc0.port(0))
             b = AxiDma(sim, "b", hc0.port(1))
             c = AxiDma(sim, "c", hc1.port(0))
@@ -354,13 +354,13 @@ class TestFutureWorkTopologies:
         equivalent by never claiming quiescence."""
         from repro.axi.port import AxiLink
         from repro.hyperconnect import HyperConnect
-        from repro.memory import MultiPortMemorySubsystem
+        from repro.memory import MemorySubsystem
         from repro.sim import Simulator
 
         sim = Simulator("hp", clock_hz=ZCU102.pl_clock_hz, fast=True)
         hp0 = AxiLink(sim, "hp0", data_bytes=16)
         hc0 = HyperConnect(sim, "hc0", 1, hp0)
-        MultiPortMemorySubsystem(sim, "mem", [hp0], timing=ZCU102.dram)
+        MemorySubsystem(sim, "mem", [hp0], timing=ZCU102.dram)
         dma = AxiDma(sim, "dma", hc0.port(0))
         job = dma.enqueue_read(0x1000_0000, 16)
         sim.run_until(lambda: job.completed is not None,

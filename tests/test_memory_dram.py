@@ -4,7 +4,6 @@ import pytest
 
 from repro.axi import (
     AxiLink,
-    Transaction,
     WriteBeat,
     make_read_request,
     make_write_request,
@@ -24,15 +23,13 @@ def make_system(store=None, timing=TIMING, data_depth=64):
 
 
 def push_read(link, address=0x100, length=1):
-    txn = Transaction("read", "m", address, length, 16)
-    beat = make_read_request(txn, 0)
+    beat = make_read_request(address, length, 16)
     link.ar.push(beat)
     return beat
 
 
 def push_write(link, address=0x100, length=1, data=None):
-    txn = Transaction("write", "m", address, length, 16)
-    beat = make_write_request(txn, 0)
+    beat = make_write_request(address, length, 16)
     link.aw.push(beat)
     for index in range(length):
         chunk = None
@@ -95,8 +92,7 @@ class TestWriteTiming:
 
     def test_write_waits_for_data(self):
         sim, link, memory = make_system()
-        txn = Transaction("write", "m", 0x0, 2, 16)
-        link.aw.push(make_write_request(txn, 0))
+        link.aw.push(make_write_request(0x0, 2, 16))
         responses = []
         link.b.subscribe_push(lambda cycle, beat: responses.append(cycle))
         sim.run(30)
@@ -213,10 +209,9 @@ class TestValidation:
 
 class TestNonIncrBursts:
     def _read_data(self, store, address, length, burst):
-        from repro.axi import BurstType, Transaction, make_read_request
+        from repro.axi import BurstType, make_read_request
         sim, link, memory = make_system(store=store)
-        txn = Transaction("read", "m", address, length, 16, burst=burst)
-        link.ar.push(make_read_request(txn, 0))
+        link.ar.push(make_read_request(address, length, 16, burst=burst))
         data = []
         link.r.subscribe_push(lambda cycle, beat: data.append(beat.data))
         sim.run(60)
@@ -240,12 +235,10 @@ class TestNonIncrBursts:
         assert [chunk[0] for chunk in data] == [2, 3, 0, 1]
 
     def test_fixed_write_lands_on_one_address(self):
-        from repro.axi import BurstType, Transaction, make_write_request
+        from repro.axi import BurstType, make_write_request
         store = MemoryStore()
         sim, link, memory = make_system(store=store)
-        txn = Transaction("write", "m", 0x300, 3, 16,
-                          burst=BurstType.FIXED)
-        link.aw.push(make_write_request(txn, 0))
+        link.aw.push(make_write_request(0x300, 3, 16, burst=BurstType.FIXED))
         for index in range(3):
             link.w.push(WriteBeat(last=index == 2,
                                   data=bytes([index + 1]) * 16))

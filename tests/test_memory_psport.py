@@ -1,13 +1,13 @@
-"""Unit tests for the AxiPipe / FPGA-PS port models."""
+"""Unit tests for the AxiPipe model of the FPGA-PS port."""
 
 from repro.axi import (
     AxiLink,
     DataBeat,
-    Transaction,
     WriteBeat,
     make_read_request,
+    make_write_request,
 )
-from repro.memory import AxiPipe, FpgaPsPort
+from repro.memory import AxiPipe
 from repro.sim import Simulator
 
 
@@ -16,9 +16,8 @@ def test_pipe_forwards_all_five_channels():
     up = AxiLink(sim, "up")
     down = AxiLink(sim, "down")
     AxiPipe(sim, "pipe", up, down)
-    txn = Transaction("read", "m", 0, 1, 16)
-    up.ar.push(make_read_request(txn, 0))
-    up.aw.push(make_read_request(txn, 0))
+    up.ar.push(make_read_request(0, 1, 16))
+    up.aw.push(make_write_request(0, 1, 16))
     up.w.push(WriteBeat(last=True))
     down.r.push(DataBeat(last=True))
     down.b.push(DataBeat(last=True))
@@ -37,8 +36,7 @@ def test_pipe_adds_one_stage_of_latency():
     AxiPipe(sim, "pipe", up, down)
     arrivals = []
     down.ar.subscribe_push(lambda cycle, beat: arrivals.append(cycle))
-    txn = Transaction("read", "m", 0, 1, 16)
-    up.ar.push(make_read_request(txn, 0))   # cycle 0, visible at 1
+    up.ar.push(make_read_request(0, 1, 16))   # cycle 0, visible at 1
     sim.run(5)
     assert arrivals == [1]                  # forwarded the cycle it appears
 
@@ -48,9 +46,8 @@ def test_pipe_respects_backpressure():
     up = AxiLink(sim, "up", addr_depth=None)
     down = AxiLink(sim, "down", addr_depth=2)
     AxiPipe(sim, "pipe", up, down)
-    txn = Transaction("read", "m", 0, 1, 16)
     for _ in range(6):
-        up.ar.push(make_read_request(txn, 0))
+        up.ar.push(make_read_request(0, 1, 16))
     sim.run(20)                  # nobody pops downstream
     assert len(down.ar) == 2     # capacity bound respected
     drained = 0
@@ -66,9 +63,7 @@ def test_fpga_ps_port_is_a_pipe():
     sim = Simulator("pipe")
     fabric = AxiLink(sim, "fabric")
     ps = AxiLink(sim, "ps")
-    port = FpgaPsPort(sim, "hp0", fabric, ps)
-    assert isinstance(port, AxiPipe)
-    txn = Transaction("read", "m", 0, 1, 16)
-    fabric.ar.push(make_read_request(txn, 0))
+    AxiPipe(sim, "hp0", fabric, ps)
+    fabric.ar.push(make_read_request(0, 1, 16))
     sim.run(3)
     assert ps.ar.can_pop()

@@ -15,7 +15,6 @@ import pytest
 from repro.axi import (
     AxiLink,
     Resp,
-    Transaction,
     WriteBeat,
     make_read_request,
     make_write_request,
@@ -25,7 +24,6 @@ from repro.memory import (
     MemoryAccessFault,
     MemorySubsystem,
     MemoryStore,
-    MultiPortMemorySubsystem,
     Stage2Table,
     Stage2Window,
     TranslationFault,
@@ -151,13 +149,11 @@ TIMING = DramTiming(read_latency=10, write_latency=5, resp_latency=2)
 
 
 def push_read(link, address, length=1):
-    txn = Transaction("read", "m", address, length, 16)
-    link.ar.push(make_read_request(txn, 0))
+    link.ar.push(make_read_request(address, length, 16))
 
 
 def push_write(link, address, length=1):
-    txn = Transaction("write", "m", address, length, 16)
-    link.aw.push(make_write_request(txn, 0))
+    link.aw.push(make_write_request(address, length, 16))
     for index in range(length):
         link.w.push(WriteBeat(last=index == length - 1,
                               data=b"\xAA" * 16))
@@ -217,8 +213,8 @@ class TestMultiPortDecerr:
         sim = Simulator("mp-decerr")
         links = [AxiLink(sim, f"p{i}", data_bytes=16, data_depth=64)
                  for i in range(2)]
-        memory = MultiPortMemorySubsystem(sim, "mp", links, timing=TIMING,
-                                          store=MemoryStore(size=size))
+        memory = MemorySubsystem(sim, "mp", links, timing=TIMING,
+                                 store=MemoryStore(size=size))
         return sim, links, memory
 
     def test_out_of_range_read_answers_decerr(self):

@@ -7,7 +7,6 @@ from repro.axi import (
     BurstType,
     PropagationProbe,
     Resp,
-    Transaction,
     WriteBeat,
     make_read_request,
     make_write_request,
@@ -25,7 +24,6 @@ from repro.memory import (
     FaultInjectingMemory,
     MemoryStore,
     MemorySubsystem,
-    MultiPortMemorySubsystem,
 )
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError, Simulator
@@ -38,8 +36,8 @@ def build_dual_hp_system(with_store=False):
     links = [AxiLink(sim, f"hp{i}", data_bytes=16) for i in range(2)]
     hcs = [HyperConnect(sim, f"hc{i}", 2, links[i]) for i in range(2)]
     store = MemoryStore() if with_store else None
-    memory = MultiPortMemorySubsystem(sim, "ddr", links,
-                                      timing=ZCU102.dram, store=store)
+    memory = MemorySubsystem(sim, "ddr", links,
+                             timing=ZCU102.dram, store=store)
     return sim, hcs, memory, store
 
 
@@ -108,10 +106,10 @@ class TestMultiPortMemory:
     def test_validation(self):
         sim = Simulator("bad")
         with pytest.raises(ConfigurationError):
-            MultiPortMemorySubsystem(sim, "m", [])
+            MemorySubsystem(sim, "m", [])
         link = AxiLink(sim, "l")
         with pytest.raises(ConfigurationError):
-            MultiPortMemorySubsystem(sim, "m2", [link], command_depth=0)
+            MemorySubsystem(sim, "m2", [link], command_depth=0)
 
 
 TIMING = DramTiming(read_latency=10, write_latency=5, resp_latency=2)
@@ -126,19 +124,17 @@ def bare_controller(n_links, timing=TIMING, store=None):
         memory = MemorySubsystem(sim, "mem", links[0], timing=timing,
                                  store=store)
     else:
-        memory = MultiPortMemorySubsystem(sim, "mem", links, timing=timing,
-                                          store=store)
+        memory = MemorySubsystem(sim, "mem", links, timing=timing,
+                                 store=store)
     return sim, links, memory
 
 
 def push_read(link, address, length, burst=BurstType.INCR):
-    txn = Transaction("read", "m", address, length, 16, burst=burst)
-    link.ar.push(make_read_request(txn, 0))
+    link.ar.push(make_read_request(address, length, 16, burst=burst))
 
 
 def push_write(link, address, length):
-    txn = Transaction("write", "m", address, length, 16)
-    link.aw.push(make_write_request(txn, 0))
+    link.aw.push(make_write_request(address, length, 16))
     for index in range(length):
         link.w.push(WriteBeat(last=index == length - 1,
                               data=bytes([index]) * 16))

@@ -65,7 +65,7 @@ def _verify_build(family, fabric="hyperconnect"):
                   for i in range(3))
     system = build_system(Scenario(family=family, ports=ports,
                                    fabric=fabric), fast=False)
-    return system.sim, system.hyperconnects, system.memory_timing
+    return system.sim, system.fabrics, system.memory_timing
 
 
 def _soc_build(interconnect):

@@ -19,10 +19,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.axi import AxiLink, Transaction, WriteBeat, make_write_request
+from repro.axi import AxiLink, WriteBeat, make_write_request
 from repro.masters import AxiDma, DmaDescriptor, Job
 from repro.masters.chaidnn import ChaiDnnAccelerator
-from repro.memory import MultiPortMemorySubsystem
+from repro.memory import MemorySubsystem
 from repro.platforms import ZCU102
 from repro.sim import Simulator
 from repro.sim.tlm import TlmEngine, _Decline
@@ -222,10 +222,9 @@ class TestSnapshot:
         a snapshot must copy the FIFOs, not share them."""
         sim = Simulator("fifo")
         links = [AxiLink(sim, f"p{i}", data_bytes=16) for i in range(2)]
-        memory = MultiPortMemorySubsystem(sim, "mem", links,
-                                          timing=ZCU102.dram)
-        txn = Transaction("write", "m", 0x900, 4, 16)
-        links[1].aw.push(make_write_request(txn, 0))
+        memory = MemorySubsystem(sim, "mem", links,
+                                 timing=ZCU102.dram)
+        links[1].aw.push(make_write_request(0x900, 4, 16))
         for index in range(4):
             links[1].w.push(WriteBeat(last=index == 3,
                                       data=bytes([index]) * 16))
