@@ -18,7 +18,7 @@ Run with::
 """
 
 from repro.axi import AxiLink, WriteBeat, make_write_request
-from repro.hyperconnect.regs import REG_PERIOD
+from repro.hyperconnect.regs import HYPERCONNECT_CTRL_BASE, REG_PERIOD
 from repro.masters import GreedyTrafficGenerator
 from repro.platforms import ZCU102
 from repro.system import SocSystem
@@ -37,7 +37,7 @@ def observed_shares(a, b, previous):
 
 def write_register_over_axi(soc, link, offset, value):
     """Program one register through the control slave like a CPU would."""
-    link.aw.push(make_write_request(0xA000_0000 + offset, 1, 4))
+    link.aw.push(make_write_request(HYPERCONNECT_CTRL_BASE + offset, 1, 4))
     link.w.push(WriteBeat(last=True, data=value.to_bytes(4, "little")))
     soc.sim.run(5)
     assert link.b.can_pop(), "control interface must acknowledge"

@@ -30,17 +30,16 @@ def interfering_transactions(n_ports: int, granularity: int = 1) -> int:
     return granularity * (n_ports - 1)
 
 
-def transaction_service_cycles(burst_beats: int,
-                               command_overhead: int = 1) -> int:
-    """Data-bus cycles one transaction occupies (1 beat/cycle + command)."""
+def transaction_service_cycles(burst_beats: int) -> int:
+    """Data-bus cycles one transaction occupies (1 beat/cycle plus one
+    command cycle)."""
     if burst_beats < 1:
         raise ValueError("burst_beats must be >= 1")
-    return burst_beats + command_overhead
+    return burst_beats + 1
 
 
 def worst_case_grant_delay(n_ports: int, granularity: int,
-                           interferer_burst_beats: int,
-                           command_overhead: int = 1) -> int:
+                           interferer_burst_beats: int) -> int:
     """Worst-case cycles a request waits for its arbitration grant.
 
     Every interfering transaction must drain through the shared in-order
@@ -49,8 +48,7 @@ def worst_case_grant_delay(n_ports: int, granularity: int,
     service time.
     """
     return (interfering_transactions(n_ports, granularity)
-            * transaction_service_cycles(interferer_burst_beats,
-                                         command_overhead))
+            * transaction_service_cycles(interferer_burst_beats))
 
 
 @dataclass(frozen=True)

@@ -60,24 +60,14 @@ def check_addr_beat(beat: AddrBeat, version: AxiVersion = AxiVersion.AXI4,
 class LinkChecker:
     """Passive protocol monitor for one AXI link.
 
-    Parameters
-    ----------
-    link:
-        The link to observe.
-    strict:
-        If true, violations raise immediately; otherwise they are recorded
-        in :attr:`violations` for later inspection.
-    check_read_order:
-        Verify that R bursts arrive in AR issue order (valid for the
-        in-order systems modelled here; disable if observing a link where
-        reordering is legal).
+    Violations never interrupt the run: they are recorded in
+    :attr:`violations`, and :meth:`assert_clean` raises if any were
+    seen.  R bursts must answer ARs in issue order, which holds for the
+    in-order systems modelled here.
     """
 
-    def __init__(self, link: AxiLink, strict: bool = True,
-                 check_read_order: bool = True) -> None:
+    def __init__(self, link: AxiLink) -> None:
         self.link = link
-        self.strict = strict
-        self.check_read_order = check_read_order
         self.violations: List[str] = []
         # expected W beats, in AW order: (addr_beat, beats_remaining)
         self._pending_writes: Deque[list] = deque()
@@ -96,23 +86,17 @@ class LinkChecker:
 
     # ------------------------------------------------------------------
 
-    def _fail(self, message: str) -> None:
-        self.violations.append(message)
-        if self.strict:
-            raise ProtocolError(f"{self.link.name}: {message}")
-
     def _check_addr(self, beat: AddrBeat) -> None:
         try:
             check_addr_beat(beat, self.link.version, self.link.data_bytes)
         except ProtocolError as exc:
-            self._fail(str(exc))
+            self.violations.append(str(exc))
 
     # ------------------------------------------------------------------
 
     def _on_ar(self, cycle: int, beat: AddrBeat) -> None:
         self._check_addr(beat)
-        if self.check_read_order:
-            self._pending_reads.append([beat, beat.length])
+        self._pending_reads.append([beat, beat.length])
 
     def _on_aw(self, cycle: int, beat: AddrBeat) -> None:
         self._check_addr(beat)
@@ -133,46 +117,46 @@ class LinkChecker:
         head[1] -= 1
         if head[1] == 0:
             if not beat.last:
-                self._fail(
+                self.violations.append(
                     f"missing WLAST on final beat of burst "
                     f"0x{head[0].address:x} at cycle {cycle}")
             self._pending_writes.popleft()
         elif beat.last:
-            self._fail(
+            self.violations.append(
                 f"early WLAST ({head[1]} beats still due) on burst "
                 f"0x{head[0].address:x} at cycle {cycle}")
             self._pending_writes.popleft()
 
     def _on_r(self, cycle: int, beat: DataBeat) -> None:
-        if not self.check_read_order:
-            return
         if not self._pending_reads:
-            self._fail(f"R beat at cycle {cycle} with no outstanding AR")
+            self.violations.append(
+                f"R beat at cycle {cycle} with no outstanding AR")
             return
         head = self._pending_reads[0]
         head[1] -= 1
         if head[1] == 0:
             if not beat.last:
-                self._fail(
+                self.violations.append(
                     f"missing RLAST on final beat of burst "
                     f"0x{head[0].address:x} at cycle {cycle}")
             self._pending_reads.popleft()
         elif beat.last:
-            self._fail(
+            self.violations.append(
                 f"early RLAST ({head[1]} beats still due) on burst "
                 f"0x{head[0].address:x} at cycle {cycle}")
             self._pending_reads.popleft()
 
     def _on_b(self, cycle: int, beat: RespBeat) -> None:
         if self._awaiting_b <= 0:
-            self._fail(f"B response at cycle {cycle} with no outstanding AW")
+            self.violations.append(
+                f"B response at cycle {cycle} with no outstanding AW")
             return
         self._awaiting_b -= 1
 
     # ------------------------------------------------------------------
 
     def assert_clean(self) -> None:
-        """Raise if any violation was recorded (for non-strict mode).
+        """Raise :class:`ProtocolError` if any violation was recorded.
 
         Also flags W beats that never found a matching AW — legal while
         in flight, but orphans once the traffic has drained.

@@ -1,10 +1,9 @@
-"""Central unit: common configuration, synchronous recharge, reset fan-out.
+"""Central unit: common configuration and synchronous recharge.
 
 The central unit owns the reservation-period counter and recharges the
 budgets of *all* Transaction Supervisors in the same cycle ("the
 reservation period is recharged for all the TS modules by the central unit
-in a synchronous manner"), mirrors the global enable bit into the TSs, and
-fans out reset requests.
+in a synchronous manner") and mirrors the global enable bit into the TSs.
 """
 
 from __future__ import annotations
@@ -17,23 +16,22 @@ from .supervisor import TransactionSupervisor
 
 
 class CentralUnit(Component):
-    """Period counter + synchronous recharge + global enable/reset."""
+    """Period counter + synchronous recharge + global enable."""
 
     def __init__(self, sim, name: str,
                  supervisors: List[TransactionSupervisor],
-                 period: int = 65536, enabled: bool = True) -> None:
+                 period: int = 65536) -> None:
         super().__init__(sim, name)
         if period < 1:
             raise ConfigurationError("reservation period must be >= 1")
         self.supervisors = supervisors
         self._period = period
-        self._enabled = enabled
+        self._enabled = True
         #: absolute cycle of the next synchronous recharge (the paper's
         #: period counter, kept as a deadline so idle periods need no
         #: per-cycle countdown work)
         self._next_recharge = sim.now + period - 1
         self.recharges = 0
-        self._apply_enable()
 
     # ------------------------------------------------------------------
 
@@ -82,9 +80,3 @@ class CentralUnit(Component):
     def next_event_cycle(self, cycle: int) -> int:
         """The recharge deadline is a guaranteed internal event."""
         return self._next_recharge
-
-    def reset(self) -> None:
-        self._next_recharge = self.sim.now + self._period - 1
-        for supervisor in self.supervisors:
-            supervisor.reset()
-        self.sim.wake()

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..axi.port import AxiLink
+from ..axi.types import AxiVersion
 from ..sim.channel import Channel
 
 
@@ -71,24 +72,22 @@ class EFifoLink(AxiLink):
     gated request channels fully disconnects the HA.
 
     Queue depths default to the paper's slim design point (shallow address
-    queues, data queues sized for a nominal burst in flight).
+    queues, data queues sized for a nominal burst in flight); the
+    HyperConnect builds every slave port with them.
     """
 
     #: channel roles driven by the hardware accelerator
     _GATED_ROLES = ("AR", "AW", "W")
 
     def __init__(self, sim, name: str, data_bytes: int = 16,
-                 version=None, latency: int = 1,
+                 version: AxiVersion = AxiVersion.AXI4, latency: int = 1,
                  addr_depth: Optional[int] = 4,
                  data_depth: Optional[int] = 32,
                  coupled: bool = True) -> None:
         self.gate = PortGate(coupled)
-        kwargs = {}
-        if version is not None:
-            kwargs["version"] = version
-        super().__init__(sim, name, data_bytes=data_bytes, latency=latency,
-                         addr_depth=addr_depth, data_depth=data_depth,
-                         **kwargs)
+        super().__init__(sim, name, data_bytes=data_bytes, version=version,
+                         latency=latency, addr_depth=addr_depth,
+                         data_depth=data_depth)
 
     def _make_channel(self, role: str, latency: int,
                       capacity: Optional[int]) -> Channel:

@@ -277,11 +277,3 @@ class Exbar(Component):
     def routing_backlog(self) -> int:
         """Entries currently held in the routing-information buffers."""
         return len(self._route_r) + len(self._route_w) + len(self._route_b)
-
-    def reset(self) -> None:
-        self._rr_ar = 0
-        self._rr_aw = 0
-        self._route_r.clear()
-        self._route_w.clear()
-        self._route_b.clear()
-        self.sim.wake()

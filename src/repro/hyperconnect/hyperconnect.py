@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..axi.port import AxiLink
-from ..axi.types import AxiVersion
 from ..sim.channel import Channel
 from ..sim.component import Component
 from ..sim.errors import ConfigurationError
@@ -103,8 +102,9 @@ class HyperConnect:
         channels play the role of the master eFIFO's queues.
     period:
         Initial reservation period T (cycles).
-    data_bytes / version:
-        Bus parameters of the slave ports (must match the master link).
+
+    The slave ports take their bus width and AXI version from
+    ``master_link`` and their queue depths from :class:`EFifoLink`.
 
     Attributes
     ----------
@@ -116,27 +116,17 @@ class HyperConnect:
     """
 
     def __init__(self, sim, name: str, n_ports: int, master_link: AxiLink,
-                 period: int = 65536,
-                 data_bytes: Optional[int] = None,
-                 version: Optional[AxiVersion] = None,
-                 addr_depth: int = 4, data_depth: int = 32) -> None:
+                 period: int = 65536) -> None:
         if n_ports < 1:
             raise ConfigurationError("HyperConnect needs >= 1 port")
         self.sim = sim
         self.name = name
         self.n_ports = n_ports
         self.master_link = master_link
-        data_bytes = (master_link.data_bytes if data_bytes is None
-                      else data_bytes)
-        version = master_link.version if version is None else version
-        if data_bytes != master_link.data_bytes:
-            raise ConfigurationError(
-                "slave-port width must match the master link")
-
         self.ports: List[EFifoLink] = [
-            EFifoLink(sim, f"{name}.p{i}", data_bytes=data_bytes,
-                      version=version, addr_depth=addr_depth,
-                      data_depth=data_depth)
+            EFifoLink(sim, f"{name}.p{i}",
+                      data_bytes=master_link.data_bytes,
+                      version=master_link.version)
             for i in range(n_ports)
         ]
         self.configs: List[PortConfig] = [PortConfig()
@@ -238,16 +228,15 @@ class HyperConnect:
 
     # ------------------------------------------------------------------
 
-    def attach_control_interface(self, link: AxiLink,
-                                 base_address: int = 0xA000_0000
-                                 ) -> ControlSlave:
+    def attach_control_interface(self, link: AxiLink) -> ControlSlave:
         """Expose the register file as an AXI slave on ``link``.
 
         In a deployment this link hangs off the PS-FPGA interface and is
-        mapped into the hypervisor's address space only.
+        mapped into the hypervisor's address space only, at
+        :data:`~repro.hyperconnect.regs.HYPERCONNECT_CTRL_BASE`.
         """
         self.control_slave = ControlSlave(
-            self.sim, f"{self.name}.ctrl", link, self.regs, base_address)
+            self.sim, f"{self.name}.ctrl", link, self.regs)
         return self.control_slave
 
     # convenience views ----------------------------------------------------

@@ -45,6 +45,9 @@ from ..axi.types import Resp
 from ..sim.component import Component
 from ..sim.errors import ConfigurationError, ReproError
 
+#: placement of the control window in the PS address map
+HYPERCONNECT_CTRL_BASE = 0xA000_0000
+
 # global registers
 REG_CTRL = 0x00
 REG_PERIOD = 0x04
@@ -208,15 +211,15 @@ class ControlSlave(Component):
     Accepts single-beat transactions only (the control interface is a
     32-bit register port); longer bursts are answered with SLVERR.
     Out-of-map addresses return DECERR, faithfully modelling what a
-    misprogrammed hypervisor access would see.
+    misprogrammed hypervisor access would see.  The window starts at
+    :data:`HYPERCONNECT_CTRL_BASE`.
     """
 
-    def __init__(self, sim, name: str, link: AxiLink, regs: RegisterFile,
-                 base_address: int = 0xA000_0000) -> None:
+    def __init__(self, sim, name: str, link: AxiLink,
+                 regs: RegisterFile) -> None:
         super().__init__(sim, name)
         self.link = link
         self.regs = regs
-        self.base_address = base_address
         self._pending_write: Optional[tuple] = None
 
     def tick(self, cycle: int) -> bool:
@@ -227,7 +230,7 @@ class ControlSlave(Component):
         if self.link.ar.can_pop() and self.link.r.can_push():
             idle = False
             request = self.link.ar.pop()
-            offset = request.address - self.base_address
+            offset = request.address - HYPERCONNECT_CTRL_BASE
             if request.length != 1:
                 self.link.r.push(DataBeat(last=True, txn_id=request.txn_id,
                                           resp=Resp.SLVERR,
@@ -253,7 +256,7 @@ class ControlSlave(Component):
             request = self._pending_write[0]
             wbeat = self.link.w.pop()
             self._pending_write = None
-            offset = request.address - self.base_address
+            offset = request.address - HYPERCONNECT_CTRL_BASE
             resp = Resp.OKAY
             if request.length != 1 or wbeat.data is None:
                 resp = Resp.SLVERR

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hyperconnect.driver import HyperConnectDriver
 from ..hyperconnect.hyperconnect import HyperConnect
-from ..hyperconnect.regs import REGION_GRANULE
+from ..hyperconnect.regs import HYPERCONNECT_CTRL_BASE, REGION_GRANULE
 from ..masters.engine import AxiMasterEngine
 from ..memory.buddy import AllocationError, BuddyAllocator
 from ..memory.store import MemoryStore
@@ -37,8 +37,7 @@ from .interrupts import InterruptController
 from .recovery import (FaultRecoveryAgent, RecoveryPolicy,
                        RevocationController, RevocationOrder)
 
-#: default placement of the HyperConnect control window in the PS map
-HYPERCONNECT_CTRL_BASE = 0xA000_0000
+#: size of the HyperConnect control window in the PS map
 HYPERCONNECT_CTRL_SIZE = 0x1000
 
 
@@ -145,8 +144,7 @@ class Hypervisor:
     # HyperConnect policy (hypervisor-only)
     # ------------------------------------------------------------------
 
-    def apply_bandwidth_policy(self, shares: Dict[str, float],
-                               period: Optional[int] = None) -> None:
+    def apply_bandwidth_policy(self, shares: Dict[str, float]) -> None:
         """Reserve bandwidth per domain (split evenly over its ports)."""
         port_shares: Dict[int, float] = {}
         for name, fraction in shares.items():
@@ -158,7 +156,7 @@ class Hypervisor:
             for port in domain.ports:
                 port_shares[port] = per_port
             domain.bandwidth_share = fraction
-        self.driver.set_bandwidth_shares(port_shares, period=period)
+        self.driver.set_bandwidth_shares(port_shares)
 
     def isolate_domain(self, name: str) -> None:
         """Decouple every port of a (misbehaving) domain."""
@@ -178,17 +176,14 @@ class Hypervisor:
     # memory virtualization (sparse stage-2 address space)
     # ------------------------------------------------------------------
 
-    def attach_memory(self, store: MemoryStore, base: int = 0,
-                      size: Optional[int] = None,
-                      min_block: int = REGION_GRANULE) -> BuddyAllocator:
+    def attach_memory(self, store: MemoryStore) -> BuddyAllocator:
         """Place the DRAM backing store under hypervisor management.
 
-        A buddy allocator carves ``[base, base + size)`` (default: the
-        whole store) into power-of-two region grants;
+        A buddy allocator carves the whole store into power-of-two
+        region grants of at least one region-filter granule;
         :meth:`grant_memory` hands them to tenant domains.
         """
-        allocator = BuddyAllocator(base, store.size if size is None
-                                   else size, min_block)
+        allocator = BuddyAllocator(0, store.size, REGION_GRANULE)
         self.store = store
         self.allocator = allocator
         return allocator
@@ -233,26 +228,25 @@ class Hypervisor:
             self._apply_region_filters(domain)
         return region
 
-    def adopt_region(self, domain_name: str, base: int, size: int,
-                     guest_base: Optional[int] = None) -> MemoryRegion:
+    def adopt_region(self, domain_name: str, base: int,
+                     size: int) -> MemoryRegion:
         """Record an externally-placed grant (no allocator involved).
 
         Used by harness builders whose scenarios pin grant addresses as
-        pure data: installs the stage-2 window (identity mapped by
-        default), the access-control grant, the domain region, and — when
-        ports are bound — the data-plane region filters, exactly like
+        pure data: installs the identity-mapped stage-2 window, the
+        access-control grant, the domain region, and — when ports are
+        bound — the data-plane region filters, exactly like
         :meth:`grant_memory` but at the caller's chosen address.
         """
         domain = self.domain(domain_name)
-        if guest_base is None:
-            guest_base = base
-        self.stage2(domain_name).map(guest_base, size, base)
+        self.stage2(domain_name).map(base, size, base)
         region = domain.add_region(base, size)
         self.access.grant(domain, region, cycle=self.sim.now)
         if self.allocator is not None:
             # claim the pinned range from the managed pool so a later
             # revoke/release coalesces it back; placements outside the
-            # pool (or colliding with it) stay untracked, as before
+            # pool (or colliding with it) get no backing record, so
+            # tearing them down frees nothing
             try:
                 blocks = self.allocator.reserve(base, size)
             except AllocationError:
@@ -300,14 +294,8 @@ class Hypervisor:
             table.unmap(window.guest_base)
         domain.regions.remove(region)
         self.access.revoke(domain, region, cycle=cycle)
-        blocks = self._backing.pop((domain.name, region.base), None)
-        if self.allocator is not None:
-            if blocks is not None:
-                for address in blocks:
-                    self.allocator.free(address)
-            elif self.allocator.is_granted(region.base):
-                # legacy grant without a backing record
-                self.allocator.free(region.base)
+        for address in self._backing.pop((domain.name, region.base), ()):
+            self.allocator.free(address)
         if domain.ports:
             self._apply_region_filters(domain)
 
@@ -532,12 +520,11 @@ class Hypervisor:
         """Validate a guest control-plane access (raises on violation)."""
         self.access.check(self.domain(domain_name), address, count)
 
-    def guest_configure_hyperconnect(self, domain_name: str,
-                                     offset: int = 0) -> None:
+    def guest_configure_hyperconnect(self, domain_name: str) -> None:
         """What happens when a guest tries to reprogram the interconnect:
         always an :class:`AccessViolation` — by construction the control
         interface is mapped to the hypervisor only."""
-        self.guest_access(domain_name, HYPERCONNECT_CTRL_BASE + offset)
+        self.guest_access(domain_name, HYPERCONNECT_CTRL_BASE)
 
     def attach_accelerator(self, domain_name: str, port: int,
                            engine: AxiMasterEngine) -> None:

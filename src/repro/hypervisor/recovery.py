@@ -7,13 +7,13 @@ policy decision, and policy belongs to the hypervisor.  This module is
 that policy layer:
 
 * :class:`RecoveryPolicy` — the hypervisor-wide knobs
-  (``Hypervisor.default_recovery_policy``): retry automatically or stay
-  quarantined, how many times, and with what (exponentially growing)
-  cycle backoff between attempts.
+  (``Hypervisor.default_recovery_policy``): how many times to retry
+  before the port stays quarantined, and with what (exponentially
+  growing) cycle backoff between attempts.
 * :class:`FaultRecoveryAgent` — a clocked component the hypervisor
   registers on the simulator.  It listens for
   :class:`~repro.sim.events.PortFaultEvent` on the event bus, quarantines
-  the port immediately, and — when the policy allows — schedules a reset
+  the port immediately, and — while retries remain — schedules a reset
   + recouple once the backoff elapses *and* the supervisor reports the
   port drained.
 
@@ -38,12 +38,9 @@ class RecoveryPolicy:
 
     Attributes
     ----------
-    auto_retry:
-        ``False`` means quarantine forever: a port that misbehaved once
-        never gets the bus back without operator action.
     max_retries:
         Recovery attempts before giving up and leaving the port
-        quarantined.
+        quarantined (0 quarantines at the first fault).
     backoff_cycles / backoff_factor:
         Attempt ``k`` (0-based) waits ``backoff_cycles * factor**k``
         cycles after the fault before resetting the port.  The growing
@@ -51,7 +48,6 @@ class RecoveryPolicy:
         bus time with futile recouple/trip churn.
     """
 
-    auto_retry: bool = True
     max_retries: int = 3
     backoff_cycles: int = 512
     backoff_factor: int = 2
@@ -87,7 +83,7 @@ class FaultRecoveryAgent(Component):
         self._due: Dict[int, int] = {}
         #: port -> recovery attempts consumed so far
         self.retries: Dict[int, int] = {}
-        #: ports whose policy (or retry budget) ruled out recovery
+        #: ports whose retry budget ran out
         self.gave_up: Set[int] = set()
         sim.events.subscribe(self._on_fault, PortFaultEvent)
 
@@ -103,7 +99,7 @@ class FaultRecoveryAgent(Component):
         self.hypervisor.quarantine(port)
         policy = self.hypervisor.default_recovery_policy
         attempt = self.retries.get(port, 0)
-        if policy.auto_retry and attempt < policy.max_retries:
+        if attempt < policy.max_retries:
             self._due[port] = event.cycle + policy.backoff_for(attempt)
             self.sim.wake()
         else:
@@ -147,13 +143,6 @@ class FaultRecoveryAgent(Component):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest pending recovery deadline."""
         return min(self._due.values()) if self._due else None
-
-    # ------------------------------------------------------------------
-
-    @property
-    def pending(self) -> Dict[int, int]:
-        """Scheduled attempts (port -> due cycle), for inspection."""
-        return dict(self._due)
 
 
 @dataclass
@@ -259,15 +248,3 @@ class RevocationController(Component):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest pending revocation step."""
         return min(self._due.values()) if self._due else None
-
-    # ------------------------------------------------------------------
-
-    @property
-    def orders(self) -> List[RevocationOrder]:
-        """All orders ever scheduled (committed ones included)."""
-        return list(self._orders)
-
-    @property
-    def pending(self) -> Dict[int, int]:
-        """Uncommitted orders (order_id -> next step cycle)."""
-        return dict(self._due)

@@ -59,22 +59,19 @@ class PhasedAccelerator(AxiMasterEngine):
         The per-frame phase list.
     frames:
         Number of frames to process; ``None`` repeats until :meth:`stop`.
-    overlap:
-        When true, consecutive memory phases are pipelined (the next
-        phase's job is enqueued as soon as the previous one is enqueued,
-        not completed).  Compute phases always act as barriers, as in real
-        accelerators that must have their inputs resident before starting.
+
+    Each phase starts when the previous one has finished: a memory
+    phase's job must complete before the next phase begins.
     """
 
     def __init__(self, sim, name: str, link,
                  phases: List[Phase], frames: Optional[int] = None,
-                 overlap: bool = False, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(sim, name, link, **kwargs)
         if not phases:
             raise ConfigurationError("phase list must not be empty")
         self.phases = list(phases)
         self.frames_target = frames
-        self.overlap = overlap
         self.frames_completed = 0
         self.frame_rate = RateCounter(sim.clock_hz)
         self.frame_latency = OnlineStats()
@@ -117,51 +114,32 @@ class PhasedAccelerator(AxiMasterEngine):
             self._waiting_job = None
 
     def _advance(self, cycle: int) -> bool:
-        """Drive the phase state machine as far as possible this cycle.
+        """Start the next phase (and, past the last one, the next frame).
 
         Returns ``True`` when the machine could not move: blocked on a
         memory job or mid-compute.
         """
         if self._waiting_job is not None or cycle < self._compute_until:
             return True
-        while True:
-            if self._waiting_job is not None:
+        if self._phase_index == len(self.phases):
+            self._finish_frame(cycle)
+            if not self._running:
                 return False
-            if cycle < self._compute_until:
-                return False
-            if self._phase_index >= len(self.phases):
-                self._finish_frame(cycle)
-                if not self._running:
-                    return False
-                continue
-            if self._frame_started is None:
-                self._frame_started = cycle
-            phase = self.phases[self._phase_index]
-            self._phase_index += 1
-            if phase.kind == "compute":
-                # compute may start only when all memory traffic landed
-                if self.busy:
-                    self._phase_index -= 1
-                    self._waiting_job = self._last_enqueued_job()
-                    return False
-                self._compute_until = cycle + phase.cycles
-                return False
-            if phase.kind == "read":
-                job = self.enqueue_read(phase.address, phase.nbytes,
-                                        label=phase.label or "phase-read")
-            else:
-                job = self.enqueue_write(phase.address, phase.nbytes,
-                                         label=phase.label or "phase-write")
-            if not self.overlap:
-                self._waiting_job = job
-                return False
-
-    def _last_enqueued_job(self) -> Optional[Job]:
-        if self._jobs:
-            return self._jobs[-1]
-        if self._active_jobs:
-            return self._active_jobs[-1]
-        return None
+        if self._frame_started is None:
+            self._frame_started = cycle
+        phase = self.phases[self._phase_index]
+        self._phase_index += 1
+        if phase.kind == "compute":
+            self._compute_until = cycle + phase.cycles
+        elif phase.kind == "read":
+            self._waiting_job = self.enqueue_read(
+                phase.address, phase.nbytes,
+                label=phase.label or "phase-read")
+        else:
+            self._waiting_job = self.enqueue_write(
+                phase.address, phase.nbytes,
+                label=phase.label or "phase-write")
+        return False
 
     def _finish_frame(self, cycle: int) -> None:
         self.frames_completed += 1

@@ -57,6 +57,14 @@ GOOGLENET_LAYERS: List[LayerSpec] = [
 ]
 
 
+#: datapath throughput: CHaiDNN's DSP array sustains on the order of
+#: 1024 INT8 MACs per PL cycle in its large configuration
+MACS_PER_CYCLE = 1024
+#: DRAM placement of the weights and of the ping-pong feature-map buffers
+WEIGHT_BASE = 0x7000_0000
+FMAP_BASE = 0x7800_0000
+
+
 def googlenet_total_macs() -> int:
     """Total multiply-accumulates per frame."""
     return sum(layer.macs for layer in GOOGLENET_LAYERS)
@@ -73,43 +81,30 @@ class ChaiDnnAccelerator(PhasedAccelerator):
     Inherits :class:`PhasedAccelerator`'s idle report unchanged: during
     compute phases the model ticks idle with a
     ``next_event_cycle`` hint at the phase end, so the fast kernel path
-    skips the long MAC-bound stretches (the dominant fraction of a frame
-    at realistic ``macs_per_cycle``) in bulk.
+    skips the long MAC-bound stretches (the dominant fraction of a
+    frame) in bulk.
+
+    It runs :data:`GOOGLENET_LAYERS` at :data:`MACS_PER_CYCLE`, with
+    weights at :data:`WEIGHT_BASE` and ping-pong feature-map buffers at
+    :data:`FMAP_BASE`, issuing 16-beat bursts with at most 4 outstanding.
 
     Parameters
     ----------
-    macs_per_cycle:
-        Datapath throughput (CHaiDNN's DSP array sustains on the order of
-        1024 INT8 MACs per PL cycle in its large configuration).
     scale:
         Linear workload scale in (0, 1]: byte counts and compute cycles
         are multiplied by it.  ``1.0`` is the full network.
-    weight_base / fmap_base:
-        DRAM placement of weights and ping-pong feature-map buffers.
-    layers:
-        Alternative layer table (defaults to GoogleNet).
+    frames:
+        Number of frames to process; ``None`` repeats until stopped.
     """
 
-    def __init__(self, sim, name: str, link,
-                 macs_per_cycle: int = 1024, scale: float = 1.0,
-                 frames: Optional[int] = None,
-                 weight_base: int = 0x7000_0000,
-                 fmap_base: int = 0x7800_0000,
-                 layers: Optional[List[LayerSpec]] = None,
-                 burst_len: int = 16, max_outstanding: int = 4,
-                 **kwargs) -> None:
+    def __init__(self, sim, name: str, link, scale: float = 1.0,
+                 frames: Optional[int] = None, **kwargs) -> None:
         if not 0.0 < scale <= 1.0:
             raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-        if macs_per_cycle < 1:
-            raise ConfigurationError("macs_per_cycle must be >= 1")
         self.scale = scale
-        self.macs_per_cycle = macs_per_cycle
-        self.layers = list(layers) if layers is not None else GOOGLENET_LAYERS
-        beat = link.data_bytes
-        phases = self._build_phases(beat, weight_base, fmap_base)
+        phases = self._build_phases(link.data_bytes)
         super().__init__(sim, name, link, phases, frames=frames,
-                         burst_len=burst_len,
-                         max_outstanding=max_outstanding, **kwargs)
+                         burst_len=16, max_outstanding=4, **kwargs)
 
     # ------------------------------------------------------------------
 
@@ -117,17 +112,16 @@ class ChaiDnnAccelerator(PhasedAccelerator):
         scaled = max(beat, int(nbytes * self.scale))
         return ((scaled + beat - 1) // beat) * beat
 
-    def _build_phases(self, beat: int, weight_base: int,
-                      fmap_base: int) -> List[Phase]:
+    def _build_phases(self, beat: int) -> List[Phase]:
         phases: List[Phase] = []
-        weight_cursor = weight_base
-        ping, pong = fmap_base, fmap_base + (1 << 23)
-        for layer in self.layers:
+        weight_cursor = WEIGHT_BASE
+        ping, pong = FMAP_BASE, FMAP_BASE + (1 << 23)
+        for layer in GOOGLENET_LAYERS:
             weights = self._round_bytes(layer.weight_bytes, beat)
             ifmap = self._round_bytes(layer.ifmap_bytes, beat)
             ofmap = self._round_bytes(layer.ofmap_bytes, beat)
             compute = max(1, int(layer.macs * self.scale
-                                 // self.macs_per_cycle))
+                                 // MACS_PER_CYCLE))
             phases.append(Phase("read", nbytes=weights,
                                 address=weight_cursor,
                                 label=f"{layer.name}:weights"))

@@ -119,8 +119,7 @@ class AxiDma(AxiMasterEngine):
 
 
 def standard_case_study_dma(sim, name: str, link, nbytes: int,
-                            burst_len: int = 16,
-                            max_outstanding: int = 8) -> AxiDma:
+                            burst_len: int = 16) -> AxiDma:
     """The case-study DMA: read ``nbytes``, then write ``nbytes`` back.
 
     This is HA_DMA of Sections VI-C: "set to read 4 MB of data from the
@@ -128,8 +127,7 @@ def standard_case_study_dma(sim, name: str, link, nbytes: int,
     video/audio processing engine.  Buffers are placed in two disjoint
     halves of a scratch region.
     """
-    dma = AxiDma(sim, name, link, burst_len=burst_len,
-                 max_outstanding=max_outstanding)
+    dma = AxiDma(sim, name, link, burst_len=burst_len)
     dma.program([
         DmaDescriptor("read", 0x1000_0000, nbytes),
         DmaDescriptor("write", 0x2000_0000, nbytes),

@@ -19,6 +19,12 @@ from typing import List, Optional
 from ..sim.errors import ConfigurationError
 from .engine import AxiMasterEngine, Job
 
+#: the buffer every :class:`PeriodicTrafficGenerator` release reads
+PERIODIC_ADDRESS = 0x5000_0000
+#: the address window :class:`RandomTrafficGenerator` draws pages from
+RANDOM_WINDOW_BASE = 0x6000_0000
+RANDOM_WINDOW_BYTES = 1 << 24
+
 
 class GreedyTrafficGenerator(AxiMasterEngine):
     """Saturating master: always keeps ``depth`` jobs in flight.
@@ -89,8 +95,9 @@ class GreedyTrafficGenerator(AxiMasterEngine):
 
 
 class PeriodicTrafficGenerator(AxiMasterEngine):
-    """Real-time HA: ``job_bytes`` of traffic every ``period`` cycles.
+    """Real-time HA: a ``job_bytes`` read every ``period`` cycles.
 
+    Every release reads the same buffer at :data:`PERIODIC_ADDRESS`.
     A new job is released at every period boundary; if the previous job is
     still running at its deadline (= next release), a deadline miss is
     recorded and the release is queued (no job is dropped — that matches a
@@ -98,15 +105,12 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
     """
 
     def __init__(self, sim, name: str, link, period: int,
-                 job_bytes: int, address: int = 0x5000_0000,
-                 read: bool = True, **kwargs) -> None:
+                 job_bytes: int, **kwargs) -> None:
         super().__init__(sim, name, link, **kwargs)
         if period < 1:
             raise ConfigurationError("period must be >= 1 cycle")
         self.period = period
         self.job_bytes = job_bytes
-        self.address = address
-        self.read = read
         self.deadline_misses = 0
         self.releases = 0
         self._last_release: Optional[int] = None
@@ -119,12 +123,8 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
         if self.busy:
             self.deadline_misses += 1
         self.releases += 1
-        if self.read:
-            self.enqueue_read(self.address, self.job_bytes,
-                              label="periodic")
-        else:
-            self.enqueue_write(self.address, self.job_bytes,
-                               label="periodic")
+        self.enqueue_read(PERIODIC_ADDRESS, self.job_bytes,
+                          label="periodic")
         super().tick(cycle)
         return False
 
@@ -146,14 +146,14 @@ class RandomTrafficGenerator(AxiMasterEngine):
     """Stochastic master with geometric inter-arrival gaps (seeded).
 
     Each arrival enqueues a read or write of a random multiple of the bus
-    width between ``min_bytes`` and ``max_bytes``.
+    width between ``min_bytes`` and ``max_bytes``, at a random 4 KiB page
+    of the :data:`RANDOM_WINDOW_BYTES` window at
+    :data:`RANDOM_WINDOW_BASE`.
     """
 
     def __init__(self, sim, name: str, link, arrival_probability: float,
                  min_bytes: int = 64, max_bytes: int = 4096,
                  write_probability: float = 0.5,
-                 address_window: int = 1 << 24,
-                 window_base: int = 0x6000_0000,
                  seed: int = 1, **kwargs) -> None:
         super().__init__(sim, name, link, **kwargs)
         if not 0.0 < arrival_probability <= 1.0:
@@ -163,8 +163,6 @@ class RandomTrafficGenerator(AxiMasterEngine):
         self.min_bytes = min_bytes
         self.max_bytes = max_bytes
         self.write_probability = write_probability
-        self.address_window = address_window
-        self.window_base = window_base
         self._rng = random.Random(seed)
         self.arrivals = 0
 
@@ -173,9 +171,8 @@ class RandomTrafficGenerator(AxiMasterEngine):
         span = max(1, (self.max_bytes - self.min_bytes) // beat)
         nbytes = self.min_bytes + self._rng.randrange(span + 1) * beat
         nbytes = max(beat, (nbytes // beat) * beat)
-        offset = self._rng.randrange(
-            max(1, self.address_window // 4096)) * 4096
-        address = self.window_base + offset
+        address = (RANDOM_WINDOW_BASE
+                   + self._rng.randrange(RANDOM_WINDOW_BYTES // 4096) * 4096)
         self.arrivals += 1
         if self._rng.random() < self.write_probability:
             self.enqueue_write(address, nbytes, label="random")
@@ -190,7 +187,7 @@ class RandomTrafficGenerator(AxiMasterEngine):
         return False
 
 
-def mixed_fleet(sim, links: List, seed: int = 7) -> List[AxiMasterEngine]:
+def mixed_fleet(sim, links: List) -> List[AxiMasterEngine]:
     """Convenience factory: one generator archetype per provided link.
 
     Cycles through greedy / periodic / random archetypes; used by stress
@@ -209,5 +206,5 @@ def mixed_fleet(sim, links: List, seed: int = 7) -> List[AxiMasterEngine]:
         else:
             fleet.append(RandomTrafficGenerator(
                 sim, f"random{index}", link, arrival_probability=0.02,
-                seed=seed + index))
+                seed=7 + index))
     return fleet

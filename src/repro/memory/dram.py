@@ -320,11 +320,6 @@ class MemorySubsystem(Component):
 
     # ------------------------------------------------------------------
 
-    @property
-    def backlog(self) -> int:
-        """Commands queued but not yet started."""
-        return len(self._commands)
-
     def idle(self) -> bool:
         """True when no command is queued, active, or awaiting response."""
         return (self._current is None and not self._commands

@@ -102,17 +102,15 @@ def hyperconnect_resources(n_ports: int,
     return total
 
 
-def hyperconnect_breakdown(n_ports: int,
-                           data_bytes: int = 16
-                           ) -> Dict[str, ResourceEstimate]:
-    """Per-module breakdown of :func:`hyperconnect_resources`."""
-    factor = _width_factor(data_bytes)
+def hyperconnect_breakdown(n_ports: int) -> Dict[str, ResourceEstimate]:
+    """Per-module breakdown of :func:`hyperconnect_resources` at the
+    calibrated 128-bit width."""
     return {
-        "efifo_slave_ports": _scale(_HC_EFIFO_SLAVE, factor, n_ports),
-        "transaction_supervisors": _scale(_HC_TS, factor, n_ports),
-        "exbar": (_scale(_HC_EXBAR_BASE, factor)
-                  + _scale(_HC_EXBAR_PER_PORT, factor, n_ports)),
-        "efifo_master": _scale(_HC_EFIFO_MASTER, factor),
+        "efifo_slave_ports": _scale(_HC_EFIFO_SLAVE, 1.0, n_ports),
+        "transaction_supervisors": _scale(_HC_TS, 1.0, n_ports),
+        "exbar": (_scale(_HC_EXBAR_BASE, 1.0)
+                  + _scale(_HC_EXBAR_PER_PORT, 1.0, n_ports)),
+        "efifo_master": _scale(_HC_EFIFO_MASTER, 1.0),
         "central_unit": _scale(_HC_CENTRAL, 1.0),
     }
 

@@ -208,20 +208,6 @@ class Channel:
         queue = self._queue
         return bool(queue) and queue[0][0] <= self._sim._cycle
 
-    def peek(self) -> Any:
-        """The head item if one is visible this cycle, else ``None``.
-
-        Single-check fast path for the ``if can_pop(): front()`` idiom.
-        Only usable where a ``None`` payload cannot occur (true for all
-        AXI beat traffic, whose payloads are beat objects).
-        """
-        queue = self._queue
-        if queue:
-            ready, item = queue[0]
-            if ready <= self._sim._cycle:
-                return item
-        return None
-
     def front(self) -> Any:
         """Return (without removing) the item at the head of the queue."""
         if not self.can_pop():
@@ -253,8 +239,9 @@ class Channel:
     def try_pop(self) -> Any:
         """Pop and return the head item if visible, else ``None``.
 
-        Single-check fast path for ``if can_pop(): pop()``; the same
-        ``None``-payload caveat as :meth:`peek` applies.
+        Single-check fast path for ``if can_pop(): pop()``.  Only usable
+        where a ``None`` payload cannot occur (true for all AXI beat
+        traffic, whose payloads are beat objects).
         """
         queue = self._queue
         if not queue or queue[0][0] > self._sim._cycle:

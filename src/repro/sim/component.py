@@ -75,13 +75,5 @@ class Component:
         """
         return None
 
-    def reset(self) -> None:
-        """Return the component to its power-on state.
-
-        The default implementation does nothing; stateful components
-        override it.  Used by the HyperConnect central unit to fan out reset
-        requests.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -103,21 +103,21 @@ class GrantRevocationEvent:
                 "beneficiary": self.beneficiary}
 
 
+#: events the bus log retains
+LOG_LIMIT = 4096
+
+
 class EventBus:
     """Synchronous publish/subscribe hub owned by the simulator.
 
-    Parameters
-    ----------
-    log_limit:
-        Maximum number of retained events (oldest dropped first).
-        ``None`` retains everything.  Fault events are rare by nature,
-        so the default is generous without risking unbounded growth on
-        pathological runs.
+    The log retains the last :data:`LOG_LIMIT` events (oldest dropped
+    first).  Fault events are rare by nature, so the limit is generous
+    without risking unbounded growth on pathological runs.
     """
 
-    def __init__(self, log_limit: Optional[int] = 4096) -> None:
+    def __init__(self) -> None:
         self._subscribers: List[Tuple[Optional[type], Callable]] = []
-        self._log: Deque[Any] = deque(maxlen=log_limit)
+        self._log: Deque[Any] = deque(maxlen=LOG_LIMIT)
         self.published_total = 0
         self.dropped = 0
 
@@ -132,8 +132,7 @@ class EventBus:
 
     def publish(self, event: Any) -> None:
         """Deliver ``event`` to subscribers (in subscription order)."""
-        if (self._log.maxlen is not None
-                and len(self._log) == self._log.maxlen):
+        if len(self._log) == LOG_LIMIT:
             self.dropped += 1
         self._log.append(event)
         self.published_total += 1
@@ -165,11 +164,6 @@ class EventBus:
     def as_dicts(self) -> List[Dict[str, Any]]:
         """The retained log as JSON-friendly dicts, in publish order."""
         return [event.as_dict() for event in self._log]
-
-    def clear(self) -> None:
-        """Drop the retained log (subscribers stay registered)."""
-        self._log.clear()
-        self.dropped = 0
 
     def attach_tracer(self, tracer) -> None:
         """Mirror every published event into ``tracer`` as a trace event.

@@ -222,9 +222,6 @@ class TlmEngine:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        self.min_epoch = MIN_EPOCH
-        self.resync_window = RESYNC_WINDOW
-        self.decline_holdoff = DECLINE_HOLDOFF
         #: first cycle at which the next epoch may be attempted
         self._next_attempt = 0
         #: speculative epochs entered (committed or rolled back)
@@ -234,8 +231,6 @@ class TlmEngine:
         #: rollback/replay path; with 1 the whole run must be
         #: byte-identical to ``fast=True``
         self._force_mispredict_after: Optional[int] = None
-        #: last swallowed unexpected exception (debugging aid)
-        self.last_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # outer loop
@@ -250,7 +245,7 @@ class TlmEngine:
                 # inside a holdoff / resync window: cycle-accurate
                 sim._run_fast(min(end, self._next_attempt))
                 continue
-            if end - cycle < self.min_epoch:
+            if end - cycle < MIN_EPOCH:
                 # too close to the window end to be worth predicting;
                 # not a demotion — run_until strides land here constantly
                 sim._run_fast(end)
@@ -280,19 +275,18 @@ class TlmEngine:
             self._record_demotion(exc.reason)
             resume = exc.resume
             if resume is None:
-                resume = start + self.decline_holdoff
+                resume = start + DECLINE_HOLDOFF
             self._next_attempt = max(resume, start + 1)
         except _Mispredict as exc:
             self._restore(snapshot)
             stats.tlm_rollbacks += 1
             self._record_demotion(f"mispredict:{exc}")
-            self._next_attempt = start + self.decline_holdoff
+            self._next_attempt = start + DECLINE_HOLDOFF
         except Exception as exc:   # safety net: fall back, stay correct
             if snapshot is not None:
                 self._restore(snapshot)
-            self.last_error = exc
             self._record_demotion(f"error:{type(exc).__name__}")
-            self._next_attempt = start + self.decline_holdoff
+            self._next_attempt = start + DECLINE_HOLDOFF
 
     def _record_demotion(self, reason: str) -> None:
         demotions = self._sim.skip_stats.tlm_demotions
@@ -316,14 +310,14 @@ class TlmEngine:
         if len(centrals) != 1 or len(exbars) != 1:
             raise _Decline("topology")
         central, exbar = centrals[0], exbars[0]
-        if not getattr(central, "_enabled", True):
+        if not central.enabled:
             raise _Decline("central-disabled")
 
         recharge = central._next_recharge
         if recharge <= start:
             raise _Decline("recharge-due", resume=start + 1)
         epoch_end = min(recharge - 1, end - 1)
-        if epoch_end - start + 1 < self.min_epoch:
+        if epoch_end - start + 1 < MIN_EPOCH:
             raise _Decline("short-period", resume=recharge + 1)
 
         memories = [c for c in components if isinstance(c, MemorySubsystem)]
@@ -775,4 +769,4 @@ class TlmEngine:
         # the central unit's recharge fires naturally at E+1 (its tick
         # condition is cycle >= _next_recharge and E = _next_recharge-1
         # whenever the period bounded the epoch)
-        self._next_attempt = plan.E + 1 + self.resync_window
+        self._next_attempt = plan.E + 1 + RESYNC_WINDOW

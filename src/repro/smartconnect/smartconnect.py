@@ -31,7 +31,6 @@ from typing import Deque, List, Optional
 
 from ..axi.payloads import AddrBeat
 from ..axi.port import AxiLink
-from ..axi.types import AxiVersion
 from ..sim.component import Component
 from ..sim.errors import ConfigurationError
 
@@ -63,15 +62,14 @@ class SmartConnect(Component):
     max_granularity:
         The variable round-robin granularity bound ``g``.
 
-    Like the real IP, the model has no transaction watchdog: a master
-    that hangs mid-transaction stalls every port routed behind it.
+    The slave ports take their bus width and AXI version from
+    ``master_link``.  Like the real IP, the model has no transaction
+    watchdog: a master that hangs mid-transaction stalls every port
+    routed behind it.
     """
 
     def __init__(self, sim, name: str, n_ports: int, master_link: AxiLink,
-                 max_granularity: int = DEFAULT_MAX_GRANULARITY,
-                 data_bytes: Optional[int] = None,
-                 version: Optional[AxiVersion] = None,
-                 addr_depth: int = 8, data_depth: int = 64) -> None:
+                 max_granularity: int = DEFAULT_MAX_GRANULARITY) -> None:
         super().__init__(sim, name)
         if n_ports < 1:
             raise ConfigurationError("SmartConnect needs >= 1 port")
@@ -80,13 +78,10 @@ class SmartConnect(Component):
         self.n_ports = n_ports
         self.master_link = master_link
         self.max_granularity = max_granularity
-        data_bytes = (master_link.data_bytes if data_bytes is None
-                      else data_bytes)
-        version = master_link.version if version is None else version
         self.ports: List[AxiLink] = [
-            AxiLink(sim, f"{name}.p{i}", data_bytes=data_bytes,
-                    version=version, latency=dict(INPUT_STAGE_LATENCY),
-                    addr_depth=addr_depth, data_depth=data_depth)
+            AxiLink(sim, f"{name}.p{i}", data_bytes=master_link.data_bytes,
+                    version=master_link.version,
+                    latency=dict(INPUT_STAGE_LATENCY))
             for i in range(n_ports)
         ]
         self._rr_ar = 0
@@ -220,11 +215,8 @@ class SmartConnect(Component):
                 and not self._route_b)
 
 
-def smartconnect_master_link(sim, name: str, data_bytes: int = 16,
-                             version: AxiVersion = AxiVersion.AXI4,
-                             addr_depth: int = 16,
-                             data_depth: int = 64) -> AxiLink:
+def smartconnect_master_link(sim, name: str,
+                             data_bytes: int = 16) -> AxiLink:
     """Master-side link with the SmartConnect output-stage latencies."""
-    return AxiLink(sim, name, data_bytes=data_bytes, version=version,
-                   latency=dict(OUTPUT_STAGE_LATENCY),
-                   addr_depth=addr_depth, data_depth=data_depth)
+    return AxiLink(sim, name, data_bytes=data_bytes,
+                   latency=dict(OUTPUT_STAGE_LATENCY), addr_depth=16)

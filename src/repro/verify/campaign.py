@@ -101,6 +101,35 @@ def scenario_id(scenario: Scenario) -> str:
     return sha256(scenario.to_json().encode()).hexdigest()[:16]
 
 
+def _new_record(index: int, verdict: str,
+                detail: Optional[str] = None) -> dict:
+    """A record with every schema field, the result fields unset."""
+    return {
+        "schema": RESULT_SCHEMA,
+        "index": index,
+        "scenario_id": None,
+        "verdict": verdict,
+        "oracle": None,
+        "detail": detail,
+        "digest": None,
+        "cycles": None,
+        "engines": None,
+        "elapsed_ms": None,
+        "scenario": None,
+    }
+
+
+def _identify(record: dict, scenario_json: str,
+              config: CampaignConfig) -> Scenario:
+    """Parse the scenario and fill in the record's ``scenario_id`` (and
+    the embedded ``scenario`` when the config asks for it)."""
+    scenario = Scenario.from_json(scenario_json)
+    record["scenario_id"] = scenario_id(scenario)
+    if config.embed_scenario:
+        record["scenario"] = scenario.to_dict()
+    return scenario
+
+
 def evaluate_record(index: int, scenario_json: str,
                     config: CampaignConfig) -> dict:
     """Run one scenario through the oracles; never raises.
@@ -111,25 +140,9 @@ def evaluate_record(index: int, scenario_json: str,
     exception is recorded, the campaign continues).
     """
     started = time.perf_counter()
-    record = {
-        "schema": RESULT_SCHEMA,
-        "index": index,
-        "scenario_id": None,
-        "verdict": "pass",
-        "oracle": None,
-        "detail": None,
-        "digest": None,
-        "cycles": None,
-        "engines": None,
-        "elapsed_ms": None,
-        "scenario": None,
-    }
-    scenario: Optional[Scenario] = None
+    record = _new_record(index, "pass")
     try:
-        scenario = Scenario.from_json(scenario_json)
-        record["scenario_id"] = scenario_id(scenario)
-        if config.embed_scenario:
-            record["scenario"] = scenario.to_dict()
+        scenario = _identify(record, scenario_json, config)
         evaluate = config.evaluate_hook or evaluate_scenario
         reference = evaluate(scenario, checks=config.checks)
         record["digest"] = fingerprint_digest(reference)
@@ -178,25 +191,12 @@ def _context() -> multiprocessing.context.BaseContext:
 def _timeout_record(index: int, scenario_json: str,
                     config: CampaignConfig) -> dict:
     """An ``error`` verdict for a record whose worker never returned."""
-    record = {
-        "schema": RESULT_SCHEMA,
-        "index": index,
-        "scenario_id": None,
-        "verdict": "error",
-        "oracle": None,
-        "detail": f"timeout: record exceeded {config.record_timeout}s "
-                  "wall clock; worker terminated",
-        "digest": None,
-        "cycles": None,
-        "engines": None,
-        "elapsed_ms": None,
-        "scenario": None,
-    }
+    record = _new_record(
+        index, "error",
+        f"timeout: record exceeded {config.record_timeout}s wall clock; "
+        "worker terminated")
     try:
-        scenario = Scenario.from_json(scenario_json)
-        record["scenario_id"] = scenario_id(scenario)
-        if config.embed_scenario:
-            record["scenario"] = scenario.to_dict()
+        _identify(record, scenario_json, config)
     except Exception:  # noqa: BLE001 - id fields stay None
         pass
     return record
@@ -215,18 +215,15 @@ def campaign_digest(records: Iterable[dict]) -> str:
 
 def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
                  config: CampaignConfig = CampaignConfig(),
-                 output: Optional[os.PathLike] = None,
-                 progress: Optional[Callable[[dict], None]] = None
-                 ) -> CampaignResult:
+                 output: Optional[os.PathLike] = None) -> CampaignResult:
     """Stream scenarios through the oracles on ``workers`` processes.
 
     ``workers`` <= 1 runs inline (no processes) — the determinism
     reference for the N-worker digest-equality regression.  ``output``
-    writes the ordered records as canonical JSON-lines.  ``progress``
-    is called once per finished record (completion order, not index
-    order — useful for live reporting only).  A ``record_timeout`` in
-    ``config`` needs ``workers >= 2``; with fewer it raises
-    :class:`ValueError` rather than run with no timeout at all.
+    writes the ordered records as canonical JSON-lines.  A
+    ``record_timeout`` in ``config`` needs ``workers >= 2``; with fewer
+    it raises :class:`ValueError` rather than run with no timeout at
+    all.
     """
     if workers <= 1 and config.record_timeout is not None:
         raise ValueError(
@@ -236,12 +233,8 @@ def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
                 for index, scenario in enumerate(scenarios)]
     started = time.perf_counter()
     if workers <= 1:
-        records = []
-        for index, scenario_json in payloads:
-            record = evaluate_record(index, scenario_json, config)
-            if progress is not None:
-                progress(record)
-            records.append(record)
+        records = [evaluate_record(index, scenario_json, config)
+                   for index, scenario_json in payloads]
     else:
         context = _context()
         records = []
@@ -262,8 +255,6 @@ def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
             try:
                 for record in stream:
                     pending.discard(record["index"])
-                    if progress is not None:
-                        progress(record)
                     records.append(record)
             except multiprocessing.TimeoutError:
                 # a worker is hung: abandon the pool and report every
@@ -271,13 +262,9 @@ def run_campaign(scenarios: Iterable[Scenario], workers: int = 0,
                 # always terminates
                 pool.terminate()
                 for index, scenario_json in payloads:
-                    if index not in pending:
-                        continue
-                    record = _timeout_record(index, scenario_json,
-                                             config)
-                    if progress is not None:
-                        progress(record)
-                    records.append(record)
+                    if index in pending:
+                        records.append(_timeout_record(
+                            index, scenario_json, config))
         records.sort(key=lambda record: record["index"])
     wall_s = time.perf_counter() - started
     counts: Dict[str, int] = {}

@@ -87,7 +87,7 @@ def replay_entry(entry: CorpusEntry) -> Tuple[RunResult, str]:
     return result, fingerprint_digest(result)
 
 
-def run_corpus_campaign(path, workers: int = 0):
+def run_corpus_campaign(path):
     """Replay the whole corpus through the campaign runner.
 
     Returns ``(entries, CampaignResult)`` with records in corpus order;
@@ -100,6 +100,5 @@ def run_corpus_campaign(path, workers: int = 0):
     from .campaign import run_campaign
 
     entries = load_corpus(path)
-    result = run_campaign(
-        [entry.scenario for entry in entries], workers=workers)
+    result = run_campaign([entry.scenario for entry in entries])
     return entries, result

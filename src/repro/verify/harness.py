@@ -87,7 +87,7 @@ class RunResult:
     fingerprint: tuple
     #: per-plan-index engine observables
     engines: Tuple[dict, ...]
-    #: per-plan-index strict protocol violations (None = no checker)
+    #: per-plan-index protocol violations (None = no checker)
     violations: Tuple[Optional[Tuple[str, ...]], ...]
     #: per-plan-index watchdog/protocol trip counts
     trips: Tuple[int, ...]

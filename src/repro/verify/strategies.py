@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from .scenario import (
     FAMILIES,
-    GRANT_GRANULE,
     MEMORY_FAULT_FAMILIES,
     MasterFault,
     MemoryFault,
@@ -109,64 +108,7 @@ def _memory_fault(draw):
 
 
 @st.composite
-def tenanted_scenarios(draw, max_domains: int = 12):
-    """Draw one tenanted (multi-domain) :class:`Scenario`.
-
-    Every port is a tenant domain with a disjoint granule-aligned
-    grant; any subset of tenants (possibly several at once — unlike the
-    single-fault campaigns) misbehaves with ``wild_addr`` (jobs aimed
-    into a neighbour's grant) or ``hung_r`` faults.  Healthy tenants
-    keep their watchdogs disarmed so fair-share queueing at scale can
-    never false-trip them; the horizon scales with the total enqueued
-    work so the liveness obligation is satisfiable at every draw.
-    """
-    n = draw(st.integers(3, max_domains))
-    span_pages = draw(st.sampled_from((8, 16, 32)))
-    span = span_pages * GRANT_GRANULE
-    n_faulted = draw(st.integers(0, min(4, n - 1)))
-    faulted = sorted(draw(st.permutations(range(n)))[:n_faulted])
-    plans = []
-    total_bytes = 0
-    for index in range(n):
-        base = index * span
-        if index in faulted:
-            if draw(st.booleans()):
-                target = ((index + 1) % n) * span
-                plans.append(PortPlan(
-                    jobs=(("read", target, 512),),
-                    fault=MasterFault(mode="wild_addr")))
-                total_bytes += 512
-            else:
-                # 1 KiB = 64 beats: even a 31-beat hang leaves more
-                # beats undeliverable than the 32-deep eFIFO data queue
-                # can hide, so the watchdog provably has work to age
-                plans.append(PortPlan(
-                    jobs=(("read", base, 1024),),
-                    timeout=draw(ROGUE_TIMEOUT),
-                    fault=MasterFault(mode="hung_r",
-                                      hang_after_beats=draw(
-                                          st.integers(0, 31)),
-                                      persistent=draw(st.booleans()))))
-                total_bytes += 1024
-        else:
-            kind = draw(st.sampled_from(("read", "write")))
-            nbytes = draw(st.sampled_from((256, 512, 1024)))
-            plans.append(PortPlan(jobs=((kind, base, nbytes),)))
-            total_bytes += nbytes
-    horizon = 6_000 + 6 * (total_bytes // BEAT_BYTES)
-    return Scenario(
-        family="flat",
-        ports=tuple(plans),
-        grants=tuple((index * span, span) for index in range(n)),
-        equal_shares=draw(st.booleans()),
-        period=2048,
-        horizon=horizon,
-        settle=512,
-    )
-
-
-@st.composite
-def scenarios(draw, families=FAMILIES, allow_faults: bool = True):
+def scenarios(draw, families=FAMILIES):
     """Draw one complete :class:`Scenario`.
 
     At most one fault program per scenario: a rogue master on any
@@ -181,11 +123,9 @@ def scenarios(draw, families=FAMILIES, allow_faults: bool = True):
     n_ports = draw(st.integers(lo, hi))
     cascade_depth = (draw(st.sampled_from((2, 2, 2, 3)))
                      if family == "cascade" else 2)
-    choices = ["healthy"]
-    if allow_faults:
-        choices += ["master", "master"]
-        if family in MEMORY_FAULT_FAMILIES:
-            choices += ["memory", "memory"]
+    choices = ["healthy", "master", "master"]
+    if family in MEMORY_FAULT_FAMILIES:
+        choices += ["memory", "memory"]
     program = draw(st.sampled_from(choices))
     memory = MemoryFault()
     plans = []

@@ -85,7 +85,7 @@ class TestLinkChecker:
 
     def test_early_wlast_detected(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.aw.push(write_beat(length=3))
         link.w.push(WriteBeat(last=True))   # 2 beats early
         assert checker.violations
@@ -94,14 +94,14 @@ class TestLinkChecker:
 
     def test_missing_wlast_detected(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.aw.push(write_beat(length=1))
         link.w.push(WriteBeat(last=False))
         assert any("WLAST" in v for v in checker.violations)
 
     def test_orphan_w_detected_at_drain(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.w.push(WriteBeat(last=True))
         # early W is legal while in flight ...
         assert not checker.violations
@@ -111,7 +111,7 @@ class TestLinkChecker:
 
     def test_early_w_matched_by_later_aw(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.w.push(WriteBeat(last=False))
         link.w.push(WriteBeat(last=True))
         link.aw.push(write_beat(length=2))   # AW arrives after its data
@@ -119,13 +119,13 @@ class TestLinkChecker:
 
     def test_orphan_b_detected(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.b.push(RespBeat())
         assert any("no outstanding AW" in v for v in checker.violations)
 
     def test_read_order_checked(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.ar.push(read_beat(length=2))
         link.r.push(DataBeat(last=False))
         link.r.push(DataBeat(last=True))
@@ -133,25 +133,27 @@ class TestLinkChecker:
 
     def test_early_rlast_detected(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.ar.push(read_beat(length=4))
         link.r.push(DataBeat(last=True))
         assert any("RLAST" in v for v in checker.violations)
 
     def test_orphan_r_detected(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.r.push(DataBeat(last=True))
         assert any("no outstanding AR" in v for v in checker.violations)
 
-    def test_strict_mode_raises_immediately(self, sim):
+    def test_violation_recorded_then_raised_by_assert_clean(self, sim):
         link = AxiLink(sim, "l")
-        LinkChecker(link, strict=True)
-        with pytest.raises(ProtocolError):
-            link.aw.push(write_beat(address=0xFFF8, length=4))  # 4KB cross
+        checker = LinkChecker(link)
+        link.aw.push(write_beat(address=0xFFF8, length=4))  # 4KB cross
+        assert any("4 KiB" in v for v in checker.violations)
+        with pytest.raises(ProtocolError, match="l: 1 protocol violations"):
+            checker.assert_clean()
 
     def test_illegal_addr_beat_recorded(self, sim):
         link = AxiLink(sim, "l")
-        checker = LinkChecker(link, strict=False)
+        checker = LinkChecker(link)
         link.ar.push(read_beat(address=0xFF8, length=4))
         assert any("4 KiB" in v for v in checker.violations)

@@ -101,6 +101,29 @@ class TestEvaluateRecord:
         assert record["oracle"] == "liveness"
         assert record["detail"].startswith("[liveness] synthetic")
 
+    def test_illegal_burst_on_a_healthy_port_fails_the_protocol_oracle(
+            self, monkeypatch):
+        # an engine that skips 4 KiB legalization issues a read burst
+        # straddling the boundary: the port monitor records it and the
+        # protocol oracle reports it, instead of the run aborting
+        from repro.axi.burst import split_burst
+        from repro.masters.engine import AxiMasterEngine
+
+        def unlegalized(engine, address, nbytes):
+            beat = engine.link.data_bytes
+            return split_burst(address, nbytes // beat, beat,
+                               engine.burst_len)
+
+        monkeypatch.setattr(AxiMasterEngine, "_bursts_for", unlegalized)
+        scenario = Scenario(
+            family="flat",
+            ports=(PortPlan(jobs=(("read", 0x1000_0F80, 256),)),),
+            horizon=1_500, settle=64)
+        record = evaluate_record(0, scenario.to_json(), CampaignConfig())
+        assert record["verdict"] == "fail"
+        assert record["oracle"] == "protocol"
+        assert "crosses a 4 KiB boundary" in record["detail"]
+
     def test_embed_scenario_off_keeps_records_lean(self):
         record = evaluate_record(
             0, tiny().to_json(), CampaignConfig(embed_scenario=False))

@@ -13,6 +13,7 @@ from repro.hyperconnect import (
     port_register,
 )
 from repro.hyperconnect.regs import (
+    HYPERCONNECT_CTRL_BASE,
     PORT_BUDGET,
     PORT_CTRL,
     PORT_ISSUED_READ,
@@ -84,13 +85,13 @@ class TestRegisterFile:
 
 
 class TestControlSlave:
-    BASE = 0xA000_0000
+    BASE = HYPERCONNECT_CTRL_BASE
 
     def build(self):
         sim = Simulator("ctrl")
         link = AxiLink(sim, "ctrl-link", data_bytes=16)
         regs = RegisterFile(2)
-        slave = ControlSlave(sim, "slave", link, regs, self.BASE)
+        slave = ControlSlave(sim, "slave", link, regs)
         return sim, link, regs
 
     def read_register(self, sim, link, offset):

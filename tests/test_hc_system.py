@@ -55,7 +55,7 @@ class TestProtocolTransparency:
     """'Completely transparent to both the HAs and the memory subsystem'."""
 
     def test_master_side_protocol_clean(self, hc_soc):
-        checker = LinkChecker(hc_soc.master_link, strict=False)
+        checker = LinkChecker(hc_soc.master_link)
         dma = AxiDma(hc_soc.sim, "dma", hc_soc.port(0), burst_len=64)
         dma.enqueue_read(0x0, 8192)
         dma.enqueue_write(0x9000, 8192)
@@ -63,7 +63,7 @@ class TestProtocolTransparency:
         checker.assert_clean()
 
     def test_ha_side_protocol_clean(self, hc_soc):
-        checker = LinkChecker(hc_soc.port(0), strict=False)
+        checker = LinkChecker(hc_soc.port(0))
         dma = AxiDma(hc_soc.sim, "dma", hc_soc.port(0), burst_len=64)
         dma.enqueue_read(0x0, 8192)
         dma.enqueue_write(0x9000, 8192)
@@ -195,11 +195,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             HyperConnect(sim, "hc", 0, master)
 
-    def test_width_mismatch_rejected(self, sim):
-        from repro.axi import AxiLink
-        master = AxiLink(sim, "m", data_bytes=16)
-        with pytest.raises(ConfigurationError):
-            HyperConnect(sim, "hc", 2, master, data_bytes=8)
+    def test_ports_take_the_master_link_geometry(self, sim):
+        from repro.axi import AxiLink, AxiVersion
+        master = AxiLink(sim, "m", data_bytes=8, version=AxiVersion.AXI3)
+        hc = HyperConnect(sim, "hc", 2, master)
+        for link in hc.ports:
+            assert link.data_bytes == 8
+            assert link.version is AxiVersion.AXI3
 
     def test_control_interface_attachment(self, hc_soc):
         from repro.axi import AxiLink

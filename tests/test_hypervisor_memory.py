@@ -160,6 +160,21 @@ class TestRelease:
         assert soc.driver.region_filter(port) == {"base": keep.base,
                                                   "size": keep.size}
 
+    def test_release_of_an_unbacked_grant_frees_nothing(self):
+        # a region adopted onto a range another tenant already holds
+        # gets no allocator backing; releasing it must leave that
+        # tenant's block allocated
+        __, hypervisor = booted()
+        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
+        held = hypervisor.grant_memory("crit", 0x1000)
+        adopted = hypervisor.adopt_region("best", held.base, held.size)
+        hypervisor.release_memory("best", adopted)
+        assert allocator.allocated_bytes == held.size
+        assert allocator.is_granted(held.base)
+        hypervisor.create_domain("third")
+        fresh = hypervisor.grant_memory("third", 0x1000)
+        assert not fresh.overlaps(held)
+
 
 class TestReleaseMidBurst:
     """Satellite: ``release_memory`` under live traffic is a clean error.

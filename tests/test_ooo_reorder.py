@@ -85,7 +85,7 @@ class TestOutOfOrderMemory:
 class TestInOrderAdapter:
     def test_upstream_sees_in_order_reads(self):
         sim, hc, adapter, memory, __ = build_ooo_system()
-        checker = LinkChecker(adapter.upstream, strict=False)
+        checker = LinkChecker(adapter.upstream)
         engine = AxiMasterEngine(sim, "m", hc.port(0), max_outstanding=8)
         for index in range(16):
             base = 0x0 if index % 2 == 0 else 0x40_0000

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 
 from repro.verify import check_scenario
-from repro.verify.strategies import scenarios, tenanted_scenarios
+from repro.verify.strategies import scenarios
 
 pytestmark = pytest.mark.fuzz
 
@@ -44,10 +44,3 @@ def test_all_families_mixed(scenario):
     families while minimizing a counterexample."""
     check_scenario(scenario)
 
-
-@given(scenario=tenanted_scenarios())
-def test_tenanted_isolation(scenario):
-    """Multi-domain tenant draws: disjoint stage-2 grants, any subset of
-    tenants rogue at once (wild-address or hung), and the isolation
-    oracle holding alongside the rest of the stack."""
-    check_scenario(scenario)
