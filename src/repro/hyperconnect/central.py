@@ -20,7 +20,7 @@ class CentralUnit(Component):
 
     def __init__(self, sim, name: str,
                  supervisors: List[TransactionSupervisor],
-                 period: int = 65536) -> None:
+                 period: int) -> None:
         super().__init__(sim, name)
         if period < 1:
             raise ConfigurationError("reservation period must be >= 1")

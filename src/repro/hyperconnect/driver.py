@@ -1,10 +1,12 @@
 """Open-source driver for the AXI HyperConnect.
 
 The paper ships the HyperConnect with "an open-source driver to control
-it"; this module is that driver's Python equivalent.  It speaks exclusively
-through the register map (:mod:`repro.hyperconnect.regs`), so everything it
-does could equally be performed by a processor writing the memory-mapped
-control interface — which is exactly how the hypervisor model uses it.
+it"; this module is that driver's Python equivalent.  It drives one
+:class:`~repro.hyperconnect.hyperconnect.HyperConnect` and speaks
+exclusively through its register map (:mod:`repro.hyperconnect.regs`), so
+everything it does could equally be performed by a processor writing the
+memory-mapped control interface — which is exactly how the hypervisor
+model uses it.
 
 The most important convenience is :meth:`HyperConnectDriver.set_bandwidth_shares`,
 which converts the "HC-X-Y" percentage notation of the paper's Fig. 5 into
@@ -36,7 +38,6 @@ from .regs import (
     REGION_BASE_REG,
     REGION_GRANULE,
     REGION_PAGES_REG,
-    RegisterFile,
     port_register,
     region_epoch_register,
     region_register,
@@ -46,17 +47,12 @@ from .regs import (
 class HyperConnectDriver:
     """Typed API over the HyperConnect register map."""
 
-    def __init__(self, target) -> None:
-        """``target`` may be a :class:`HyperConnect` or a raw
-        :class:`RegisterFile` (e.g. one reached through a control link)."""
-        if isinstance(target, HyperConnect):
-            self.regs: RegisterFile = target.regs
-        elif isinstance(target, RegisterFile):
-            self.regs = target
-        else:
+    def __init__(self, hyperconnect: HyperConnect) -> None:
+        if not isinstance(hyperconnect, HyperConnect):
             raise ConfigurationError(
-                f"driver target must be HyperConnect or RegisterFile, "
-                f"got {type(target).__name__}")
+                f"driver target must be a HyperConnect, "
+                f"got {type(hyperconnect).__name__}")
+        self.regs = hyperconnect.regs
 
     # ------------------------------------------------------------------
     # global controls
@@ -194,18 +190,13 @@ class HyperConnectDriver:
     def region_epoch(self, port: int) -> int:
         """The port's region-filter retarget counter (read-only reg).
 
-        Bumped by the hypervisor on every grant/revoke/re-grant that
-        reprograms the port's filter, so software can observe that a
-        revocation has committed with a single register read.
+        The IP bumps it on every REGION_PAGES write, the last write of
+        each :meth:`set_region_filter` and :meth:`clear_region_filter`,
+        so software can observe that a revocation has committed with a
+        single register read.
         """
         self._check_port(port)
         return self.regs.read(region_epoch_register(port))
-
-    def note_region_retarget(self, port: int) -> None:
-        """Advance a port's region epoch (hypervisor-internal poke)."""
-        self._check_port(port)
-        reg = region_epoch_register(port)
-        self.regs.poke(reg, self.regs.read(reg) + 1)
 
     def faults(self, port: int) -> int:
         """Containment entries (watchdog + protocol trips) of a port."""

@@ -30,29 +30,7 @@ from ..sim.errors import ConfigurationError
 from .central import CentralUnit
 from .efifo import EFifoLink
 from .exbar import Exbar
-from .regs import (
-    BUDGET_UNLIMITED,
-    PORT_BASE,
-    PORT_BUDGET,
-    PORT_CTRL,
-    PORT_FAULTS,
-    PORT_ISSUED_READ,
-    PORT_ISSUED_WRITE,
-    PORT_MAX_OUTSTANDING,
-    PORT_NOMINAL_BURST,
-    PORT_STRIDE,
-    PORT_TIMEOUT,
-    REG_CTRL,
-    REG_PERIOD,
-    REGION_BASE_OFFSET,
-    REGION_BASE_REG,
-    REGION_GRANULE,
-    REGION_PAGES_REG,
-    REGION_STRIDE,
-    ControlSlave,
-    RegisterFile,
-    port_register,
-)
+from .regs import MAX_PORTS, ControlSlave, RegisterFile
 from .supervisor import PortConfig, TransactionSupervisor
 
 
@@ -111,14 +89,20 @@ class HyperConnect:
     ports:
         Per-port :class:`EFifoLink`; hardware accelerators drive these.
     regs:
-        The memory-mapped :class:`RegisterFile` — normally accessed
-        through :class:`repro.hyperconnect.driver.HyperConnectDriver`.
+        The memory-mapped :class:`RegisterFile`, decoding the register map
+        onto ``configs``, the port gates and ``central`` — normally
+        accessed through
+        :class:`repro.hyperconnect.driver.HyperConnectDriver`.
     """
 
     def __init__(self, sim, name: str, n_ports: int, master_link: AxiLink,
                  period: int = 65536) -> None:
         if n_ports < 1:
             raise ConfigurationError("HyperConnect needs >= 1 port")
+        if n_ports > MAX_PORTS:
+            raise ConfigurationError(
+                f"HyperConnect has at most {MAX_PORTS} ports (the size of "
+                f"its per-port register aperture), got {n_ports}")
         self.sim = sim
         self.name = name
         self.n_ports = n_ports
@@ -154,77 +138,8 @@ class HyperConnect:
                                         master_link)
         self.central = CentralUnit(sim, f"{name}.central",
                                    self.supervisors, period=period)
-        self.regs = RegisterFile(n_ports)
-        self.regs.poke(REG_PERIOD, period)
-        self.regs.on_write(self._apply_register)
-        for i in range(n_ports):
-            self.regs.provide(
-                port_register(i, PORT_ISSUED_READ),
-                (lambda cfg=self.configs[i]: cfg.issued_read))
-            self.regs.provide(
-                port_register(i, PORT_ISSUED_WRITE),
-                (lambda cfg=self.configs[i]: cfg.issued_write))
-            # live gate state: a hardware-initiated decouple (watchdog
-            # containment) must be visible through PORT_CTRL reads
-            self.regs.provide(
-                port_register(i, PORT_CTRL),
-                (lambda link=self.ports[i]: 1 if link.coupled else 0))
-            self.regs.provide(
-                port_register(i, PORT_FAULTS),
-                (lambda ts=self.supervisors[i]: ts.fault_stats.trips))
+        self.regs = RegisterFile(self)
         self.control_slave: Optional[ControlSlave] = None
-
-    # ------------------------------------------------------------------
-    # register side effects (runtime reconfiguration)
-    # ------------------------------------------------------------------
-
-    def _apply_register(self, offset: int, value: int) -> None:
-        # every register side effect may change some component's
-        # quiescence, so drop any cached bulk-skip horizon
-        self.sim.wake()
-        if offset == REG_CTRL:
-            self.central.enabled = bool(value & 1)
-            return
-        if offset == REG_PERIOD:
-            self.central.period = max(1, value)
-            return
-        if offset < PORT_BASE:
-            return
-        if offset >= REGION_BASE_OFFSET:
-            port, field_offset = divmod(
-                offset - REGION_BASE_OFFSET, REGION_STRIDE)
-            if port >= self.n_ports:
-                return
-            config = self.configs[port]
-            if field_offset == REGION_BASE_REG:
-                config.region_base = value * REGION_GRANULE
-            elif field_offset == REGION_PAGES_REG:
-                config.region_bytes = value * REGION_GRANULE
-            return
-        port, field_offset = divmod(offset - PORT_BASE, PORT_STRIDE)
-        if port >= self.n_ports:
-            return
-        config = self.configs[port]
-        if field_offset == PORT_CTRL:
-            if value & 1:
-                self.ports[port].couple()
-            else:
-                self.ports[port].decouple()
-        elif field_offset == PORT_NOMINAL_BURST:
-            config.nominal_burst = max(1, value)
-        elif field_offset == PORT_MAX_OUTSTANDING:
-            config.max_outstanding = max(1, value)
-        elif field_offset == PORT_BUDGET:
-            config.budget = (None if value == BUDGET_UNLIMITED
-                             else value)
-            # a newly imposed budget takes effect at the next synchronous
-            # recharge; an *unlimited* setting applies immediately
-            if config.budget is None:
-                self.supervisors[port].budget_remaining = None
-        elif field_offset == PORT_TIMEOUT:
-            # 0 disarms the watchdog; pending deadlines re-time from the
-            # stored issue cycles on the very next poll
-            config.timeout_cycles = None if value == 0 else value
 
     # ------------------------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 The HyperConnect "exports a control AXI slave interface that allows
 changing its configuration from the PS as a standard memory-mapped device"
-— managed by the hypervisor.  This module defines the register map, the
-:class:`RegisterFile` backing store (with read-only enforcement and write
-callbacks for side effects), and :class:`ControlSlave`, the AXI-Lite-style
+— managed by the hypervisor.  The registers *are* that configuration:
+this module defines the register map, the :class:`RegisterFile` that
+decodes it onto the IP's live port and central-unit state (with
+read-only enforcement), and :class:`ControlSlave`, the AXI-Lite-style
 slave that serves single-beat register transactions over a link.
 
 Register map (32-bit registers, byte offsets)::
@@ -31,22 +32,28 @@ Register map (32-bit registers, byte offsets)::
       +0x04  REGION_PAGES     granted region size, 4 KiB pages;
                               0 = region filter disabled
     0x2000 + i*0x4           REGION_EPOCH, port i: read-only counter
-                             bumped on every region-filter retarget
+                             bumped on every REGION_PAGES write
                              (grant/revoke/re-grant commit marker)
+
+The per-port block must end below 0x1000, which caps the IP at
+:data:`MAX_PORTS` (126) ports; the window spans
+:data:`HYPERCONNECT_CTRL_SIZE` bytes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Optional, Tuple
 
 from ..axi.payloads import DataBeat, RespBeat
 from ..axi.port import AxiLink
 from ..axi.types import Resp
 from ..sim.component import Component
-from ..sim.errors import ConfigurationError, ReproError
+from ..sim.errors import ReproError
 
 #: placement of the control window in the PS address map
 HYPERCONNECT_CTRL_BASE = 0xA000_0000
+#: extent of the control window: the map's three 4 KiB apertures
+HYPERCONNECT_CTRL_SIZE = 0x3000
 
 # global registers
 REG_CTRL = 0x00
@@ -74,12 +81,22 @@ REGION_PAGES_REG = 0x04
 #: granularity of the region-grant registers (one store page)
 REGION_GRANULE = 4096
 
-# per-port region-epoch aperture: a read-only counter bumped by the
-# hypervisor every time a port's region filter is retargeted (grant,
-# revoke, re-grant).  Software uses it to detect that a revocation has
-# committed without polling the base/pages pair for a torn update.
+# per-port region-epoch aperture: a read-only counter the IP bumps on
+# every REGION_PAGES write, the last write of each region-filter
+# retarget (grant, revoke, re-grant).  Software uses it to detect that a
+# revocation has committed without polling the base/pages pair for a
+# torn update.
 REGION_EPOCH_OFFSET = 0x2000
 REGION_EPOCH_STRIDE = 0x4
+
+#: most ports whose blocks fit below the region-grant aperture
+MAX_PORTS = (REGION_BASE_OFFSET - PORT_BASE) // PORT_STRIDE
+
+# the three per-port apertures, as (base, stride)
+_PORT_APERTURES = ((PORT_BASE, PORT_STRIDE),
+                   (REGION_BASE_OFFSET, REGION_STRIDE),
+                   (REGION_EPOCH_OFFSET, REGION_EPOCH_STRIDE))
+_PORT_READ_ONLY = (PORT_ISSUED_READ, PORT_ISSUED_WRITE, PORT_FAULTS)
 
 #: budget register value meaning "no reservation limit"
 BUDGET_UNLIMITED = 0xFFFF_FFFF
@@ -92,6 +109,11 @@ _WORD_MASK = 0xFFFF_FFFF
 
 class RegisterAccessError(ReproError):
     """Illegal register access (unknown offset or write to read-only)."""
+
+
+def _read_only(offset: int) -> RegisterAccessError:
+    return RegisterAccessError(
+        f"write to read-only register offset 0x{offset:x}")
 
 
 def port_register(port: int, field_offset: int) -> int:
@@ -110,99 +132,117 @@ def region_epoch_register(port: int) -> int:
 
 
 class RegisterFile:
-    """The HyperConnect's register backing store.
+    """The HyperConnect's register map, decoded onto the IP's live state.
 
-    Writes to writable registers invoke the registered callbacks so the
-    owning HyperConnect can apply side effects (recomputing budgets,
-    toggling gates).  Read-only registers can be refreshed internally via
-    :meth:`poke`.
+    Holds no register values of its own: a read encodes the state the
+    datapath already uses (the per-port :class:`PortConfig`, the port
+    gates, the supervisors' fault counters, and the central unit's
+    enable and period) and a write decodes into it.  Writes are masked to
+    32 bits; unmapped offsets and writes to read-only registers raise
+    :class:`RegisterAccessError`.
     """
 
-    def __init__(self, n_ports: int) -> None:
-        if n_ports < 1:
-            raise ConfigurationError("n_ports must be >= 1")
-        self.n_ports = n_ports
-        self._values: Dict[int, int] = {
-            REG_CTRL: 1,
-            REG_PERIOD: 65536,
-            REG_N_PORTS: n_ports,
-            REG_VERSION: IP_VERSION,
-        }
-        self._read_only = {REG_N_PORTS, REG_VERSION}
-        for port in range(n_ports):
-            self._values[port_register(port, PORT_CTRL)] = 1
-            self._values[port_register(port, PORT_NOMINAL_BURST)] = 16
-            self._values[port_register(port, PORT_MAX_OUTSTANDING)] = 8
-            self._values[port_register(port, PORT_BUDGET)] = BUDGET_UNLIMITED
-            self._values[port_register(port, PORT_ISSUED_READ)] = 0
-            self._values[port_register(port, PORT_ISSUED_WRITE)] = 0
-            self._values[port_register(port, PORT_TIMEOUT)] = 0
-            self._values[port_register(port, PORT_FAULTS)] = 0
-            self._read_only.add(port_register(port, PORT_ISSUED_READ))
-            self._read_only.add(port_register(port, PORT_ISSUED_WRITE))
-            self._read_only.add(port_register(port, PORT_FAULTS))
-            self._values[region_register(port, REGION_BASE_REG)] = 0
-            self._values[region_register(port, REGION_PAGES_REG)] = 0
-            self._values[region_epoch_register(port)] = 0
-            self._read_only.add(region_epoch_register(port))
-        self._write_callbacks: List[Callable[[int, int], None]] = []
-        #: dynamic read providers (live hardware counters)
-        self._providers: Dict[int, Callable[[], int]] = {}
+    def __init__(self, hyperconnect) -> None:
+        self.hc = hyperconnect
 
-    # ------------------------------------------------------------------
+    def _locate(self, offset: int, access: str) -> Tuple[int, int, int]:
+        """``(aperture, port, field)`` of a per-port register offset."""
+        for aperture, stride in _PORT_APERTURES:
+            port, field_offset = divmod(offset - aperture, stride)
+            if (offset >= aperture and port < self.hc.n_ports
+                    and field_offset % 4 == 0):
+                return aperture, port, field_offset
+        raise RegisterAccessError(
+            f"{access} unmapped register offset 0x{offset:x}")
 
     def read(self, offset: int) -> int:
         """Read a register; unknown offsets raise."""
-        provider = self._providers.get(offset)
-        if provider is not None:
-            return provider() & _WORD_MASK
-        try:
-            return self._values[offset]
-        except KeyError:
-            raise RegisterAccessError(
-                f"read of unmapped register offset 0x{offset:x}") from None
-
-    def provide(self, offset: int, provider: Callable[[], int]) -> None:
-        """Back a (read-only) register with a live value provider."""
-        if offset not in self._values:
-            raise RegisterAccessError(
-                f"provider for unmapped register offset 0x{offset:x}")
-        self._providers[offset] = provider
+        hc = self.hc
+        if offset == REG_CTRL:
+            return int(hc.central.enabled)
+        if offset == REG_PERIOD:
+            return hc.central.period
+        if offset == REG_N_PORTS:
+            return hc.n_ports
+        if offset == REG_VERSION:
+            return IP_VERSION
+        aperture, port, field_offset = self._locate(offset, "read of")
+        config = hc.configs[port]
+        if aperture == REGION_EPOCH_OFFSET:
+            value = config.region_epoch
+        elif aperture == REGION_BASE_OFFSET:
+            value = (config.region_base if field_offset == REGION_BASE_REG
+                     else config.region_bytes) // REGION_GRANULE
+        elif field_offset == PORT_CTRL:
+            value = int(hc.ports[port].coupled)
+        elif field_offset == PORT_NOMINAL_BURST:
+            value = config.nominal_burst
+        elif field_offset == PORT_MAX_OUTSTANDING:
+            value = config.max_outstanding
+        elif field_offset == PORT_BUDGET:
+            value = (BUDGET_UNLIMITED if config.budget is None
+                     else config.budget)
+        elif field_offset == PORT_ISSUED_READ:
+            value = config.issued_read
+        elif field_offset == PORT_ISSUED_WRITE:
+            value = config.issued_write
+        elif field_offset == PORT_TIMEOUT:
+            value = config.timeout_cycles or 0
+        else:
+            value = hc.supervisors[port].fault_stats.trips
+        return value & _WORD_MASK
 
     def write(self, offset: int, value: int) -> None:
         """Write a register; read-only or unknown offsets raise."""
-        if offset not in self._values:
-            raise RegisterAccessError(
-                f"write to unmapped register offset 0x{offset:x}")
-        if offset in self._read_only:
-            raise RegisterAccessError(
-                f"write to read-only register offset 0x{offset:x}")
-        self._values[offset] = value & _WORD_MASK
-        for callback in self._write_callbacks:
-            callback(offset, value & _WORD_MASK)
+        value &= _WORD_MASK
+        hc = self.hc
+        if offset == REG_CTRL:
+            hc.central.enabled = bool(value & 1)
+        elif offset == REG_PERIOD:
+            hc.central.period = max(1, value)
+        elif offset in (REG_N_PORTS, REG_VERSION):
+            raise _read_only(offset)
+        else:
+            aperture, port, field_offset = self._locate(offset, "write to")
+            if (aperture == REGION_EPOCH_OFFSET
+                    or (aperture == PORT_BASE
+                        and field_offset in _PORT_READ_ONLY)):
+                raise _read_only(offset)
+            self._write_port(aperture, port, field_offset, value)
+        # every configuration write may change some component's
+        # quiescence, so drop any cached bulk-skip horizon
+        hc.sim.wake()
 
-    def poke(self, offset: int, value: int) -> None:
-        """Internal update of any register (hardware-side counters)."""
-        if offset not in self._values:
-            raise RegisterAccessError(
-                f"poke of unmapped register offset 0x{offset:x}")
-        self._values[offset] = value & _WORD_MASK
-
-    def on_write(self, callback: Callable[[int, int], None]) -> None:
-        """Register ``callback(offset, value)`` for writable-reg writes."""
-        self._write_callbacks.append(callback)
-
-    # convenience accessors -------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Global enable bit."""
-        return bool(self.read(REG_CTRL) & 1)
-
-    @property
-    def period(self) -> int:
-        """Reservation period T in cycles."""
-        return self.read(REG_PERIOD)
+    def _write_port(self, aperture: int, port: int, field_offset: int,
+                    value: int) -> None:
+        hc = self.hc
+        config = hc.configs[port]
+        if aperture == REGION_BASE_OFFSET:
+            if field_offset == REGION_BASE_REG:
+                config.region_base = value * REGION_GRANULE
+            else:
+                # REGION_PAGES is the last write of every retarget
+                config.region_bytes = value * REGION_GRANULE
+                config.region_epoch += 1
+        elif field_offset == PORT_CTRL:
+            if value & 1:
+                hc.ports[port].couple()
+            else:
+                hc.ports[port].decouple()
+        elif field_offset == PORT_NOMINAL_BURST:
+            config.nominal_burst = max(1, value)
+        elif field_offset == PORT_MAX_OUTSTANDING:
+            config.max_outstanding = max(1, value)
+        elif field_offset == PORT_BUDGET:
+            config.budget = None if value == BUDGET_UNLIMITED else value
+            # a newly imposed budget takes effect at the next synchronous
+            # recharge; an *unlimited* setting applies immediately
+            if config.budget is None:
+                hc.supervisors[port].budget_remaining = None
+        else:
+            # PORT_TIMEOUT: 0 disarms the watchdog; pending deadlines
+            # re-time from the stored issue cycles on the very next poll
+            config.timeout_cycles = value or None
 
 
 class ControlSlave(Component):

@@ -43,7 +43,7 @@ from .efifo import EFifoLink
 class PortConfig:
     """Runtime-reconfigurable parameters of one input port.
 
-    Mutated by the register-file callbacks; read by the TS every cycle.
+    Written through the register file; read by the TS every cycle.
     """
 
     nominal_burst: int = 16
@@ -61,6 +61,9 @@ class PortConfig:
     #: the default so untenanted systems behave exactly as before.
     region_base: int = 0
     region_bytes: int = 0
+    #: region-filter retargets (REGION_PAGES writes), read back
+    #: through the REGION_EPOCH register
+    region_epoch: int = 0
     #: counters exposed through the read-only ISSUED_* registers
     issued_read: int = field(default=0)
     issued_write: int = field(default=0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from ..sim.errors import ReproError
 from .domain import Domain, MemoryRegion
@@ -84,7 +84,6 @@ class AccessControl:
         if audit_depth < 1:
             raise ValueError("audit_depth must be >= 1")
         self.hyperconnect_window = hyperconnect_window
-        self._grants: Dict[str, List[MemoryRegion]] = {}
         #: most recent denied accesses (bounded ring buffer)
         self.violations: Deque[ViolationRecord] = deque(maxlen=audit_depth)
         #: lifetime denial count (survives ring-buffer eviction)
@@ -97,12 +96,13 @@ class AccessControl:
     def grant(self, domain: Domain, region: MemoryRegion,
               cycle: Optional[int] = None) -> None:
         """Allow ``domain`` to access ``region`` (control registers of its
-        own HAs, its DRAM buffers, ...)."""
+        own HAs, its DRAM buffers, ...) by adding it to the domain's
+        regions."""
         if region.overlaps(self.hyperconnect_window):
             raise AccessViolation(
                 f"cannot grant {domain.name!r} a region overlapping the "
                 f"HyperConnect control window")
-        self._grants.setdefault(domain.name, []).append(region)
+        domain.add_region(region.base, region.size)
         self._record("grant", domain.name, region, cycle)
 
     def revoke(self, domain: Domain, region: MemoryRegion,
@@ -115,12 +115,11 @@ class AccessControl:
         a revocation that silently misses would leave the caller
         believing an access path was closed when it was not.
         """
-        regions = self._grants.get(domain.name, [])
-        if region not in regions:
+        if region not in domain.regions:
             raise AccessViolation(
                 f"domain {domain.name!r} holds no grant at "
                 f"0x{region.base:x} (+0x{region.size:x})")
-        regions.remove(region)
+        domain.regions.remove(region)
         self._record("revoke", domain.name, region, cycle)
 
     def _record(self, kind: str, domain_name: str, region: MemoryRegion,
@@ -140,10 +139,8 @@ class AccessControl:
         if probe.overlaps(self.hyperconnect_window):
             self._deny(domain, address, count,
                        "HyperConnect control interface is hypervisor-only")
-        for region in self._grants.get(domain.name, []):
-            if region.contains(address, count):
-                return
-        self._deny(domain, address, count, "no matching grant")
+        if not domain.may_access(address, count):
+            self._deny(domain, address, count, "no matching grant")
 
     def _deny(self, domain: Domain, address: int, count: int,
               reason: str) -> None:

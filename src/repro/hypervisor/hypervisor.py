@@ -23,7 +23,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hyperconnect.driver import HyperConnectDriver
 from ..hyperconnect.hyperconnect import HyperConnect
-from ..hyperconnect.regs import HYPERCONNECT_CTRL_BASE, REGION_GRANULE
+from ..hyperconnect.regs import (HYPERCONNECT_CTRL_BASE,
+                                 HYPERCONNECT_CTRL_SIZE, REGION_GRANULE)
 from ..masters.engine import AxiMasterEngine
 from ..memory.buddy import AllocationError, BuddyAllocator
 from ..memory.store import MemoryStore
@@ -36,9 +37,6 @@ from .integration import FpgaDesign
 from .interrupts import InterruptController
 from .recovery import (FaultRecoveryAgent, RecoveryPolicy,
                        RevocationController, RevocationOrder)
-
-#: size of the HyperConnect control window in the PS map
-HYPERCONNECT_CTRL_SIZE = 0x1000
 
 
 class Hypervisor:
@@ -203,8 +201,8 @@ class Hypervisor:
 
         Allocates a buddy block, installs a stage-2 window (identity
         mapped by default, so fabric-side and guest-side addresses
-        coincide), records the grant in the access-control plane and the
-        domain's region list, and — when the domain's ports are already
+        coincide), grants the region to the domain through the
+        access-control plane, and — when the domain's ports are already
         bound — arms the HyperConnect's per-port region filters.
         """
         if self.allocator is None:
@@ -221,7 +219,7 @@ class Hypervisor:
         except ValueError:
             self.allocator.free(host_base)
             raise
-        region = domain.add_region(host_base, block)
+        region = MemoryRegion(host_base, block)
         self.access.grant(domain, region, cycle=self.sim.now)
         self._backing[(domain.name, host_base)] = [host_base]
         if domain.ports:
@@ -240,7 +238,7 @@ class Hypervisor:
         """
         domain = self.domain(domain_name)
         self.stage2(domain_name).map(base, size, base)
-        region = domain.add_region(base, size)
+        region = MemoryRegion(base, size)
         self.access.grant(domain, region, cycle=self.sim.now)
         if self.allocator is not None:
             # claim the pinned range from the managed pool so a later
@@ -285,14 +283,13 @@ class Hypervisor:
 
     def _tear_down_grant(self, domain: Domain, region: MemoryRegion,
                          cycle: int) -> None:
-        """Undo a grant: unmap its stage-2 window, drop the domain
-        region, audit-revoke the access grant, coalesce its allocator
-        blocks back into the free pool, and re-arm the region filters."""
+        """Undo a grant: unmap its stage-2 window, revoke (and audit)
+        the domain's region, coalesce its allocator blocks back into the
+        free pool, and re-arm the region filters."""
         table = self.stage2(domain.name)
         window = table.window_for_host(region.base)
         if window is not None:
             table.unmap(window.guest_base)
-        domain.regions.remove(region)
         self.access.revoke(domain, region, cycle=cycle)
         for address in self._backing.pop((domain.name, region.base), ()):
             self.allocator.free(address)
@@ -318,7 +315,6 @@ class Hypervisor:
         if not domain.regions:
             for port in domain.ports:
                 self.driver.clear_region_filter(port)
-                self.driver.note_region_retarget(port)
             return
         base = min(region.base for region in domain.regions)
         end = max(region.end for region in domain.regions)
@@ -327,7 +323,6 @@ class Hypervisor:
             end += REGION_GRANULE - end % REGION_GRANULE
         for port in domain.ports:
             self.driver.set_region_filter(port, base, end - base)
-            self.driver.note_region_retarget(port)
 
     # ------------------------------------------------------------------
     # fault recovery (watchdog containment aftermath)

@@ -6,9 +6,11 @@ windows (guest base -> host base, non-overlapping on the guest side)
 and translates guest accesses to host-physical addresses in the shared
 :class:`~repro.memory.store.MemoryStore`.  An access that misses every
 window — or straddles a window edge — raises
-:class:`~repro.memory.store.TranslationFault`, which the data-path
-adapters surface as an AXI DECERR response rather than a Python
-exception escaping the kernel.
+:class:`~repro.memory.store.TranslationFault`.  The fabric data path
+does not translate through these tables: accelerators address host
+memory directly, confined by the HyperConnect's per-port region
+filters, and the hypervisor uses the table to find a grant's window
+when it tears the grant down.
 
 :class:`VirtualizedStore` is the store-compatible facade: the same
 ``read``/``write``/``fill_pattern`` surface as ``MemoryStore``, with
@@ -55,8 +57,8 @@ class Stage2Table:
     """Sorted, non-overlapping guest windows for one domain.
 
     Lookup is a binary search over window bases, so a domain with many
-    sparse grants still translates in O(log n).  The table counts
-    translations and faults for the isolation oracles.
+    sparse grants still translates in O(log n).  The table counts the
+    translations and faults of the guest accesses made through it.
     """
 
     def __init__(self, name: str = "stage2") -> None:

@@ -621,8 +621,7 @@ THROUGHPUT_GRID = _register(GridSpec(
 ))
 
 #: composite grids: a name expands to several member grids, stacked and
-#: deduplicated in order (the CI campaign-smoke job runs "smoke"; the
-#: CI tlm-smoke job runs "tlm")
+#: deduplicated in order (CI's campaign matrix runs both)
 COMPOSITES: Dict[str, Tuple[str, ...]] = {
     "smoke": ("faults", "cascade", "fabric", "reservation"),
     "tlm": ("faults", "churn", "reservation"),

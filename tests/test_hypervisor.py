@@ -2,7 +2,13 @@
 
 import pytest
 
+from repro.hyperconnect.regs import (
+    REGION_BASE_REG,
+    region_epoch_register,
+    region_register,
+)
 from repro.hypervisor import (
+    HYPERCONNECT_CTRL_BASE,
     AccessControl,
     AccessViolation,
     Criticality,
@@ -89,6 +95,21 @@ class TestAccessControl:
         control = AccessControl(self.window())
         with pytest.raises(AccessViolation):
             control.grant(Domain("d"), MemoryRegion(0xA000_0800, 0x1000))
+
+    def test_hypervisor_window_covers_the_whole_register_map(self):
+        """The region-grant and region-epoch apertures sit 4 and 8 KiB
+        into the control window; guests reach neither."""
+        soc = SocSystem.build(ZCU102, n_ports=2)
+        hypervisor = Hypervisor(soc.interconnect)
+        domain = hypervisor.create_domain("guest")
+        with pytest.raises(AccessViolation):
+            hypervisor.access.grant(domain, MemoryRegion(
+                HYPERCONNECT_CTRL_BASE + 0x1000, 0x1000))
+        for offset in (region_register(1, REGION_BASE_REG),
+                       region_epoch_register(1)):
+            with pytest.raises(AccessViolation, match="hypervisor-only"):
+                hypervisor.guest_access("guest",
+                                        HYPERCONNECT_CTRL_BASE + offset)
 
 
 class TestBootFlow:
