@@ -153,7 +153,7 @@ class HyperConnectDriver:
         return None if value == 0 else value
 
     def set_region_filter(self, port: int, base: int, size: int) -> None:
-        """Program a port's stage-2 region grant.
+        """Program a port's region grant.
 
         Any request whose burst footprint leaves ``[base, base + size)``
         trips containment with DECERR.  ``base`` and ``size`` must be

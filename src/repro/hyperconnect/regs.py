@@ -26,7 +26,7 @@ Register map (32-bit registers, byte offsets)::
       +0x1C  FAULTS           read-only: containment entries (watchdog
                               and protocol trips) since reset
     0x1000 + i*0x8           per-port region-grant block, port i (the
-                             per-port block at 0x40 is full, so stage-2
+                             per-port block at 0x40 is full, so region
                              grants live in their own aperture):
       +0x00  REGION_BASE      granted region base, 4 KiB pages
       +0x04  REGION_PAGES     granted region size, 4 KiB pages;
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..axi.payloads import DataBeat, RespBeat
+from ..axi.payloads import AddrBeat, DataBeat, RespBeat, WriteBeat
 from ..axi.port import AxiLink
 from ..axi.types import Resp
 from ..sim.component import Component
@@ -73,7 +73,7 @@ PORT_ISSUED_WRITE = 0x14
 PORT_TIMEOUT = 0x18
 PORT_FAULTS = 0x1C
 
-# per-port region-grant block (stage-2 enforcement on the data plane)
+# per-port region-grant block (grant enforcement on the data plane)
 REGION_BASE_OFFSET = 0x1000
 REGION_STRIDE = 0x8
 REGION_BASE_REG = 0x00
@@ -249,9 +249,12 @@ class ControlSlave(Component):
     """AXI-Lite-style slave serving the register file over a link.
 
     Accepts single-beat transactions only (the control interface is a
-    32-bit register port); longer bursts are answered with SLVERR.
-    Out-of-map addresses return DECERR, faithfully modelling what a
-    misprogrammed hypervisor access would see.  The window starts at
+    32-bit register port).  A longer burst is answered with SLVERR in
+    full AXI shape: a read gets ``length`` SLVERR beats, one per cycle,
+    ``last`` on the final one; a write has its W beats swallowed up to
+    ``last``, then gets one SLVERR response.  Out-of-map addresses
+    return DECERR, faithfully modelling what a misprogrammed hypervisor
+    access would see.  The window starts at
     :data:`HYPERCONNECT_CTRL_BASE`.
     """
 
@@ -260,53 +263,68 @@ class ControlSlave(Component):
         super().__init__(sim, name)
         self.link = link
         self.regs = regs
-        self._pending_write: Optional[tuple] = None
+        #: the read being answered, one beat per cycle, and its beats left
+        self._read: Optional[AddrBeat] = None
+        self._read_beats_left = 0
+        self._pending_write: Optional[AddrBeat] = None
 
     def tick(self, cycle: int) -> bool:
-        # the slave acts only when a register read can be served, an AW
-        # can be accepted, or a pending write can complete
+        # the slave acts only when a read beat can be answered, an AW
+        # can be accepted, or a W beat can be consumed
         idle = True
-        # reads
-        if self.link.ar.can_pop() and self.link.r.can_push():
+        # reads: accept AR, then answer its beats
+        link = self.link
+        if link.r.can_push():
+            if self._read is None and link.ar.can_pop():
+                self._read = link.ar.pop()
+                self._read_beats_left = self._read.length
+            request = self._read
+            if request is not None:
+                idle = False
+                self._read_beats_left -= 1
+                last = self._read_beats_left == 0
+                link.r.push(self._register_read(request)
+                            if request.length == 1 else
+                            DataBeat(last=last, txn_id=request.txn_id,
+                                     resp=Resp.SLVERR, addr_beat=request))
+                if last:
+                    self._read = None
+        # writes: accept AW, then consume its W beats
+        if self._pending_write is None and link.aw.can_pop():
+            self._pending_write = link.aw.pop()
             idle = False
-            request = self.link.ar.pop()
-            offset = request.address - HYPERCONNECT_CTRL_BASE
-            if request.length != 1:
-                self.link.r.push(DataBeat(last=True, txn_id=request.txn_id,
-                                          resp=Resp.SLVERR,
-                                          addr_beat=request))
-            else:
-                try:
-                    value = self.regs.read(offset)
-                    self.link.r.push(DataBeat(
-                        last=True, txn_id=request.txn_id,
-                        data=value.to_bytes(4, "little"),
-                        resp=Resp.OKAY, addr_beat=request))
-                except RegisterAccessError:
-                    self.link.r.push(DataBeat(last=True,
-                                              txn_id=request.txn_id,
-                                              resp=Resp.DECERR,
-                                              addr_beat=request))
-        # writes: accept AW, then consume the matching W beat
-        if self._pending_write is None and self.link.aw.can_pop():
-            self._pending_write = (self.link.aw.pop(),)
+        if (self._pending_write is not None and link.w.can_pop()
+                and link.b.can_push()):
             idle = False
-        if (self._pending_write is not None and self.link.w.can_pop()
-                and self.link.b.can_push()):
-            request = self._pending_write[0]
-            wbeat = self.link.w.pop()
-            self._pending_write = None
-            offset = request.address - HYPERCONNECT_CTRL_BASE
-            resp = Resp.OKAY
-            if request.length != 1 or wbeat.data is None:
+            request = self._pending_write
+            wbeat = link.w.pop()
+            if request.length == 1:
+                resp = self._register_write(request, wbeat)
+            elif wbeat.last:
                 resp = Resp.SLVERR
             else:
-                try:
-                    self.regs.write(
-                        offset, int.from_bytes(wbeat.data[:4], "little"))
-                except RegisterAccessError:
-                    resp = Resp.DECERR
-            self.link.b.push(RespBeat(txn_id=request.txn_id, resp=resp,
-                                      addr_beat=request))
-            idle = False
+                return idle   # swallow the burst up to its last W beat
+            self._pending_write = None
+            link.b.push(RespBeat(txn_id=request.txn_id, resp=resp,
+                                 addr_beat=request))
         return idle
+
+    def _register_read(self, request: AddrBeat) -> DataBeat:
+        try:
+            value = self.regs.read(request.address - HYPERCONNECT_CTRL_BASE)
+        except RegisterAccessError:
+            return DataBeat(last=True, txn_id=request.txn_id,
+                            resp=Resp.DECERR, addr_beat=request)
+        return DataBeat(last=True, txn_id=request.txn_id,
+                        data=value.to_bytes(4, "little"), resp=Resp.OKAY,
+                        addr_beat=request)
+
+    def _register_write(self, request: AddrBeat, wbeat: WriteBeat) -> Resp:
+        if wbeat.data is None:
+            return Resp.SLVERR
+        try:
+            self.regs.write(request.address - HYPERCONNECT_CTRL_BASE,
+                            int.from_bytes(wbeat.data[:4], "little"))
+        except RegisterAccessError:
+            return Resp.DECERR
+        return Resp.OKAY

@@ -54,7 +54,7 @@ class PortConfig:
     #: outstanding before the port is contained; ``None`` disables the
     #: watchdog (and the ingest-time protocol guard armed with it)
     timeout_cycles: Optional[int] = None
-    #: region filter (stage-2 grant enforcement on the data plane): any
+    #: region filter (grant enforcement on the data plane): any
     #: request whose burst footprint leaves
     #: ``[region_base, region_base + region_bytes)`` trips containment
     #: with DECERR.  ``region_bytes == 0`` disables the filter, which is

@@ -64,9 +64,6 @@ class Domain:
     bandwidth_share: Optional[float] = None
     #: HyperConnect ports bound to this domain's accelerators
     ports: List[int] = field(default_factory=list)
-    #: whether the domain is currently isolated (decoupled) by the
-    #: hypervisor
-    isolated: bool = False
 
     def add_region(self, base: int, size: int) -> MemoryRegion:
         """Grant a memory region, rejecting overlap within the domain."""

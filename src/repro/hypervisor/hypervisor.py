@@ -27,8 +27,7 @@ from ..hyperconnect.regs import (HYPERCONNECT_CTRL_BASE,
                                  HYPERCONNECT_CTRL_SIZE, REGION_GRANULE)
 from ..masters.engine import AxiMasterEngine
 from ..memory.buddy import AllocationError, BuddyAllocator
-from ..memory.store import MemoryStore
-from ..memory.virt import Stage2Table, VirtualizedStore
+from ..memory.store import MemoryStore, TranslationFault
 from ..sim.errors import ConfigurationError
 from ..sim.events import GrantRevocationEvent, PortRecoveryEvent
 from .accessctl import AccessControl, AccessViolation
@@ -76,7 +75,6 @@ class Hypervisor:
         #: memory virtualization (set up by :meth:`attach_memory`)
         self.store: Optional[MemoryStore] = None
         self.allocator: Optional[BuddyAllocator] = None
-        self._stage2: Dict[str, Stage2Table] = {}
         #: allocator blocks backing each grant, keyed by (domain, base).
         #: ``grant_memory`` grants are one buddy block; pinned
         #: ``adopt_region`` grants may decompose into several.
@@ -161,17 +159,15 @@ class Hypervisor:
         domain = self.domain(name)
         for port in domain.ports:
             self.driver.decouple(port)
-        domain.isolated = True
 
     def restore_domain(self, name: str) -> None:
         """Re-couple a previously isolated domain."""
         domain = self.domain(name)
         for port in domain.ports:
             self.driver.couple(port)
-        domain.isolated = False
 
     # ------------------------------------------------------------------
-    # memory virtualization (sparse stage-2 address space)
+    # memory virtualization (region grants over the shared store)
     # ------------------------------------------------------------------
 
     def attach_memory(self, store: MemoryStore) -> BuddyAllocator:
@@ -186,42 +182,27 @@ class Hypervisor:
         self.allocator = allocator
         return allocator
 
-    def stage2(self, domain_name: str) -> Stage2Table:
-        """The domain's stage-2 translation table (created on demand)."""
-        domain = self.domain(domain_name)
-        table = self._stage2.get(domain.name)
-        if table is None:
-            table = Stage2Table(name=f"{domain.name}.stage2")
-            self._stage2[domain.name] = table
-        return table
-
-    def grant_memory(self, domain_name: str, size: int,
-                     guest_base: Optional[int] = None) -> MemoryRegion:
+    def grant_memory(self, domain_name: str, size: int) -> MemoryRegion:
         """Grant a domain a region of hypervisor-managed memory.
 
-        Allocates a buddy block, installs a stage-2 window (identity
-        mapped by default, so fabric-side and guest-side addresses
-        coincide), grants the region to the domain through the
-        access-control plane, and — when the domain's ports are already
-        bound — arms the HyperConnect's per-port region filters.
+        Allocates a buddy block, grants it to the domain through the
+        access-control plane (a refused grant frees the block again),
+        and — when the domain's ports are already bound — arms the
+        HyperConnect's per-port region filters.  Grants are identity
+        mapped: the guest and the fabric address the block alike.
         """
         if self.allocator is None:
             raise ConfigurationError(
                 "no managed memory: call attach_memory() first")
         domain = self.domain(domain_name)
-        host_base = self.allocator.alloc(size)
-        block = self.allocator.grant_size(host_base)
-        if guest_base is None:
-            guest_base = host_base  # sparse identity-mapped guest window
-        table = self.stage2(domain_name)
+        base = self.allocator.alloc(size)
+        region = MemoryRegion(base, self.allocator.grant_size(base))
         try:
-            table.map(guest_base, block, host_base)
-        except ValueError:
-            self.allocator.free(host_base)
+            self.access.grant(domain, region, cycle=self.sim.now)
+        except (AccessViolation, ConfigurationError):
+            self.allocator.free(base)
             raise
-        region = MemoryRegion(host_base, block)
-        self.access.grant(domain, region, cycle=self.sim.now)
-        self._backing[(domain.name, host_base)] = [host_base]
+        self._backing[(domain.name, base)] = [base]
         if domain.ports:
             self._apply_region_filters(domain)
         return region
@@ -231,13 +212,12 @@ class Hypervisor:
         """Record an externally-placed grant (no allocator involved).
 
         Used by harness builders whose scenarios pin grant addresses as
-        pure data: installs the identity-mapped stage-2 window, the
-        access-control grant, the domain region, and — when ports are
-        bound — the data-plane region filters, exactly like
-        :meth:`grant_memory` but at the caller's chosen address.
+        pure data: installs the access-control grant (the domain region)
+        and — when ports are bound — the data-plane region filters,
+        exactly like :meth:`grant_memory` but at the caller's chosen
+        address.
         """
         domain = self.domain(domain_name)
-        self.stage2(domain_name).map(base, size, base)
         region = MemoryRegion(base, size)
         self.access.grant(domain, region, cycle=self.sim.now)
         if self.allocator is not None:
@@ -257,11 +237,11 @@ class Hypervisor:
 
     def release_memory(self, domain_name: str,
                        region: MemoryRegion) -> None:
-        """Return a granted region to the allocator and drop its window.
+        """Return a granted region to the allocator.
 
         Idle-time operation: refuses while any of the domain's ports has
-        in-flight traffic, because yanking the window under a running
-        burst would leave stale translations landing in freed memory.
+        in-flight traffic, because yanking the grant under a running
+        burst would leave its beats landing in freed memory.
         Live teardown is :meth:`revoke_memory`, which quiesces and
         drains first.
         """
@@ -283,33 +263,28 @@ class Hypervisor:
 
     def _tear_down_grant(self, domain: Domain, region: MemoryRegion,
                          cycle: int) -> None:
-        """Undo a grant: unmap its stage-2 window, revoke (and audit)
-        the domain's region, coalesce its allocator blocks back into the
-        free pool, and re-arm the region filters."""
-        table = self.stage2(domain.name)
-        window = table.window_for_host(region.base)
-        if window is not None:
-            table.unmap(window.guest_base)
+        """Undo a grant: revoke (and audit) the domain's region,
+        coalesce its allocator blocks back into the free pool, and re-arm
+        the region filters."""
         self.access.revoke(domain, region, cycle=cycle)
         for address in self._backing.pop((domain.name, region.base), ()):
             self.allocator.free(address)
         if domain.ports:
             self._apply_region_filters(domain)
 
-    def domain_store(self, domain_name: str) -> VirtualizedStore:
-        """The domain's view of memory: every access translated (and
-        confined) by its stage-2 table."""
+    def domain_store(self, domain_name: str) -> DomainStore:
+        """The domain's view of memory, confined to its grants."""
         if self.store is None:
             raise ConfigurationError(
                 "no managed memory: call attach_memory() first")
-        return VirtualizedStore(self.store, self.stage2(domain_name))
+        return DomainStore(self.store, self.domain(domain_name))
 
     def _apply_region_filters(self, domain: Domain) -> None:
         """Arm the data-plane grant filter on every port of a domain.
 
         The register window is a single contiguous range per port, so it
         is programmed as the convex hull of the domain's grants — the
-        hardware-cheap first line of defence; the stage-2 table and the
+        hardware-cheap first line of defence; the guest view and the
         control-plane access checks stay exact.
         """
         if not domain.regions:
@@ -373,9 +348,10 @@ class Hypervisor:
            in-flight beats completed as synthesized ``DECERR``.
         2. **drain**: the controller polls the supervisors' ``drained``
            predicate; healthy neighbours keep running throughout.
-        3. **commit**: stage-2 window unmapped, access-control grant
-           revoked (audited), allocator blocks coalesced, the physical
-           range scrubbed, region filters retargeted (epoch bumped).
+        3. **commit**: access-control grant revoked (audited, and
+           gone from ``Domain.regions``), allocator blocks coalesced,
+           the physical range scrubbed, region filters retargeted
+           (epoch bumped).
            Victim ports recouple if the domain still holds other
            grants; a grantless domain's ports stay decoupled —
            re-coupling them with a cleared (= disabled) region filter
@@ -422,8 +398,8 @@ class Hypervisor:
 
         By the time this runs every victim port is ``drained``: nothing
         is outstanding downstream, owed upstream, or queued in the
-        eFIFO, so no beat translated through the old window can still be
-        in flight anywhere in the fabric.
+        eFIFO, so no beat issued under the old grant can still be in
+        flight anywhere in the fabric.
         """
         domain = self.domain(order.domain)
         region = next((r for r in domain.regions
@@ -539,3 +515,37 @@ class Hypervisor:
     def ports_of(self, domain_name: str) -> List[int]:
         """The HyperConnect ports owned by a domain."""
         return list(self.domain(domain_name).ports)
+
+
+class DomainStore:
+    """A domain's view of the shared store, confined to its grants.
+
+    Grants are identity mapped, so guest addresses are host addresses.
+    An access that no single one of ``domain.regions`` covers (a miss,
+    or a straddle across two adjacent grants) raises
+    :class:`TranslationFault`.  The view reads the live region list, so
+    a revoked grant is unreachable at once.
+    """
+
+    def __init__(self, store: MemoryStore, domain: Domain) -> None:
+        self.store = store
+        self.domain = domain
+
+    def _check(self, address: int, count: int) -> None:
+        if not self.domain.may_access(address, max(count, 1)):
+            raise TranslationFault(
+                f"{self.domain.name}: no grant covers "
+                f"[0x{address:x}, 0x{address + count:x})",
+                address=address, count=count)
+
+    def read(self, address: int, count: int) -> bytes:
+        self._check(address, count)
+        return self.store.read(address, count)
+
+    def write(self, address: int, data: bytes) -> None:
+        self._check(address, len(data))
+        self.store.write(address, data)
+
+    def fill_pattern(self, address: int, count: int, seed: int = 0) -> None:
+        self._check(address, count)
+        self.store.fill_pattern(address, count, seed)

@@ -181,8 +181,8 @@ class RevocationController(Component):
     completion with synthesized ``DECERR``), then the controller polls
     the supervisors' ``drained`` predicate each cycle — exactly like
     :class:`FaultRecoveryAgent` polls before a recouple — and hands the
-    drained domain to ``Hypervisor.commit_revocation`` (stage-2 window
-    teardown, filter retarget, buddy coalesce, scrub, optional
+    drained domain to ``Hypervisor.commit_revocation`` (grant
+    revocation, filter retarget, buddy coalesce, scrub, optional
     re-grant).  Pure timer component: deadlines are exposed through
     ``next_event_cycle`` so the fast kernel wakes exactly when a
     transition is due.

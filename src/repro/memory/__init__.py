@@ -7,7 +7,6 @@ from .ooo import OutOfOrderMemory
 from .psport import AxiPipe
 from .qos400 import PsQosRegulator
 from .store import MemoryAccessFault, MemoryStore, TranslationFault
-from .virt import Stage2Table, Stage2Window, VirtualizedStore
 
 __all__ = [
     "AllocationError",
@@ -21,7 +20,4 @@ __all__ = [
     "MemoryAccessFault",
     "MemoryStore",
     "TranslationFault",
-    "Stage2Table",
-    "Stage2Window",
-    "VirtualizedStore",
 ]

@@ -8,7 +8,7 @@ campaigns that create and destroy hundreds of domains.
 
 The allocator is pure bookkeeping over ``[base, base + size)`` — it
 never touches a :class:`~repro.memory.store.MemoryStore`; callers pair
-a grant with a store (or a stage-2 window) themselves.
+a grant with a store (or a domain's region list) themselves.
 """
 
 from __future__ import annotations

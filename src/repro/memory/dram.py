@@ -270,7 +270,7 @@ class MemorySubsystem(Component):
                     data = self.store.read(command.current_address(),
                                            command.beat.size_bytes)
                 except MemoryAccessFault:
-                    # address decode / stage-2 miss: the beat answers
+                    # address decode miss: the beat answers
                     # DECERR with no data; the exception never escapes
                     # the kernel
                     command.error = True

@@ -28,7 +28,8 @@ class MemoryAccessFault(ValueError):
 
 
 class TranslationFault(MemoryAccessFault):
-    """A guest access with no (or a straddled) stage-2 mapping."""
+    """A guest access that no single grant of its domain covers (a
+    miss, or a straddle across two grants)."""
 
 
 class MemoryStore:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from ..axi import LinkChecker
 from ..axi.port import AxiLink
 from ..hyperconnect import HyperConnect, InOrderAdapter
-from ..hypervisor import Hypervisor, RecoveryPolicy
+from ..hypervisor import Domain, Hypervisor, RecoveryPolicy
 from ..masters import AxiDma, FaultInjectingMaster, GreedyTrafficGenerator
 from ..memory import (
     DramTiming,
@@ -181,10 +181,10 @@ def _arm_tenants(hypervisor: Hypervisor, scenario: Scenario,
                  store: MemoryStore) -> None:
     """Stamp one tenant domain per port with its scenario-pinned grant.
 
-    Each domain gets a stage-2 identity window over the shared store,
-    a control-plane access grant, and the port's data-plane region
-    filter — so an out-of-grant access (``wild_addr`` rogue) trips
-    containment at the HyperConnect instead of reaching memory.
+    Each domain gets a grant over the shared store (recorded in
+    ``Domain.regions``) and the port's data-plane region filter — so an
+    out-of-grant access (``wild_addr`` rogue) trips containment at the
+    HyperConnect instead of reaching memory.
     """
     hypervisor.attach_memory(store)
     hc = hypervisor.hyperconnect
@@ -370,6 +370,13 @@ def _engine_observables(station: Station) -> dict:
     }
 
 
+def _holds_region_at(domain: Domain, base: int) -> bool:
+    """What the churn probe's ``*_window`` keys record (the key names
+    predate grants living only in ``Domain.regions``; renaming them
+    would move every churn fingerprint)."""
+    return any(region.base == base for region in domain.regions)
+
+
 def _churn_probe(system: System, op: Tuple[int, int, int]) -> dict:
     """End-state snapshot of one churn op (pure primitives only).
 
@@ -383,11 +390,9 @@ def _churn_probe(system: System, op: Tuple[int, int, int]) -> dict:
     victim_station = system.stations[victim]
     supervisor = victim_station.supervisor
     stats = supervisor.fault_stats
-    victim_table = hypervisor.stage2(f"tenant{victim}")
-    beneficiary_window = False
-    if beneficiary >= 0:
-        beneficiary_window = (hypervisor.stage2(f"tenant{beneficiary}")
-                              .window_for_host(base) is not None)
+    victim_domain = hypervisor.domain(f"tenant{victim}")
+    beneficiary_window = beneficiary >= 0 and _holds_region_at(
+        hypervisor.domain(f"tenant{beneficiary}"), base)
     return {
         "op_cycle": op_cycle,
         "victim": victim,
@@ -399,8 +404,8 @@ def _churn_probe(system: System, op: Tuple[int, int, int]) -> dict:
                                + supervisor.outstanding_writes),
         "victim_coupled": bool(
             hypervisor.driver.is_coupled(victim_station.port_index)),
-        "victim_window": victim_table.window_for_host(base) is not None,
-        "victim_regions": len(hypervisor.domain(f"tenant{victim}").regions),
+        "victim_window": _holds_region_at(victim_domain, base),
+        "victim_regions": len(victim_domain.regions),
         "victim_synth_beats": stats.synth_r_beats + stats.synth_b_beats,
         "epoch": hypervisor.driver.region_epoch(victim_station.port_index),
         "beneficiary_window": beneficiary_window,

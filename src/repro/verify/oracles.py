@@ -23,7 +23,7 @@ containment bound:
    On scenarios that script live grant churn the family additionally
    runs the **stale-window** oracle (:func:`check_stale_window`)
    against a churn-free twin: after a revocation commits, no beat may
-   translate through the torn-down stage-2 window — the evicted tenant
+   land through the revoked grant — the evicted tenant
    drains with ``DECERR``, the re-granted range carries exactly the
    beneficiary's bytes over scrubbed zeros, and uninvolved tenants stay
    bit-identical to the twin within the analytic churn delay bound.
@@ -391,9 +391,9 @@ def check_stale_window(scenario: Scenario, result: RunResult,
     * the victim's supervisor actually entered revocation containment,
       drained to zero outstanding beats, and — when the op left the
       domain grantless — stayed decoupled (retired), else recoupled;
-    * the victim's stage-2 window over the revoked range is gone and
+    * the victim no longer holds a grant over the revoked range and
       the port's region-filter epoch recorded the retarget, so no beat
-      can translate through the old window after the commit;
+      can land through the old grant after the commit;
     * a victim that was provably mid-burst (its churn-free twin
       finishes well after the op cycle) drained via synthesized beats,
       and synthesized beats surfaced as ``DECERR`` at its engine;
@@ -402,7 +402,7 @@ def check_stale_window(scenario: Scenario, result: RunResult,
       revoke-only op) — proof the old tenant's bytes neither survived
       nor reappeared;
     * the beneficiary received, completed, and error-free'd its
-      post-commit write + readback through its own new window;
+      post-commit write + readback through its own new grant;
     * every uninvolved healthy tenant is bit-identical to the
       churn-free twin, finishing within the analytic churn delay
       bound.
@@ -422,7 +422,7 @@ def check_stale_window(scenario: Scenario, result: RunResult,
         if probe["victim_window"]:
             raise OracleViolation(
                 "stale-window",
-                f"{where}: stale stage-2 window survived the commit",
+                f"{where}: stale grant survived the commit",
                 scenario)
         if probe["victim_outstanding"] != 0:
             raise OracleViolation(
@@ -473,7 +473,7 @@ def check_stale_window(scenario: Scenario, result: RunResult,
                 raise OracleViolation(
                     "stale-window",
                     f"{where}: re-granted range never appeared in "
-                    f"beneficiary {info['name']}'s stage-2 table",
+                    f"beneficiary {info['name']}'s grants",
                     scenario)
             planned = len(scenario.ports[beneficiary].jobs)
             if info["jobs_enqueued"] != planned + 2:

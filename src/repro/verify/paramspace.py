@@ -572,7 +572,7 @@ FAULTS_GRID = _register(GridSpec(
 ISOLATION_GRID = _register(GridSpec(
     name="isolation",
     description="many-domain tenant isolation: 8-64 tenant domains with "
-                "disjoint stage-2 grants, seed-chosen fault storms "
+                "disjoint memory grants, seed-chosen fault storms "
                 "(wild-address and hung rogues), and healthy-tenant "
                 "leakage/degradation oracles",
     axes={

@@ -154,7 +154,7 @@ class Scenario:
     fabric: str = "hyperconnect"
     shares: Optional[Tuple[float, ...]] = None
     #: per-port tenant grants ``(base, size)`` — non-None marks a
-    #: *tenanted* scenario: one domain per port, disjoint stage-2
+    #: *tenanted* scenario: one domain per port, disjoint memory
     #: grants, HyperConnect region filters armed, and (unlike the
     #: single-fault campaigns) any number of rogue tenants at once
     grants: Optional[Tuple[Tuple[int, int], ...]] = None

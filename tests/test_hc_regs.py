@@ -174,8 +174,25 @@ class TestControlSlave:
         link.ar.push(make_read_request(self.BASE, 4, 4))
         beats = []
         link.r.subscribe_push(lambda cycle, beat: beats.append(beat))
-        sim.run(5)
-        assert beats[-1].resp is Resp.SLVERR
+        sim.run(10)
+        assert len(beats) == 4
+        assert all(beat.resp is Resp.SLVERR for beat in beats)
+        assert [beat.last for beat in beats] == [False, False, False, True]
+
+    def test_burst_write_swallows_its_beats(self):
+        # the rejected burst's second W beat must not become the data
+        # of the next, legal write
+        sim, link, regs = self.build()
+        responses = []
+        link.b.subscribe_push(lambda cycle, beat: responses.append(beat))
+        link.aw.push(make_write_request(self.BASE + REG_PERIOD, 2, 4))
+        link.w.push(WriteBeat(last=False, data=(0x111).to_bytes(4, "little")))
+        link.w.push(WriteBeat(last=True, data=(0x222).to_bytes(4, "little")))
+        link.aw.push(make_write_request(self.BASE + REG_PERIOD, 1, 4))
+        link.w.push(WriteBeat(last=True, data=(0x333).to_bytes(4, "little")))
+        sim.run(10)
+        assert [r.resp for r in responses] == [Resp.SLVERR, Resp.OKAY]
+        assert regs.read(REG_PERIOD) == 0x333
 
 
 class TestDriver:

@@ -1,14 +1,15 @@
-"""Hypervisor memory virtualization: grants, stage-2, audit bounds.
+"""Hypervisor memory virtualization: grants, guest views, audit bounds.
 
-The hypervisor-side half of the tenant-isolation tentpole: a buddy
-allocator carves the DRAM store into region grants, each domain gets a
-sparse stage-2 table plus a confined :class:`VirtualizedStore` view, and
-the data-plane region filters are armed/cleared as grants come and go.
+The hypervisor-side half of the tenant isolation: a buddy allocator
+carves the DRAM store into region grants, each domain's grants live in
+``Domain.regions`` and confine its ``domain_store`` view, and the
+data-plane region filters are armed/cleared as grants come and go.
 """
 
 import pytest
 
 from repro.hypervisor import (
+    HYPERCONNECT_CTRL_BASE,
     AccessControl,
     AccessViolation,
     Criticality,
@@ -19,7 +20,7 @@ from repro.hypervisor import (
 )
 from repro.ipxact import accelerator_component
 from repro.masters import AxiDma
-from repro.memory import MemoryStore, TranslationFault
+from repro.memory import MemoryAccessFault, MemoryStore, TranslationFault
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
 from repro.system import SocSystem
@@ -56,9 +57,10 @@ class TestAttachAndGrant:
         # domain region list and control-plane grant
         assert region in domain.regions
         hypervisor.guest_access("crit", region.base, 16)
-        # stage-2 window (identity mapped by default)
-        table = hypervisor.stage2("crit")
-        assert table.translate(region.base, 16) == region.base
+        # the guest view reaches the block at its host address
+        guest = hypervisor.domain_store("crit")
+        guest.write(region.base, b"identity")
+        assert hypervisor.store.read(region.base, 8) == b"identity"
         # data-plane filter on the domain's port
         port = domain.ports[0]
         grant = soc.driver.region_filter(port)
@@ -84,25 +86,44 @@ class TestAttachAndGrant:
         assert grant["base"] <= base
         assert grant["base"] + grant["size"] >= end
 
-    def test_non_identity_guest_mapping(self):
+    def test_refused_grant_releases_the_block(self):
+        # the second half of the default 4 GiB store covers the
+        # HyperConnect control window, so access control refuses it
         __, hypervisor = booted()
-        store = MemoryStore(size=1 << 24)
-        hypervisor.attach_memory(store)
-        region = hypervisor.grant_memory("crit", 0x1000,
-                                         guest_base=0x100_0000)
-        guest = hypervisor.domain_store("crit")
-        guest.write(0x100_0010, b"remapped")
-        assert store.read(region.base + 0x10, 8) == b"remapped"
+        allocator = hypervisor.attach_memory(MemoryStore())
+        hypervisor.grant_memory("crit", 1 << 31)
+        before = allocator.free_bytes
+        with pytest.raises(AccessViolation):
+            hypervisor.grant_memory("best", 1 << 31)
+        assert allocator.free_bytes == before == 1 << 31
+        assert hypervisor.domain("best").regions == []
+        with pytest.raises(TranslationFault):
+            hypervisor.domain_store("best").read(0x8000_0000, 4)
 
-    def test_failed_window_install_releases_the_block(self):
+    def test_overlapping_grant_releases_the_block(self):
+        # "best" keeps an unbacked adoption over a block "crit" then
+        # releases, so the allocator hands that block out again
         __, hypervisor = booted()
         allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        hypervisor.grant_memory("crit", 0x1000, guest_base=0x0)
+        held = hypervisor.grant_memory("crit", 0x1000)
+        hypervisor.adopt_region("best", held.base, held.size)
+        hypervisor.release_memory("crit", held)
         before = allocator.free_bytes
-        with pytest.raises(ValueError):
-            # guest window collides with the one above
-            hypervisor.grant_memory("crit", 0x1000, guest_base=0x0)
-        assert allocator.free_bytes == before   # no leaked block
+        with pytest.raises(ConfigurationError):
+            hypervisor.grant_memory("best", 0x1000)
+        assert allocator.free_bytes == before
+        assert hypervisor.domain("best").regions == [held]
+
+    def test_refused_adoption_leaves_nothing_reachable(self):
+        __, hypervisor = booted()
+        store = MemoryStore()
+        hypervisor.attach_memory(store)
+        store.write(HYPERCONNECT_CTRL_BASE, b"\x5A" * 4)
+        with pytest.raises(AccessViolation):
+            hypervisor.adopt_region("best", HYPERCONNECT_CTRL_BASE, 0x1000)
+        assert hypervisor.domain("best").regions == []
+        with pytest.raises(TranslationFault):
+            hypervisor.domain_store("best").read(HYPERCONNECT_CTRL_BASE, 4)
 
     def test_adopt_region_pins_the_callers_address(self):
         soc, hypervisor = booted()
@@ -115,6 +136,58 @@ class TestAttachAndGrant:
 
 
 class TestDomainStoreConfinement:
+    #: two adjacent grants and a sparse third, adopted by "crit"
+    GRANTS = ((0x4_0000, 0x1000), (0x4_1000, 0x1000), (0x9_0000, 0x2000))
+
+    def guest_view(self):
+        __, hypervisor = booted()
+        store = MemoryStore(size=1 << 24)
+        hypervisor.attach_memory(store)
+        for base, size in self.GRANTS:
+            hypervisor.adopt_region("crit", base, size)
+        return store, hypervisor.domain_store("crit")
+
+    @pytest.mark.parametrize("address, count", [
+        (0x4_0000, 16),       # first bytes of a grant
+        (0x4_0FF0, 16),       # last bytes before the seam
+        (0x4_1000, 16),       # first bytes after the seam
+        (0x9_1FF0, 16),       # last bytes of the sparse grant
+    ], ids=["base", "before-seam", "after-seam", "sparse-end"])
+    def test_access_inside_one_grant_lands_at_its_address(self, address,
+                                                          count):
+        store, guest = self.guest_view()
+        data = bytes(range(1, count + 1))
+        guest.write(address, data)
+        assert store.read(address, count) == data
+        assert guest.read(address, count) == data
+        guest.fill_pattern(address, count, seed=7)
+        reference = MemoryStore(size=1 << 24)
+        reference.fill_pattern(address, count, seed=7)
+        assert store.read(address, count) == reference.read(address, count)
+
+    @pytest.mark.parametrize("op", ["read", "write", "fill_pattern"])
+    @pytest.mark.parametrize("address, count", [
+        (0x4_2000, 16),       # miss past the adjacent pair
+        (0x3_FFFC, 8),        # straddles the first grant's base
+        (0x4_0FF0, 32),       # straddles the seam of two adjacent grants
+        (0x9_2000, 1),        # one past the sparse grant
+    ], ids=["miss", "below-base", "seam", "past-end"])
+    def test_access_outside_one_grant_faults(self, address, count, op):
+        store, guest = self.guest_view()
+        with pytest.raises(TranslationFault) as info:
+            if op == "read":
+                guest.read(address, count)
+            elif op == "write":
+                guest.write(address, b"\xFF" * count)
+            else:
+                guest.fill_pattern(address, count)
+        assert (info.value.address, info.value.count) == (address, count)
+        # data-path adapters catch MemoryAccessFault: guest-view misses
+        # ride that same DECERR path
+        assert isinstance(info.value, MemoryAccessFault)
+        assert isinstance(info.value, ValueError)
+        assert store.read(address, count) == bytes(count)
+
     def test_tenants_cannot_read_each_other(self):
         __, hypervisor = booted()
         store = MemoryStore(size=1 << 24)
@@ -204,8 +277,7 @@ class TestReleaseMidBurst:
         # nothing was torn down
         assert region in hypervisor.domain("crit").regions
         assert allocator.allocated_bytes == before
-        assert hypervisor.stage2("crit").translate(region.base, 16) \
-            == region.base
+        hypervisor.domain_store("crit").read(region.base, 16)  # reachable
         assert soc.driver.region_filter(port) == {"base": region.base,
                                                   "size": region.size}
 

@@ -1,10 +1,11 @@
-"""Unit tests for the sparse stage-2 address space and the DECERR path.
+"""Unit tests for a domain's guest view of memory and the DECERR path.
 
 Two layers of the tenant-isolation story:
 
-* :class:`Stage2Table` / :class:`VirtualizedStore` — a domain's sparse
-  guest address space, with every unmapped or straddling access raising
-  :class:`TranslationFault`;
+* :class:`~repro.hypervisor.hypervisor.DomainStore` — a domain's view of
+  the shared store: grants are identity mapped, so an access inside one
+  of ``Domain.regions`` lands at the same address in the store (its
+  faults are tested in ``test_hypervisor_memory.py``);
 * the data-path adapters (in-order DRAM controller and the multi-port
   subsystem) — a backing-store fault never escapes as a Python
   exception: it is answered on the bus as an AXI DECERR response.
@@ -19,126 +20,58 @@ from repro.axi import (
     make_read_request,
     make_write_request,
 )
+from repro.hypervisor import Domain
+from repro.hypervisor.hypervisor import DomainStore
 from repro.memory import (
     DramTiming,
-    MemoryAccessFault,
     MemorySubsystem,
     MemoryStore,
-    Stage2Table,
-    Stage2Window,
     TranslationFault,
-    VirtualizedStore,
 )
 from repro.sim import Simulator
 
 
-class TestStage2Window:
-    def test_invalid_windows_rejected(self):
-        with pytest.raises(ValueError):
-            Stage2Window(0, 0, 0)
-        with pytest.raises(ValueError):
-            Stage2Window(-4096, 4096, 0)
-        with pytest.raises(ValueError):
-            Stage2Window(0, 4096, -4096)
-
-    def test_contains_and_translate(self):
-        window = Stage2Window(0x1000, 0x1000, 0x8000)
-        assert window.contains(0x1000)
-        assert window.contains(0x1FF0, 16)
-        assert not window.contains(0x1FF1, 16)   # straddles the edge
-        assert not window.contains(0xFFF)
-        assert window.translate(0x1800) == 0x8800
+def guest_view(*grants):
+    """A fresh store and one domain's view of it over ``grants``."""
+    store = MemoryStore(size=1 << 24)
+    domain = Domain("t0")
+    for base, size in grants:
+        domain.add_region(base, size)
+    return store, DomainStore(store, domain)
 
 
 class TestStage2Table:
+    """The guest view over sparse grants (once a stage-2 table)."""
+
     def test_translate_through_sparse_windows(self):
-        table = Stage2Table()
-        table.map(0x0000, 0x1000, 0x4_0000)
-        table.map(0x8000, 0x2000, 0x9_0000)
-        assert table.translate(0x0010, 16) == 0x4_0010
-        assert table.translate(0x8100, 64) == 0x9_0100
-        assert table.translations == 2
-
-    def test_miss_raises_translation_fault(self):
-        table = Stage2Table(name="t0.stage2")
-        table.map(0x0000, 0x1000, 0x4_0000)
-        with pytest.raises(TranslationFault) as info:
-            table.translate(0x2000, 16)
-        assert info.value.address == 0x2000
-        assert table.faults == 1
-
-    def test_straddle_raises_translation_fault(self):
-        table = Stage2Table()
-        table.map(0x0000, 0x1000, 0x4_0000)
-        table.map(0x1000, 0x1000, 0x9_0000)   # guest-contiguous, host not
-        # grants are physically contiguous per window; a burst across the
-        # window seam must fault rather than silently span host regions
+        store, guest = guest_view((0x4_0000, 0x1000), (0x9_0000, 0x2000))
+        guest.write(0x4_0010, b"\x11" * 16)
+        guest.write(0x9_0100, b"\x22" * 64)
+        assert store.read(0x4_0010, 16) == b"\x11" * 16
+        assert store.read(0x9_0100, 64) == b"\x22" * 64
+        assert guest.read(0x9_0100, 64) == b"\x22" * 64
         with pytest.raises(TranslationFault):
-            table.translate(0x0FF0, 32)
-
-    def test_translation_fault_is_a_memory_access_fault(self):
-        # the data-path adapters catch MemoryAccessFault; stage-2 misses
-        # must ride that same DECERR path
-        assert issubclass(TranslationFault, MemoryAccessFault)
-        assert issubclass(TranslationFault, ValueError)
-
-    def test_guest_overlap_rejected_on_both_sides(self):
-        table = Stage2Table()
-        table.map(0x4000, 0x2000, 0)
-        with pytest.raises(ValueError):
-            table.map(0x5000, 0x1000, 0x10000)   # inside the existing
-        with pytest.raises(ValueError):
-            table.map(0x3000, 0x2000, 0x10000)   # overlaps from below
-        table.map(0x2000, 0x2000, 0x10000)       # touching is fine
-        table.map(0x6000, 0x1000, 0x20000)
-
-    def test_unmap_removes_exactly_one_window(self):
-        table = Stage2Table()
-        table.map(0x0000, 0x1000, 0x4_0000)
-        table.map(0x8000, 0x1000, 0x9_0000)
-        removed = table.unmap(0x8000)
-        assert removed.host_base == 0x9_0000
-        assert table.mapped_bytes == 0x1000
-        with pytest.raises(ValueError):
-            table.unmap(0x8000)
-        with pytest.raises(TranslationFault):
-            table.translate(0x8000)
+            guest.read(0x5_0000, 16)         # the gap between grants
 
 
 class TestVirtualizedStore:
-    def build(self):
-        store = MemoryStore(size=1 << 24)
-        table = Stage2Table()
-        table.map(0x0000, 0x2000, 0x10_0000)
-        return store, VirtualizedStore(store, table)
+    """The store-compatible surface of the guest view."""
+
+    GRANT = (0x10_0000, 0x2000)
 
     def test_reads_and_writes_land_in_the_host_window(self):
-        store, guest = self.build()
-        guest.write(0x100, b"tenant-data")
+        store, guest = guest_view(self.GRANT)
+        guest.write(0x10_0100, b"tenant-data")
         assert store.read(0x10_0100, 11) == b"tenant-data"
-        assert guest.read(0x100, 11) == b"tenant-data"
+        assert guest.read(0x10_0100, 11) == b"tenant-data"
 
     def test_fill_pattern_translates(self):
-        store, guest = self.build()
-        guest.fill_pattern(0x0, 64, seed=7)
-        assert guest.read(0x0, 64) == store.read(0x10_0000, 64)
-
-    def test_out_of_grant_access_is_confined(self):
-        _, guest = self.build()
-        with pytest.raises(TranslationFault):
-            guest.read(0x2000, 4)
-        with pytest.raises(TranslationFault):
-            guest.write(0x3000, b"\x00" * 4)
-
-    def test_span_and_mapped_bytes(self):
-        store = MemoryStore(size=1 << 24)
-        table = Stage2Table()
-        guest = VirtualizedStore(store, table)
-        assert guest.size == 0
-        table.map(0x0000, 0x1000, 0)
-        table.map(0x8000, 0x1000, 0x1000)
-        assert guest.size == 0x9000          # sparse span, not sum
-        assert guest.mapped_bytes == 0x2000
+        store, guest = guest_view(self.GRANT)
+        guest.fill_pattern(0x10_0000, 64, seed=7)
+        reference = MemoryStore(size=1 << 24)
+        reference.fill_pattern(0x10_0000, 64, seed=7)
+        assert guest.read(0x10_0000, 64) == store.read(0x10_0000, 64)
+        assert store.read(0x10_0000, 64) == reference.read(0x10_0000, 64)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the per-port region filter (data-plane stage-2 guard).
+"""Unit tests for the per-port region filter (data-plane grant guard).
 
 The hypervisor programs each tenant port's granted region into a pair of
 registers; the Transaction Supervisor checks every request's burst

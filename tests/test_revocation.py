@@ -27,7 +27,7 @@ import pytest
 from repro.hypervisor import Criticality, Hypervisor, SystemIntegrator
 from repro.ipxact import accelerator_component
 from repro.masters import AxiDma
-from repro.memory import MemoryStore
+from repro.memory import MemoryStore, TranslationFault
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
 from repro.system import SocSystem
@@ -192,10 +192,10 @@ class TestRevocationController:
         # stays queued behind the retired port and never deadlocks
         assert dma.outstanding == 0
         assert job.completed is None
-        # window, grant, and backing are gone; the block is reusable
-        assert hypervisor.stage2("crit").window_for_host(region.base) \
-            is None
+        # grant and backing are gone; the block is reusable
         assert region not in hypervisor.domain("crit").regions
+        with pytest.raises(TranslationFault):
+            hypervisor.domain_store("crit").read(region.base, 4)
         assert allocator.allocated_bytes == 0
         # grantless domain: the port is retired, not silently unfiltered
         assert not soc.driver.is_coupled(port)
@@ -229,8 +229,7 @@ class TestRevocationController:
         job = dma.enqueue_read(keep.base, 1024)
         soc.run_until_quiescent()
         assert job.completed is not None
-        assert hypervisor.stage2("crit").window_for_host(keep.base) \
-            is not None
+        assert keep in hypervisor.domain("crit").regions
 
     def test_residual_out_of_grant_traffic_is_refiltered(self):
         # a multi-burst job into the revoked range keeps re-issuing
@@ -265,7 +264,7 @@ class TestRevocationController:
         best = hypervisor.domain("best")
         assert any(r.base == base and r.size == size
                    for r in best.regions)
-        assert hypervisor.stage2("best").window_for_host(base) is not None
+        hypervisor.domain_store("best").read(base, size)
         # ... scrubbed: the old tenant's bytes are unobservable
         assert store.read(base, 64) == bytes(64)
         # and the beneficiary's data plane covers it
