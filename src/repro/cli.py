@@ -131,7 +131,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         from .verify.paramspace import COMPOSITES, GRIDS
         for name in grid_names():
             if name in COMPOSITES:
-                members = ", ".join(COMPOSITES[name])
+                members = ", ".join(COMPOSITES[name][0])
                 print(f"{name:<12} composite of: {members}")
             else:
                 print(f"{name:<12} {GRIDS[name].description}")
@@ -139,8 +139,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.grid is None:
         raise SystemExit("campaign: --grid NAME required (or --list)")
     scenarios, checks = grid_scenarios(
-        args.grid, mode=args.mode, seed=args.seed, samples=args.samples,
-        limit=args.limit, horizon=args.horizon)
+        args.grid, mode=args.mode, seed=args.seed, limit=args.limit,
+        horizon=args.horizon)
     if args.checks:
         checks = tuple(args.checks)
     print(f"campaign {args.grid!r}: {len(scenarios)} scenarios, "
@@ -190,6 +190,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
+    from .verify.oracles import ALL_CHECKS
+    from .verify.paramspace import MODES
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -246,22 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="grid name (see --list)")
     campaign.add_argument("--list", action="store_true",
                           help="list available grids and exit")
-    campaign.add_argument("--mode", default=None,
-                          choices=["full", "pairwise", "sample"],
+    campaign.add_argument("--mode", default=None, choices=MODES,
                           help="coverage mode (default: per-grid)")
     campaign.add_argument("--workers", type=int, default=1, metavar="N",
                           help="worker processes (<=1 runs inline)")
     campaign.add_argument("--seed", type=int, default=0,
                           help="grid-generation seed")
-    campaign.add_argument("--samples", type=int, default=64,
-                          help="draws for --mode sample")
     campaign.add_argument("--limit", type=int, default=None,
                           help="cap the scenario count")
     campaign.add_argument("--horizon", type=int, default=None,
                           help="override every scenario's horizon")
     campaign.add_argument("--checks", nargs="+", default=None,
-                          choices=["equivalence", "liveness", "protocol",
-                                   "containment", "isolation", "tlm"],
+                          choices=ALL_CHECKS,
                           help="oracle families (default: per-grid)")
     campaign.add_argument("--record-timeout", type=float, default=None,
                           metavar="SECONDS",

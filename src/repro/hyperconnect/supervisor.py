@@ -199,7 +199,6 @@ class TransactionSupervisor(Component):
         #: containment state: once a watchdog or protocol trip fires the
         #: port is decoupled and the TS switches to orphan completion
         self.faulted = False
-        self.fault_cycle: Optional[int] = None
         self._synth_resp = Resp.SLVERR
         self.fault_stats = PortFaultStats()
         #: lifetime count of hypervisor-initiated revocation quiesces
@@ -393,7 +392,6 @@ class TransactionSupervisor(Component):
         :meth:`_containment_tick`.
         """
         self.faulted = True
-        self.fault_cycle = cycle
         self._synth_resp = resp
         if kind == "watchdog_timeout":
             self.fault_stats.watchdog_trips += 1
@@ -409,7 +407,7 @@ class TransactionSupervisor(Component):
             outstanding_writes=self.outstanding_writes,
             detail=detail))
 
-    def begin_revocation(self, cycle: int) -> None:
+    def begin_revocation(self) -> None:
         """Enter containment for a hypervisor-initiated grant revocation.
 
         Same drain machinery as a watchdog trip — decouple, discard
@@ -424,7 +422,6 @@ class TransactionSupervisor(Component):
         if self.faulted:
             return
         self.faulted = True
-        self.fault_cycle = cycle
         self._synth_resp = Resp.DECERR
         self.revocations += 1
         self._revoking = True
@@ -483,7 +480,6 @@ class TransactionSupervisor(Component):
     def clear_fault(self) -> None:
         """Leave containment (hypervisor recovery, after :meth:`reset`)."""
         self.faulted = False
-        self.fault_cycle = None
         self._revoking = False
         self.sim.wake()
 
@@ -607,6 +603,5 @@ class TransactionSupervisor(Component):
         self._w_skip_push = 0
         self._w_residue = 0
         self.faulted = False
-        self.fault_cycle = None
         self._revoking = False
         self.sim.wake()

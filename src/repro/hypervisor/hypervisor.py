@@ -62,7 +62,6 @@ class Hypervisor:
         self.access = AccessControl(MemoryRegion(
             HYPERCONNECT_CTRL_BASE, HYPERCONNECT_CTRL_SIZE))
         self.interrupts = InterruptController()
-        self.design: Optional[FpgaDesign] = None
         #: ports currently held out of service by fault containment
         self.quarantined: Set[int] = set()
         #: engines registered via :meth:`attach_accelerator`, so
@@ -124,7 +123,6 @@ class Hypervisor:
             domain = self.domain(placed.domain)
             domain.ports.append(placed.port)
             self.interrupts.route(placed.irq, placed.domain)
-        self.design = design
         # apply any statically declared bandwidth policy
         shares = {name: d.bandwidth_share for name, d in self.domains.items()
                   if d.bandwidth_share is not None and d.ports}
@@ -384,7 +382,7 @@ class Hypervisor:
         domain = self.domain(order.domain)
         order.ports = list(domain.ports)
         for port in order.ports:
-            self.hyperconnect.supervisors[port].begin_revocation(cycle)
+            self.hyperconnect.supervisors[port].begin_revocation()
             # bring the register view in line with the gate state
             self.driver.decouple(port)
         self.sim.events.publish(GrantRevocationEvent(

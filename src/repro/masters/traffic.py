@@ -113,7 +113,6 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
         self.job_bytes = job_bytes
         self.deadline_misses = 0
         self.releases = 0
-        self._last_release: Optional[int] = None
 
     def tick(self, cycle: int) -> bool:
         if cycle % self.period:

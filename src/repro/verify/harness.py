@@ -82,31 +82,55 @@ class System:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Deterministic observables of one finished scenario run."""
+    """Deterministic observables of one finished scenario run.
 
-    fingerprint: tuple
+    Each observable is stored once.  :attr:`fingerprint` (what the
+    equivalence oracle compares and corpus digests hash) covers only the
+    fields it names, so a new field stays outside it until named there.
+    """
+
     #: per-plan-index engine observables
     engines: Tuple[dict, ...]
     #: per-plan-index protocol violations (None = no checker)
     violations: Tuple[Optional[Tuple[str, ...]], ...]
-    #: per-plan-index watchdog/protocol trip counts
-    trips: Tuple[int, ...]
-    #: latest job-completion cycle over non-rogue engines (None when no
-    #: healthy job completed)
-    healthy_done: Optional[int]
-    now: int
+    #: per-plan-index supervisor fault statistics as sorted
+    #: ``(counter, value)`` items (empty on SmartConnect ports)
+    fault_stats: Tuple[Tuple[Tuple[str, int], ...], ...]
     #: kernel event log (fault/recovery events), already dict-rendered
-    events: Tuple[dict, ...] = ()
+    events: Tuple[dict, ...]
+    now: int
     #: per-plan-index latest job-completion cycle (None = none finished)
-    done_cycles: Tuple[Optional[int], ...] = ()
+    done_cycles: Tuple[Optional[int], ...]
     #: per-churn-op end-state snapshots (pure primitives, in scenario
     #: op order; empty unless the scenario scripts churn) — the
     #: stale-window oracle's raw material
     churn_probes: Tuple[dict, ...] = ()
     #: committed TLM fast-forward epochs (0 on non-TLM runs and on TLM
-    #: runs that declined every window; deliberately outside the
-    #: fingerprint so corpus digests stay pinned)
+    #: runs that declined every window; outside the fingerprint)
     tlm_epochs: int = 0
+
+    @property
+    def fingerprint(self) -> tuple:
+        """``(engines, events, fault stats, now)``, plus the churn probes
+        on churn scenarios (churn-free ones keep the historic 4-element
+        form, so corpus and golden campaign digests stay pinned)."""
+        fingerprint = (
+            tuple(tuple(sorted(info.items())) for info in self.engines),
+            tuple(tuple(sorted(d.items())) for d in self.events),
+            self.fault_stats,
+            self.now,
+        )
+        if self.churn_probes:
+            fingerprint += (tuple(tuple(sorted(p.items()))
+                                  for p in self.churn_probes),)
+        return fingerprint
+
+    @property
+    def trips(self) -> Tuple[int, ...]:
+        """Per-plan-index containment entries, watchdog plus protocol."""
+        return tuple(sum(value for key, value in stats
+                         if key in ("watchdog_trips", "protocol_trips"))
+                     for stats in self.fault_stats)
 
 
 def _make_memory(sim: Simulator, scenario: Scenario, link: AxiLink,
@@ -425,46 +449,20 @@ def run_system(system: System) -> RunResult:
         tuple(str(v) for v in st.checker.violations)
         if st.checker is not None else None
         for st in system.stations)
-    trips = tuple(
-        (st.supervisor.fault_stats.watchdog_trips
-         + st.supervisor.fault_stats.protocol_trips)
-        if st.supervisor is not None else 0
+    fault_stats = tuple(
+        tuple(sorted(st.supervisor.fault_stats.as_dict().items()))
+        if st.supervisor is not None else ()
         for st in system.stations)
-    done_cycles: List[Optional[int]] = []
-    for st in system.stations:
-        done: Optional[int] = None
-        for job in st.jobs:
-            if job.completed is not None:
-                if done is None or job.completed > done:
-                    done = job.completed
-        done_cycles.append(done)
-    healthy_done: Optional[int] = None
-    for st, done in zip(system.stations, done_cycles):
-        if st.plan.is_rogue or done is None:
-            continue
-        if healthy_done is None or done > healthy_done:
-            healthy_done = done
-    events = tuple(sim.events.as_dicts())
-    fingerprint = (
-        tuple(tuple(sorted(info.items())) for info in engines),
-        tuple(tuple(sorted(d.items())) for d in events),
-        tuple(tuple(sorted(st.supervisor.fault_stats.as_dict().items()))
-              if st.supervisor is not None else ()
-              for st in system.stations),
-        sim.now,
-    )
-    churn_probes: Tuple[dict, ...] = ()
-    if scenario.churn is not None:
-        churn_probes = tuple(_churn_probe(system, op)
-                             for op in scenario.churn)
-        # churn-free scenarios keep their historic 4-element fingerprint
-        # (corpus and golden campaign digests stay pinned)
-        fingerprint = fingerprint + (
-            tuple(tuple(sorted(p.items())) for p in churn_probes),)
-    return RunResult(fingerprint=fingerprint, engines=engines,
-                     violations=violations, trips=trips,
-                     healthy_done=healthy_done, now=sim.now,
-                     events=events, done_cycles=tuple(done_cycles),
+    done_cycles = tuple(
+        max((job.completed for job in st.jobs if job.completed is not None),
+            default=None)
+        for st in system.stations)
+    churn_probes = tuple(_churn_probe(system, op)
+                         for op in scenario.churn or ())
+    return RunResult(engines=engines, violations=violations,
+                     fault_stats=fault_stats,
+                     events=tuple(sim.events.as_dicts()), now=sim.now,
+                     done_cycles=done_cycles,
                      churn_probes=churn_probes,
                      tlm_epochs=sim.skip_stats.tlm_epochs)
 

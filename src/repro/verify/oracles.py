@@ -234,18 +234,28 @@ def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
     return _harness_bound(scenario, timeout, timing)
 
 
+def _healthy_done(scenario: Scenario, result: RunResult) -> Optional[int]:
+    """Latest job completion over the scenario's non-rogue ports (None
+    when no healthy job completed)."""
+    return max((done for plan, done in zip(scenario.ports,
+                                           result.done_cycles)
+                if not plan.is_rogue and done is not None), default=None)
+
+
 def check_containment_bound(scenario: Scenario, result: RunResult,
                             baseline: RunResult) -> None:
     """Oracle 4: measured healthy-port interference respects the bound."""
     bound = containment_bound_for(scenario)
     if bound is None:
         return
-    if result.healthy_done is None or baseline.healthy_done is None:
+    done = _healthy_done(scenario, result)
+    base_done = _healthy_done(scenario, baseline)
+    if done is None or base_done is None:
         return  # no healthy work to compare (liveness handles the rest)
     limit = bound.healthy_port_delay_bound()
     if scenario.family == "cascade":
         limit += bound.cascade_slack(levels=scenario.cascade_depth)
-    delta = result.healthy_done - baseline.healthy_done
+    delta = done - base_done
     if delta > limit:
         raise OracleViolation(
             "containment-bound",
@@ -329,40 +339,47 @@ def check_isolation(scenario: Scenario, result: RunResult,
                 f"rogue tenant {info['name']} left in limbo: recovery "
                 "neither recoupled nor gave up within the run", scenario)
     bound = isolation_bound_for(scenario)
-    limit = (bound.multi_fault_delay_bound(len(rogues))
-             if bound is not None else None)
-    churn_involved = set(scenario.churn_involved)
+    # churn-involved ports are skipped: the baseline revokes on the same
+    # schedule, but a rogue's containment can legitimately shift *when*
+    # the victim's drain lands (synth beat counts) and when the
+    # beneficiary's post-commit jobs run; the stale-window oracle
+    # governs both
+    _check_bystanders(
+        scenario, result, baseline,
+        skip=rogues | set(scenario.churn_involved),
+        limit=(bound.multi_fault_delay_bound(len(rogues))
+               if bound is not None else None),
+        oracle="isolation")
+
+
+def _check_bystanders(scenario: Scenario, result: RunResult,
+                      twin: RunResult, skip: Set[int],
+                      limit: Optional[int], oracle: str) -> None:
+    """Every port outside ``skip`` moves exactly its twin's traffic (no
+    data or bandwidth leakage across domains) and finishes at most
+    ``limit`` cycles after it (``None`` = no delay bound)."""
     for index, (info, base) in enumerate(zip(result.engines,
-                                             baseline.engines)):
-        if index in rogues:
-            continue
-        if index in churn_involved:
-            # the baseline revokes on the same schedule, but a rogue's
-            # containment can legitimately shift *when* the victim's
-            # drain lands (synth beat counts) and when the beneficiary's
-            # post-commit jobs run; the stale-window oracle governs both
+                                             twin.engines)):
+        if index in skip:
             continue
         for key in ("bytes_read", "bytes_written", "jobs_completed",
                     "error_responses"):
             if info[key] != base[key]:
                 raise OracleViolation(
-                    "isolation",
-                    f"healthy tenant {info['name']} {key} changed under "
-                    f"a neighbour's fault: {info[key]} != baseline "
-                    f"{base[key]}", scenario)
-        if limit is None or not result.done_cycles:
-            continue
+                    oracle,
+                    f"bystander tenant {info['name']} {key} changed "
+                    f"under a neighbour's fault or churn: {info[key]} "
+                    f"!= twin {base[key]}", scenario)
         done = result.done_cycles[index]
-        base_done = baseline.done_cycles[index]
-        if done is None or base_done is None:
+        base_done = twin.done_cycles[index]
+        if limit is None or done is None or base_done is None:
             continue
-        delta = done - base_done
-        if delta > limit:
+        if done - base_done > limit:
             raise OracleViolation(
-                "isolation",
-                f"healthy tenant {info['name']} finished {delta} cycles "
-                f"after its fault-free baseline; serialized containment "
-                f"bound for {len(rogues)} fault(s) is {limit}", scenario)
+                oracle,
+                f"bystander tenant {info['name']} finished "
+                f"{done - base_done} cycles after its twin; the analytic "
+                f"bound is {limit}", scenario)
 
 
 def churn_delay_bound_for(scenario: Scenario) -> int:
@@ -445,8 +462,7 @@ def check_stale_window(scenario: Scenario, result: RunResult,
                 "stale-window",
                 f"{where}: region-filter epoch register never recorded "
                 f"the retarget (epoch={probe['epoch']})", scenario)
-        twin_done = (churnfree.done_cycles[victim]
-                     if churnfree.done_cycles else None)
+        twin_done = churnfree.done_cycles[victim]
         if (twin_done is not None
                 and twin_done > probe["op_cycle"] + 16
                 and probe["victim_synth_beats"] == 0):
@@ -507,34 +523,13 @@ def check_stale_window(scenario: Scenario, result: RunResult,
                 f"{probe['store_digest'][:12]}, expected {label} "
                 f"({expected[:12]}) — a stale-window beat landed",
                 scenario)
-    limit = churn_delay_bound_for(scenario)
-    involved = set(scenario.churn_involved) | set(scenario.rogue_indices)
-    for index, (info, twin) in enumerate(zip(result.engines,
-                                             churnfree.engines)):
-        if index in involved or scenario.ports[index].is_greedy:
-            continue
-        for key in ("bytes_read", "bytes_written", "jobs_completed",
-                    "error_responses"):
-            if info[key] != twin[key]:
-                raise OracleViolation(
-                    "stale-window",
-                    f"uninvolved tenant {info['name']} {key} changed "
-                    f"under a neighbour's revocation: {info[key]} != "
-                    f"churn-free {twin[key]}", scenario)
-        if not result.done_cycles or not churnfree.done_cycles:
-            continue
-        done = result.done_cycles[index]
-        twin_done = churnfree.done_cycles[index]
-        if done is None or twin_done is None:
-            continue
-        delta = done - twin_done
-        if delta > limit:
-            raise OracleViolation(
-                "stale-window",
-                f"uninvolved tenant {info['name']} finished {delta} "
-                "cycles after its churn-free twin; analytic churn "
-                f"delay bound for {len(scenario.churn)} op(s) is "
-                f"{limit}", scenario)
+    greedy = {index for index, plan in enumerate(scenario.ports)
+              if plan.is_greedy}
+    _check_bystanders(
+        scenario, result, churnfree,
+        skip=(set(scenario.churn_involved) | set(scenario.rogue_indices)
+              | greedy),
+        limit=churn_delay_bound_for(scenario), oracle="stale-window")
 
 
 def check_tlm(scenario: Scenario, reference: RunResult,

@@ -8,40 +8,40 @@ mode, and compile every assignment into a pure-data
 :class:`~repro.verify.scenario.Scenario` the campaign runner
 (:mod:`repro.verify.campaign`) can stream across worker processes.
 
-Three coverage modes (the litex ``ParamSpace`` idiom):
+Two coverage modes (the litex ``ParamSpace`` idiom):
 
 * ``full`` — the exhaustive cartesian product, for small ranges;
 * ``pairwise`` — a greedy covering array that hits every *pair* of axis
   values at least once, for broad ranges (size tracks the product of
-  the two largest axes instead of all of them);
-* ``sample`` — ``samples`` seeded draws, for unbounded exploration.
+  the two largest axes instead of all of them).
 
-All three are deterministic: the same axes + mode + seed always yield
-the same assignments in the same order, so campaign results are
-reproducible byte-for-byte.  :meth:`ParamSpace.iter_unique` stacks
-spaces (e.g. an exhaustive core grid plus a pairwise broad grid) and
-deduplicates assignments across them.
+Both are deterministic: the same axes + mode + seed always yield the
+same assignments in the same order, so campaign results are
+reproducible byte-for-byte.
 
 The named grids in :data:`GRIDS` cover the sweeps the ROADMAP calls
 for — reservation-period sweeps, cascade depth beyond two levels, mixed
 HyperConnect+SmartConnect fabrics, and fault-injection knobs — plus the
-composite ``smoke`` grid the CI campaign job runs and the deliberately
-tiny ``throughput`` scenarios the campaign benchmark streams.
+deliberately tiny ``throughput`` scenarios the campaign benchmark
+streams.  :data:`COMPOSITES` stacks grids into one campaign (the
+``smoke`` grid CI runs).  Every grid, simple or composite, enumerates
+through :func:`_unique`: compiled scenarios deduplicated by their JSON,
+then capped at ``limit``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
     Optional, Sequence, Tuple
 
 from .oracles import ALL_CHECKS, DEFAULT_CHECKS
-from .scenario import MasterFault, MemoryFault, PortPlan, Scenario, \
-    canonical_json
+from .scenario import ILLEGAL_OFFSET, MasterFault, MemoryFault, \
+    PortPlan, Scenario, job_address
 
-MODES = ("full", "pairwise", "sample")
+MODES = ("full", "pairwise")
 #: candidate rows per greedy pairwise step (quality/speed trade-off)
 _PAIRWISE_CANDIDATES = 24
 
@@ -54,7 +54,7 @@ class ParamSpace:
     """
 
     def __init__(self, axes: Mapping[str, Sequence], mode: str = "full",
-                 samples: int = 64, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         if not axes:
@@ -64,10 +64,7 @@ class ParamSpace:
         for name, values in self.axes:
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
         self.mode = mode
-        self.samples = samples
         self.seed = seed
         self._assignments: Optional[List[dict]] = None
 
@@ -76,9 +73,8 @@ class ParamSpace:
     def assignments(self) -> List[dict]:
         """The grid's assignments, materialized once (stable order)."""
         if self._assignments is None:
-            build = {"full": self._full, "pairwise": self._pairwise,
-                     "sample": self._sample}[self.mode]
-            self._assignments = build()
+            self._assignments = (self._full() if self.mode == "full"
+                                 else self._pairwise())
         return list(self._assignments)
 
     def __iter__(self) -> Iterator[dict]:
@@ -104,11 +100,6 @@ class ParamSpace:
         names = [name for name, __ in self.axes]
         return [dict(zip(names, row))
                 for row in product(*(values for __, values in self.axes))]
-
-    def _sample(self) -> List[dict]:
-        rng = random.Random(self.seed)
-        return [{name: rng.choice(values) for name, values in self.axes}
-                for __ in range(self.samples)]
 
     def _pairwise(self) -> List[dict]:
         """Greedy pairwise covering array.
@@ -152,55 +143,28 @@ class ParamSpace:
                                  for i, v in enumerate(row))))
                 for row in rows]
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def iter_unique(spaces: Iterable["ParamSpace"]) -> Iterator[dict]:
-        """Iterate stacked spaces, skipping duplicate assignments.
-
-        Assignments are compared by canonical JSON, so ``(0.5,)`` from a
-        full grid and ``(0.5,)`` from a pairwise grid collide as
-        intended even when drawn in different axis orders.
-        """
-        seen = set()
-        for space in spaces:
-            for assignment in space:
-                key = canonical_json(assignment)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield assignment
-
 
 # ----------------------------------------------------------------------
 # grid compilers: assignment dict -> Scenario
 # ----------------------------------------------------------------------
 
-def _address(port_index: int, job_index: int = 0, offset: int = 0) -> int:
-    return 0x1000_0000 + (port_index << 22) + job_index * 0x1_0000 + offset
-
-
 def _healthy(port_index: int, kind: str = "read", nbytes: int = 1024,
              timeout: Optional[int] = None) -> PortPlan:
-    return PortPlan(jobs=((kind, _address(port_index), nbytes),),
+    return PortPlan(jobs=((kind, job_address(port_index), nbytes),),
                     timeout=timeout)
-
-
-#: reads at this 4 KiB offset make an un-legalized burst straddle a page
-_ILLEGAL_OFFSET = 0xF80
 
 
 def _rogue(port_index: int, mode: str, hang: int, timeout: int,
            nbytes: int, persistent: bool = False) -> PortPlan:
     if mode == "illegal_burst":
-        jobs = (("read", _address(port_index, offset=_ILLEGAL_OFFSET),
+        jobs = (("read", job_address(port_index, offset=ILLEGAL_OFFSET),
                  1024),)
         return PortPlan(jobs=jobs, timeout=timeout,
                         fault=MasterFault(mode=mode))
     kind = "read" if mode == "hung_r" else "write"
     beats = nbytes // 16
     return PortPlan(
-        jobs=((kind, _address(port_index), nbytes),), timeout=timeout,
+        jobs=((kind, job_address(port_index), nbytes),), timeout=timeout,
         fault=MasterFault(mode=mode,
                           hang_after_beats=min(hang, max(0, beats - 1)),
                           persistent=persistent))
@@ -221,8 +185,7 @@ def compile_reservation(a: dict) -> Scenario:
         for i in range(2))
     return Scenario(family="flat", ports=ports, shares=shares,
                     period=a.get("period", 2048),
-                    horizon=a.get("horizon", 20_000),
-                    settle=a.get("settle", 256))
+                    horizon=a.get("horizon", 20_000), settle=256)
 
 
 def compile_cascade(a: dict) -> Scenario:
@@ -248,8 +211,7 @@ def compile_cascade(a: dict) -> Scenario:
     return Scenario(family="cascade", cascade_depth=depth,
                     ports=tuple(plans),
                     equal_shares=a.get("equal_shares", False),
-                    period=a.get("period", 2048),
-                    horizon=a.get("horizon", 12_000))
+                    horizon=12_000)
 
 
 def compile_fabric(a: dict) -> Scenario:
@@ -275,8 +237,7 @@ def compile_fabric(a: dict) -> Scenario:
     plans = tuple(_healthy(i, kind=kind, nbytes=job_bytes)
                   for i in range(n_ports))
     return Scenario(family=family, fabric=fabric, ports=plans,
-                    equal_shares=equal_shares,
-                    horizon=a.get("horizon", 12_000))
+                    equal_shares=equal_shares, horizon=12_000)
 
 
 def compile_faults(a: dict) -> Scenario:
@@ -299,11 +260,6 @@ def compile_faults(a: dict) -> Scenario:
         kind = program.split(":", 1)[1]
         memory = MemoryFault(kind=kind,
                              dead_after_beats=a.get("dead_after_beats", 64),
-                             freeze_start=a.get("freeze_start", 400),
-                             freeze_cycles=a.get("freeze_cycles", 800),
-                             stall_rate=a.get("stall_rate", 0.05),
-                             stall_cycles=a.get("stall_cycles", 20),
-                             error_rate=a.get("error_rate", 0.05),
                              seed=seed)
         # every port is a victim: all watchdogs armed
         plans = [_healthy(i, nbytes=job_bytes, timeout=timeout)
@@ -323,7 +279,7 @@ def compile_faults(a: dict) -> Scenario:
         plans = [_healthy(i, nbytes=job_bytes) for i in range(n_ports)]
     return Scenario(family=family, ports=tuple(plans), memory=memory,
                     equal_shares=a.get("equal_shares", False),
-                    horizon=a.get("horizon", 12_000))
+                    horizon=12_000)
 
 
 #: per-tenant grant span in the isolation grid (32 register granules)
@@ -405,26 +361,22 @@ def compile_isolation(a: dict) -> Scenario:
                 # the beats left after the hang overflow the 32-deep
                 # eFIFO data queue; 1 KiB = 64 beats guarantees it
                 jobs=(("read", base, max(job_bytes, 1024)),),
-                timeout=a.get("timeout", 400),
-                fault=MasterFault(mode="hung_r",
-                                  hang_after_beats=a.get("hang", 8),
+                timeout=400,
+                fault=MasterFault(mode="hung_r", hang_after_beats=8,
                                   persistent=a.get("persistent", True))))
         else:
             plans.append(PortPlan(jobs=(
                 ("read", base, job_bytes),
                 ("write", base + span // 2, job_bytes))))
-    total_beats = n * 2 * job_bytes // 16
-    horizon = a.get("horizon", 6_000 + 6 * total_beats)
-    if churn_ops is not None and "horizon" not in a:
+    horizon = 6_000 + 6 * (n * 2 * job_bytes // 16)
+    if churn_ops is not None:
         # the victim's long write and the beneficiary's post-commit
         # write + readback add work the legacy formula never counted
         horizon += 6 * (max(4 * job_bytes, 2048) // 16) + 2_048
     return Scenario(family="flat", ports=tuple(plans),
                     grants=tuple((i * span, span) for i in range(n)),
                     equal_shares=a.get("equal_shares", False),
-                    period=a.get("period", 2048),
-                    horizon=horizon,
-                    settle=512, churn=churn_ops)
+                    horizon=horizon, settle=512, churn=churn_ops)
 
 
 def compile_throughput(a: dict) -> Scenario:
@@ -442,11 +394,11 @@ def compile_throughput(a: dict) -> Scenario:
     kind = a.get("kind", "read")
     n_ports = a.get("n_ports", 2)
     ports = tuple(
-        PortPlan(jobs=((kind, _address(i, offset=slot * 0x2000), nbytes),))
+        PortPlan(jobs=((kind, job_address(i, offset=slot * 0x2000),
+                        nbytes),))
         for i in range(n_ports))
     beats = n_ports * (nbytes * (2 if kind == "copy" else 1)) // 16
-    return Scenario(family="flat", ports=ports,
-                    horizon=a.get("horizon", 1_024 + 3 * beats),
+    return Scenario(family="flat", ports=ports, horizon=1_024 + 3 * beats,
                     settle=64)
 
 
@@ -467,31 +419,39 @@ class GridSpec:
     #: is a no-op on untenanted scenarios, so it rides along for free)
     checks: Tuple[str, ...] = DEFAULT_CHECKS
 
-    def space(self, mode: Optional[str] = None, seed: int = 0,
-              samples: int = 64) -> ParamSpace:
-        return ParamSpace(self.axes, mode=mode or self.default_mode,
-                          samples=samples, seed=seed)
+    def compiled(self, mode: Optional[str] = None, seed: int = 0,
+                 horizon: Optional[int] = None) -> Iterator[Scenario]:
+        """Compile every assignment in order, optionally overriding
+        every horizon (duplicates included)."""
+        space = ParamSpace(self.axes, mode=mode or self.default_mode,
+                           seed=seed)
+        for assignment in space:
+            scenario = self.compile(assignment)
+            yield (scenario if horizon is None
+                   else replace(scenario, horizon=horizon))
 
     def scenarios(self, mode: Optional[str] = None, seed: int = 0,
-                  samples: int = 64, limit: Optional[int] = None,
+                  limit: Optional[int] = None,
                   horizon: Optional[int] = None) -> List[Scenario]:
-        """Compile the grid, dropping duplicate scenarios and optionally
-        overriding every horizon."""
-        out: List[Scenario] = []
-        seen = set()
-        for assignment in self.space(mode=mode, seed=seed,
-                                     samples=samples):
-            scenario = self.compile(assignment)
-            if horizon is not None:
-                scenario = replace(scenario, horizon=horizon)
-            key = scenario.to_json()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(scenario)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        """The grid's distinct scenarios (see :func:`_unique`)."""
+        return _unique(self.compiled(mode, seed, horizon), limit)
+
+
+def _unique(scenarios: Iterable[Scenario],
+            limit: Optional[int]) -> List[Scenario]:
+    """Drop scenarios whose JSON repeats an earlier one, then stop at
+    ``limit``: the one enumeration rule of every grid."""
+    out: List[Scenario] = []
+    seen = set()
+    for scenario in scenarios:
+        key = scenario.to_json()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(scenario)
+        if limit is not None and len(out) >= limit:
+            break
+    return out
 
 
 GRIDS: Dict[str, GridSpec] = {}
@@ -620,21 +580,16 @@ THROUGHPUT_GRID = _register(GridSpec(
     checks=("equivalence", "liveness", "protocol"),
 ))
 
-#: composite grids: a name expands to several member grids, stacked and
-#: deduplicated in order (CI's campaign matrix runs both)
-COMPOSITES: Dict[str, Tuple[str, ...]] = {
-    "smoke": ("faults", "cascade", "fabric", "reservation"),
-    "tlm": ("faults", "churn", "reservation"),
-}
-
-#: composite-level check overrides: by default a composite asserts the
-#: *intersection* of its members' checks; entries here replace that.
-#: The "tlm" composite adds the opt-in tlm oracle on top of the full
-#: default families — fault and churn scenarios must demote to
+#: composite grids: name -> (member grids, oracle checks).  A composite
+#: compiles its members in order and deduplicates across them (CI's
+#: campaign matrix runs both).  "tlm" adds the opt-in tlm oracle to the
+#: default families: fault and churn scenarios must demote to
 #: bit-identical execution, steady reservation scenarios must
 #: fast-forward within the analytic bounds.
-COMPOSITE_CHECKS: Dict[str, Tuple[str, ...]] = {
-    "tlm": ALL_CHECKS,
+COMPOSITES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "smoke": (("faults", "cascade", "fabric", "reservation"),
+              DEFAULT_CHECKS),
+    "tlm": (("faults", "churn", "reservation"), ALL_CHECKS),
 }
 
 
@@ -644,39 +599,18 @@ def grid_names() -> List[str]:
 
 
 def grid_scenarios(name: str, mode: Optional[str] = None, seed: int = 0,
-                   samples: int = 64, limit: Optional[int] = None,
+                   limit: Optional[int] = None,
                    horizon: Optional[int] = None
                    ) -> Tuple[List[Scenario], Tuple[str, ...]]:
-    """Resolve a grid name into (scenarios, oracle checks).
-
-    Composite names concatenate their member grids and deduplicate
-    compiled scenarios across them; the checks are the intersection of
-    the members' check tuples (a composite may only assert what every
-    member grid supports) unless :data:`COMPOSITE_CHECKS` overrides
-    them (the "tlm" composite opts into the tlm oracle this way).
-    """
+    """Resolve a grid name (simple or composite) into (scenarios,
+    oracle checks)."""
     if name in COMPOSITES:
-        members = [GRIDS[member] for member in COMPOSITES[name]]
-        checks = COMPOSITE_CHECKS.get(name) or tuple(
-            c for c in GRIDS[members[0].name].checks
-            if all(c in m.checks for m in members))
-        scenarios: List[Scenario] = []
-        seen = set()
-        for member in members:
-            for scenario in member.scenarios(mode=mode, seed=seed,
-                                             samples=samples,
-                                             horizon=horizon):
-                key = scenario.to_json()
-                if key in seen:
-                    continue
-                seen.add(key)
-                scenarios.append(scenario)
-                if limit is not None and len(scenarios) >= limit:
-                    return scenarios, checks
-        return scenarios, checks
-    if name not in GRIDS:
+        members, checks = COMPOSITES[name]
+    elif name in GRIDS:
+        members, checks = (name,), GRIDS[name].checks
+    else:
         raise KeyError(
             f"unknown grid {name!r}; choose from {grid_names()}")
-    spec = GRIDS[name]
-    return (spec.scenarios(mode=mode, seed=seed, samples=samples,
-                           limit=limit, horizon=horizon), spec.checks)
+    compiled = chain.from_iterable(
+        GRIDS[member].compiled(mode, seed, horizon) for member in members)
+    return _unique(compiled, limit), checks

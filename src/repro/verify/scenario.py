@@ -22,20 +22,25 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Tuple
 
+from ..hyperconnect.regs import REGION_GRANULE
+from ..masters.faulty import FAULT_MODES
+
 #: supported topology families
 FAMILIES = ("flat", "cascade", "ooo", "multiport")
 #: interconnect fabrics: pure HyperConnect, pure SmartConnect (flat
 #: only), or mixed — HyperConnect + SmartConnect side by side on the
 #: multi-port memory subsystem
 FABRICS = ("hyperconnect", "smartconnect", "mixed")
-#: master misbehaviours (mirrors repro.masters.faulty.FAULT_MODES, plus
-#: "wild_addr": a protocol-compliant master whose jobs target addresses
+#: master misbehaviours: the fault-injecting master's modes plus
+#: "wild_addr", a protocol-compliant master whose jobs target addresses
 #: outside its tenant grant — only meaningful in tenanted scenarios,
-#: where the HyperConnect's region filter contains it with DECERR)
-MASTER_FAULTS = ("none", "hung_r", "withheld_w", "illegal_burst",
-                 "wild_addr")
-#: granularity of tenant grants (mirrors the region-filter registers)
-GRANT_GRANULE = 4096
+#: where the HyperConnect's region filter contains it with DECERR
+MASTER_FAULTS = FAULT_MODES + ("wild_addr",)
+#: granularity of tenant grants: the region-filter registers' granule
+GRANT_GRANULE = REGION_GRANULE
+#: reads at this 4 KiB offset make an un-legalized 16-beat burst
+#: straddle a page
+ILLEGAL_OFFSET = 0xF80
 #: memory misbehaviours (mirrors FaultInjectingMemory's knobs)
 MEMORY_FAULTS = ("none", "dead", "freeze", "stall", "error")
 #: families served by the in-order DRAM model, where the fault-injecting
@@ -45,6 +50,13 @@ MEMORY_FAULT_FAMILIES = ("flat", "cascade")
 #: saturating traffic generator (window base + job size, no completion
 #: accounting) for bandwidth-sweep campaigns
 JOB_KINDS = ("read", "write", "copy", "greedy")
+
+
+def job_address(port_index: int, job_index: int = 0,
+                offset: int = 0) -> int:
+    """The address of a port's ``job_index``-th job in the untenanted
+    grids and fuzz draws: one 4 MiB window per port, 64 KiB per job."""
+    return 0x1000_0000 + (port_index << 22) + job_index * 0x1_0000 + offset
 
 
 @dataclass(frozen=True)

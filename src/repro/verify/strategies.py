@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from .scenario import (
     FAMILIES,
+    ILLEGAL_OFFSET,
     MEMORY_FAULT_FAMILIES,
     MasterFault,
     MemoryFault,
     PortPlan,
     Scenario,
+    job_address,
 )
 
 #: leaf-port counts per family (cascade/multiport need the extra port)
@@ -39,20 +41,13 @@ BEAT_BYTES = 16
 #: ContainmentBound.min_safe_timeout() for every rogue timeout below
 SAFE_HEALTHY_TIMEOUT = 4000
 ROGUE_TIMEOUT = st.integers(min_value=150, max_value=500)
-#: reads at this 4 KiB offset make an un-legalized 16-beat burst straddle
-ILLEGAL_OFFSET = 0xF80
-
-
-def _address(port_index: int, job_index: int) -> int:
-    return 0x1000_0000 + (port_index << 22) + job_index * 0x1_0000
-
 
 @st.composite
 def _jobs(draw, port_index: int, kinds=("read", "write", "copy"),
           min_jobs: int = 1, max_jobs: int = 3):
     count = draw(st.integers(min_jobs, max_jobs))
     return tuple(
-        (draw(st.sampled_from(kinds)), _address(port_index, job),
+        (draw(st.sampled_from(kinds)), job_address(port_index, job),
          draw(st.sampled_from(SIZES)))
         for job in range(count))
 
@@ -68,7 +63,7 @@ def _rogue_plan(draw, port_index: int):
     timeout = draw(ROGUE_TIMEOUT)
     if mode == "illegal_burst":
         # one guaranteed-straddling read; the ingest guard DECERRs it
-        jobs = ((("read", _address(port_index, 0) + ILLEGAL_OFFSET,
+        jobs = ((("read", job_address(port_index, offset=ILLEGAL_OFFSET),
                   1024),)
                 + draw(_jobs(port_index, min_jobs=0, max_jobs=1)))
         return PortPlan(jobs=jobs, timeout=timeout,

@@ -2,11 +2,12 @@
 
 Pins the :class:`~repro.verify.paramspace.ParamSpace` contracts the
 campaign machinery relies on: full mode is the exact cartesian product,
-pairwise covers every axis-value pair at least once, sampling and
-pairwise are byte-for-byte reproducible per seed, and every registered
-grid compiles into valid scenarios.
+pairwise covers every axis-value pair at least once and is byte-for-byte
+reproducible per seed, every registered grid compiles into valid
+scenarios, and every grid's compiled scenario list is pinned by digest.
 """
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from repro.verify import (
     grid_names,
     grid_scenarios,
 )
-from repro.verify.oracles import DEFAULT_CHECKS
+from repro.verify.oracles import ALL_CHECKS, DEFAULT_CHECKS
 
 AXES = {
     "depth": (2, 3, 4),
@@ -87,23 +88,6 @@ class TestPairwiseMode:
             assert len(covered) == len(axes[x]) * len(axes[y])
 
 
-class TestSampleMode:
-    def test_yields_exactly_samples_rows(self):
-        space = ParamSpace(AXES, mode="sample", samples=17, seed=3)
-        assert len(space.assignments()) == 17
-
-    def test_identical_seeds_yield_byte_identical_streams(self):
-        a = ParamSpace(AXES, mode="sample", samples=40, seed=9)
-        b = ParamSpace(AXES, mode="sample", samples=40, seed=9)
-        assert canonical_json(a.assignments()) == \
-            canonical_json(b.assignments())
-
-    def test_different_seeds_diverge(self):
-        a = ParamSpace(AXES, mode="sample", samples=40, seed=1)
-        b = ParamSpace(AXES, mode="sample", samples=40, seed=2)
-        assert a.assignments() != b.assignments()
-
-
 class TestValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -117,25 +101,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParamSpace({"x": ()})
 
-    def test_nonpositive_samples_rejected(self):
-        with pytest.raises(ValueError):
-            ParamSpace(AXES, mode="sample", samples=0)
-
-
-class TestIterUnique:
-    def test_deduplicates_across_stacked_spaces(self):
-        core = ParamSpace({"x": (1, 2), "y": ("a", "b")}, mode="full")
-        broad = ParamSpace({"x": (1, 2, 3), "y": ("a", "b")},
-                           mode="full")
-        rows = list(ParamSpace.iter_unique([core, broad]))
-        keys = [canonical_json(row) for row in rows]
-        assert len(keys) == len(set(keys))
-        assert len(rows) == 6                # union, not 4 + 6
-
-    def test_axis_order_does_not_defeat_dedup(self):
-        a = ParamSpace({"x": (1,), "y": (2,)}, mode="full")
-        b = ParamSpace({"y": (2,), "x": (1,)}, mode="full")
-        assert len(list(ParamSpace.iter_unique([a, b]))) == 1
 
 
 class TestGridRegistry:
@@ -176,3 +141,51 @@ class TestGridRegistry:
         a, __ = grid_scenarios("faults", seed=5)
         b, __ = grid_scenarios("faults", seed=5)
         assert [s.to_json() for s in a] == [s.to_json() for s in b]
+
+
+#: sha-256 of the newline-joined scenario JSON, scenario count and
+#: checks of every grid at its defaults, plus the nightly's full churn
+#: grid and CI's 64-row tlm campaign: a drift in grid enumeration fails
+#: here, not only in the minutes-long campaign digests
+PINNED_GRIDS = [
+    ("cascade", {}, 24, "8b312c4532b6b7bb65bd46743eeeba58"
+                        "b161373a9c0e41927cfd28828c540164", DEFAULT_CHECKS),
+    ("churn", {}, 13, "5744193f9ac5f87de1a7e4d67eb1af6e"
+                      "59daeb303eabf191773dd953abc94e26", DEFAULT_CHECKS),
+    ("fabric", {}, 17, "91173d365175c1318cac2b81bd65b267"
+                       "1b90882b467f2f47415c0bc5e0a87b28", DEFAULT_CHECKS),
+    ("faults", {}, 54, "bef7d156205214fb6dfff79ca698ca5b"
+                       "17adceb2ff1325e5fdaf8bd237f78b9c", DEFAULT_CHECKS),
+    ("isolation", {}, 20, "59751b10eb7f9633fdd76eb5645ab59a"
+                          "de95eb246a673be281d6e05f4f580622",
+     DEFAULT_CHECKS),
+    ("reservation", {}, 96, "d9a58614d209e80c89e73e6aff85bd4b"
+                            "639434cc544d8a6da39f8fc98c0883fa",
+     DEFAULT_CHECKS),
+    ("smoke", {}, 191, "a0310d190f22845667b58da571a31e88"
+                       "a8992adbb10a9892d22627271fdafe83", DEFAULT_CHECKS),
+    ("throughput", {}, 578, "3c1a47796a54efdf84d5969da7e4b2c6"
+                            "8c36d70c6d5f800804a78f8d1fb061f6",
+     ("equivalence", "liveness", "protocol")),
+    ("tlm", {}, 163, "e567c6d9d6f91e8c55da426a31ecb638"
+                     "5706ee2e3ec3fc577d3637ac80b48f7b", ALL_CHECKS),
+    ("churn", {"mode": "full"}, 600, "2199f251c6108613978465dfbafabcde"
+                                     "55df8959e15f879710ceb7a8e580e353",
+     DEFAULT_CHECKS),
+    ("tlm", {"limit": 64}, 64, "9cdc90778317bd62891510b8049906fd"
+                               "f625019c285acb6d25b3d7704acc7202",
+     ALL_CHECKS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, count, digest, checks", PINNED_GRIDS,
+    ids=[f"{name}-{'-'.join(f'{k}={v}' for k, v in kwargs.items())}"
+         .rstrip("-") for name, kwargs, *__ in PINNED_GRIDS])
+def test_compiled_scenario_lists_are_pinned(name, kwargs, count, digest,
+                                            checks):
+    scenarios, got_checks = grid_scenarios(name, **kwargs)
+    joined = "\n".join(s.to_json() for s in scenarios)
+    assert len(scenarios) == count
+    assert hashlib.sha256(joined.encode()).hexdigest() == digest
+    assert got_checks == checks

@@ -19,7 +19,9 @@ from repro.hyperconnect.regs import (
     REGION_PAGES_REG,
     region_register,
 )
+from repro.hypervisor import Hypervisor
 from repro.masters import AxiDma
+from repro.memory import MemoryAccessFault
 from repro.sim import Channel, ConfigurationError, Simulator
 from repro.system import SocSystem
 from repro.platforms import ZCU102
@@ -218,3 +220,33 @@ class TestMidRunReprogramEquivalence:
 
     def test_fast_path_matches_reference(self):
         assert _reprogram_run(fast=True) == _reprogram_run(fast=False)
+
+
+class TestInterleavedGrants:
+    """A port's filter must not admit a neighbour's grant that lies
+    between two of its own domain's grants."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known isolation defect: the hypervisor programs one filter "
+        "window per port, the convex hull of the domain's grants, so "
+        "the neighbour's block between them is reachable"))
+    def test_neighbour_grant_inside_the_hull_trips_the_port(self):
+        soc = SocSystem.build(ZCU102, n_ports=2, period=2048,
+                              with_store=True)
+        hypervisor = Hypervisor(soc.interconnect)
+        for port, name in enumerate(("x", "y")):
+            hypervisor.create_domain(name).ports.append(port)
+        hypervisor.attach_memory(soc.store)
+        first = hypervisor.grant_memory("x", REGION_GRANULE)
+        neighbour = hypervisor.grant_memory("y", REGION_GRANULE)
+        second = hypervisor.grant_memory("x", REGION_GRANULE)
+        assert first.base < neighbour.base < second.base
+        secret = bytes(range(1, 65))
+        hypervisor.domain_store("y").write(neighbour.base, secret)
+        with pytest.raises(MemoryAccessFault):   # the guest view is exact
+            hypervisor.domain_store("x").read(neighbour.base, 64)
+        dma = AxiDma(soc.sim, "dma", soc.port(0), collect_data=True)
+        job = dma.enqueue_read(neighbour.base, 64)
+        soc.sim.run(2_000)
+        assert soc.interconnect.supervisors[0].fault_stats.trips >= 1
+        assert secret not in bytes(job.result or b"")
