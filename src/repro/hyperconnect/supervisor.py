@@ -171,7 +171,6 @@ class TransactionSupervisor(Component):
         self.budget_remaining: Optional[int] = self.config.budget
         #: global enable flag mirrored from the central unit
         self.enabled = True
-        self.stalled_on_budget = 0   # cycles a request waited on budget
         self.splits_performed = 0
         #: issue cycles of forwarded sub-transactions, completion order
         #: (head = oldest; the watchdog deadline derives from it)
@@ -487,11 +486,12 @@ class TransactionSupervisor(Component):
 
     def tick(self, cycle: int) -> bool:
         # decoupled/disabled supervisors are fully idle; otherwise the TS
-        # acts when it can ingest, can forward, or is budget-stalled (the
-        # stall counter makes a budget-blocked cycle a state change).  A
-        # faulted TS acts while the eFIFO still holds anything or orphans
-        # remain to be answered; a due watchdog deadline is itself an
-        # action.
+        # acts when it can ingest or forward.  A budget-stalled tick is
+        # idle: only the central unit's recharge (its next_event_cycle)
+        # or a configuration write, which wakes the kernel, can release
+        # it.  A faulted TS acts while the eFIFO still holds anything or
+        # orphans remain to be answered; a due watchdog deadline is
+        # itself an action.
         if self.faulted:
             return self._containment_tick(cycle)
         link = self.ha_link
@@ -560,9 +560,6 @@ class TransactionSupervisor(Component):
                 self._consume_budget()
                 self.config.issued_read += 1
                 idle = False
-            elif not self._budget_available():
-                self.stalled_on_budget += 1
-                idle = False
         if self._pending_aw:
             if (self.outstanding_writes < self.config.max_outstanding
                     and self._budget_available()
@@ -573,9 +570,6 @@ class TransactionSupervisor(Component):
                 self._write_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_write += 1
-                idle = False
-            elif not self._budget_available():
-                self.stalled_on_budget += 1
                 idle = False
         return idle
 

@@ -3,9 +3,9 @@
 The reference kernel commits every dirty channel through
 :meth:`Channel._commit` inline.  The fast path hands its whole dirty list
 to :meth:`CommitCohorts.flush` once per polled cycle instead, which
-commits each channel through the same ``Channel._commit`` and counts the
-batch in :class:`~repro.sim.KernelSkipStats`, so both kernels share one
-commit body.
+commits each channel through the same ``Channel._commit``, so both
+kernels share one commit body.  The fast loop counts the batches in
+:class:`~repro.sim.KernelSkipStats` itself.
 """
 
 from __future__ import annotations
@@ -23,19 +23,10 @@ class CommitCohorts:
     commit goes through it.
     """
 
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim) -> None:
-        self._sim = sim
+    __slots__ = ()
 
     def flush(self, cycle: int, dirty: List) -> None:
         """Commit every channel in ``dirty`` and clear the list."""
-        stats = self._sim.skip_stats
-        stats.commit_batches += 1
-        stats.commit_channels += len(dirty)
         for channel in dirty:
             channel._commit(cycle)
         dirty.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CommitCohorts({self._sim.name!r})"

@@ -27,17 +27,17 @@ change state, while keeping results bit-identical to the reference path:
   means the call was a pure no-op.  Any other return, including the
   implicit ``None``, counts as "may have acted".  The report drives
   everything below; the kernel keeps no second copy of a tick's guards
-  or inputs.
-* **Dense windows** — after ``_DENSE_AFTER`` polled cycles in a row that
-  each committed channel traffic and had more than one acting tick per
-  two idle reports, the kernel hands ``_DENSE_WINDOW`` cycles to the
-  reference loop, which skips the idle-report bookkeeping.
+  or inputs.  The reports are read only on a cycle after one that
+  committed nothing, so a saturated system, which commits traffic every
+  cycle, ticks blind at about the reference loop's cost.
 * **Bulk skipping (frozen horizons)** — when every tick reported idle and
   no channel has uncommitted work, the system state is frozen: the kernel
   scans the channels and components for the earliest future event (a
   queued channel head not yet visible, or a component's
   :meth:`~repro.sim.Component.next_event_cycle` hint) and advances the
-  clock in bulk up to it, touching nothing.
+  clock in bulk up to it, touching nothing.  A port waiting out its
+  reservation budget is such a state: the system freezes to the central
+  unit's next recharge.
 
 Determinism is preserved by construction: a frozen horizon is only entered
 when every tick of the preceding cycle was a no-op, so there is no state a
@@ -75,11 +75,6 @@ from .stats import KernelSkipStats
 #: Horizon value meaning "no wake-up source known" (frozen indefinitely;
 #: callers clamp to their own end-of-run bound).
 _FOREVER = float("inf")
-
-#: dense polled cycles in a row before a window of reference cycles,
-#: and that window's length (see "Dense windows" above)
-_DENSE_AFTER = 16
-_DENSE_WINDOW = 256
 
 
 class Simulator:
@@ -141,7 +136,7 @@ class Simulator:
         #: and observers subscribe.
         self.events = EventBus()
         #: the fast path's end-of-cycle commit body
-        self._cohorts = CommitCohorts(self)
+        self._cohorts = CommitCohorts()
 
     # ------------------------------------------------------------------
     # registration (called from Component / Channel constructors)
@@ -253,98 +248,103 @@ class Simulator:
             cycle += 1
             self._cycle = cycle
 
-    def _run_fast(self, end: int) -> None:
+    def _run_fast(self, end: int,
+                  until: Optional[Callable[[], bool]] = None) -> None:
         """Run polled cycles up to ``end``, bulk-skipping frozen spans.
 
         The single inner loop of the fast path — ``run``, ``run_until``
         and ``step`` all funnel here, so there is exactly one copy of the
         cycle semantics.  Each component ticks once per polled cycle, in
         registration order (the reference path's order, since direct
-        cross-component calls are observable within the same cycle), and
-        its idle report (a return of exactly ``True``) feeds the skip,
-        freeze and dense-window bookkeeping.  Per-cycle overhead is
-        amortized across the window: loop-invariant objects are hoisted
-        into locals (all of them mutated in place, never replaced), and
-        the skip statistics accumulate in plain integers folded into
-        :attr:`skip_stats` once per window (the ``finally`` keeps them
-        truthful if a component raises mid-window).  Every polled cycle
-        with dirty channels commits them through
-        :meth:`CommitCohorts.flush`, the fast path's one commit body; a
-        dense window's cycles count as polled, with every component
-        ticked in each.
+        cross-component calls are observable within the same cycle).  A
+        saturated system never freezes, so a polled cycle must cost about
+        a reference cycle: the idle reports (a return of exactly
+        ``True``) are read only on a cycle after one that committed
+        nothing, loop-invariant objects are hoisted into locals (all
+        mutated in place, never replaced), and the statistics accumulate
+        in plain integers folded into :attr:`skip_stats` once per window
+        (the ``finally`` keeps them truthful if a component raises).
+        Dirty channels commit through :meth:`CommitCohorts.flush`, the
+        fast path's one commit body.
 
-        If every tick reported idle and no channel has uncommitted work,
-        the system is frozen, and the cycle at which it may change again
-        — the earliest channel head not yet visible or component hint —
-        is cached in ``_quiescent_until``.
+        If every report was read and idle and no channel is dirty, the
+        system is frozen, and the cycle at which it may change again —
+        the earliest channel head not yet visible or component hint — is
+        cached in ``_quiescent_until``.  ``until`` is :meth:`run_until`'s
+        predicate, sampled on every boundary before ``end``, frozen ones
+        included (it may read the clock); the window stops where it holds.
         """
         stats = self.skip_stats
         components = self._components
         channels = self._channels
         dirty = self._dirty_channels
         flush = self._cohorts.flush
+        start = cycle = self._cycle
         ran_total = 0
         skipped = 0
-        polled = 0
         frozen = 0
-        dense = 0
-        streak = 0
+        clean = 0
+        committed = 0
+        # read the idle reports this cycle: the last polled cycle
+        # committed nothing, so this one may freeze
+        watch = True
         try:
-            while self._cycle < end:
-                cycle = self._cycle
+            while cycle < end:
+                if until is not None and until():
+                    break
                 if cycle < self._quiescent_until:
                     jump_to = self._quiescent_until
                     if jump_to > end:
                         jump_to = end
+                    if until is not None:
+                        jump_to = cycle + 1
                     frozen += jump_to - cycle
-                    self._cycle = jump_to
+                    cycle = self._cycle = jump_to
                     continue
-                ran = 0
-                skipped_before = skipped
-                for component in components:
-                    if component.tick(cycle) is True:
-                        skipped += 1
-                    else:
-                        ran += 1
-                ran_total += ran
-                polled += 1
-                # a cycle that commits traffic cannot freeze, so a dense
-                # stretch of them hands off without delaying a freeze
-                if dirty and ran * 2 > skipped - skipped_before:
-                    streak += 1
-                else:
-                    streak = 0
-                if dirty:
-                    flush(cycle, dirty)
-                elif not ran:
-                    horizon = _FOREVER
-                    for channel in channels:
-                        queue = channel._queue
-                        if queue:
-                            ready = queue[0][0]
-                            if cycle < ready < horizon:
-                                horizon = ready
+                if watch:
+                    idle = 0
                     for component in components:
-                        hint = component.next_event_cycle(cycle)
-                        if hint is not None and hint < horizon:
-                            horizon = hint
-                    if horizon > cycle:
-                        self._quiescent_until = horizon
-                        stats.horizon_scans += 1
-                self._cycle = cycle + 1
-                if streak >= _DENSE_AFTER:
-                    streak = 0
-                    self._run_reference(min(cycle + 1 + _DENSE_WINDOW, end))
-                    window = self._cycle - cycle - 1
-                    dense += window
-                    ran_total += window * len(components)
+                        if component.tick(cycle) is True:
+                            idle += 1
+                    skipped += idle
+                    ran_total += len(components) - idle
+                else:
+                    for component in components:
+                        component.tick(cycle)
+                    ran_total += len(components)
+                if dirty:
+                    watch = False
+                    committed += len(dirty)
+                    flush(cycle, dirty)
+                else:
+                    clean += 1
+                    if watch and idle == len(components):
+                        horizon = _FOREVER
+                        for channel in channels:
+                            queue = channel._queue
+                            if queue:
+                                ready = queue[0][0]
+                                if cycle < ready < horizon:
+                                    horizon = ready
+                        for component in components:
+                            hint = component.next_event_cycle(cycle)
+                            if hint is not None and hint < horizon:
+                                horizon = hint
+                        if horizon > cycle:
+                            self._quiescent_until = horizon
+                            stats.horizon_scans += 1
+                    watch = True
+                cycle += 1
+                self._cycle = cycle
         finally:
+            polled = self._cycle - start - frozen
             stats.ticks_run += ran_total
             stats.ticks_skipped += skipped
-            stats.cycles_polled += polled + dense
-            stats.cycles_dense += dense
+            stats.cycles_polled += polled
             stats.cycles_frozen += frozen
-            stats.cycles_total += polled + dense + frozen
+            stats.cycles_total += polled + frozen
+            stats.commit_batches += polled - clean
+            stats.commit_channels += committed
 
     def run(self, cycles: int) -> None:
         """Run for a fixed number of cycles."""
@@ -359,23 +359,30 @@ class Simulator:
 
         The predicate is evaluated on every cycle boundary, so the
         returned count is exact: the simulation stops on the first
-        boundary where the predicate holds.
+        boundary where the predicate holds.  The fast path waits in one
+        :meth:`_run_fast` window, which samples the predicate itself.
 
         Raises :class:`SimulationError` if ``max_cycles`` elapse without the
         predicate becoming true — silent timeouts hide deadlock bugs, so the
         failure is loud.
         """
         start = self._cycle
+        end = start + max_cycles
         self._quiescent_until = 0
-        while not predicate():
-            if self._cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"run_until exceeded {max_cycles} cycles in simulator "
-                    f"{self.name!r} (started at cycle {start})")
+        if self.fast and not self.tlm:
+            self._run_fast(end, predicate)
+        else:
             # no _quiescent_until reset between cycles: an observational
             # predicate cannot unfreeze the system
-            self._advance(self._cycle + 1)
-        return self._cycle - start
+            while self._cycle < end and not predicate():
+                self._advance(self._cycle + 1)
+        # a stop before ``end`` means the predicate held there; ``end``
+        # itself is a boundary not sampled yet
+        if self._cycle < end or predicate():
+            return self._cycle - start
+        raise SimulationError(
+            f"run_until exceeded {max_cycles} cycles in simulator "
+            f"{self.name!r} (started at cycle {start})")
 
     # ------------------------------------------------------------------
     # introspection

@@ -131,18 +131,15 @@ class KernelSkipStats:
 
     * ``cycles_total`` — cycles advanced since the last :meth:`reset`.
     * ``cycles_polled`` — cycles executed the long way (every
-      component ticked and its idle report read, dirty channels
-      committed).
-    * ``cycles_dense`` — the part of ``cycles_polled`` handed to the
-      reference loop in dense windows; every component ticks there with
-      its report ignored, counted under ``ticks_run``.
+      component ticked, dirty channels committed).
     * ``cycles_frozen`` — cycles crossed inside a frozen horizon, where
       nothing was ticked or committed at all.
     * ``ticks_run`` / ``ticks_skipped`` — polled ticks that may have
       acted versus polled ticks that reported idle (a return of exactly
       ``True``; see :meth:`~repro.sim.Component.tick`).  A tick reported
       idle still ran: "skipped" is the work the report let the kernel
-      treat as a no-op.
+      treat as a no-op.  Reports are read only after a cycle that
+      committed nothing; the ticks of other polled cycles count as run.
     * ``horizon_scans`` — how many times the kernel froze the system and
       scanned the channel heads and component hints for a bulk-skip
       horizon.
@@ -167,8 +164,8 @@ class KernelSkipStats:
     "work avoided" figure is ``work_avoided_fraction`` which folds both in.
     """
 
-    __slots__ = ("cycles_total", "cycles_polled", "cycles_dense",
-                 "cycles_frozen", "ticks_run", "ticks_skipped", "ticks_slept",
+    __slots__ = ("cycles_total", "cycles_polled", "cycles_frozen",
+                 "ticks_run", "ticks_skipped", "ticks_slept",
                  "horizon_scans", "heap_pushes", "heap_pops",
                  "commit_batches", "commit_channels", "tlm_epochs",
                  "tlm_cycles_skipped", "tlm_rollbacks", "tlm_demotions")
@@ -180,7 +177,6 @@ class KernelSkipStats:
         """Zero every counter."""
         self.cycles_total = 0
         self.cycles_polled = 0
-        self.cycles_dense = 0
         self.cycles_frozen = 0
         self.ticks_run = 0
         self.ticks_skipped = 0
@@ -213,7 +209,6 @@ class KernelSkipStats:
         return {
             "cycles_total": self.cycles_total,
             "cycles_polled": self.cycles_polled,
-            "cycles_dense": self.cycles_dense,
             "cycles_frozen": self.cycles_frozen,
             "ticks_run": self.ticks_run,
             "ticks_skipped": self.ticks_skipped,

@@ -94,7 +94,7 @@ class SocSystem:
               interconnect: str = "hyperconnect", n_ports: int = 2,
               period: int = 65536, with_store: bool = False,
               max_granularity: int = DEFAULT_MAX_GRANULARITY,
-              fast: bool = False, tlm: bool = False) -> "SocSystem":
+              fast: bool = True, tlm: bool = False) -> "SocSystem":
         """Assemble a system.
 
         Parameters
@@ -116,8 +116,9 @@ class SocSystem:
             The SmartConnect's variable round-robin granularity (ignored
             for HyperConnect).
         fast:
-            Enable the simulator's quiescence-aware fast path (same
+            Run the quiescence-aware fast path (the default; same
             results, fewer Python-level ticks; see ``repro.sim.kernel``).
+            ``False`` runs the reference loop, the fast path's oracle.
         tlm:
             Transaction-level fast-forward mode (see ``repro.sim.tlm``):
             steady-state reservation traffic advances one epoch per

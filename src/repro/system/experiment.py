@@ -64,7 +64,7 @@ class ChannelLatencies:
 
 def measure_channel_latencies(interconnect: str,
                               platform: Platform = ZCU102,
-                              fast: bool = False) -> ChannelLatencies:
+                              fast: bool = True) -> ChannelLatencies:
     """Fig. 3(a) procedure: per-channel propagation in isolation.
 
     One DMA issues a read and a write; probes time each beat from its
@@ -72,6 +72,7 @@ def measure_channel_latencies(interconnect: str,
     (and vice versa for the return channels).  The W channel is measured
     with spaced-out beats so the interconnect pipeline is observed
     without producer-side queueing (see the engine's ``w_beat_gap``).
+    ``fast`` picks the kernel path (see :meth:`SocSystem.build`).
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
                           fast=fast)
@@ -97,13 +98,14 @@ def measure_channel_latencies(interconnect: str,
 
 def measure_access_time(interconnect: str, nbytes: int,
                         platform: Platform = ZCU102,
-                        fast: bool = False) -> int:
+                        fast: bool = True) -> int:
     """Fig. 3(b) procedure: memory access time for one transfer size.
 
     A single DMA reads ``nbytes`` through an otherwise idle system; the
     result is the cycles from the first AR to the last R beat (the
     paper's "maximum memory access time" — max equals the single
     measurement here because the system is deterministic in isolation).
+    ``fast`` picks the kernel path (see :meth:`SocSystem.build`).
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
                           fast=fast)
@@ -141,7 +143,7 @@ def run_case_study(interconnect: str,
                    scale: float = 1 / 64,
                    window_cycles: int = 400_000,
                    platform: Platform = ZCU102,
-                   fast: bool = False,
+                   fast: bool = True,
                    tlm: bool = False) -> CaseStudyResult:
     """Sections VI-C procedure: CHaiDNN (port 0) + greedy DMA (port 1).
 
@@ -150,6 +152,7 @@ def run_case_study(interconnect: str,
     shrinks both workloads equally (CHaiDNN layer bytes/MACs and the DMA
     round payload), preserving rate *ratios* between configurations.
     HA_DMA issues :data:`CASE_STUDY_DMA_BURST_LEN`-beat bursts.
+    ``fast`` picks the kernel path (see :meth:`SocSystem.build`).
     """
     soc = SocSystem.build(platform, interconnect=interconnect, n_ports=2,
                           period=CASE_STUDY_PERIOD, fast=fast, tlm=tlm)

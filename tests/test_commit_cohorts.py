@@ -56,7 +56,7 @@ def _build(n_channels):
                 capacity=None)
         for i in range(n_channels)
     ]
-    return sim, channels, CommitCohorts(sim)
+    return sim, channels, CommitCohorts()
 
 
 def _stage_traffic(channels, payload=tuple):

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.axi import make_read_request, make_write_request
-from repro.hyperconnect import EFifoLink, PortConfig, TransactionSupervisor
+from repro.hyperconnect import (
+    CentralUnit,
+    EFifoLink,
+    PortConfig,
+    TransactionSupervisor,
+)
 from repro.sim import Channel, ConfigurationError, Simulator
 
 
-def build(config=None):
-    sim = Simulator("ts-test")
+def build(config=None, fast=False):
+    sim = Simulator("ts-test", fast=fast)
     link = EFifoLink(sim, "p0")
     out_ar = Channel(sim, "ts.AR", 1, None)
     out_aw = Channel(sim, "ts.AW", 1, None)
@@ -106,14 +111,18 @@ class TestOutstandingLimit:
 
 class TestBudget:
     def test_budget_limits_issue(self):
-        config = PortConfig(budget=2)
+        config = PortConfig(budget=2, max_outstanding=16)
         sim, link, out_ar, __, ts = build(config)
         ts.recharge()
         link.ar.push(read_request(length=16 * 6))
         sim.run(30)
         assert len(out_ar.drain()) == 2
         assert ts.budget_remaining == 0
-        assert ts.stalled_on_budget > 0
+        # the other four subs wait on the budget, not on the outstanding
+        # limit or the output channel
+        assert len(ts._pending_ar) == 4
+        assert ts.outstanding_reads == 2
+        assert out_ar.can_push()
 
     def test_recharge_restores_budget(self):
         config = PortConfig(budget=2, max_outstanding=16)
@@ -192,18 +201,27 @@ class TestDecouplingAndEnable:
 class TestIdleTick:
     """Guards for the early return of an idle supervisor tick."""
 
-    def test_budget_stall_counted_every_cycle_with_empty_heads(self):
+    @pytest.mark.parametrize("fast", (False, True), ids=("reference",
+                                                         "fast"))
+    def test_budget_stall_waits_for_each_recharge(self, fast):
+        period = 20
         config = PortConfig(nominal_burst=16, max_outstanding=16, budget=1)
-        sim, link, out_ar, __, ts = build(config)
-        ts.recharge()
+        sim, link, out_ar, __, ts = build(config, fast=fast)
+        central = CentralUnit(sim, "central", [ts], period)
         link.ar.push(read_request(length=16 * 4))
         sim.run(10)
         assert ts.config.issued_read == 1
         assert len(ts._pending_ar) == 3
         assert link.ar.is_idle and link.aw.is_idle
-        before = ts.stalled_on_budget
-        sim.run(25)
-        assert ts.stalled_on_budget == before + 25
+        sim.run(4 * period)
+        # one sub per recharge, on the cycle after the central unit's
+        assert list(ts._read_issue_cycles) == [1, period, 2 * period,
+                                               3 * period]
+        assert central.recharges == 4
+        assert not ts._pending_ar
+        if fast:
+            # the stall between recharges is skipped, not polled
+            assert sim.skip_stats.cycles_frozen > 3 * (period - 4)
 
     @pytest.mark.parametrize("gate", ("decoupled", "disabled"))
     def test_gated_tick_is_a_noop(self, gate):
@@ -221,14 +239,13 @@ class TestIdleTick:
             ts.enabled = False
 
         def state():
-            return (ts.stalled_on_budget, len(ts._pending_ar),
-                    ts.outstanding_reads, ts.faulted, len(link.ar),
-                    out_ar.pushed_total, ts.fault_stats.trips)
+            return (len(ts._pending_ar), ts.outstanding_reads, ts.faulted,
+                    len(link.ar), out_ar.pushed_total, ts.fault_stats.trips)
 
         before = state()
         sim.run(50)                 # far past the armed watchdog deadline
         assert state() == before
-        assert before[1:5] == (1, 1, False, 1)
+        assert before[:4] == (1, 1, False, 1)
 
 
 class TestConfigValidation:

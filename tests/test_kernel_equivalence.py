@@ -21,6 +21,11 @@ never the harness.
 import pytest
 
 from repro.axi import PropagationProbe
+from repro.hyperconnect.regs import (
+    BUDGET_UNLIMITED,
+    PORT_BUDGET,
+    port_register,
+)
 from repro.masters import (
     AxiDma,
     ChaiDnnAccelerator,
@@ -62,7 +67,6 @@ def _interconnect_counters(soc):
     for supervisor in getattr(fabric, "supervisors", ()):
         counters.append((supervisor.config.issued_read,
                          supervisor.config.issued_write,
-                         supervisor.stalled_on_budget,
                          supervisor.splits_performed))
     return tuple(counters)
 
@@ -98,9 +102,13 @@ class TestFigureProcedures:
 
     @pytest.mark.parametrize("shares", (
         {0: 0.9, 1: 0.1},
+        {0: 0.7, 1: 0.3},
         {0: 0.5, 1: 0.5},
+        {0: 0.3, 1: 0.7},
         {0: 0.2, 1: 0.8},
-    ), ids=("hc-90-10", "hc-50-50", "hc-20-80"))
+        {0: 0.1, 1: 0.9},
+    ), ids=("hc-90-10", "hc-70-30", "hc-50-50", "hc-30-70", "hc-20-80",
+            "hc-10-90"))
     def test_ablation_bandwidth_shares(self, shares):
         reference, fast = _both(
             lambda fast: run_case_study("hyperconnect", shares=shares,
@@ -521,27 +529,55 @@ class TestFastPathActuallySkips:
         soc.sim.run(40_000)
         assert soc.sim.skip_stats.cycles_frozen > 0
 
-    def test_saturated_contention_runs_dense_windows(self):
-        """Saturated contention leaves polling nothing to find, so the
-        fast path hands most cycles to the reference loop."""
+    def test_reservation_stalls_freeze(self):
+        """A Fig. 5 row whose ports wait out their budgets freezes to
+        the next recharge instead of polling the stall."""
+        window = 50_000
+        reference, fast = _both(
+            lambda fast: run_case_study("hyperconnect",
+                                        shares={0: 0.9, 1: 0.1},
+                                        scale=1 / 512,
+                                        window_cycles=window, fast=fast))
+        assert fast == reference
+        stats = fast.skip_stats
+        assert stats["cycles_frozen"] > window // 4
+        assert stats["cycles_total"] == window
+
+    @pytest.mark.parametrize("change", ("shares", "unlimited"))
+    def test_budget_change_releases_frozen_stall(self, change):
+        """A budget change made while a port waits out its budget
+        releases the stall on the next cycle, on both kernels."""
+        period = 1024
 
         def run(fast):
-            soc = SocSystem.build(ZCU102, n_ports=2, period=2048,
+            soc = SocSystem.build(ZCU102, n_ports=2, period=period,
                                   fast=fast)
-            a = GreedyTrafficGenerator(soc.sim, "a", soc.port(0),
-                                       job_bytes=8192, depth=4)
-            b = GreedyTrafficGenerator(soc.sim, "b", soc.port(1),
-                                       job_bytes=8192, depth=4)
-            soc.driver.set_bandwidth_shares({0: 0.5, 1: 0.5})
-            soc.sim.run(5_000)
-            return (_signature(a, b), _memory_counters(soc.memory),
-                    soc.sim.now), soc.sim.skip_stats
+            dma = AxiDma(soc.sim, "dma", soc.port(0))
+            dma.enqueue_read(0x1000_0000, 65536)
+            soc.driver.set_budget(0, 2)     # applies from the recharge
+            soc.sim.run(period + 600)   # two subs, then the stall
+            supervisor = soc.interconnect.supervisors[0]
+            stalled = (supervisor.budget_remaining,
+                       supervisor.outstanding_reads,
+                       bool(supervisor._pending_ar))
+            frozen = soc.sim.skip_stats.cycles_frozen
+            changed_at = soc.sim.now
+            if change == "shares":
+                # a one-cycle period recharges on the cycle of the write
+                soc.driver.set_bandwidth_shares({0: 0.5, 1: 0.5}, period=1)
+            else:
+                soc.driver.regs.write(port_register(0, PORT_BUDGET),
+                                      BUDGET_UNLIMITED)
+            soc.sim.run(4)
+            released = supervisor._read_issue_cycles[0] - changed_at
+            return (stalled, released, _signature(dma)), frozen
 
-        (reference, __), (fast, stats) = _both(run)
+        (reference, __), (fast, frozen) = _both(run)
         assert fast == reference
-        assert stats.cycles_dense > 0
-        assert stats.cycles_total == stats.cycles_polled + stats.cycles_frozen
-        assert stats.cycles_dense <= stats.cycles_polled
+        stalled, released, __ = fast
+        assert stalled == (0, 0, True)
+        assert released <= 1
+        assert frozen > 300
 
     def test_reference_path_records_no_skips(self):
         soc = SocSystem.build(ZCU102, n_ports=2, fast=False)
@@ -642,8 +678,7 @@ class TestRandomizedEquivalence:
     )
     def test_kernel_switch_mid_run(self, interconnect, kinds, seed, window,
                                    register_at):
-        """Kernel switches (a wiring rebuild after a mid-run
-        registration, dense windows on the reference loop) while heads
+        """A wiring rebuild after a mid-run registration while heads
         are in flight must not change what a pure reference run sees."""
 
         def run(fast):

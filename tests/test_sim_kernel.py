@@ -203,6 +203,52 @@ class TestFastPath:
         # sampled on every cycle boundary from the start to the stop
         assert outcomes[0][2] == list(range(outcomes[0][1] + 1))
 
+    @pytest.mark.parametrize("fast", (False, True),
+                             ids=("reference", "fast"))
+    def test_run_until_bounds_match_on_both_paths(self, fast):
+        sim, _, _ = self.build(fast)
+        # the clock-reading predicate stops inside a frozen span
+        assert sim.run_until(lambda: sim.now >= 600) == 600
+        assert sim.run_until(lambda: True, max_cycles=0) == 0
+        with pytest.raises(SimulationError):
+            sim.run_until(lambda: False, max_cycles=0)
+        # the last boundary sampled is max_cycles itself
+        assert sim.run_until(lambda: sim.now == 650, max_cycles=50) == 50
+        with pytest.raises(SimulationError):
+            sim.run_until(lambda: False, max_cycles=10)
+        assert sim.now == 660
+
+    def test_run_until_is_one_fast_window(self, monkeypatch):
+        """The fast path waits in one ``_run_fast`` window that samples
+        the predicate itself, not one window per cycle."""
+        sim, _, sink = self.build(fast=True)
+        windows = []
+        original = Simulator._run_fast
+
+        def counting(self, end, until=None):
+            windows.append(end)
+            return original(self, end, until)
+
+        monkeypatch.setattr(Simulator, "_run_fast", counting)
+        assert sim.run_until(lambda: len(sink.received) >= 4,
+                             max_cycles=5000) == 1003
+        assert len(windows) == 1
+        assert sim.skip_stats.cycles_frozen > 900
+
+    def test_reports_read_only_after_a_clean_cycle(self):
+        """A cycle after one that committed traffic ticks blind: its
+        ticks count as run, and only the first cycle's reports are read."""
+        sim = Simulator("saturated", fast=True)
+        channel = Channel(sim, "ch", latency=1, capacity=None)
+        Producer(sim, "p", channel)
+        Consumer(sim, "c", channel)
+        QuiescentNoop(sim, "noop")
+        sim.run(100)
+        stats = sim.skip_stats
+        assert (stats.ticks_run, stats.ticks_skipped) == (299, 1)
+        assert stats.commit_batches == 100
+        assert stats.cycles_polled == 100
+
     def test_bulk_skip_happens(self):
         sim, _, _ = self.build(fast=True)
         sim.run(1200)
