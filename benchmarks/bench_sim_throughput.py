@@ -4,9 +4,10 @@ Not a paper figure — this tracks the simulator's own speed (simulated
 cycles per host second) on three workloads:
 
 * the reference two-master contention system, measured under BOTH kernel
-  paths with a warm best-of-N timer that excludes construction.  This
-  workload is fully saturated (one data beat moves on the shared bus
-  every cycle), so nothing is freezable: the fast path polls every
+  paths with a warm best-of-N timer that excludes construction; the two
+  paths alternate round by round, so host drift cancels in their ratio.
+  This workload is fully saturated (one data beat moves on the shared
+  bus every cycle), so nothing is freezable: the fast path polls every
   cycle, and a polled cycle must cost about what the reference cycle it
   replaces costs (CI fails below 0.9x).  The section doubles as a
   divergence check: both paths must produce byte-identical traffic.
@@ -86,30 +87,41 @@ def _build(fast=False):
     return soc, a, b
 
 
-def _measure_contention(fast, rounds=ROUNDS):
-    """Warm best-of-N cycles/host-second, construction excluded.
+def _time_contention(fast):
+    """One warm window of the contention system, construction excluded:
+    ``(seconds, signature)``, the signature capturing the traffic
+    outcome so the two kernel paths can be diffed."""
+    soc, a, b = _build(fast=fast)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        soc.sim.run(CYCLES)
+        elapsed = time.perf_counter() - started
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return elapsed, (a.bytes_read, a.error_responses,
+                     b.bytes_read, b.error_responses)
 
-    Returns ``(cycles_per_sec, signature)`` where the signature captures
-    the traffic outcome so the two kernel paths can be diffed.
+
+def _measure_contention(rounds=ROUNDS):
+    """Best-of-N cycles/host-second of both kernel paths, interleaved.
+
+    Each round times one reference and one fast window back to back,
+    alternating which goes first, so host-load drift lands on both
+    paths alike instead of in their ratio.  Returns ``(reference,
+    fast, signature)``; every window must produce the same signature.
     """
-    best = float("inf")
+    best = {False: float("inf"), True: float("inf")}
     signature = None
-    for _ in range(rounds):
-        soc, a, b = _build(fast=fast)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            soc.sim.run(CYCLES)
-            best = min(best, time.perf_counter() - started)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        outcome = (a.bytes_read, a.error_responses,
-                   b.bytes_read, b.error_responses)
-        assert signature is None or signature == outcome
-        signature = outcome
-    return CYCLES / best, signature
+    for index in range(rounds):
+        for fast in ((False, True) if index % 2 == 0 else (True, False)):
+            elapsed, outcome = _time_contention(fast)
+            best[fast] = min(best[fast], elapsed)
+            assert signature is None or signature == outcome
+            signature = outcome
+    return CYCLES / best[False], CYCLES / best[True], signature
 
 
 def test_sim_throughput(benchmark):
@@ -120,15 +132,15 @@ def test_sim_throughput(benchmark):
 
     benchmark(run_window)
 
-    # warm, construction-free A/B measurement of both kernel paths
-    reference, ref_signature = _measure_contention(fast=False)
-    fast, fast_signature = _measure_contention(fast=True)
-    assert fast_signature == ref_signature   # zero divergence
+    # warm, construction-free A/B measurement of both kernel paths,
+    # round by round; it asserts zero divergence between them
+    reference, fast, ref_signature = _measure_contention()
     speedup = fast / reference
 
     _SECTIONS["contention"] = (
         f"reference contention system ({CYCLES} cycle window, saturated "
-        f"shared bus,\nbest of {ROUNDS} warm rounds, build excluded):\n"
+        f"shared bus,\nbest of {ROUNDS} warm interleaved rounds, build "
+        f"excluded):\n"
         f"  fast=False (reference): {reference:,.0f} cycles / host second\n"
         f"  fast=True  (skipping): {fast:,.0f} cycles / host second "
         f"({speedup:.2f}x)\n"

@@ -138,7 +138,8 @@ class HyperConnect:
                                         master_link)
         self.central = CentralUnit(sim, f"{name}.central",
                                    self.supervisors, period=period)
-        self.regs = RegisterFile(self)
+        self.regs = RegisterFile(sim, self.central, self.configs, self.ports,
+                                 self.supervisors, n_ports)
         self.control_slave: Optional[ControlSlave] = None
 
     # ------------------------------------------------------------------

@@ -140,16 +140,26 @@ class RegisterFile:
     enable and period) and a write decodes into it.  Writes are masked to
     32 bits; unmapped offsets and writes to read-only registers raise
     :class:`RegisterAccessError`.
+
+    It keeps the parts it decodes onto rather than the
+    :class:`~repro.hyperconnect.HyperConnect` that owns it, so the IP
+    and its register file form no reference cycle.
     """
 
-    def __init__(self, hyperconnect) -> None:
-        self.hc = hyperconnect
+    def __init__(self, sim, central, configs, ports, supervisors,
+                 n_ports: int) -> None:
+        self.sim = sim
+        self.central = central
+        self.configs = configs
+        self.ports = ports
+        self.supervisors = supervisors
+        self.n_ports = n_ports
 
     def _locate(self, offset: int, access: str) -> Tuple[int, int, int]:
         """``(aperture, port, field)`` of a per-port register offset."""
         for aperture, stride in _PORT_APERTURES:
             port, field_offset = divmod(offset - aperture, stride)
-            if (offset >= aperture and port < self.hc.n_ports
+            if (offset >= aperture and port < self.n_ports
                     and field_offset % 4 == 0):
                 return aperture, port, field_offset
         raise RegisterAccessError(
@@ -157,24 +167,23 @@ class RegisterFile:
 
     def read(self, offset: int) -> int:
         """Read a register; unknown offsets raise."""
-        hc = self.hc
         if offset == REG_CTRL:
-            return int(hc.central.enabled)
+            return int(self.central.enabled)
         if offset == REG_PERIOD:
-            return hc.central.period
+            return self.central.period
         if offset == REG_N_PORTS:
-            return hc.n_ports
+            return self.n_ports
         if offset == REG_VERSION:
             return IP_VERSION
         aperture, port, field_offset = self._locate(offset, "read of")
-        config = hc.configs[port]
+        config = self.configs[port]
         if aperture == REGION_EPOCH_OFFSET:
             value = config.region_epoch
         elif aperture == REGION_BASE_OFFSET:
             value = (config.region_base if field_offset == REGION_BASE_REG
                      else config.region_bytes) // REGION_GRANULE
         elif field_offset == PORT_CTRL:
-            value = int(hc.ports[port].coupled)
+            value = int(self.ports[port].coupled)
         elif field_offset == PORT_NOMINAL_BURST:
             value = config.nominal_burst
         elif field_offset == PORT_MAX_OUTSTANDING:
@@ -189,17 +198,16 @@ class RegisterFile:
         elif field_offset == PORT_TIMEOUT:
             value = config.timeout_cycles or 0
         else:
-            value = hc.supervisors[port].fault_stats.trips
+            value = self.supervisors[port].fault_stats.trips
         return value & _WORD_MASK
 
     def write(self, offset: int, value: int) -> None:
         """Write a register; read-only or unknown offsets raise."""
         value &= _WORD_MASK
-        hc = self.hc
         if offset == REG_CTRL:
-            hc.central.enabled = bool(value & 1)
+            self.central.enabled = bool(value & 1)
         elif offset == REG_PERIOD:
-            hc.central.period = max(1, value)
+            self.central.period = max(1, value)
         elif offset in (REG_N_PORTS, REG_VERSION):
             raise _read_only(offset)
         else:
@@ -211,12 +219,11 @@ class RegisterFile:
             self._write_port(aperture, port, field_offset, value)
         # every configuration write may change some component's
         # quiescence, so drop any cached bulk-skip horizon
-        hc.sim.wake()
+        self.sim.wake()
 
     def _write_port(self, aperture: int, port: int, field_offset: int,
                     value: int) -> None:
-        hc = self.hc
-        config = hc.configs[port]
+        config = self.configs[port]
         if aperture == REGION_BASE_OFFSET:
             if field_offset == REGION_BASE_REG:
                 config.region_base = value * REGION_GRANULE
@@ -226,9 +233,9 @@ class RegisterFile:
                 config.region_epoch += 1
         elif field_offset == PORT_CTRL:
             if value & 1:
-                hc.ports[port].couple()
+                self.ports[port].couple()
             else:
-                hc.ports[port].decouple()
+                self.ports[port].decouple()
         elif field_offset == PORT_NOMINAL_BURST:
             config.nominal_burst = max(1, value)
         elif field_offset == PORT_MAX_OUTSTANDING:
@@ -238,7 +245,7 @@ class RegisterFile:
             # a newly imposed budget takes effect at the next synchronous
             # recharge; an *unlimited* setting applies immediately
             if config.budget is None:
-                hc.supervisors[port].budget_remaining = None
+                self.supervisors[port].budget_remaining = None
         else:
             # PORT_TIMEOUT: 0 disarms the watchdog; pending deadlines
             # re-time from the stored issue cycles on the very next poll

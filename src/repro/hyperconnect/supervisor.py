@@ -302,11 +302,6 @@ class TransactionSupervisor(Component):
         """Mirrors the eFIFO gate state."""
         return self.ha_link.coupled
 
-    def _budget_available(self) -> bool:
-        if self.budget_remaining is None:
-            return True
-        return self.budget_remaining > 0
-
     def _consume_budget(self) -> None:
         if self.budget_remaining is not None:
             self.budget_remaining -= 1
@@ -517,9 +512,10 @@ class TransactionSupervisor(Component):
             return idle
         # ingest at most one new request per channel per cycle, keeping the
         # pending queues shallow (the eFIFO provides the real buffering)
-        if not self._pending_ar and self.ha_link.ar.can_pop():
+        queue = link.ar._queue
+        if not self._pending_ar and queue and queue[0][0] <= cycle:
             idle = False
-            beat = self.ha_link.ar.pop()
+            beat = link.ar.pop()
             kind = "protocol_violation"
             violation = self._guard_request(beat)
             if violation is None:
@@ -532,9 +528,10 @@ class TransactionSupervisor(Component):
                 self._containment_tick(cycle)
                 return False
             self._pending_ar = self._split(beat)
-        if not self._pending_aw and self.ha_link.aw.can_pop():
+        queue = link.aw._queue
+        if not self._pending_aw and queue and queue[0][0] <= cycle:
             idle = False
-            beat = self.ha_link.aw.pop()
+            beat = link.aw.pop()
             kind = "protocol_violation"
             violation = self._guard_request(beat)
             if violation is None:
@@ -548,24 +545,30 @@ class TransactionSupervisor(Component):
                 return False
             self._pending_aw = self._split(beat)
         # forward at most one sub-request per address channel per cycle,
-        # subject to the outstanding limit and the reservation budget
+        # subject to a free output slot, the outstanding limit and the
+        # reservation budget (the output test first: a waiting port most
+        # often sits behind a full stage)
         if self._pending_ar:
-            if (self.outstanding_reads < self.config.max_outstanding
-                    and self._budget_available()
-                    and self.out_ar.can_push()):
+            out = self.out_ar
+            budget = self.budget_remaining
+            if ((out.capacity is None or out._occupancy < out.capacity)
+                    and self.outstanding_reads < self.config.max_outstanding
+                    and (budget is None or budget > 0)):
                 sub = self._pending_ar.popleft()
-                self.out_ar.push(sub)
+                out.push(sub)
                 self.outstanding_reads += 1
                 self._read_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_read += 1
                 idle = False
         if self._pending_aw:
-            if (self.outstanding_writes < self.config.max_outstanding
-                    and self._budget_available()
-                    and self.out_aw.can_push()):
+            out = self.out_aw
+            budget = self.budget_remaining
+            if ((out.capacity is None or out._occupancy < out.capacity)
+                    and self.outstanding_writes < self.config.max_outstanding
+                    and (budget is None or budget > 0)):
                 sub = self._pending_aw.popleft()
-                self.out_aw.push(sub)
+                out.push(sub)
                 self.outstanding_writes += 1
                 self._write_issue_cycles.append(cycle)
                 self._consume_budget()

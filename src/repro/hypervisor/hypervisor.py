@@ -304,7 +304,9 @@ class Hypervisor:
     def enable_fault_recovery(self) -> FaultRecoveryAgent:
         """Start listening for port faults and applying recovery policy.
 
-        Idempotent: a second call returns the existing agent.
+        Idempotent: a second call returns the existing agent.  The agent
+        holds this hypervisor weakly, so keep the hypervisor referenced
+        while the simulation runs.
         """
         if self.recovery is None:
             # one agent per supervised interconnect: derive the component
@@ -322,7 +324,8 @@ class Hypervisor:
     def enable_revocation(self) -> RevocationController:
         """Register the revocation state machine on the simulator.
 
-        Idempotent: a second call returns the existing controller.
+        Idempotent: a second call returns the existing controller, which
+        holds this hypervisor weakly like the recovery agent.
         """
         if self.revocation is None:
             self.revocation = RevocationController(
@@ -504,9 +507,11 @@ class Hypervisor:
             raise AccessViolation(
                 f"domain {domain_name!r} does not own port {port}")
         self._port_engines[port] = engine
+        # the callback holds neither the engine nor the hypervisor, so
+        # the engine keeps no reference cycle through it
+        interrupts, name = self.interrupts, engine.name
         engine.on_job_complete(
-            lambda job, cycle: self.interrupts.raise_irq(
-                port, engine.name, cycle))
+            lambda job, cycle: interrupts.raise_irq(port, name, cycle))
 
     # ------------------------------------------------------------------
 

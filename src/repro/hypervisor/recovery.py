@@ -24,6 +24,7 @@ still wakes up exactly when a retry is due.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -78,7 +79,9 @@ class FaultRecoveryAgent(Component):
 
     def __init__(self, sim, name: str, hypervisor) -> None:
         super().__init__(sim, name)
-        self.hypervisor = hypervisor
+        #: the owning hypervisor, which holds this agent: a proxy, so
+        #: the two form no reference cycle
+        self.hypervisor = weakref.proxy(hypervisor)
         #: port -> absolute cycle at which the next attempt is due
         self._due: Dict[int, int] = {}
         #: port -> recovery attempts consumed so far
@@ -190,7 +193,9 @@ class RevocationController(Component):
 
     def __init__(self, sim, name: str, hypervisor) -> None:
         super().__init__(sim, name)
-        self.hypervisor = hypervisor
+        #: the owning hypervisor, held through a proxy as in
+        #: :class:`FaultRecoveryAgent`
+        self.hypervisor = weakref.proxy(hypervisor)
         self._orders: List[RevocationOrder] = []
         #: order_id -> absolute cycle of the next state-machine step
         self._due: Dict[int, int] = {}

@@ -83,7 +83,6 @@ class PhasedAccelerator(AxiMasterEngine):
         self._frame_started: Optional[int] = None
         self._waiting_job: Optional[Job] = None
         self._frame_callbacks: List[Callable[[int, int], None]] = []
-        self.on_job_complete(self._job_finished)
 
     # ------------------------------------------------------------------
 
@@ -109,7 +108,7 @@ class PhasedAccelerator(AxiMasterEngine):
 
     # ------------------------------------------------------------------
 
-    def _job_finished(self, job: Job, cycle: int) -> None:
+    def _job_completed(self, job: Job, cycle: int) -> None:
         if job is self._waiting_job:
             self._waiting_job = None
 

@@ -53,7 +53,7 @@ class AxiDma(AxiMasterEngine):
         a second" index from the case study.
 
     The DMA adds no per-cycle behaviour of its own (round bookkeeping runs
-    inside job-completion callbacks, i.e. within engine ticks), so the
+    inside the job-completion hook, i.e. within engine ticks), so the
     engine tick's idle report applies unchanged: an idle DMA costs the
     fast kernel path nothing.
     """
@@ -69,7 +69,6 @@ class AxiDma(AxiMasterEngine):
         self.round_rate = RateCounter(sim.clock_hz)
         self.round_latencies: List[int] = []
         self._round_started: Optional[int] = None
-        self.on_job_complete(self._job_done)
 
     # ------------------------------------------------------------------
 
@@ -104,7 +103,7 @@ class AxiDma(AxiMasterEngine):
                 self.enqueue_write(descriptor.address, descriptor.nbytes,
                                    label="dma-round-write")
 
-    def _job_done(self, job: Job, cycle: int) -> None:
+    def _job_completed(self, job: Job, cycle: int) -> None:
         if not job.label.startswith("dma-round"):
             return
         self._round_jobs_pending -= 1

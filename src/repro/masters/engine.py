@@ -272,16 +272,23 @@ class AxiMasterEngine(Component):
                 self._prepare_job(self._jobs.popleft(), cycle)
                 idle = False
         # each sub-step call is gated on the cheap part of its own guard,
-        # so an idle step costs an attribute test instead of a call (the
+        # so an idle step costs attribute tests instead of a call (the
         # guards repeat inside the sub-steps, which subclasses override);
-        # every sub-step returns True when it did nothing
-        if (self._issue_queue and self._n_outstanding < self.max_outstanding
-                and not self._issue_addresses(cycle)):
-            idle = False
-        if (self._write_data and cycle >= self._w_gap_until
-                and not self._supply_write_data(cycle)):
-            idle = False
+        # a port waiting at its outstanding limit or behind a full
+        # channel is the common idle case.  Every sub-step returns True
+        # when it did nothing
         link = self.link
+        issue_queue = self._issue_queue
+        if issue_queue and self._n_outstanding < self.max_outstanding:
+            out = link.ar if issue_queue[0][0].is_read else link.aw
+            if ((out.capacity is None or out._occupancy < out.capacity)
+                    and not self._issue_addresses(cycle)):
+                idle = False
+        if self._write_data and cycle >= self._w_gap_until:
+            out = link.w
+            if ((out.capacity is None or out._occupancy < out.capacity)
+                    and not self._supply_write_data(cycle)):
+                idle = False
         queue = link.r._queue
         if (queue and queue[0][0] <= cycle
                 and not self._collect_read_data(cycle)):
@@ -435,22 +442,27 @@ class AxiMasterEngine(Component):
 
     def _drain_copy_buffer(self, cycle: int) -> bool:
         """Turn buffered read beats of copy jobs into write bursts;
-        ``True`` when no burst was ready."""
+        ``True`` when no burst was ready.
+
+        R data arrives in AR order and a job's reads are issued
+        together, so the head job's beats sit together at the front of
+        the buffer: its next chunk is ready exactly when the buffer's
+        ``chunk``-th entry belongs to it.
+        """
         idle = True
         beat_bytes = self.link.data_bytes
-        while self._copy_buffer:
-            job = self._copy_buffer[0][0]
-            buffered = sum(1 for entry in self._copy_buffer
-                           if entry[0] is job)
+        buffer = self._copy_buffer
+        while buffer:
+            job = buffer[0][0]
             total_beats = job.nbytes // beat_bytes
             written = job.copy_issued_beats
             remaining = total_beats - written
             chunk = min(self.burst_len, remaining)
-            if buffered < chunk:
+            if len(buffer) < chunk or buffer[chunk - 1][0] is not job:
                 break
             data_parts = []
             for _ in range(chunk):
-                __, data = self._copy_buffer.popleft()
+                __, data = buffer.popleft()
                 data_parts.append(data)
             address = (job.dest or 0) + written * beat_bytes
             payload = None
@@ -508,5 +520,15 @@ class AxiMasterEngine(Component):
         self.jobs_completed.append(job)
         if job.latency is not None:
             self.job_latency.add(job.latency)
+        self._job_completed(job, cycle)
         for callback in self._completion_callbacks:
             callback(job, cycle)
+
+    def _job_completed(self, job: Job, cycle: int) -> None:
+        """Subclass hook run at job completion, before the callbacks
+        registered with :meth:`on_job_complete`.
+
+        A hook, not a registered callback: an engine holding its own
+        bound method would be a reference cycle that outlives its
+        simulator until the garbage collector finds it.
+        """

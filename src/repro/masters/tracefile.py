@@ -93,9 +93,8 @@ class TraceReplayMaster(AxiMasterEngine):
         self._cursor = 0
         self._start_cycle = None
         self.replays_completed = 0
-        self.on_job_complete(self._count)
 
-    def _count(self, job, cycle) -> None:
+    def _job_completed(self, job, cycle) -> None:
         if job.label == "replay":
             self.replays_completed += 1
 

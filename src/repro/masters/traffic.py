@@ -51,7 +51,6 @@ class GreedyTrafficGenerator(AxiMasterEngine):
         self._writes_issued = 0
         self._inflight = 0
         self.enabled = True
-        self.on_job_complete(self._replenish)
 
     def _next_address(self) -> int:
         address = self.window_base + self._cursor
@@ -70,13 +69,13 @@ class GreedyTrafficGenerator(AxiMasterEngine):
             self.enqueue_read(self._next_address(), self.job_bytes,
                               label="greedy")
 
-    def _replenish(self, job: Job, cycle: int) -> None:
+    def _job_completed(self, job: Job, cycle: int) -> None:
         self._inflight -= 1
         if self.enabled:
             self._issue_one()
 
     def tick(self, cycle: int) -> bool:
-        # replenishment normally happens in the job-completion callback;
+        # replenishment normally happens in the job-completion hook;
         # this loop only fills the pipeline at start-up or after a
         # re-enable, so the steady-state cost is one comparison (the
         # explicit base-class call skips building a super() proxy in the

@@ -104,6 +104,13 @@ class Simulator:
         per-cycle observables for speed (checked by the ``tlm`` oracle
         in :mod:`repro.verify`); windows with no committed epoch stay
         byte-identical to ``fast=True``.
+
+    A built system is one reference cycle through its simulator.  Code
+    that builds a system, reads its results and drops it calls
+    :meth:`close` last, so the system is freed as soon as it is dropped
+    (``repro.verify.harness.run_scenario`` and the
+    ``repro.system.experiment`` procedures do); a closed simulator is
+    never run again.
     """
 
     def __init__(self, name: str = "sim", clock_hz: float = 150e6,
@@ -383,6 +390,26 @@ class Simulator:
         raise SimulationError(
             f"run_until exceeded {max_cycles} cycles in simulator "
             f"{self.name!r} (started at cycle {start})")
+
+    def close(self) -> None:
+        """Release the simulated system once its results have been read.
+
+        Every component and channel points back at its simulator, so
+        without this only a full garbage collection frees a dropped
+        system.  Drops the simulator's side of that cycle: the
+        component, channel and name registries, the dirty list, every
+        channel's push and pop listeners, the event-bus subscribers and
+        the TLM engine.  The clock and :attr:`skip_stats` stay readable.
+        """
+        for channel in self._channels:
+            channel._push_listeners.clear()
+            channel._pop_listeners.clear()
+        self._components.clear()
+        self._channels.clear()
+        self._names.clear()
+        self._dirty_channels.clear()
+        self.events._subscribers.clear()
+        self._tlm_engine = None
 
     # ------------------------------------------------------------------
     # introspection

@@ -456,9 +456,8 @@ class TlmEngine:
                 raise _Decline("copy")
             if job.kind == "write" and job.data is not None:
                 raise _Decline("write-data")
-        for callback in engine._completion_callbacks:
-            if getattr(callback, "__self__", None) is not engine:
-                raise _Decline("callback")
+        if engine._completion_callbacks:
+            raise _Decline("callback")
         for callback in getattr(engine, "_frame_callbacks", ()):
             if getattr(callback, "__self__", None) is not engine:
                 raise _Decline("callback")

@@ -4,7 +4,9 @@ Each function reproduces the measurement procedure of one part of
 Section VI on the simulated platform, parameterized by interconnect kind.
 The benchmark scripts in ``benchmarks/`` and the shape tests in
 ``tests/test_end_to_end.py`` both call these, so the numbers reported by
-either always come from the same procedure.
+either always come from the same procedure.  Each procedure closes its
+simulator once the run ends (:meth:`repro.sim.Simulator.close`), so the
+system it built is freed as soon as the result is returned.
 
 Workload scaling: the paper's case study moves 4 MiB per DMA round and
 runs full GoogleNet frames.  Cycle-accurate simulation of minutes of
@@ -86,7 +88,10 @@ def measure_channel_latencies(interconnect: str,
     dma = AxiDma(soc.sim, "probe-dma", soc.port(0), w_beat_gap=16)
     dma.enqueue_read(0x1000_0000, 16 * platform.hp_data_bytes)
     dma.enqueue_write(0x2000_0000, 16 * platform.hp_data_bytes)
-    soc.run_until_quiescent()
+    try:
+        soc.run_until_quiescent()
+    finally:
+        soc.sim.close()
     return ChannelLatencies(
         ar=int(probes["AR"].latency_max),
         aw=int(probes["AW"].latency_max),
@@ -111,7 +116,10 @@ def measure_access_time(interconnect: str, nbytes: int,
                           fast=fast)
     dma = AxiDma(soc.sim, "dma", soc.port(0))
     job = dma.enqueue_read(0x1000_0000, nbytes)
-    soc.run_until_quiescent(max_cycles=50_000_000)
+    try:
+        soc.run_until_quiescent(max_cycles=50_000_000)
+    finally:
+        soc.sim.close()
     assert job.latency is not None
     return job.latency
 
@@ -177,7 +185,10 @@ def run_case_study(interconnect: str,
                 "SmartConnect has no reservation mechanism (the paper's "
                 "point)")
         soc.driver.set_bandwidth_shares(shares)
-    soc.sim.run(window_cycles)
+    try:
+        soc.sim.run(window_cycles)
+    finally:
+        soc.sim.close()
     return CaseStudyResult(
         chaidnn_fps=(chaidnn.frame_rate.rate(window_cycles)
                      if chaidnn else 0.0),

@@ -469,5 +469,11 @@ def run_system(system: System) -> RunResult:
 
 def run_scenario(scenario: Scenario, fast: bool,
                  tlm: bool = False) -> RunResult:
-    """Convenience: build then run."""
-    return run_system(build_system(scenario, fast, tlm=tlm))
+    """Build, run, then close the simulator so the system frees itself
+    as soon as this returns (:func:`run_system` leaves it open for
+    callers that inspect the live system)."""
+    system = build_system(scenario, fast, tlm=tlm)
+    try:
+        return run_system(system)
+    finally:
+        system.sim.close()

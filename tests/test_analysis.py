@@ -24,6 +24,8 @@ from repro.analysis import (
 from repro.masters import AxiDma, GreedyTrafficGenerator
 from repro.platforms import ZCU102
 from repro.system import SocSystem
+from repro.verify import PortPlan, Scenario, build_system, run_scenario
+from repro.verify.scenario import job_address
 
 from conftest import drain
 
@@ -225,3 +227,55 @@ class TestHyperConnectWcrt:
             with pytest.raises(ValueError):
                 HyperConnectWcrt(**{"n_ports": 2, "nominal_burst": 16,
                                     "memory": ZCU102.dram, **kwargs})
+
+
+class TestWcrtReproducer:
+    """A reserved port whose simulated completion exceeds its WCRT bound.
+
+    Six flat ports with asymmetric shares and period 128 give port 5 a
+    budget of 1; the other ports run mixed reads, writes and copies.
+    Port 5's one 1 KiB write is its only job, so the port-level bound
+    is the job's own bound.
+    """
+
+    SHARES = (0.308, 0.022, 0.132, 0.396, 0.044, 0.088)
+    PERIOD = 128
+    JOBS = (
+        (("read", 256), ("copy", 8192), ("copy", 4096)),
+        (("read", 8192), ("write", 4096), ("copy", 256)),
+        (("write", 64), ("copy", 4096)),
+        (("copy", 4096), ("read", 64), ("copy", 4096)),
+        (("write", 4096), ("write", 4096), ("read", 4096)),
+        (("write", 1024),),
+    )
+
+    def scenario(self):
+        ports = tuple(
+            PortPlan(jobs=tuple((kind, job_address(port, index), nbytes)
+                                for index, (kind, nbytes)
+                                in enumerate(jobs)))
+            for port, jobs in enumerate(self.JOBS))
+        return Scenario("flat", ports, shares=self.SHARES,
+                        period=self.PERIOD)
+
+    def bound(self):
+        return HyperConnectWcrt(
+            6, 16, ZCU102.dram, budget=1, period=self.PERIOD,
+            interferer_outstanding=8).job_bound_bytes(1024, 16,
+                                                      is_read=False)
+
+    def test_setup_reserves_one_sub_transaction_for_port_5(self):
+        system = build_system(self.scenario(), fast=True)
+        assert system.fabrics[0].configs[5].budget == 1
+        done = [run_scenario(self.scenario(), fast=fast).done_cycles[5]
+                for fast in (False, True)]
+        assert done[0] is not None and done[0] == done[1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: port 5's write completes at cycle 1542 against "
+        "a bound of 1318; suspected cause: the backlog term charges each "
+        "competitor interferer_outstanding transactions, but a TS admits "
+        "that many reads and as many writes"))
+    def test_port_5_completes_within_its_bound(self):
+        result = run_scenario(self.scenario(), fast=True)
+        assert result.done_cycles[5] <= self.bound()

@@ -47,6 +47,16 @@ class TestRounds:
         assert dma.round_rate.events == 1
         assert len(dma.round_latencies) == 1
 
+    def test_round_bookkeeping_runs_before_external_callbacks(self):
+        soc, dma = build()
+        dma.program([DmaDescriptor("read", 0x1000, 256)])
+        seen = []
+        dma.on_job_complete(
+            lambda job, cycle: seen.append(dma.rounds_completed))
+        dma.start()
+        drain(soc)
+        assert seen == [1]
+
     def test_repeat_reschedules(self):
         soc, dma = build()
         dma.program([DmaDescriptor("read", 0x1000, 256)], repeat=True)

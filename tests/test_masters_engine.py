@@ -41,6 +41,20 @@ class TestJobApi:
         assert job.completed is not None
         assert soc.store.read(0x9000, 512) == soc.store.read(0x1000, 512)
 
+    def test_back_to_back_copies_with_short_tail_bursts(self):
+        # 25- and 17-beat copies: each ends on a burst shorter than
+        # burst_len, and the second job's beats queue behind the first's
+        soc, engine = build(with_store=True, burst_len=16)
+        soc.store.fill_pattern(0x1000, 400, seed=5)
+        soc.store.fill_pattern(0x3000, 272, seed=6)
+        jobs = [engine.enqueue_copy(0x1000, 0x9000, 400),
+                engine.enqueue_copy(0x3000, 0xB000, 272)]
+        drain(soc)
+        assert all(job.completed is not None for job in jobs)
+        assert [job.copy_issued_beats for job in jobs] == [25, 17]
+        assert soc.store.read(0x9000, 400) == soc.store.read(0x1000, 400)
+        assert soc.store.read(0xB000, 272) == soc.store.read(0x3000, 272)
+
     def test_job_latency_recorded(self):
         soc, engine = build()
         job = engine.enqueue_read(0x1000, 16)
