@@ -5,7 +5,6 @@ from .driver import HyperConnectDriver
 from .efifo import EFifoLink, GatedChannel, PortGate
 from .exbar import Exbar
 from .hyperconnect import HyperConnect, MasterEFifo
-from .reorder import InOrderAdapter
 from .regs import (
     BUDGET_UNLIMITED,
     ControlSlave,
@@ -26,7 +25,6 @@ __all__ = [
     "GatedChannel",
     "PortGate",
     "Exbar",
-    "InOrderAdapter",
     "HyperConnect",
     "MasterEFifo",
     "BUDGET_UNLIMITED",

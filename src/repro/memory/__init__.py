@@ -3,7 +3,6 @@
 from .buddy import AllocationError, BuddyAllocator
 from .dram import DramTiming, MemorySubsystem
 from .faulty import FaultInjectingMemory
-from .ooo import OutOfOrderMemory
 from .psport import AxiPipe
 from .qos400 import PsQosRegulator
 from .store import MemoryAccessFault, MemoryStore, TranslationFault
@@ -14,7 +13,6 @@ __all__ = [
     "DramTiming",
     "MemorySubsystem",
     "FaultInjectingMemory",
-    "OutOfOrderMemory",
     "AxiPipe",
     "PsQosRegulator",
     "MemoryAccessFault",

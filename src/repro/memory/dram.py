@@ -15,9 +15,7 @@ shared command queue, one write-data FIFO per port, and data and
 responses routed back to the link each command arrived on.  A single
 link is simply the one-port case.
 
-Timing is configurable through :class:`DramTiming`; an optional bank/row
-model adds row-hit/row-miss latency variation for studies that need it
-(disabled by default to keep the headline experiments deterministic).
+Timing is configurable through :class:`DramTiming`.
 """
 
 from __future__ import annotations
@@ -49,11 +47,6 @@ class DramTiming:
     read_latency: int = 37
     write_latency: int = 12
     resp_latency: int = 4
-    #: optional row-buffer model: extra cycles on a row miss.  ``None``
-    #: disables the bank/row model entirely.
-    row_miss_penalty: Optional[int] = None
-    row_bits: int = 13
-    bank_bits: int = 2
 
     def __post_init__(self) -> None:
         if min(self.read_latency, self.write_latency, self.resp_latency) < 1:
@@ -148,8 +141,6 @@ class MemorySubsystem(Component):
         #: (due cycle, port, response)
         self._pending_b: List[Tuple[int, int, RespBeat]] = []
         self._bus_free_at = 0
-        #: open row per bank (bank/row model, when enabled)
-        self._open_rows = {}
         self.queue_delay = OnlineStats()
         self.reads_served = 0
         self.writes_served = 0
@@ -160,21 +151,9 @@ class MemorySubsystem(Component):
 
     # ------------------------------------------------------------------
 
-    def _row_penalty(self, address: int) -> int:
-        if self.timing.row_miss_penalty is None:
-            return 0
-        t = self.timing
-        bank = (address >> 12) & ((1 << t.bank_bits) - 1)
-        row = address >> (12 + t.bank_bits)
-        if self._open_rows.get(bank) == row:
-            return 0
-        self._open_rows[bank] = row
-        return t.row_miss_penalty
-
     def _start_command(self, command: _Command, cycle: int) -> None:
         base = (self.timing.read_latency if command.is_read
                 else self.timing.write_latency)
-        base += self._row_penalty(command.beat.address)
         command.data_start = max(command.arrival + base, self._bus_free_at)
         if command.beat.burst is not BurstType.INCR:
             command.addresses = beat_addresses(
@@ -208,10 +187,10 @@ class MemorySubsystem(Component):
             if w and w[0][0] <= cycle:
                 self._write_beats[port].append(link.w.pop())
                 idle = False
-        # 2. pick the next command when idle
+        # 2. pick the next command, in arrival order, when idle
         current = self._current
         if current is None and commands:
-            current = self._current = self._take_next_command(cycle)
+            current = self._current = commands.popleft()
             self._start_command(current, cycle)
             idle = False
         # 3. stream one data beat of the current command
@@ -238,17 +217,6 @@ class MemorySubsystem(Component):
             if due > cycle and (horizon is None or due < horizon):
                 horizon = due
         return horizon
-
-    # ------------------------------------------------------------------
-
-    def _take_next_command(self, cycle: int) -> _Command:
-        """Select and remove the command to serve next.
-
-        The base controller is strictly in-order (FIFO), which is what
-        today's FPGA SoC memory controllers implement and what the paper's
-        system assumes.  :class:`OutOfOrderMemory` overrides this.
-        """
-        return self._commands.popleft()
 
     # ------------------------------------------------------------------
 

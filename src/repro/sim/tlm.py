@@ -326,8 +326,6 @@ class TlmEngine:
         memory = memories[0]
         if memory.store is not None:
             raise _Decline("memory-store")
-        if memory.timing.row_miss_penalty is not None:
-            raise _Decline("memory-rowmiss")
         if len(memory.links) != 1 or memory.link is not exbar.master_link:
             raise _Decline("memory")
 

@@ -14,16 +14,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..axi import LinkChecker
 from ..axi.port import AxiLink
-from ..hyperconnect import HyperConnect, InOrderAdapter
+from ..hyperconnect import HyperConnect
 from ..hypervisor import Domain, Hypervisor, RecoveryPolicy
 from ..masters import AxiDma, FaultInjectingMaster, GreedyTrafficGenerator
-from ..memory import (
-    DramTiming,
-    FaultInjectingMemory,
-    MemoryStore,
-    MemorySubsystem,
-    OutOfOrderMemory,
-)
+from ..memory import FaultInjectingMemory, MemoryStore, MemorySubsystem
 from ..platforms import ZCU102
 from ..sim import Simulator
 from ..smartconnect import SmartConnect
@@ -38,10 +32,6 @@ COPY_DEST_OFFSET = 0x80_0000
 #: bytes the beneficiary writes (then reads back) onto a re-granted
 #: range right after a revocation commits
 CHURN_WRITE_BYTES = 512
-#: reduced-latency timing for the OOO family (row model armed so the
-#: controller actually reorders)
-OOO_TIMING = DramTiming(read_latency=12, write_latency=8, resp_latency=2,
-                        row_miss_penalty=24)
 
 
 @dataclass
@@ -75,7 +65,6 @@ class System:
     fabrics: List[HyperConnect | SmartConnect]
     hypervisors: List[Hypervisor]
     memory: object
-    memory_timing: DramTiming
     #: functional backing store (tenanted scenarios only; None otherwise)
     store: Optional[MemoryStore] = None
 
@@ -134,10 +123,10 @@ class RunResult:
 
 
 def _make_memory(sim: Simulator, scenario: Scenario, link: AxiLink,
-                 timing: DramTiming, store: Optional[MemoryStore] = None):
+                 store: Optional[MemoryStore] = None):
     fault = scenario.memory
     if fault.kind == "none":
-        return MemorySubsystem(sim, "mem", link, timing=timing,
+        return MemorySubsystem(sim, "mem", link, timing=ZCU102.dram,
                                store=store)
     kwargs: Dict[str, object] = {"seed": fault.seed}
     if fault.kind == "dead":
@@ -150,7 +139,8 @@ def _make_memory(sim: Simulator, scenario: Scenario, link: AxiLink,
         kwargs["stall_cycles"] = fault.stall_cycles
     elif fault.kind == "error":
         kwargs["error_rate"] = fault.error_rate
-    return FaultInjectingMemory(sim, "mem", link, timing=timing, **kwargs)
+    return FaultInjectingMemory(sim, "mem", link, timing=ZCU102.dram,
+                                **kwargs)
 
 
 def _make_engine(sim: Simulator, name: str, plan: PortPlan, link):
@@ -277,7 +267,6 @@ def build_system(scenario: Scenario, fast: bool,
     """
     sim = Simulator("verify", clock_hz=ZCU102.pl_clock_hz, fast=fast,
                     tlm=tlm)
-    timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
     bus = ZCU102.hp_data_bytes
     plans = scenario.ports
     stations: List[Station] = []
@@ -300,7 +289,7 @@ def build_system(scenario: Scenario, fast: bool,
         depth = scenario.cascade_depth
         link, outer = build_fabric(sim, "hyperconnect", "m", "outer", 2,
                                    bus)
-        memory = _make_memory(sim, scenario, link, timing)
+        memory = _make_memory(sim, scenario, link)
         fabrics = [outer]
         for level in range(1, depth):
             innermost = level == depth - 1
@@ -320,24 +309,18 @@ def build_system(scenario: Scenario, fast: bool,
         hp1, hc1 = build_fabric(
             sim, "smartconnect" if scenario.fabric == "mixed"
             else "hyperconnect", "hp1", "hc1", 1, bus)
-        memory = MemorySubsystem(sim, "mem", [hp0, hp1], timing=timing)
+        memory = MemorySubsystem(sim, "mem", [hp0, hp1],
+                                 timing=ZCU102.dram)
         fabrics = [hc0, hc1]
         for index in range(len(plans) - 1):
             station(index, hc0, index)
         station(len(plans) - 1, hc1, 0)
-    else:  # flat / ooo share the single-interconnect layout
+    else:  # flat: one interconnect
         link, fabric = build_fabric(sim, scenario.fabric, "m", "hc",
                                     len(plans), bus)
-        if scenario.family == "ooo":
-            down = AxiLink(sim, "down", data_bytes=bus)
-            InOrderAdapter(sim, "adapter", link, down)
-            memory = OutOfOrderMemory(sim, "mem", down, timing=timing,
-                                      lookahead=8)
-        else:
-            if scenario.is_tenanted:
-                store = MemoryStore()  # functional data for tenants
-            memory = _make_memory(sim, scenario, link, timing,
-                                  store=store)
+        if scenario.is_tenanted:
+            store = MemoryStore()  # functional data for tenants
+        memory = _make_memory(sim, scenario, link, store=store)
         fabrics = [fabric]
         for index in range(len(plans)):
             station(index, fabric, index)
@@ -377,7 +360,7 @@ def build_system(scenario: Scenario, fast: bool,
                 raise ValueError(f"unknown job kind {kind!r}")
 
     return System(sim, scenario, stations, fabrics, hypervisors,
-                  memory, timing, store=store)
+                  memory, store=store)
 
 
 def _engine_observables(station: Station) -> dict:

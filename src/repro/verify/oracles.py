@@ -58,10 +58,9 @@ from pathlib import Path
 from typing import Dict, Optional, Set
 
 from ..analysis import ContainmentBound
-from ..memory.dram import DramTiming
 from ..platforms import ZCU102
-from .harness import (CHURN_WRITE_BYTES, OOO_TIMING, RunResult,
-                      churn_pattern, run_scenario)
+from .harness import (CHURN_WRITE_BYTES, RunResult, churn_pattern,
+                      run_scenario)
 from .scenario import Scenario, canonical_json
 
 #: where falsifying examples are written (CI uploads this directory)
@@ -205,12 +204,12 @@ def check_equivalence(scenario: Scenario, reference: RunResult,
             f"reference: {r!r} != {f!r}", scenario)
 
 
-def _harness_bound(scenario: Scenario, timeout: int,
-                   timing: DramTiming) -> ContainmentBound:
-    """The containment bound for the harness's masters: 16-beat nominal
-    bursts, 8 outstanding per rogue, a period only under equal shares."""
+def _harness_bound(scenario: Scenario, timeout: int) -> ContainmentBound:
+    """The containment bound for the harness's masters on ZCU102's DRAM:
+    16-beat nominal bursts, 8 outstanding per rogue, a period only under
+    equal shares."""
     return ContainmentBound(
-        n_ports=len(scenario.ports), nominal_burst=16, memory=timing,
+        n_ports=len(scenario.ports), nominal_burst=16, memory=ZCU102.dram,
         timeout_cycles=timeout, rogue_outstanding=8,
         period=scenario.period if scenario.equal_shares else None)
 
@@ -230,8 +229,7 @@ def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
     timeout = scenario.ports[rogue].timeout
     if timeout is None:
         return None
-    timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
-    return _harness_bound(scenario, timeout, timing)
+    return _harness_bound(scenario, timeout)
 
 
 def _healthy_done(scenario: Scenario, result: RunResult) -> Optional[int]:
@@ -286,8 +284,7 @@ def isolation_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
         if plan.timeout is None:
             return None  # undetectable fault: no analytic bound
         timeouts.append(plan.timeout)
-    return _harness_bound(scenario, max(timeouts) if timeouts else 1,
-                          ZCU102.dram)
+    return _harness_bound(scenario, max(timeouts) if timeouts else 1)
 
 
 def check_isolation(scenario: Scenario, result: RunResult,
@@ -393,7 +390,7 @@ def churn_delay_bound_for(scenario: Scenario) -> int:
     as up to 64 beats of extra round-robin interference per port.
     """
     n_ops = len(scenario.churn or ())
-    bound = _harness_bound(scenario, 1, ZCU102.dram)
+    bound = _harness_bound(scenario, 1)
     return (bound.multi_fault_delay_bound(n_ops)
             + n_ops * 64 * len(scenario.ports))
 

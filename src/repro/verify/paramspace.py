@@ -241,7 +241,7 @@ def compile_fabric(a: dict) -> Scenario:
 
 
 def compile_faults(a: dict) -> Scenario:
-    """Fault-injection knob sweep over the in-order DRAM families.
+    """Fault-injection knob sweep over the single-link memory families.
 
     ``program`` selects at most one fault program: a rogue-master mode,
     a ``mem:*`` memory fault, or ``none``.
@@ -511,7 +511,7 @@ FABRIC_GRID = _register(GridSpec(
 FAULTS_GRID = _register(GridSpec(
     name="faults",
     description="fault-injection knobs: rogue-master modes and memory "
-                "fault kinds over the in-order DRAM families",
+                "fault kinds over the single-link memory families",
     axes={
         "family": ("flat", "cascade"),
         "program": ("none", "hung_r", "withheld_w", "illegal_burst",

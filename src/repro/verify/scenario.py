@@ -26,7 +26,7 @@ from ..hyperconnect.regs import REGION_GRANULE
 from ..masters.faulty import FAULT_MODES
 
 #: supported topology families
-FAMILIES = ("flat", "cascade", "ooo", "multiport")
+FAMILIES = ("flat", "cascade", "multiport")
 #: interconnect fabrics: pure HyperConnect, pure SmartConnect (flat
 #: only), or mixed — HyperConnect + SmartConnect side by side on the
 #: multi-port memory subsystem
@@ -43,8 +43,9 @@ GRANT_GRANULE = REGION_GRANULE
 ILLEGAL_OFFSET = 0xF80
 #: memory misbehaviours (mirrors FaultInjectingMemory's knobs)
 MEMORY_FAULTS = ("none", "dead", "freeze", "stall", "error")
-#: families served by the in-order DRAM model, where the fault-injecting
-#: memory wrapper exists; OOO/multi-port memories have no faulty variant
+#: families whose memory serves one link, where the fault-injecting
+#: memory wrapper exists; multi-port memory has no faulty variant because
+#: :class:`~repro.memory.FaultInjectingMemory` serves one link only
 MEMORY_FAULT_FAMILIES = ("flat", "cascade")
 #: job kinds a PortPlan may carry; "greedy" turns the whole port into a
 #: saturating traffic generator (window base + job size, no completion
@@ -136,8 +137,6 @@ class Scenario:
     * ``cascade`` — ``ports[0]`` directly on the outer HyperConnect,
       ``ports[1:]`` on an inner HyperConnect cascaded into the outer's
       port 0 (requires >= 2 ports);
-    * ``ooo`` — flat HyperConnect, but the memory is the out-of-order
-      controller behind the in-order adapter;
     * ``multiport`` — ``ports[:-1]`` on one HyperConnect, ``ports[-1]``
       on a second, both into the multi-port memory subsystem (requires
       >= 2 ports).
@@ -286,7 +285,7 @@ class Scenario:
         if (self.memory.kind != "none"
                 and self.family not in MEMORY_FAULT_FAMILIES):
             raise ValueError(
-                f"memory faults need an in-order DRAM family "
+                f"memory faults need a single-link memory family "
                 f"({MEMORY_FAULT_FAMILIES}); {self.family!r} has no "
                 "fault-injecting memory variant")
         if self.horizon < 1:

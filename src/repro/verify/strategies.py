@@ -32,8 +32,7 @@ from .scenario import (
 )
 
 #: leaf-port counts per family (cascade/multiport need the extra port)
-PORT_RANGE = {"flat": (2, 4), "cascade": (3, 4), "ooo": (2, 3),
-              "multiport": (3, 4)}
+PORT_RANGE = {"flat": (2, 4), "cascade": (3, 4), "multiport": (3, 4)}
 #: job sizes in bytes (multiples of the 16-byte beat)
 SIZES = (256, 512, 1024, 2048)
 BEAT_BYTES = 16
@@ -107,7 +106,7 @@ def scenarios(draw, families=FAMILIES):
     """Draw one complete :class:`Scenario`.
 
     At most one fault program per scenario: a rogue master on any
-    family, or a memory fault on the in-order DRAM families.  Roughly a
+    family, or a memory fault on the single-link memory families.  Roughly a
     quarter of draws are fully healthy — the oracles must also hold
     vacuously.  Healthy draws occasionally swap the interconnect fabric
     (baseline SmartConnect / mixed HC+SC) or reserve explicit per-port

@@ -287,44 +287,8 @@ class TestContentionScenarios:
 
 
 class TestFutureWorkTopologies:
-    """The final quiescence hooks from the ROADMAP — the in-order
-    adapter for out-of-order platforms and the multi-port memory
-    subsystem — checked differentially like every other component."""
-
-    def test_ooo_adapter_stack(self):
-        def run(fast):
-            from repro.axi.port import AxiLink
-            from repro.hyperconnect import HyperConnect, InOrderAdapter
-            from repro.memory import DramTiming, OutOfOrderMemory
-            from repro.sim import Simulator
-
-            sim = Simulator("ooo", clock_hz=ZCU102.pl_clock_hz, fast=fast)
-            up = AxiLink(sim, "up", data_bytes=16)
-            down = AxiLink(sim, "down", data_bytes=16)
-            hc = HyperConnect(sim, "hc", 2, up)
-            adapter = InOrderAdapter(sim, "adapter", up, down)
-            memory = OutOfOrderMemory(
-                sim, "mem", down,
-                timing=DramTiming(read_latency=12, write_latency=8,
-                                  resp_latency=2, row_miss_penalty=24),
-                lookahead=8)
-            a = AxiDma(sim, "a", hc.port(0))
-            b = AxiDma(sim, "b", hc.port(1))
-            # alternate far-apart rows so the controller actually reorders
-            for index in range(6):
-                base = 0x0 if index % 2 == 0 else 0x40_0000
-                a.enqueue_read(base + index * 512, 512)
-            b.enqueue_write(0x20_0000, 2048)
-            b.enqueue_read(0x80_0000, 1024)
-            sim.run_until(lambda: not a.busy and not b.busy,
-                          max_cycles=200_000)
-            sim.run(64)
-            return (_signature(a, b), _memory_counters(memory),
-                    memory.reordered_served,
-                    adapter.out_of_order_arrivals, sim.now)
-
-        reference, fast = _both(run)
-        assert reference == fast
+    """The multi-port memory subsystem, checked differentially like
+    every other component."""
 
     def test_multiport_memory_subsystem(self):
         def run(fast):

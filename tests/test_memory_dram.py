@@ -15,10 +15,10 @@ from repro.sim import ConfigurationError, Simulator
 TIMING = DramTiming(read_latency=10, write_latency=5, resp_latency=2)
 
 
-def make_system(store=None, timing=TIMING, data_depth=64):
+def make_system(store=None, data_depth=64):
     sim = Simulator("mem-test")
     link = AxiLink(sim, "link", data_bytes=16, data_depth=data_depth)
-    memory = MemorySubsystem(sim, "mem", link, timing=timing, store=store)
+    memory = MemorySubsystem(sim, "mem", link, timing=TIMING, store=store)
     return sim, link, memory
 
 
@@ -157,38 +157,6 @@ class TestFunctional:
         push_write(link, address=0x40, length=2, data=payload)
         sim.run(40)
         assert store.read(0x40, 32) == payload
-
-
-class TestRowModel:
-    def test_row_miss_penalty_applied(self):
-        timing = DramTiming(read_latency=10, write_latency=5,
-                            resp_latency=2, row_miss_penalty=20)
-        sim, link, memory = make_system(timing=timing)
-        push_read(link, address=0x0, length=1)
-        arrivals = []
-        link.r.subscribe_push(lambda cycle, beat: arrivals.append(cycle))
-        sim.run(80)
-        first_access = arrivals[0]
-        # same row again: no penalty this time
-        push_read(link, address=0x10, length=1)
-        sim.run(80)
-        delta_hit = arrivals[1] - memory.queue_delay.count  # sanity only
-        assert first_access == 1 + 10 + 20
-        assert len(arrivals) == 2
-
-    def test_row_hit_faster_than_miss(self):
-        timing = DramTiming(read_latency=10, write_latency=5,
-                            resp_latency=2, row_miss_penalty=20)
-        sim, link, memory = make_system(timing=timing)
-        arrivals = []
-        link.r.subscribe_push(lambda cycle, beat: arrivals.append(cycle))
-        push_read(link, address=0x0, length=1)
-        sim.run(80)
-        issue = sim.now
-        push_read(link, address=0x10, length=1)  # same row: hit
-        sim.run(80)
-        hit_latency = arrivals[1] - issue
-        assert hit_latency == 1 + 10  # no penalty
 
 
 class TestValidation:

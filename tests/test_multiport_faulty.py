@@ -115,16 +115,16 @@ class TestMultiPortMemory:
 TIMING = DramTiming(read_latency=10, write_latency=5, resp_latency=2)
 
 
-def bare_controller(n_links, timing=TIMING, store=None):
+def bare_controller(n_links, store=None):
     """A controller whose links are driven directly by the test."""
     sim = Simulator("bare")
     links = [AxiLink(sim, f"p{i}", data_bytes=16, data_depth=64)
              for i in range(n_links)]
     if n_links == 1:
-        memory = MemorySubsystem(sim, "mem", links[0], timing=timing,
+        memory = MemorySubsystem(sim, "mem", links[0], timing=TIMING,
                                  store=store)
     else:
-        memory = MemorySubsystem(sim, "mem", links, timing=timing,
+        memory = MemorySubsystem(sim, "mem", links, timing=TIMING,
                                  store=store)
     return sim, links, memory
 
@@ -156,20 +156,6 @@ class TestOneControllerForAnyPortCount:
 
     def test_wrap_read_on_a_second_port_wraps(self):
         assert self.wrap_read(2) == self.wrap_read(1) == [2, 3, 0, 1]
-
-    def test_row_miss_penalty_delays_a_multiport_read(self):
-        def first_beat_cycle(timing):
-            sim, links, memory = bare_controller(2, timing=timing)
-            arrivals = []
-            links[1].r.subscribe_push(
-                lambda cycle, beat: arrivals.append(cycle))
-            push_read(links[1], 0x0, 1)
-            sim.run(80)
-            return arrivals[0]
-
-        missing = DramTiming(read_latency=10, write_latency=5,
-                             resp_latency=2, row_miss_penalty=20)
-        assert first_beat_cycle(missing) == first_beat_cycle(TIMING) + 20
 
     def test_served_counters_count_on_a_multiport_controller(self):
         sim, links, memory = bare_controller(2)
