@@ -154,7 +154,7 @@ class FaultInjectingMemory(MemorySubsystem):
         def _set_resp(beat):
             beat.resp = resp
 
-        if self.link.r.amend_staged(_set_resp):    # read beat this cycle
+        if self.link.r.amend_last_push(_set_resp):  # read beat this cycle
             return
         if self._pending_b:                        # write response due
             self._pending_b[-1][2].resp = resp

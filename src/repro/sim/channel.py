@@ -3,15 +3,16 @@
 A :class:`Channel` models a synchronous, point-to-point connection: a FIFO
 whose output side is separated from its input side by a configurable number
 of clock cycles (``latency``).  It is the only way components exchange data
-in this library, and its two-phase commit protocol is what makes simulation
+in this library, and its registered timing is what makes simulation
 results independent of the order in which components are ticked:
 
-* Items pushed during cycle *t* are *staged* and only become part of the
-  queue when the simulator commits the cycle; they become visible to the
-  consumer at cycle ``t + latency``.
+* An item pushed during cycle *t* enters the queue at once, stamped with
+  its ready cycle ``t + latency``; consumers only see a head whose stamp
+  has come due, so it stays invisible until cycle ``t + latency`` however
+  the components are ordered.
 * :meth:`can_push` judges fullness against the occupancy at the *start* of
-  the cycle — an item popped during the current cycle frees its slot only on
-  the next cycle, exactly like a registered ``full`` flag in RTL.
+  the cycle — an item popped during the current cycle frees its slot only
+  at the end of the cycle, exactly like a registered ``full`` flag in RTL.
 
 With ``latency=1`` a channel behaves like the proactive (always-ready when
 not full) circular buffers used by the eFIFO modules of the AXI
@@ -41,7 +42,7 @@ class Channel:
     ----------
     sim:
         The owning :class:`repro.sim.Simulator`; the channel registers itself
-        for end-of-cycle commits.
+        with it, and its clock stamps every push.
     name:
         Human-readable identifier used in traces and error messages.
     latency:
@@ -49,9 +50,9 @@ class Channel:
         at least 1 (a purely combinational path is not representable — and
         not needed, since the paper's modules are all registered).
     capacity:
-        Maximum occupancy (committed + staged items).  ``None`` means
-        unbounded.  For full throughput a latency-``L`` channel needs
-        ``capacity >= L + 1``.
+        Maximum occupancy (queued items plus this cycle's pops).  ``None``
+        means unbounded.  For full throughput a latency-``L`` channel
+        needs ``capacity >= L + 1``.
     """
 
     __slots__ = (
@@ -60,7 +61,6 @@ class Channel:
         "capacity",
         "_sim",
         "_queue",
-        "_staged",
         "_popped_this_cycle",
         "_occupancy",
         "_dirty",
@@ -83,23 +83,22 @@ class Channel:
         self.latency = latency
         self.capacity = capacity
         self._sim = sim
-        #: committed items as (ready_cycle, payload) in FIFO order.  Only
+        #: pushed items as (ready_cycle, payload) in FIFO order; one
+        #: latency per channel keeps the stamps non-decreasing.  Only
         #: ever changed in place, never rebound: the EXBAR captures the
         #: deques of its per-port TS queues once, at construction
         self._queue: Deque[Tuple[int, Any]] = deque()
-        #: items pushed this cycle, not yet committed
-        self._staged: List[Any] = []
-        #: items popped this cycle (their slot frees only at commit)
+        #: items popped this cycle (their slot frees at the end of it)
         self._popped_this_cycle = 0
-        #: running ``len(_queue) + _popped_this_cycle + len(_staged)``,
-        #: maintained incrementally so backpressure checks are a single
-        #: integer compare (pops leave it unchanged until commit frees
-        #: the slots — registered-full semantics)
+        #: running ``len(_queue) + _popped_this_cycle``, maintained
+        #: incrementally so backpressure checks are a single integer
+        #: compare (pops leave it unchanged until the end of the cycle
+        #: frees the slots — registered-full semantics)
         self._occupancy = 0
-        #: activity flag: True while the channel has uncommitted work
-        #: (staged pushes or pop accounting) and is queued for commit.
-        #: Committing a clean channel is provably a no-op, so the kernel
-        #: only visits dirty ones.
+        #: activity flag: True while the channel was pushed, popped or
+        #: cleared this cycle and is queued on the simulator's dirty
+        #: list for the end-of-cycle step.  That step is a no-op on a
+        #: clean channel, so the kernel only visits dirty ones.
         self._dirty = False
         self.pushed_total = 0
         self.popped_total = 0
@@ -137,13 +136,13 @@ class Channel:
         return capacity is None or self._occupancy + count <= capacity
 
     def push(self, item: Any) -> None:
-        """Stage ``item`` for delivery ``latency`` cycles from now."""
+        """Queue ``item`` for delivery ``latency`` cycles from now."""
         capacity = self.capacity
         if capacity is not None and self._occupancy >= capacity:
             raise ChannelError(
                 f"push to full channel {self.name!r} "
                 f"(capacity={self.capacity}) at cycle {self._sim.now}")
-        self._staged.append(item)
+        self._queue.append((self._sim._cycle + self.latency, item))
         self._occupancy += 1
         self.pushed_total += 1
         if not self._dirty:
@@ -160,13 +159,13 @@ class Channel:
         """Push ``item`` if it fits this cycle; return whether it did.
 
         Single-check fast path for the common ``if can_push(): push()``
-        idiom: the fullness check and the stage are one operation, with
+        idiom: the fullness check and the push are one operation, with
         identical registered-full semantics.
         """
         capacity = self.capacity
         if capacity is not None and self._occupancy >= capacity:
             return False
-        self._staged.append(item)
+        self._queue.append((self._sim._cycle + self.latency, item))
         self._occupancy += 1
         self.pushed_total += 1
         if not self._dirty:
@@ -180,23 +179,24 @@ class Channel:
                 callback(now, item)
         return True
 
-    def amend_staged(self, mutate) -> bool:
-        """Apply ``mutate(item)`` to the most recently staged item.
+    def amend_last_push(self, mutate) -> bool:
+        """Apply ``mutate(item)`` to the item pushed last, this cycle.
 
         Fault injectors and similar decorators sometimes need to rewrite
-        a payload *after* the producing component staged it this cycle —
+        a payload *after* the producing component pushed it this cycle —
         e.g. poisoning a data beat's response code.  This is the public
-        way to do that: it only touches work staged in the current cycle
-        (nothing already committed can be amended), keeps the two-phase
-        protocol intact, and returns ``False`` when there is nothing
-        staged to amend.
+        way to do that: it only touches an item pushed in the current
+        cycle (its stamp is ``now + latency``; anything older may already
+        be visible and cannot be amended) and returns ``False`` when
+        there is no such item.
 
-        The mutation happens before commit, so consumers can never
+        A push is never visible in its own cycle, so consumers can never
         observe the un-amended item — on either kernel path.
         """
-        if not self._staged:
+        queue = self._queue
+        if not queue or queue[-1][0] != self._sim._cycle + self.latency:
             return False
-        mutate(self._staged[-1])
+        mutate(queue[-1][1])
         return True
 
     # ------------------------------------------------------------------
@@ -265,7 +265,8 @@ class Channel:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of committed items still queued (visible or in flight)."""
+        """Number of items queued, visible or in flight (this cycle's
+        pushes included)."""
         return len(self._queue)
 
     @property
@@ -275,8 +276,8 @@ class Channel:
 
     @property
     def is_idle(self) -> bool:
-        """True when no item is queued, staged, or in flight."""
-        return not self._queue and not self._staged
+        """True when no item is queued or in flight."""
+        return not self._queue
 
     def drain(self) -> List[Any]:
         """Pop every currently visible item (helper for sinks and tests)."""
@@ -288,27 +289,13 @@ class Channel:
     def clear(self) -> None:
         """Drop all contents immediately (used by reset logic)."""
         self._queue.clear()
-        self._staged.clear()
         self._popped_this_cycle = 0
         self._occupancy = 0
         if not self._dirty:
             self._dirty = True
-            self._sim._mark_dirty(self)
-
-    # ------------------------------------------------------------------
-    # kernel interface
-    # ------------------------------------------------------------------
-
-    def _commit(self, cycle: int) -> None:
-        """End-of-cycle commit: staged pushes enter the queue."""
-        if self._staged:
-            ready = cycle + self.latency
-            for item in self._staged:
-                self._queue.append((ready, item))
-            self._staged.clear()
-        self._occupancy -= self._popped_this_cycle
-        self._popped_this_cycle = 0
-        self._dirty = False
+            sim = self._sim
+            sim._dirty_channels.append(self)
+            sim._quiescent_until = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Channel({self.name!r}, latency={self.latency}, "

@@ -12,9 +12,9 @@ class Component:
     Those two, plus a :meth:`Simulator.wake` call after any mutation made
     outside a tick, are the whole fast-path contract.  All communication
     with other components must go through :class:`repro.sim.Channel`
-    links; thanks to the channels' two-phase commit, the order in which
-    components are ticked within a cycle is irrelevant to the simulation
-    outcome.
+    links; because a push is stamped at least one cycle ahead, the order
+    in which components are ticked within a cycle is irrelevant to the
+    simulation outcome.
 
     Components register themselves with the simulator on construction, so
     building a component is enough to make it run.

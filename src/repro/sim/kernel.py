@@ -5,14 +5,15 @@ single global clock.  Every cycle has two phases:
 
 1. **Tick phase** — each component's :meth:`~repro.sim.Component.tick` runs.
    Components read the *visible* heads of their input channels (items
-   committed in earlier cycles) and stage pushes onto their output channels.
-2. **Commit phase** — every channel with uncommitted work commits its staged
-   pushes, time-stamping them ``latency`` cycles into the future, and clears
-   its pop accounting.  (Channels that were neither pushed nor popped this
-   cycle have nothing to commit — visiting them would be a no-op, so the
-   kernel keeps a dirty list and only visits those.)
+   whose ready cycle has come due) and push onto their output channels;
+   each push is stamped ``latency`` cycles into the future as it is made.
+2. **End-of-cycle step** — every channel pushed, popped or cleared this
+   cycle frees the slots its pops released and clears its dirty flag.
+   (Channels untouched this cycle have nothing to free — visiting them
+   would be a no-op, so the kernel keeps a dirty list and only visits
+   those.)
 
-Because nothing staged in cycle *t* can be observed before ``t + 1``, the
+Because nothing pushed in cycle *t* is stamped earlier than ``t + 1``, the
 tick order of components cannot change the outcome — the model is a proper
 synchronous circuit, not an event soup.
 
@@ -27,11 +28,11 @@ change state, while keeping results bit-identical to the reference path:
   means the call was a pure no-op.  Any other return, including the
   implicit ``None``, counts as "may have acted".  The report drives
   everything below; the kernel keeps no second copy of a tick's guards
-  or inputs.  The reports are read only on a cycle after one that
-  committed nothing, so a saturated system, which commits traffic every
+  or inputs.  The reports are read only on a cycle after one that left
+  no channel dirty, so a saturated system, which moves traffic every
   cycle, ticks blind at about the reference loop's cost.
 * **Bulk skipping (frozen horizons)** — when every tick reported idle and
-  no channel has uncommitted work, the system state is frozen: the kernel
+  no channel is dirty, the system state is frozen: the kernel
   scans the channels and components for the earliest future event (a
   queued channel head not yet visible, or a component's
   :meth:`~repro.sim.Component.next_event_cycle` hint) and advances the
@@ -46,11 +47,9 @@ visible or a component's own timer comes due.  External mutations between
 kernel calls (e.g. enqueueing a DMA job) invalidate the cached horizon
 because every public entry point calls :meth:`Simulator.wake`.
 
-Every polled fast-path commit goes through
-:meth:`~repro.sim.commit.CommitCohorts.flush`, called once per polled cycle
-with dirty channels.  It commits each channel through the same
-``Channel._commit`` the reference path calls, so both kernels share one
-commit body.
+Both loops end every cycle that has dirty channels with one
+:meth:`~repro.sim.commit.CommitCohorts.flush` call, so both kernels share
+one end-of-cycle body.
 
 Contract for ``run_until`` predicates: they are sampled on every cycle
 boundary on both paths and must be observational.  Predicates that pop
@@ -129,7 +128,7 @@ class Simulator:
         self._components: List[Component] = []
         self._channels: List[Channel] = []
         self._names: Dict[str, object] = {}
-        #: channels with uncommitted work this cycle (no duplicates: a
+        #: channels pushed, popped or cleared this cycle (no duplicates: a
         #: channel enqueues itself only on its clean -> dirty transition)
         self._dirty_channels: List[Channel] = []
         #: first cycle at which the frozen system may change again; the
@@ -142,7 +141,7 @@ class Simulator:
         #: :mod:`repro.sim.events`); components publish, the hypervisor
         #: and observers subscribe.
         self.events = EventBus()
-        #: the fast path's end-of-cycle commit body
+        #: the end-of-cycle body both kernel loops call
         self._cohorts = CommitCohorts()
 
     # ------------------------------------------------------------------
@@ -165,11 +164,6 @@ class Simulator:
         if name in self._names:
             raise SimulationError(
                 f"duplicate name {name!r} in simulator {self.name!r}")
-
-    def _mark_dirty(self, channel: Channel) -> None:
-        """A channel transitioned clean -> dirty; queue it for commit."""
-        self._dirty_channels.append(channel)
-        self._quiescent_until = 0
 
     def wake(self) -> None:
         """Invalidate any cached quiescence horizon.
@@ -226,32 +220,32 @@ class Simulator:
             self._run_fast(end)
 
     def _run_reference(self, end: int) -> None:
-        """Run cycles up to ``end`` the long way: tick everything, commit
-        dirty channels.
+        """Run cycles up to ``end`` the long way: tick everything, then
+        end the cycle.
 
         The single inner loop of the reference path and the counterpart
         of :meth:`_run_fast`: ``run``, ``run_until`` and ``step`` all
         funnel here, so the reference-cycle semantics live in one place.
-        Every component ticks every cycle, in registration order, then
-        every channel with uncommitted work commits.  The component and
-        dirty lists are bound to locals once per window (both are
-        mutated in place, never replaced), so a component registered
-        mid-tick is still reached through the live list, and each tick
-        stays a plain ``component.tick(cycle)`` call that class-level
-        instrumentation sees.  The loop adds no per-cycle call of its
-        own, so an idle component costs exactly its ``tick``'s early
-        return; that is why idle ticks must be O(1) (DESIGN.md §6).
+        Every component ticks every cycle, in registration order, then a
+        cycle with dirty channels ends through :meth:`CommitCohorts.flush`,
+        exactly as in :meth:`_run_fast`.  The component and dirty lists
+        are bound to locals once per window (both are mutated in place,
+        never replaced), so a component registered mid-tick is still
+        reached through the live list, and each tick stays a plain
+        ``component.tick(cycle)`` call that class-level instrumentation
+        sees.  Beyond the ticks, a cycle costs at most the one ``flush``
+        call, so an idle component costs exactly its ``tick``'s early
+        return; that is why idle ticks must be cheap (DESIGN.md §6).
         """
         components = self._components
         dirty = self._dirty_channels
+        flush = self._cohorts.flush
         cycle = self._cycle
         while cycle < end:
             for component in components:
                 component.tick(cycle)
             if dirty:
-                for channel in dirty:
-                    channel._commit(cycle)
-                dirty.clear()
+                flush(cycle, dirty)
             cycle += 1
             self._cycle = cycle
 
@@ -271,8 +265,8 @@ class Simulator:
         mutated in place, never replaced), and the statistics accumulate
         in plain integers folded into :attr:`skip_stats` once per window
         (the ``finally`` keeps them truthful if a component raises).
-        Dirty channels commit through :meth:`CommitCohorts.flush`, the
-        fast path's one commit body.
+        A cycle with dirty channels ends through
+        :meth:`CommitCohorts.flush`, exactly as in :meth:`_run_reference`.
 
         If every report was read and idle and no channel is dirty, the
         system is frozen, and the cycle at which it may change again —
@@ -441,7 +435,7 @@ class Simulator:
         this every cycle.
         """
         for channel in self._channels:
-            if channel._queue or channel._staged:
+            if channel._queue:
                 return False
         return True
 

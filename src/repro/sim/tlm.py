@@ -164,22 +164,19 @@ def _restore_object(obj, kind, saved) -> None:
 
 def _save_channel(channel):
     """Channel state touched by :meth:`Channel.clear` (and nothing else
-    during an epoch), captured for in-place restore — the queue/staged
-    containers keep their identity because components (the EXBAR, for
-    one) hold references to them."""
-    return (deque(channel._queue), list(channel._staged),
-            channel._occupancy, channel._popped_this_cycle,
-            channel._dirty, channel.pushed_total, channel.popped_total)
+    during an epoch), captured for in-place restore — the queue keeps its
+    identity because components (the EXBAR, for one) hold references to
+    it."""
+    return (deque(channel._queue), channel._occupancy,
+            channel._popped_this_cycle, channel._dirty,
+            channel.pushed_total, channel.popped_total)
 
 
 def _restore_channel(channel, saved) -> None:
-    queue, staged, occupancy, popped, dirty, pushed_total, popped_total = saved
+    queue, occupancy, popped, dirty, pushed_total, popped_total = saved
     live_queue = channel._queue
     live_queue.clear()
     live_queue.extend(queue)
-    live_staged = channel._staged
-    live_staged.clear()
-    live_staged.extend(staged)
     channel._occupancy = occupancy
     channel._popped_this_cycle = popped
     channel._dirty = dirty
@@ -300,8 +297,8 @@ class TlmEngine:
         """Build the epoch plan, or raise :class:`_Decline`."""
         sim = self._sim
         if sim._dirty_channels:
-            # uncommitted pushes from outside a run (e.g. a job enqueued
-            # between run() calls); one polled cycle commits them
+            # pushes or pops from outside a run (e.g. a job enqueued
+            # between run() calls); one polled cycle ends their cycle
             raise _Decline("dirty", resume=start + 1)
         components = sim._components
 
@@ -424,7 +421,7 @@ class TlmEngine:
                         # tracers, probes, monitors: they expect to see
                         # every beat, which an epoch does not produce
                         raise _Decline("listener")
-            elif channel._queue or channel._staged:
+            elif channel._queue:
                 raise _Decline("channel")
 
         plan = _EpochPlan()
@@ -503,7 +500,8 @@ class TlmEngine:
         for channel, saved in snap.channels:
             _restore_channel(channel, saved)
         sim._cycle = snap.cycle
-        sim._dirty_channels = [c for c in sim._channels if c._dirty]
+        # in place: the kernel loops hold the dirty list in a local
+        sim._dirty_channels[:] = [c for c in sim._channels if c._dirty]
         sim._quiescent_until = 0
 
     # ------------------------------------------------------------------

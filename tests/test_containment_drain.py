@@ -61,8 +61,9 @@ class Rig:
             self.inflight_writes.popleft()
 
     def stage(self, *, ar=(), aw=(), w_beats=0):
-        """Push HA-side traffic while coupled, then commit and decouple
-        (containment always starts with the gate already closed)."""
+        """Push HA-side traffic while coupled, then end the cycle and
+        decouple (containment always starts with the gate already
+        closed)."""
         for beat in ar:
             assert self.link.ar.try_push(beat)
         for beat in aw:
@@ -148,7 +149,7 @@ class TestSynthesis:
         rig.containment_call()
         assert rig.stats.synth_r_beats == 1
         # consumer side drains one slot; the freed capacity becomes
-        # visible at the next channel commit, then synthesis resumes
+        # visible at the end of the cycle, then synthesis resumes
         rig.sim.run(1)
         assert rig.link.r.can_pop()
         rig.link.r.pop()

@@ -1,10 +1,10 @@
 """Determinism guarantees of the whole stack.
 
-The kernel's two-phase commit promises that results do not depend on the
-order components were registered (= tick order), and that identical
-configurations produce bit-identical outcomes.  These tests check those
-claims on full systems, not just toy pipelines — they are what makes
-every number in EXPERIMENTS.md exactly reproducible.
+The kernel's registered channel timing promises that results do not
+depend on the order components were registered (= tick order), and that
+identical configurations produce bit-identical outcomes.  These tests
+check those claims on full systems, not just toy pipelines — they are
+what makes every number in EXPERIMENTS.md exactly reproducible.
 """
 
 import pytest

@@ -85,7 +85,8 @@ class TestBackpressure:
         channel.push("a")
         sim.step()
         channel.pop()
-        # registered-full: the slot frees at the commit, not immediately
+        # registered-full: the slot frees at the end of the cycle, not
+        # immediately
         assert not channel.can_push()
         sim.step()
         assert channel.can_push()
@@ -159,7 +160,7 @@ class TestIntrospection:
         assert channel.is_idle
         assert not channel.can_pop()
 
-    def test_occupancy_includes_staged_and_popped(self, sim):
+    def test_occupancy_includes_pushed_and_popped(self, sim):
         channel = make(sim, capacity=4)
         channel.push(1)
         channel.push(2)
@@ -167,42 +168,47 @@ class TestIntrospection:
         sim.step()
         channel.pop()
         channel.push(3)
-        assert channel.occupancy == 3  # 1 queued + 1 popped + 1 staged
+        assert channel.occupancy == 3  # 2 queued + 1 popped this cycle
 
 
-class TestAmendStaged:
-    """The public hook fault injectors use to rewrite staged payloads."""
+@pytest.mark.parametrize("latency", (1, 3))
+class TestAmendLastPush:
+    """The public hook fault injectors use to rewrite this cycle's push."""
 
-    def test_amends_only_the_staged_item(self, sim):
-        channel = make(sim)
-        committed = ["old"]
-        staged = ["old"]
-        channel.push(committed)
-        sim.step()                      # first item commits
-        channel.push(staged)
-        assert channel.amend_staged(lambda item: item.__setitem__(0, "new"))
-        assert committed == ["old"]     # committed work cannot be amended
-        assert staged == ["new"]
-        sim.step()
+    def test_amends_only_this_cycles_push(self, sim, latency):
+        channel = make(sim, latency=latency)
+        earlier = ["old"]
+        latest = ["old"]
+        channel.push(earlier)
+        sim.run(latency)                # the first item is visible now
+        channel.push(latest)
+        assert channel.amend_last_push(
+            lambda item: item.__setitem__(0, "new"))
+        assert earlier == ["old"]       # an older push cannot be amended
+        assert latest == ["new"]
         assert channel.pop() == ["old"]
+        sim.run(latency)
         assert channel.pop() == ["new"]
 
-    def test_consumer_never_sees_the_unamended_item(self, sim):
-        channel = make(sim)
+    def test_consumer_never_sees_the_unamended_item(self, sim, latency):
+        channel = make(sim, latency=latency)
         seen = []
         channel.subscribe_pop(lambda cycle, item: seen.append(list(item)))
         channel.push(["x"])
-        channel.amend_staged(lambda item: item.__setitem__(0, "y"))
-        sim.step()
+        channel.amend_last_push(lambda item: item.__setitem__(0, "y"))
+        sim.run(latency)
         assert channel.pop() == ["y"]
         assert seen == [["y"]]
 
-    def test_returns_false_with_nothing_staged(self, sim):
-        channel = make(sim)
-        assert not channel.amend_staged(lambda item: None)
+    def test_refuses_without_a_push_this_cycle(self, sim, latency):
+        channel = make(sim, latency=latency)
+        assert not channel.amend_last_push(lambda item: None)
         channel.push(["x"])
-        sim.step()                      # staged -> committed
-        assert not channel.amend_staged(lambda item: None)
+        sim.step()
+        # pushed last cycle: still in flight when latency > 1, but no
+        # longer this cycle's push
+        assert channel.can_pop() is (latency == 1)
+        assert not channel.amend_last_push(lambda item: None)
 
 
 class TestListeners:

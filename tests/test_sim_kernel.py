@@ -519,7 +519,7 @@ class TestRegistry:
         sim = Simulator()
         channel = Channel(sim, "ch", latency=3)
         channel.push(1)
-        sim.step()                  # committed, not yet visible
+        sim.step()                  # in flight, not yet visible
         assert not channel.can_pop() and not sim.idle()
         sim.run(2)
         channel.pop()

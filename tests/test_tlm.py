@@ -131,8 +131,12 @@ class TestRollback:
         engine = TlmEngine(soc.sim)
         engine._force_mispredict_after = 1
         soc.sim._tlm_engine = engine
+        dirty = soc.sim._dirty_channels
         soc.sim.run(WINDOW)
 
+        # the kernel loops hold the dirty list in a local, so a rollback
+        # refills it in place instead of rebinding it
+        assert soc.sim._dirty_channels is dirty
         assert soc.sim.skip_stats.tlm_epochs == 0
         assert soc.sim.skip_stats.tlm_rollbacks > 0
         assert soc.sim.skip_stats.tlm_demotions.get(
