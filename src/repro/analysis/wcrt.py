@@ -42,12 +42,16 @@ class HyperConnectWcrt:
         The port's reservation, if any (``budget=None`` = unlimited, i.e.
         only arbitration interference applies).
     interferer_outstanding:
-        Per-port outstanding-transaction limit enforced by the TS.  This
-        is what bounds the *initial backlog*: when our first request
-        arrives, every other port may already have this many equalized
-        transactions queued in the in-order memory path.  Without the
-        TS's outstanding equalization ([11]) this term would be unbounded
-        — which is precisely the paper's predictability argument.
+        Per-port outstanding-transaction limit enforced by the TS
+        (``PortConfig.max_outstanding``).  This is what bounds the
+        *initial backlog*: when our first request arrives, every other
+        port may already have equalized transactions queued in the
+        in-order memory path.  The TS counts sub-reads and sub-writes
+        against this limit separately, and the memory serves both from
+        one command queue, so each competitor may have this many reads
+        *and* this many writes ahead of ours.  Without the TS's
+        outstanding equalization ([11]) this term would be unbounded —
+        which is precisely the paper's predictability argument.
     """
 
     n_ports: int
@@ -95,9 +99,11 @@ class HyperConnectWcrt:
                 + propagation["B"])
         round_cycles = self._round_cycles(is_read)
         # one-time term: transactions other ports already had in flight
-        # when our first request arrived (bounded by the TS limit)
+        # when our first request arrived.  Each competitor's TS admits up
+        # to the limit in reads and again in writes, and the in-order
+        # memory queues both kinds together.
         service = transaction_service_cycles(self.nominal_burst)
-        backlog = ((self.n_ports - 1) * self.interferer_outstanding
+        backlog = ((self.n_ports - 1) * 2 * self.interferer_outstanding
                    * service)
         unreserved = prop + backlog + m * round_cycles
         if self.budget is None:

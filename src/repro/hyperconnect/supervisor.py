@@ -164,16 +164,14 @@ class TransactionSupervisor(Component):
         #: sub-requests produced by the splitter, awaiting issue
         self._pending_ar: Deque[AddrBeat] = deque()
         self._pending_aw: Deque[AddrBeat] = deque()
-        #: in-flight sub-transactions (issued, not yet completed)
-        self.outstanding_reads = 0
-        self.outstanding_writes = 0
         #: remaining reservation budget in the current period
         self.budget_remaining: Optional[int] = self.config.budget
         #: global enable flag mirrored from the central unit
         self.enabled = True
         self.splits_performed = 0
-        #: issue cycles of forwarded sub-transactions, completion order
-        #: (head = oldest; the watchdog deadline derives from it)
+        #: issue cycles of the in-flight (forwarded, not yet completed)
+        #: sub-transactions, completion order (head = oldest; the
+        #: watchdog deadline derives from it)
         self._read_issue_cycles: Deque[int] = deque()
         self._write_issue_cycles: Deque[int] = deque()
         #: ingested origin requests still owed data/responses by this
@@ -279,21 +277,27 @@ class TransactionSupervisor(Component):
 
     def note_read_complete(self) -> None:
         """A sub-read's last data beat was delivered (EXBAR callback)."""
-        if self.outstanding_reads <= 0:
+        if not self._read_issue_cycles:
             raise ConfigurationError(
                 f"{self.name}: read completion with none outstanding")
-        self.outstanding_reads -= 1
-        if self._read_issue_cycles:
-            self._read_issue_cycles.popleft()
+        self._read_issue_cycles.popleft()
 
     def note_write_complete(self) -> None:
         """A sub-write's response arrived (EXBAR callback)."""
-        if self.outstanding_writes <= 0:
+        if not self._write_issue_cycles:
             raise ConfigurationError(
                 f"{self.name}: write completion with none outstanding")
-        self.outstanding_writes -= 1
-        if self._write_issue_cycles:
-            self._write_issue_cycles.popleft()
+        self._write_issue_cycles.popleft()
+
+    @property
+    def outstanding_reads(self) -> int:
+        """Sub-reads forwarded and not yet completed."""
+        return len(self._read_issue_cycles)
+
+    @property
+    def outstanding_writes(self) -> int:
+        """Sub-writes forwarded and not yet completed."""
+        return len(self._write_issue_cycles)
 
     # ------------------------------------------------------------------
 
@@ -461,8 +465,8 @@ class TransactionSupervisor(Component):
         never drains — recovery policies give up and leave it
         quarantined, which is the correct end state.
         """
-        return (self.outstanding_reads == 0
-                and self.outstanding_writes == 0
+        return (not self._read_issue_cycles
+                and not self._write_issue_cycles
                 and not self._inflight_reads
                 and not self._inflight_writes
                 and not self._pending_ar
@@ -552,11 +556,11 @@ class TransactionSupervisor(Component):
             out = self.out_ar
             budget = self.budget_remaining
             if ((out.capacity is None or out._occupancy < out.capacity)
-                    and self.outstanding_reads < self.config.max_outstanding
+                    and (len(self._read_issue_cycles)
+                         < self.config.max_outstanding)
                     and (budget is None or budget > 0)):
                 sub = self._pending_ar.popleft()
                 out.push(sub)
-                self.outstanding_reads += 1
                 self._read_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_read += 1
@@ -565,11 +569,11 @@ class TransactionSupervisor(Component):
             out = self.out_aw
             budget = self.budget_remaining
             if ((out.capacity is None or out._occupancy < out.capacity)
-                    and self.outstanding_writes < self.config.max_outstanding
+                    and (len(self._write_issue_cycles)
+                         < self.config.max_outstanding)
                     and (budget is None or budget > 0)):
                 sub = self._pending_aw.popleft()
                 out.push(sub)
-                self.outstanding_writes += 1
                 self._write_issue_cycles.append(cycle)
                 self._consume_budget()
                 self.config.issued_write += 1
@@ -589,8 +593,6 @@ class TransactionSupervisor(Component):
     def reset(self) -> None:
         self._pending_ar.clear()
         self._pending_aw.clear()
-        self.outstanding_reads = 0
-        self.outstanding_writes = 0
         self.budget_remaining = self.config.budget
         self._read_issue_cycles.clear()
         self._write_issue_cycles.clear()

@@ -19,14 +19,13 @@ models the hypervisor responsibilities the paper enumerates:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from ..hyperconnect.driver import HyperConnectDriver
 from ..hyperconnect.hyperconnect import HyperConnect
 from ..hyperconnect.regs import (HYPERCONNECT_CTRL_BASE,
                                  HYPERCONNECT_CTRL_SIZE, REGION_GRANULE)
 from ..masters.engine import AxiMasterEngine
-from ..memory.buddy import AllocationError, BuddyAllocator
 from ..memory.store import MemoryStore, TranslationFault
 from ..sim.errors import ConfigurationError
 from ..sim.events import GrantRevocationEvent, PortRecoveryEvent
@@ -73,11 +72,6 @@ class Hypervisor:
         self.revocation: Optional[RevocationController] = None
         #: memory virtualization (set up by :meth:`attach_memory`)
         self.store: Optional[MemoryStore] = None
-        self.allocator: Optional[BuddyAllocator] = None
-        #: allocator blocks backing each grant, keyed by (domain, base).
-        #: ``grant_memory`` grants are one buddy block; pinned
-        #: ``adopt_region`` grants may decompose into several.
-        self._backing: Dict[Tuple[str, int], List[int]] = {}
 
     # ------------------------------------------------------------------
     # domain lifecycle
@@ -168,107 +162,42 @@ class Hypervisor:
     # memory virtualization (region grants over the shared store)
     # ------------------------------------------------------------------
 
-    def attach_memory(self, store: MemoryStore) -> BuddyAllocator:
+    def attach_memory(self, store: MemoryStore) -> None:
         """Place the DRAM backing store under hypervisor management.
 
-        A buddy allocator carves the whole store into power-of-two
-        region grants of at least one region-filter granule;
-        :meth:`grant_memory` hands them to tenant domains.
+        Records the store that :meth:`domain_store` confines to a
+        domain's grants and that :meth:`commit_revocation` scrubs.  The
+        hypervisor does not allocate DRAM: the integrator places each
+        grant and hands it over with :meth:`adopt_region`.
         """
-        allocator = BuddyAllocator(0, store.size, REGION_GRANULE)
         self.store = store
-        self.allocator = allocator
-        return allocator
-
-    def grant_memory(self, domain_name: str, size: int) -> MemoryRegion:
-        """Grant a domain a region of hypervisor-managed memory.
-
-        Allocates a buddy block, grants it to the domain through the
-        access-control plane (a refused grant frees the block again),
-        and — when the domain's ports are already bound — arms the
-        HyperConnect's per-port region filters.  Grants are identity
-        mapped: the guest and the fabric address the block alike.
-        """
-        if self.allocator is None:
-            raise ConfigurationError(
-                "no managed memory: call attach_memory() first")
-        domain = self.domain(domain_name)
-        base = self.allocator.alloc(size)
-        region = MemoryRegion(base, self.allocator.grant_size(base))
-        try:
-            self.access.grant(domain, region, cycle=self.sim.now)
-        except (AccessViolation, ConfigurationError):
-            self.allocator.free(base)
-            raise
-        self._backing[(domain.name, base)] = [base]
-        if domain.ports:
-            self._apply_region_filters(domain)
-        return region
 
     def adopt_region(self, domain_name: str, base: int,
                      size: int) -> MemoryRegion:
-        """Record an externally-placed grant (no allocator involved).
+        """Grant a domain the range ``[base, base + size)``.
 
-        Used by harness builders whose scenarios pin grant addresses as
-        pure data: installs the access-control grant (the domain region)
-        and — when ports are bound — the data-plane region filters,
-        exactly like :meth:`grant_memory` but at the caller's chosen
-        address.
+        Installs the access-control grant (the domain region) and — when
+        the domain's ports are already bound — arms the HyperConnect's
+        per-port region filters.  Grants are identity mapped: the guest
+        and the fabric address the range alike.  A range that overlaps
+        another domain's grant is refused, as is one that overlaps the
+        HyperConnect control window, and nothing is installed.
         """
         domain = self.domain(domain_name)
         region = MemoryRegion(base, size)
+        for other in self.domains.values():
+            if other is domain:
+                continue
+            for held in other.regions:
+                if held.overlaps(region):
+                    raise ConfigurationError(
+                        f"cannot grant {domain_name!r} 0x{base:x}+"
+                        f"0x{size:x}: it overlaps the grant at "
+                        f"0x{held.base:x} held by {other.name!r}")
         self.access.grant(domain, region, cycle=self.sim.now)
-        if self.allocator is not None:
-            # claim the pinned range from the managed pool so a later
-            # revoke/release coalesces it back; placements outside the
-            # pool (or colliding with it) get no backing record, so
-            # tearing them down frees nothing
-            try:
-                blocks = self.allocator.reserve(base, size)
-            except AllocationError:
-                blocks = None
-            if blocks is not None:
-                self._backing[(domain.name, base)] = blocks
         if domain.ports:
             self._apply_region_filters(domain)
         return region
-
-    def release_memory(self, domain_name: str,
-                       region: MemoryRegion) -> None:
-        """Return a granted region to the allocator.
-
-        Idle-time operation: refuses while any of the domain's ports has
-        in-flight traffic, because yanking the grant under a running
-        burst would leave its beats landing in freed memory.
-        Live teardown is :meth:`revoke_memory`, which quiesces and
-        drains first.
-        """
-        if self.allocator is None:
-            raise ConfigurationError("no managed memory attached")
-        domain = self.domain(domain_name)
-        if region not in domain.regions:
-            raise ConfigurationError(
-                f"domain {domain_name!r} holds no grant at "
-                f"0x{region.base:x}")
-        for port in domain.ports:
-            if not self.hyperconnect.supervisors[port].drained:
-                raise ConfigurationError(
-                    f"domain {domain_name!r} port {port} has in-flight "
-                    "traffic; release_memory() is an idle-time "
-                    "operation — use revoke_memory() to tear down a "
-                    "grant under traffic")
-        self._tear_down_grant(domain, region, self.sim.now)
-
-    def _tear_down_grant(self, domain: Domain, region: MemoryRegion,
-                         cycle: int) -> None:
-        """Undo a grant: revoke (and audit) the domain's region,
-        coalesce its allocator blocks back into the free pool, and re-arm
-        the region filters."""
-        self.access.revoke(domain, region, cycle=cycle)
-        for address in self._backing.pop((domain.name, region.base), ()):
-            self.allocator.free(address)
-        if domain.ports:
-            self._apply_region_filters(domain)
 
     def domain_store(self, domain_name: str) -> DomainStore:
         """The domain's view of memory, confined to its grants."""
@@ -341,7 +270,7 @@ class Hypervisor:
         """Revoke a grant while the domain may be mid-burst.
 
         The returned order runs the quiesce -> drain -> retarget ->
-        coalesce (-> re-grant) state machine on the simulator clock:
+        scrub (-> re-grant) state machine on the simulator clock:
 
         1. **quiesce** (``at``, default now): every port of the victim
            domain enters watchdog-style containment via
@@ -350,9 +279,8 @@ class Hypervisor:
         2. **drain**: the controller polls the supervisors' ``drained``
            predicate; healthy neighbours keep running throughout.
         3. **commit**: access-control grant revoked (audited, and
-           gone from ``Domain.regions``), allocator blocks coalesced,
-           the physical range scrubbed, region filters retargeted
-           (epoch bumped).
+           gone from ``Domain.regions``), region filters retargeted
+           (epoch bumped), the physical range scrubbed.
            Victim ports recouple if the domain still holds other
            grants; a grantless domain's ports stay decoupled —
            re-coupling them with a cleared (= disabled) region filter
@@ -397,10 +325,12 @@ class Hypervisor:
                           cycle: int) -> MemoryRegion:
         """Steps 3-4 of a revocation (called once the drain completes).
 
-        By the time this runs every victim port is ``drained``: nothing
-        is outstanding downstream, owed upstream, or queued in the
-        eFIFO, so no beat issued under the old grant can still be in
-        flight anywhere in the fabric.
+        This is the one place a grant is torn down.  By the time it
+        runs every victim port is ``drained``: nothing is outstanding
+        downstream, owed upstream, or queued in the eFIFO, so no beat
+        issued under the old grant can still be in flight anywhere in
+        the fabric, and the range can be scrubbed and re-granted at
+        once.
         """
         domain = self.domain(order.domain)
         region = next((r for r in domain.regions
@@ -410,7 +340,9 @@ class Hypervisor:
             raise ConfigurationError(
                 f"revocation #{order.order_id}: domain "
                 f"{order.domain!r} no longer holds 0x{order.base:x}")
-        self._tear_down_grant(domain, region, cycle)
+        self.access.revoke(domain, region, cycle=cycle)
+        if domain.ports:
+            self._apply_region_filters(domain)
         if self.store is not None:
             # the next grantee must never observe the victim's data
             self.store.scrub(region.base, region.size)

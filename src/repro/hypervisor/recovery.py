@@ -185,10 +185,9 @@ class RevocationController(Component):
     the supervisors' ``drained`` predicate each cycle — exactly like
     :class:`FaultRecoveryAgent` polls before a recouple — and hands the
     drained domain to ``Hypervisor.commit_revocation`` (grant
-    revocation, filter retarget, buddy coalesce, scrub, optional
-    re-grant).  Pure timer component: deadlines are exposed through
-    ``next_event_cycle`` so the fast kernel wakes exactly when a
-    transition is due.
+    revocation, filter retarget, scrub, optional re-grant).  Pure timer
+    component: deadlines are exposed through ``next_event_cycle`` so
+    the fast kernel wakes exactly when a transition is due.
     """
 
     def __init__(self, sim, name: str, hypervisor) -> None:

@@ -83,7 +83,7 @@ class GrantRevocationEvent:
     planned state transition, and recovery agents subscribed to fault
     events must not auto-retry it.  ``kind`` is one of ``"quiesce"``
     (victim ports decoupled, drain started), ``"commit"`` (window torn
-    down, filter retargeted, block coalesced) or ``"regrant"`` (the same
+    down, filter retargeted, range scrubbed) or ``"regrant"`` (the same
     physical range handed to the beneficiary domain).
     """
 

@@ -555,8 +555,6 @@ class TlmEngine:
             sup._inflight_reads.clear()
             sup._inflight_writes.clear()
             sup._w_expected.clear()
-            sup.outstanding_reads = 0
-            sup.outstanding_writes = 0
             sup._read_issue_cycles.clear()
             sup._write_issue_cycles.clear()
 

@@ -230,7 +230,7 @@ def _arm_churn(hypervisor: Hypervisor, scenario: Scenario,
     Each op revokes the victim tenant's grant at its cycle; on commit
     the beneficiary (when any) immediately writes a known pattern into
     the re-granted range and reads it back, exercising the full
-    revoke -> coalesce -> re-grant -> reuse path inside one run.
+    revoke -> scrub -> re-grant -> reuse path inside one run.
     """
     hypervisor.enable_revocation()
     for cycle, victim, beneficiary in scenario.churn:

@@ -171,7 +171,7 @@ class Scenario:
     grants: Optional[Tuple[Tuple[int, int], ...]] = None
     #: scripted live revocations ``(cycle, victim, beneficiary)`` —
     #: at ``cycle`` the victim port's grant is revoked mid-burst
-    #: (quiesce -> drain -> retarget -> coalesce) and, when
+    #: (quiesce -> drain -> retarget -> scrub) and, when
     #: ``beneficiary`` >= 0, immediately re-granted to that port's
     #: domain (``-1`` = revoke only).  Requires tenant grants; victims
     #: and beneficiaries must be distinct healthy (non-rogue,

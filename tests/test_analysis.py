@@ -230,12 +230,15 @@ class TestHyperConnectWcrt:
 
 
 class TestWcrtReproducer:
-    """A reserved port whose simulated completion exceeds its WCRT bound.
+    """A reserved port whose completion broke a one-sided backlog term.
 
     Six flat ports with asymmetric shares and period 128 give port 5 a
     budget of 1; the other ports run mixed reads, writes and copies.
     Port 5's one 1 KiB write is its only job, so the port-level bound
-    is the job's own bound.
+    is the job's own bound.  It completes at cycle 1542, past the 1318
+    a backlog of ``interferer_outstanding`` transactions per competitor
+    gave: a TS admits that many reads and as many writes, and the
+    in-order memory queues both.
     """
 
     SHARES = (0.308, 0.022, 0.132, 0.396, 0.044, 0.088)
@@ -271,11 +274,6 @@ class TestWcrtReproducer:
                 for fast in (False, True)]
         assert done[0] is not None and done[0] == done[1]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: port 5's write completes at cycle 1542 against "
-        "a bound of 1318; suspected cause: the backlog term charges each "
-        "competitor interferer_outstanding transactions, but a TS admits "
-        "that many reads and as many writes"))
     def test_port_5_completes_within_its_bound(self):
         result = run_scenario(self.scenario(), fast=True)
         assert result.done_cycles[5] <= self.bound()

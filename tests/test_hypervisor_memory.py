@@ -1,9 +1,10 @@
 """Hypervisor memory virtualization: grants, guest views, audit bounds.
 
-The hypervisor-side half of the tenant isolation: a buddy allocator
-carves the DRAM store into region grants, each domain's grants live in
-``Domain.regions`` and confine its ``domain_store`` view, and the
-data-plane region filters are armed/cleared as grants come and go.
+The hypervisor-side half of the tenant isolation: the integrator places
+each region grant and the hypervisor adopts it, refusing a range that
+another domain holds; each domain's grants live in ``Domain.regions``
+and confine its ``domain_store`` view, and the data-plane region
+filters are armed/cleared as grants come and go.
 """
 
 import pytest
@@ -19,15 +20,14 @@ from repro.hypervisor import (
     SystemIntegrator,
 )
 from repro.ipxact import accelerator_component
-from repro.masters import AxiDma
 from repro.memory import MemoryAccessFault, MemoryStore, TranslationFault
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
 from repro.system import SocSystem
 
 
-def booted(n_ports=2, fast=False):
-    soc = SocSystem.build(ZCU102, n_ports=n_ports, period=2048, fast=fast)
+def booted(n_ports=2):
+    soc = SocSystem.build(ZCU102, n_ports=n_ports, period=2048)
     hypervisor = Hypervisor(soc.interconnect)
     hypervisor.create_domain("crit", Criticality.HIGH)
     hypervisor.create_domain("best", Criticality.LOW)
@@ -39,25 +39,20 @@ def booted(n_ports=2, fast=False):
 
 
 class TestAttachAndGrant:
-    def test_grant_requires_attached_memory(self):
+    def test_guest_view_requires_attached_memory(self):
         __, hypervisor = booted()
         with pytest.raises(ConfigurationError):
-            hypervisor.grant_memory("crit", 0x1000)
-        with pytest.raises(ConfigurationError):
             hypervisor.domain_store("crit")
-        with pytest.raises(ConfigurationError):
-            hypervisor.release_memory("crit",
-                                      MemoryRegion(0x1000, 0x1000))
 
     def test_grant_installs_every_layer(self):
         soc, hypervisor = booted()
         hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         domain = hypervisor.domain("crit")
         # domain region list and control-plane grant
         assert region in domain.regions
         hypervisor.guest_access("crit", region.base, 16)
-        # the guest view reaches the block at its host address
+        # the guest view reaches the range at its host address
         guest = hypervisor.domain_store("crit")
         guest.write(region.base, b"identity")
         assert hypervisor.store.read(region.base, 8) == b"identity"
@@ -67,52 +62,39 @@ class TestAttachAndGrant:
         assert grant == {"base": region.base, "size": region.size}
 
     def test_grants_to_different_domains_are_disjoint(self):
-        __, hypervisor = booted()
+        soc, hypervisor = booted()
         hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        a = hypervisor.grant_memory("crit", 0x4000)
-        b = hypervisor.grant_memory("best", 0x4000)
-        assert not a.overlaps(b)
+        held = hypervisor.adopt_region("crit", 0x4000, 0x4000)
+        port = hypervisor.domain("best").ports[0]
+        transitions = hypervisor.access.total_transitions
+        for base, size in ((0x4000, 0x4000),    # the same range
+                           (0x6000, 0x1000),    # inside it
+                           (0x2000, 0x4000),    # straddles its base
+                           (0x7000, 0x2000),    # straddles its end
+                           (0x0, 0x10000)):     # encloses it
+            with pytest.raises(ConfigurationError, match="'crit'"):
+                hypervisor.adopt_region("best", base, size)
+        # nothing was installed: no region, no window, no audit record
+        assert hypervisor.domain("best").regions == []
+        assert soc.driver.region_filter(port) is None
+        assert hypervisor.access.total_transitions == transitions
+        with pytest.raises(TranslationFault):
+            hypervisor.domain_store("best").read(held.base, 4)
+        assert hypervisor.domain("crit").regions == [held]
 
     def test_filter_covers_the_convex_hull_of_many_grants(self):
         soc, hypervisor = booted()
         hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        first = hypervisor.grant_memory("crit", 0x1000)
-        hypervisor.grant_memory("best", 0x1000)   # hole between grants
-        second = hypervisor.grant_memory("crit", 0x1000)
+        first = hypervisor.adopt_region("crit", 0x0, 0x1000)
+        # adjacent to both of crit's grants: adopted, not refused
+        hypervisor.adopt_region("best", 0x1000, 0x1000)
+        second = hypervisor.adopt_region("crit", 0x2000, 0x1000)
         port = hypervisor.domain("crit").ports[0]
         grant = soc.driver.region_filter(port)
         base = min(first.base, second.base)
         end = max(first.end, second.end)
         assert grant["base"] <= base
         assert grant["base"] + grant["size"] >= end
-
-    def test_refused_grant_releases_the_block(self):
-        # the second half of the default 4 GiB store covers the
-        # HyperConnect control window, so access control refuses it
-        __, hypervisor = booted()
-        allocator = hypervisor.attach_memory(MemoryStore())
-        hypervisor.grant_memory("crit", 1 << 31)
-        before = allocator.free_bytes
-        with pytest.raises(AccessViolation):
-            hypervisor.grant_memory("best", 1 << 31)
-        assert allocator.free_bytes == before == 1 << 31
-        assert hypervisor.domain("best").regions == []
-        with pytest.raises(TranslationFault):
-            hypervisor.domain_store("best").read(0x8000_0000, 4)
-
-    def test_overlapping_grant_releases_the_block(self):
-        # "best" keeps an unbacked adoption over a block "crit" then
-        # releases, so the allocator hands that block out again
-        __, hypervisor = booted()
-        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        held = hypervisor.grant_memory("crit", 0x1000)
-        hypervisor.adopt_region("best", held.base, held.size)
-        hypervisor.release_memory("crit", held)
-        before = allocator.free_bytes
-        with pytest.raises(ConfigurationError):
-            hypervisor.grant_memory("best", 0x1000)
-        assert allocator.free_bytes == before
-        assert hypervisor.domain("best").regions == [held]
 
     def test_refused_adoption_leaves_nothing_reachable(self):
         __, hypervisor = booted()
@@ -192,109 +174,14 @@ class TestDomainStoreConfinement:
         __, hypervisor = booted()
         store = MemoryStore(size=1 << 24)
         hypervisor.attach_memory(store)
-        mine = hypervisor.grant_memory("crit", 0x1000)
-        theirs = hypervisor.grant_memory("best", 0x1000)
+        mine = hypervisor.adopt_region("crit", 0x0, 0x1000)
+        theirs = hypervisor.adopt_region("best", 0x1000, 0x1000)
         hypervisor.domain_store("crit").write(mine.base, b"secret")
         other = hypervisor.domain_store("best")
         with pytest.raises(TranslationFault):
             other.read(mine.base, 6)
         other.write(theirs.base, b"untouched")
         assert store.read(mine.base, 6) == b"secret"
-
-
-class TestRelease:
-    def test_release_returns_the_block_and_drops_the_window(self):
-        soc, hypervisor = booted()
-        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x1000)
-        hypervisor.release_memory("crit", region)
-        assert allocator.allocated_bytes == 0
-        assert region not in hypervisor.domain("crit").regions
-        with pytest.raises(TranslationFault):
-            hypervisor.domain_store("crit").read(region.base, 4)
-        # no grants left: the port's data-plane filter is cleared
-        port = hypervisor.domain("crit").ports[0]
-        assert soc.driver.region_filter(port) is None
-
-    def test_release_of_foreign_region_rejected(self):
-        __, hypervisor = booted()
-        hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x1000)
-        with pytest.raises(ConfigurationError):
-            hypervisor.release_memory("best", region)
-
-    def test_release_shrinks_the_filter_to_remaining_grants(self):
-        soc, hypervisor = booted()
-        hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        keep = hypervisor.grant_memory("crit", 0x1000)
-        drop = hypervisor.grant_memory("crit", 0x1000)
-        hypervisor.release_memory("crit", drop)
-        port = hypervisor.domain("crit").ports[0]
-        assert soc.driver.region_filter(port) == {"base": keep.base,
-                                                  "size": keep.size}
-
-    def test_release_of_an_unbacked_grant_frees_nothing(self):
-        # a region adopted onto a range another tenant already holds
-        # gets no allocator backing; releasing it must leave that
-        # tenant's block allocated
-        __, hypervisor = booted()
-        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        held = hypervisor.grant_memory("crit", 0x1000)
-        adopted = hypervisor.adopt_region("best", held.base, held.size)
-        hypervisor.release_memory("best", adopted)
-        assert allocator.allocated_bytes == held.size
-        assert allocator.is_granted(held.base)
-        hypervisor.create_domain("third")
-        fresh = hypervisor.grant_memory("third", 0x1000)
-        assert not fresh.overlaps(held)
-
-
-class TestReleaseMidBurst:
-    """Satellite: ``release_memory`` under live traffic is a clean error.
-
-    The synchronous release path must never yank a window out from
-    under in-flight beats — that is ``revoke_memory``'s job (quiesce,
-    drain, then retarget).  Mid-burst it must raise, change nothing,
-    and succeed normally once the port drains.
-    """
-
-    @pytest.mark.parametrize("fast", [False, True],
-                             ids=["reference", "fast"])
-    def test_mid_burst_release_raises_and_changes_nothing(self, fast):
-        soc, hypervisor = booted(fast=fast)
-        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x8000)
-        port = hypervisor.domain("crit").ports[0]
-        dma = AxiDma(soc.sim, "dma", soc.port(port))
-        dma.enqueue_write(region.base, 4096)
-        soc.sim.run(40)   # burst accepted, beats in flight
-        supervisor = soc.interconnect.supervisors[port]
-        assert not supervisor.drained
-        before = allocator.allocated_bytes
-        with pytest.raises(ConfigurationError) as err:
-            hypervisor.release_memory("crit", region)
-        assert "revoke_memory" in str(err.value)
-        # nothing was torn down
-        assert region in hypervisor.domain("crit").regions
-        assert allocator.allocated_bytes == before
-        hypervisor.domain_store("crit").read(region.base, 16)  # reachable
-        assert soc.driver.region_filter(port) == {"base": region.base,
-                                                  "size": region.size}
-
-    @pytest.mark.parametrize("fast", [False, True],
-                             ids=["reference", "fast"])
-    def test_release_succeeds_once_the_port_drains(self, fast):
-        soc, hypervisor = booted(fast=fast)
-        allocator = hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x8000)
-        port = hypervisor.domain("crit").ports[0]
-        dma = AxiDma(soc.sim, "dma", soc.port(port))
-        dma.enqueue_write(region.base, 4096)
-        soc.run_until_quiescent()
-        assert soc.interconnect.supervisors[port].drained
-        hypervisor.release_memory("crit", region)
-        assert allocator.allocated_bytes == 0
-        assert region not in hypervisor.domain("crit").regions
 
 
 class TestPreBootGrants:
@@ -304,7 +191,7 @@ class TestPreBootGrants:
         hypervisor.create_domain("crit", Criticality.HIGH)
         hypervisor.create_domain("best", Criticality.LOW)
         hypervisor.attach_memory(MemoryStore(size=1 << 24))
-        region = hypervisor.grant_memory("crit", 0x2000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x2000)
         # no ports bound yet: nothing to arm
         assert all(soc.driver.region_filter(p) is None for p in range(2))
         integrator = SystemIntegrator(ZCU102)

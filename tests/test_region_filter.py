@@ -237,9 +237,11 @@ class TestInterleavedGrants:
         for port, name in enumerate(("x", "y")):
             hypervisor.create_domain(name).ports.append(port)
         hypervisor.attach_memory(soc.store)
-        first = hypervisor.grant_memory("x", REGION_GRANULE)
-        neighbour = hypervisor.grant_memory("y", REGION_GRANULE)
-        second = hypervisor.grant_memory("x", REGION_GRANULE)
+        first = hypervisor.adopt_region("x", 0, REGION_GRANULE)
+        neighbour = hypervisor.adopt_region("y", REGION_GRANULE,
+                                            REGION_GRANULE)
+        second = hypervisor.adopt_region("x", 2 * REGION_GRANULE,
+                                         REGION_GRANULE)
         assert first.base < neighbour.base < second.base
         secret = bytes(range(1, 65))
         hypervisor.domain_store("y").write(neighbour.base, secret)

@@ -6,7 +6,7 @@ The churn tentpole's verification surface:
   data, omitted from untenanted/churn-free JSON so pinned corpus
   digests survive);
 * the :class:`RevocationController` state machine on a live system —
-  quiesce -> drain -> retarget -> coalesce -> re-grant, with healthy
+  quiesce -> drain -> retarget -> scrub -> re-grant, with healthy
   neighbours running throughout;
 * the stale-window isolation oracle: it passes on honest runs, rejects
   tampered ones, and the liveness oracle defers the evicted tenant to
@@ -142,27 +142,27 @@ def booted(n_ports=2, fast=False):
 class TestRevocationController:
     def test_revoke_of_unheld_region_rejected(self):
         __, hypervisor = booted()
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         with pytest.raises(ConfigurationError):
             hypervisor.revoke_memory("best", region)
 
     def test_regrant_to_self_rejected(self):
         __, hypervisor = booted()
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         with pytest.raises(ConfigurationError):
             hypervisor.revoke_memory("crit", region, regrant_to="crit")
 
     def test_past_start_cycle_rejected(self):
         soc, hypervisor = booted()
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         soc.sim.run(100)
         with pytest.raises(ConfigurationError):
             hypervisor.revoke_memory("crit", region, at=50)
 
     def test_second_in_flight_order_for_same_domain_rejected(self):
         __, hypervisor = booted()
-        a = hypervisor.grant_memory("crit", 0x8000)
-        b = hypervisor.grant_memory("crit", 0x8000)
+        a = hypervisor.adopt_region("crit", 0x0, 0x8000)
+        b = hypervisor.adopt_region("crit", 0x8000, 0x8000)
         hypervisor.revoke_memory("crit", a, at=1000)
         with pytest.raises(ConfigurationError):
             hypervisor.revoke_memory("crit", b, at=1000)
@@ -171,8 +171,7 @@ class TestRevocationController:
                              ids=["reference", "fast"])
     def test_mid_burst_revocation_drains_and_retires(self, fast):
         soc, hypervisor = booted(fast=fast)
-        allocator = hypervisor.allocator
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         port = hypervisor.domain("crit").ports[0]
         dma = AxiDma(soc.sim, "dma", soc.port(port))
         job = dma.enqueue_write(region.base, 8192)
@@ -192,11 +191,10 @@ class TestRevocationController:
         # stays queued behind the retired port and never deadlocks
         assert dma.outstanding == 0
         assert job.completed is None
-        # grant and backing are gone; the block is reusable
+        # the grant is gone
         assert region not in hypervisor.domain("crit").regions
         with pytest.raises(TranslationFault):
             hypervisor.domain_store("crit").read(region.base, 4)
-        assert allocator.allocated_bytes == 0
         # grantless domain: the port is retired, not silently unfiltered
         assert not soc.driver.is_coupled(port)
         assert port in hypervisor.quarantined
@@ -206,11 +204,13 @@ class TestRevocationController:
         assert stats.watchdog_trips == 0
         assert stats.protocol_trips == 0
         assert supervisor.revocations == 1
+        # the torn-down range is free for another domain to adopt
+        hypervisor.adopt_region("best", region.base, region.size)
 
     def test_victim_with_remaining_grants_recouples(self):
         soc, hypervisor = booted()
-        keep = hypervisor.grant_memory("crit", 0x8000)
-        drop = hypervisor.grant_memory("crit", 0x8000)
+        keep = hypervisor.adopt_region("crit", 0x0, 0x8000)
+        drop = hypervisor.adopt_region("crit", 0x8000, 0x8000)
         port = hypervisor.domain("crit").ports[0]
         dma = AxiDma(soc.sim, "dma", soc.port(port))
         # a single burst, fully in flight at revocation: the drain
@@ -236,8 +236,8 @@ class TestRevocationController:
         # after the recouple — the retargeted filter must contain it
         # like any other out-of-grant master
         soc, hypervisor = booted()
-        hypervisor.grant_memory("crit", 0x8000)
-        drop = hypervisor.grant_memory("crit", 0x8000)
+        hypervisor.adopt_region("crit", 0x0, 0x8000)
+        drop = hypervisor.adopt_region("crit", 0x8000, 0x8000)
         port = hypervisor.domain("crit").ports[0]
         dma = AxiDma(soc.sim, "dma", soc.port(port))
         dma.enqueue_write(drop.base, 4096)
@@ -250,7 +250,7 @@ class TestRevocationController:
 
     def test_regrant_hands_the_range_to_the_second_domain(self):
         soc, hypervisor = booted()
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         base, size = region.base, region.size
         store = hypervisor.store
         store.write(base, b"\xAA" * 64)   # the victim's residue
@@ -275,7 +275,7 @@ class TestRevocationController:
 
     def test_idle_grant_revocation_commits_immediately(self):
         soc, hypervisor = booted()
-        region = hypervisor.grant_memory("crit", 0x8000)
+        region = hypervisor.adopt_region("crit", 0x0, 0x8000)
         order = hypervisor.revoke_memory("crit", region)
         soc.sim.run(4)
         assert order.state == "committed"
