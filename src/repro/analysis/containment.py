@@ -11,7 +11,7 @@ fault campaign (`tests/test_fault_campaign.py`, `repro.verify`, and
 `benchmarks/bench_fault_campaign.py`) asserts measured behaviour against
 it on both kernel paths.
 
-Three quantities are bounded:
+Two quantities are bounded:
 
 * **detection** — cycles from fault onset until the watchdog trips.  The
   TS deadline is ``oldest issue + timeout``, so detection is at most the
@@ -23,11 +23,12 @@ Three quantities are bounded:
   reads plus as many writes can be in flight, each occupying the in-order
   memory for one equalized service slot, plus one memory access latency
   of each kind for the requests already inside the DRAM pipeline.
-* **synthesis** — cycles the containment logic needs to complete the
-  orphans locally (one R beat and one B response per cycle, per port).
-  Synthesis happens on the decoupled side of the port gate, so it never
-  occupies the shared path — it extends the rogue port's own recovery
-  time (``containment_latency_bound``), not its neighbours' delay.
+
+They compose into the extra delay a healthy neighbour can suffer, which
+the isolation oracles of :mod:`repro.verify.oracles` enforce.  The
+orphans' locally synthesized error completions are not charged: they
+happen on the decoupled side of the port gate, so they never occupy the
+shared path.
 """
 
 from __future__ import annotations
@@ -104,23 +105,6 @@ class ContainmentBound:
                          + self.memory.resp_latency)
         return in_flight + pipeline_tail
 
-    def synthesis_cycles(self, owed_r_beats: Optional[int] = None,
-                         owed_b: Optional[int] = None) -> int:
-        """Cycles to synthesize all orphan completions on the dead port.
-
-        One R beat and one B response per cycle run concurrently, so the
-        pair completes in ``max`` of the two queues.  Defaults assume the
-        worst case allowed by the outstanding limit: every orphan read
-        owes a full nominal burst and every orphan write owes one B.
-        """
-        if owed_r_beats is None:
-            owed_r_beats = self.rogue_outstanding * self.nominal_burst
-        if owed_b is None:
-            owed_b = self.rogue_outstanding
-        if owed_r_beats < 0 or owed_b < 0:
-            raise ValueError("owed beat counts must be >= 0")
-        return max(owed_r_beats, owed_b)
-
     @property
     def propagation_slack(self) -> int:
         """Pipeline-register slack between trip and observable effects."""
@@ -130,15 +114,6 @@ class ContainmentBound:
     # ------------------------------------------------------------------
     # composite bounds
     # ------------------------------------------------------------------
-
-    def containment_latency_bound(self) -> int:
-        """Fault onset -> rogue port fully contained (``drained``).
-
-        This is the window the hypervisor's recovery backoff must at
-        least cover for a reset attempt to find the port drained.
-        """
-        return (self.detection_cycles + self.drain_cycles
-                + self.synthesis_cycles() + self.propagation_slack)
 
     def healthy_port_delay_bound(self) -> int:
         """Worst-case *extra* completion delay one rogue port inflicts on
@@ -178,20 +153,6 @@ class ContainmentBound:
         if n_faulted < 0:
             raise ValueError("n_faulted must be >= 0")
         return n_faulted * self.healthy_port_delay_bound()
-
-    def min_safe_timeout(self) -> int:
-        """Smallest ``PORT_TIMEOUT`` a *healthy* neighbour may program
-        without risking a false trip while a rogue port is contained.
-
-        The neighbour's oldest outstanding transaction can be delayed by
-        the full healthy-port bound plus its own worst-case service
-        round; a watchdog tighter than that would count fault-induced
-        stall as a fault of its own.
-        """
-        service = transaction_service_cycles(self.nominal_burst)
-        own_round = (self.n_ports * service + self.memory.read_latency
-                     + self.memory.write_latency + self.memory.resp_latency)
-        return self.healthy_port_delay_bound() + own_round
 
     def cascade_slack(self, levels: int = 2) -> int:
         """Extra slack for ``levels`` cascaded HyperConnects.

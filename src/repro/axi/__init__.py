@@ -10,7 +10,7 @@ from .burst import (
 )
 from .checker import LinkChecker, ProtocolError, check_addr_beat
 from .idgen import IdAllocator
-from .monitor import ChannelThroughputProbe, PropagationProbe
+from .monitor import PropagationProbe
 from .payloads import (
     AddrBeat,
     DataBeat,
@@ -41,7 +41,6 @@ __all__ = [
     "ProtocolError",
     "check_addr_beat",
     "IdAllocator",
-    "ChannelThroughputProbe",
     "PropagationProbe",
     "AddrBeat",
     "DataBeat",

@@ -1,15 +1,11 @@
-"""Passive measurement probes.
+"""Passive measurement probe.
 
-These are the simulation-world equivalent of the paper's custom FPGA timer:
-they attach to channels and measure propagation latencies and bandwidth
-without perturbing the traffic.
-
-* :class:`PropagationProbe` measures, beat by beat, the delay between a
-  beat's appearance on an upstream channel and its (or its split
-  descendant's) appearance on a downstream channel — this is what produces
-  the per-channel latencies of Fig. 3(a).
-* :class:`ChannelThroughputProbe` counts beats/bytes through a channel and
-  converts them to bandwidth.
+The simulation-world equivalent of the paper's custom FPGA timer:
+:class:`PropagationProbe` attaches to two channels and measures, beat by
+beat and without perturbing the traffic, the delay between a beat's
+appearance on the upstream channel and its (or its split descendant's)
+appearance on the downstream one — this is what produces the
+per-channel latencies of Fig. 3(a).
 """
 
 from __future__ import annotations
@@ -98,45 +94,3 @@ class PropagationProbe:
     def latency_mean(self) -> float:
         """Mean observed propagation latency in cycles."""
         return self.stats.mean
-
-
-class ChannelThroughputProbe:
-    """Counts traffic through a channel and reports bandwidth.
-
-    Beats are counted on *pop* (i.e. when actually consumed downstream),
-    which is the point where bandwidth is truly delivered.
-    """
-
-    def __init__(self, channel: Channel, data_bytes: int) -> None:
-        self.data_bytes = data_bytes
-        self.beats = 0
-        self.first_cycle: Optional[int] = None
-        self.last_cycle: Optional[int] = None
-        channel.subscribe_pop(self._on_pop)
-
-    def _on_pop(self, cycle: int, item) -> None:
-        if self.first_cycle is None:
-            self.first_cycle = cycle
-        self.last_cycle = cycle
-        self.beats += 1
-
-    @property
-    def bytes_total(self) -> int:
-        """Total bytes observed."""
-        return self.beats * self.data_bytes
-
-    def bandwidth_bytes_per_cycle(self,
-                                  window_cycles: Optional[int] = None
-                                  ) -> float:
-        """Average delivered bandwidth.
-
-        If ``window_cycles`` is omitted, the window spans from the first to
-        the last observed beat (steady-state bandwidth).
-        """
-        if self.beats == 0:
-            return 0.0
-        if window_cycles is None:
-            if self.last_cycle is None or self.first_cycle is None:
-                return 0.0
-            window_cycles = max(1, self.last_cycle - self.first_cycle + 1)
-        return self.bytes_total / window_cycles

@@ -168,8 +168,12 @@ class Hypervisor:
         Records the store that :meth:`domain_store` confines to a
         domain's grants and that :meth:`commit_revocation` scrubs.  The
         hypervisor does not allocate DRAM: the integrator places each
-        grant and hands it over with :meth:`adopt_region`.
+        grant and hands it over with :meth:`adopt_region`.  A store
+        that does not cover every grant made before it is refused.
         """
+        for domain in self.domains.values():
+            for region in domain.regions:
+                _check_in_store(store, domain.name, region)
         self.store = store
 
     def adopt_region(self, domain_name: str, base: int,
@@ -181,10 +185,13 @@ class Hypervisor:
         per-port region filters.  Grants are identity mapped: the guest
         and the fabric address the range alike.  A range that overlaps
         another domain's grant is refused, as is one that overlaps the
-        HyperConnect control window, and nothing is installed.
+        HyperConnect control window or lies outside the attached store,
+        and nothing is installed.
         """
         domain = self.domain(domain_name)
         region = MemoryRegion(base, size)
+        if self.store is not None:
+            _check_in_store(self.store, domain_name, region)
         for other in self.domains.values():
             if other is domain:
                 continue
@@ -450,6 +457,16 @@ class Hypervisor:
     def ports_of(self, domain_name: str) -> List[int]:
         """The HyperConnect ports owned by a domain."""
         return list(self.domain(domain_name).ports)
+
+
+def _check_in_store(store: MemoryStore, domain_name: str,
+                    region: MemoryRegion) -> None:
+    """Refuse a grant that the backing store does not cover."""
+    if region.end > store.size:
+        raise ConfigurationError(
+            f"cannot grant {domain_name!r} 0x{region.base:x}+"
+            f"0x{region.size:x}: it lies outside the memory of size "
+            f"0x{store.size:x}")
 
 
 class DomainStore:

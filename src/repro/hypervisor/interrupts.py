@@ -52,10 +52,3 @@ class InterruptController:
     def pending(self, domain_name: str) -> List[Interrupt]:
         """The domain's pending interrupts (oldest first)."""
         return list(self._pending.get(domain_name, []))
-
-    def acknowledge(self, domain_name: str) -> List[Interrupt]:
-        """Pop and return all pending interrupts of a domain."""
-        items = self._pending.get(domain_name, [])
-        taken = list(items)
-        items.clear()
-        return taken

@@ -7,7 +7,7 @@ from .component import (
     accelerator_component,
     hyperconnect_component,
 )
-from .io import read_component, write_component
+from .io import write_component
 
 __all__ = [
     "BusInterface",
@@ -15,6 +15,5 @@ __all__ = [
     "Vlnv",
     "accelerator_component",
     "hyperconnect_component",
-    "read_component",
     "write_component",
 ]

@@ -4,8 +4,8 @@ The paper exports the HyperConnect "following the IP-XACT standard, which
 makes it compatible with several other commercial platforms" and assumes
 HAs are delivered to the system integrator as IP-XACT packages.  This
 module implements the subset the integration flow needs: the component
-VLNV (vendor / library / name / version), its AXI bus interfaces, and its
-configuration parameters, with XML round-tripping.
+VLNV (vendor / library / name / version), its AXI bus interfaces, its
+configuration parameters, and the XML export.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class IpxactComponent:
         return [i for i in self.interfaces if i.mode == "slave"]
 
     # ------------------------------------------------------------------
-    # XML round-trip
+    # XML export
     # ------------------------------------------------------------------
 
     def to_xml(self) -> str:
@@ -111,40 +111,6 @@ class IpxactComponent:
             ET.SubElement(node,
                           "{%s}value" % IPXACT_NS).text = self.parameters[key]
         return ET.tostring(root, encoding="unicode")
-
-    @classmethod
-    def from_xml(cls, text: str) -> "IpxactComponent":
-        """Parse a document produced by :meth:`to_xml`."""
-        ns = {"ipxact": IPXACT_NS}
-        root = ET.fromstring(text)
-
-        def _text(parent, tag: str, default: str = "") -> str:
-            node = parent.find(f"ipxact:{tag}", ns)
-            return node.text if node is not None and node.text else default
-
-        vlnv = Vlnv(_text(root, "vendor"), _text(root, "library"),
-                    _text(root, "name"), _text(root, "version"))
-        interfaces: List[BusInterface] = []
-        for node in root.findall(
-                "ipxact:busInterfaces/ipxact:busInterface", ns):
-            mode = ("master"
-                    if node.find("ipxact:master", ns) is not None
-                    else "slave")
-            bus_type = node.find("ipxact:busType", ns)
-            protocol = bus_type.get("name") if bus_type is not None else "AXI4"
-            interfaces.append(BusInterface(
-                name=_text(node, "name"),
-                mode=mode,
-                protocol=protocol,
-                data_width_bits=int(_text(node, "bitsInLau", "128")),
-            ))
-        parameters = {
-            _text(node, "name"): _text(node, "value")
-            for node in root.findall(
-                "ipxact:parameters/ipxact:parameter", ns)
-        }
-        return cls(vlnv=vlnv, interfaces=interfaces, parameters=parameters,
-                   description=_text(root, "description"))
 
 
 # ----------------------------------------------------------------------

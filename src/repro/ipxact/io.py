@@ -1,4 +1,4 @@
-"""File-level IP-XACT helpers."""
+"""File-level IP-XACT export."""
 
 from __future__ import annotations
 
@@ -15,9 +15,3 @@ def write_component(component: IpxactComponent,
     path.write_text('<?xml version="1.0" encoding="UTF-8"?>\n'
                     + component.to_xml(), encoding="utf-8")
     return path
-
-
-def read_component(path: Union[str, Path]) -> IpxactComponent:
-    """Read a component document from ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
-    return IpxactComponent.from_xml(text)

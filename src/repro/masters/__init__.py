@@ -20,8 +20,6 @@ from .tracefile import (
 from .traffic import (
     GreedyTrafficGenerator,
     PeriodicTrafficGenerator,
-    RandomTrafficGenerator,
-    mixed_fleet,
 )
 
 __all__ = [
@@ -45,6 +43,4 @@ __all__ = [
     "load_trace",
     "GreedyTrafficGenerator",
     "PeriodicTrafficGenerator",
-    "RandomTrafficGenerator",
-    "mixed_fleet",
 ]

@@ -1,29 +1,23 @@
 """Synthetic traffic generators.
 
-Three archetypes used throughout the evaluation and the isolation studies:
+Two archetypes used throughout the evaluation and the isolation studies:
 
 * :class:`GreedyTrafficGenerator` — a "bandwidth stealer": keeps the bus
   saturated with back-to-back jobs, optionally with very long bursts.  This
   is the misbehaving/low-criticality HA of the paper's motivation.
 * :class:`PeriodicTrafficGenerator` — a well-behaved real-time HA: a fixed
   amount of traffic every period, with deadline-miss accounting.
-* :class:`RandomTrafficGenerator` — seeded stochastic arrivals for
-  robustness testing.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.errors import ConfigurationError
 from .engine import AxiMasterEngine, Job
 
 #: the buffer every :class:`PeriodicTrafficGenerator` release reads
 PERIODIC_ADDRESS = 0x5000_0000
-#: the address window :class:`RandomTrafficGenerator` draws pages from
-RANDOM_WINDOW_BASE = 0x6000_0000
-RANDOM_WINDOW_BYTES = 1 << 24
 
 
 class GreedyTrafficGenerator(AxiMasterEngine):
@@ -138,71 +132,3 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
     def miss_ratio(self) -> float:
         """Fraction of releases that found the previous job unfinished."""
         return self.deadline_misses / self.releases if self.releases else 0.0
-
-
-class RandomTrafficGenerator(AxiMasterEngine):
-    """Stochastic master with geometric inter-arrival gaps (seeded).
-
-    Each arrival enqueues a read or write of a random multiple of the bus
-    width between ``min_bytes`` and ``max_bytes``, at a random 4 KiB page
-    of the :data:`RANDOM_WINDOW_BYTES` window at
-    :data:`RANDOM_WINDOW_BASE`.
-    """
-
-    def __init__(self, sim, name: str, link, arrival_probability: float,
-                 min_bytes: int = 64, max_bytes: int = 4096,
-                 write_probability: float = 0.5,
-                 seed: int = 1, **kwargs) -> None:
-        super().__init__(sim, name, link, **kwargs)
-        if not 0.0 < arrival_probability <= 1.0:
-            raise ConfigurationError(
-                "arrival_probability must be in (0, 1]")
-        self.arrival_probability = arrival_probability
-        self.min_bytes = min_bytes
-        self.max_bytes = max_bytes
-        self.write_probability = write_probability
-        self._rng = random.Random(seed)
-        self.arrivals = 0
-
-    def _random_job(self) -> None:
-        beat = self.link.data_bytes
-        span = max(1, (self.max_bytes - self.min_bytes) // beat)
-        nbytes = self.min_bytes + self._rng.randrange(span + 1) * beat
-        nbytes = max(beat, (nbytes // beat) * beat)
-        address = (RANDOM_WINDOW_BASE
-                   + self._rng.randrange(RANDOM_WINDOW_BYTES // 4096) * 4096)
-        self.arrivals += 1
-        if self._rng.random() < self.write_probability:
-            self.enqueue_write(address, nbytes, label="random")
-        else:
-            self.enqueue_read(address, nbytes, label="random")
-
-    def tick(self, cycle: int) -> bool:
-        if self._rng.random() < self.arrival_probability:
-            self._random_job()
-        super().tick(cycle)
-        # never idle: every tick draws from the RNG stream
-        return False
-
-
-def mixed_fleet(sim, links: List) -> List[AxiMasterEngine]:
-    """Convenience factory: one generator archetype per provided link.
-
-    Cycles through greedy / periodic / random archetypes; used by stress
-    tests that want N heterogeneous masters quickly.
-    """
-    fleet: List[AxiMasterEngine] = []
-    for index, link in enumerate(links):
-        archetype = index % 3
-        if archetype == 0:
-            fleet.append(GreedyTrafficGenerator(
-                sim, f"greedy{index}", link, job_bytes=4096, depth=2))
-        elif archetype == 1:
-            fleet.append(PeriodicTrafficGenerator(
-                sim, f"periodic{index}", link, period=2000,
-                job_bytes=2048))
-        else:
-            fleet.append(RandomTrafficGenerator(
-                sim, f"random{index}", link, arrival_probability=0.02,
-                seed=7 + index))
-    return fleet

@@ -1,8 +1,7 @@
-"""PS-side memory substrate: backing store, DRAM controller, FPGA-PS port."""
+"""PS-side memory substrate: backing store, DRAM controller, FPGA-PS QoS regulator."""
 
 from .dram import DramTiming, MemorySubsystem
 from .faulty import FaultInjectingMemory
-from .psport import AxiPipe
 from .qos400 import PsQosRegulator
 from .store import MemoryAccessFault, MemoryStore, TranslationFault
 
@@ -10,7 +9,6 @@ __all__ = [
     "DramTiming",
     "MemorySubsystem",
     "FaultInjectingMemory",
-    "AxiPipe",
     "PsQosRegulator",
     "MemoryAccessFault",
     "MemoryStore",

@@ -22,14 +22,17 @@ from __future__ import annotations
 from typing import Optional
 
 from ..axi.port import AxiLink
+from ..sim.component import Component
 from ..sim.errors import ConfigurationError
-from .psport import AxiPipe
 
 
-class PsQosRegulator(AxiPipe):
+class PsQosRegulator(Component):
     """Aggregate transaction regulator at the FPGA-PS boundary.
 
-    Implements the two knobs such blocks offer:
+    A registered stage between two AXI links: ``upstream`` faces the
+    master (the regulator pops its AR/AW/W and pushes its R/B),
+    ``downstream`` faces the slave, and each channel forwards at most one
+    beat per cycle.  Implements the two knobs such blocks offer:
 
     * ``max_outstanding`` — cap on address requests in flight past the
       regulator (reads + writes);
@@ -39,7 +42,8 @@ class PsQosRegulator(AxiPipe):
 
     Both apply to the merged stream; per-HA control is *impossible* from
     this vantage point, which is the paper's argument for supervising
-    traffic on the FPGA side instead.
+    traffic on the FPGA side instead.  With neither knob set the
+    regulator is a transparent pipeline stage.
     """
 
     def __init__(self, sim, name: str, upstream: AxiLink,
@@ -47,13 +51,15 @@ class PsQosRegulator(AxiPipe):
                  max_outstanding: Optional[int] = None,
                  rate_budget: Optional[int] = None,
                  rate_period: int = 1024) -> None:
-        super().__init__(sim, name, upstream, downstream)
+        super().__init__(sim, name)
         if max_outstanding is not None and max_outstanding < 1:
             raise ConfigurationError("max_outstanding must be >= 1")
         if rate_budget is not None and rate_budget < 1:
             raise ConfigurationError("rate_budget must be >= 1")
         if rate_period < 1:
             raise ConfigurationError("rate_period must be >= 1")
+        self.upstream = upstream
+        self.downstream = downstream
         self.max_outstanding = max_outstanding
         self.rate_budget = rate_budget
         self.rate_period = rate_period
@@ -81,7 +87,7 @@ class PsQosRegulator(AxiPipe):
 
     def tick(self, cycle: int) -> bool:
         # token-bucket recharge: the countdown moves every cycle, so no
-        # tick is a no-op (unlike the base pipe's stateless forwarding)
+        # tick is a no-op
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = self.rate_period

@@ -208,14 +208,6 @@ class Channel:
         queue = self._queue
         return bool(queue) and queue[0][0] <= self._sim._cycle
 
-    def front(self) -> Any:
-        """Return (without removing) the item at the head of the queue."""
-        if not self.can_pop():
-            raise ChannelError(
-                f"front of empty channel {self.name!r} at cycle "
-                f"{self._sim.now}")
-        return self._queue[0][1]
-
     def pop(self) -> Any:
         """Remove and return the head item."""
         if not self.can_pop():

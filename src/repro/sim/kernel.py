@@ -185,12 +185,6 @@ class Simulator:
         """The current cycle number (starts at 0)."""
         return self._cycle
 
-    def seconds(self, cycles: Optional[int] = None) -> float:
-        """Convert ``cycles`` (default: the current time) to seconds."""
-        if cycles is None:
-            cycles = self._cycle
-        return cycles / self.clock_hz
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

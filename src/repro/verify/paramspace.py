@@ -496,7 +496,8 @@ CASCADE_GRID = _register(GridSpec(
 FABRIC_GRID = _register(GridSpec(
     name="fabric",
     description="interconnect fabrics: pure HyperConnect, baseline "
-                "SmartConnect, and mixed HC+SC on the multi-port memory",
+                "SmartConnect, and mixed HC+SC on several ports of the "
+                "in-order memory",
     axes={
         "family": ("flat", "multiport"),
         "fabric": ("hyperconnect", "smartconnect", "mixed"),

@@ -28,8 +28,8 @@ from ..masters.faulty import FAULT_MODES
 #: supported topology families
 FAMILIES = ("flat", "cascade", "multiport")
 #: interconnect fabrics: pure HyperConnect, pure SmartConnect (flat
-#: only), or mixed — HyperConnect + SmartConnect side by side on the
-#: multi-port memory subsystem
+#: only), or mixed — HyperConnect + SmartConnect side by side on two
+#: ports of the in-order memory
 FABRICS = ("hyperconnect", "smartconnect", "mixed")
 #: master misbehaviours: the fault-injecting master's modes plus
 #: "wild_addr", a protocol-compliant master whose jobs target addresses
@@ -44,8 +44,9 @@ ILLEGAL_OFFSET = 0xF80
 #: memory misbehaviours (mirrors FaultInjectingMemory's knobs)
 MEMORY_FAULTS = ("none", "dead", "freeze", "stall", "error")
 #: families whose memory serves one link, where the fault-injecting
-#: memory wrapper exists; multi-port memory has no faulty variant because
-#: :class:`~repro.memory.FaultInjectingMemory` serves one link only
+#: memory wrapper exists; a memory with several ports has no faulty
+#: variant because :class:`~repro.memory.FaultInjectingMemory` serves
+#: one link only
 MEMORY_FAULT_FAMILIES = ("flat", "cascade")
 #: job kinds a PortPlan may carry; "greedy" turns the whole port into a
 #: saturating traffic generator (window base + job size, no completion
@@ -138,7 +139,7 @@ class Scenario:
       ``ports[1:]`` on an inner HyperConnect cascaded into the outer's
       port 0 (requires >= 2 ports);
     * ``multiport`` — ``ports[:-1]`` on one HyperConnect, ``ports[-1]``
-      on a second, both into the multi-port memory subsystem (requires
+      on a second, both into two ports of the in-order memory (requires
       >= 2 ports).
 
     ``equal_shares`` arms the fig. 5-style symmetric bandwidth

@@ -36,8 +36,9 @@ PORT_RANGE = {"flat": (2, 4), "cascade": (3, 4), "multiport": (3, 4)}
 #: job sizes in bytes (multiples of the 16-byte beat)
 SIZES = (256, 512, 1024, 2048)
 BEAT_BYTES = 16
-#: healthy ports are either disarmed or armed far beyond
-#: ContainmentBound.min_safe_timeout() for every rogue timeout below
+#: healthy ports are either disarmed or armed far beyond the delay a
+#: rogue can inflict on them (ContainmentBound.healthy_port_delay_bound)
+#: for every rogue timeout below, so no neighbour trips falsely
 SAFE_HEALTHY_TIMEOUT = 4000
 ROGUE_TIMEOUT = st.integers(min_value=150, max_value=500)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import settings
@@ -46,3 +47,38 @@ def sc_soc() -> SocSystem:
 def drain(soc: SocSystem, max_cycles: int = 2_000_000) -> int:
     """Run a system until quiescent; returns elapsed cycles."""
     return soc.run_until_quiescent(max_cycles=max_cycles)
+
+
+def seeded_arrivals(dma, seed: int, horizon: int, probability: float):
+    """A seeded schedule of irregular jobs for ``dma`` before ``horizon``.
+
+    Returns ``(cycle, dma, write, address, nbytes)`` tuples in cycle
+    order.  Gaps are about geometric with mean ``1 / probability``
+    cycles; each job reads or writes 64 B - 4 KiB (whole 16 B beats) at
+    a random 4 KiB page of the 16 MiB window at 0x6000_0000.
+    """
+    rng = random.Random(seed)
+    schedule = []
+    cycle = 1 + int(rng.expovariate(probability))
+    while cycle < horizon:
+        nbytes = 64 + 16 * rng.randrange((4096 - 64) // 16 + 1)
+        address = 0x6000_0000 + 4096 * rng.randrange(4096)
+        schedule.append((cycle, dma, rng.random() < 0.5, address, nbytes))
+        cycle += 1 + int(rng.expovariate(probability))
+    return schedule
+
+
+def run_with_arrivals(sim, cycles: int, arrivals) -> None:
+    """Run ``cycles`` cycles, enqueuing each arrival due on the way.
+
+    ``arrivals`` holds :func:`seeded_arrivals` tuples in cycle order; the
+    due ones are consumed in place.  Each job is enqueued between two
+    ``sim.run()`` calls at its cycle, so it reaches the master through
+    the same wake as any host-side enqueue, frozen fast kernel or not.
+    """
+    end = sim.now + cycles
+    while arrivals and arrivals[0][0] < end:
+        cycle, dma, write, address, nbytes = arrivals.pop(0)
+        sim.run(cycle - sim.now)
+        (dma.enqueue_write if write else dma.enqueue_read)(address, nbytes)
+    sim.run(end - sim.now)

@@ -1,7 +1,6 @@
 """Unit tests for the measurement probes."""
 
 from repro.axi import (
-    ChannelThroughputProbe,
     PropagationProbe,
     RespBeat,
     make_read_request,
@@ -98,22 +97,3 @@ def test_propagation_exit_on_push(sim):
     a.push(make_read_request(0, 1, 16))
     sim.run(10)
     assert probe.latency_max == 1  # pushed on b one cycle after a-push
-
-
-def test_throughput_probe(sim):
-    channel = Channel(sim, "c", latency=1, capacity=None)
-    Sink(sim, "s", channel)
-    probe = ChannelThroughputProbe(channel, data_bytes=16)
-    for i in range(8):
-        channel.push(i)
-        sim.step()
-    sim.run(4)
-    assert probe.beats == 8
-    assert probe.bytes_total == 128
-    assert probe.bandwidth_bytes_per_cycle() == 16.0  # 1 beat/cycle
-
-
-def test_throughput_probe_empty(sim):
-    channel = Channel(sim, "c", latency=1)
-    probe = ChannelThroughputProbe(channel, data_bytes=16)
-    assert probe.bandwidth_bytes_per_cycle() == 0.0

@@ -37,14 +37,6 @@ class TestTerms:
                 + ZCU102.dram.resp_latency)
         assert bound().drain_cycles == 2 * 8 * service + tail
 
-    def test_synthesis_defaults_to_outstanding_worst_case(self):
-        b = bound()
-        assert b.synthesis_cycles() == 8 * 16  # reads dominate writes
-        assert b.synthesis_cycles(owed_r_beats=3, owed_b=10) == 10
-        assert b.synthesis_cycles(owed_r_beats=0, owed_b=0) == 0
-        with pytest.raises(ValueError):
-            b.synthesis_cycles(owed_r_beats=-1)
-
     def test_propagation_slack_is_the_four_channel_traversal(self):
         prop = hyperconnect_propagation()
         assert (bound().propagation_slack
@@ -53,12 +45,6 @@ class TestTerms:
 
 class TestComposites:
     """Composition identities and the pinned calibration values."""
-
-    def test_containment_latency_composition(self):
-        b = bound()
-        assert b.containment_latency_bound() == (
-            b.detection_cycles + b.drain_cycles + b.synthesis_cycles()
-            + b.propagation_slack)
 
     def test_healthy_delay_excludes_synthesis(self):
         """Synthesis runs behind the closed gate; neighbours never see
@@ -85,11 +71,6 @@ class TestComposites:
         assert bound(period=2048).healthy_port_delay_bound() == free + 2048
         assert bound(period=2048).healthy_port_delay_bound() == 2819
 
-    def test_min_safe_timeout_exceeds_healthy_bound(self):
-        for n_ports in (1, 2, 3, 4, 8):
-            b = bound(n_ports=n_ports)
-            assert b.min_safe_timeout() > b.healthy_port_delay_bound()
-
     def test_cascade_slack(self):
         b = bound()
         service = transaction_service_cycles(16)
@@ -113,12 +94,12 @@ class TestMonotonicity:
                 > bound(n_ports=2).healthy_port_delay_bound())
 
     def test_monotone_in_outstanding(self):
-        assert (bound(outstanding=16).containment_latency_bound()
-                > bound(outstanding=8).containment_latency_bound())
+        assert (bound(outstanding=16).healthy_port_delay_bound()
+                > bound(outstanding=8).healthy_port_delay_bound())
 
     def test_monotone_in_nominal_burst(self):
-        assert (bound(nominal=32).containment_latency_bound()
-                > bound(nominal=16).containment_latency_bound())
+        assert (bound(nominal=32).healthy_port_delay_bound()
+                > bound(nominal=16).healthy_port_delay_bound())
 
 
 class TestValidation:

@@ -8,12 +8,12 @@ what makes every number in EXPERIMENTS.md exactly reproducible.
 """
 
 import pytest
+from conftest import run_with_arrivals, seeded_arrivals
 
 from repro.masters import (
     AxiDma,
     ChaiDnnAccelerator,
     GreedyTrafficGenerator,
-    RandomTrafficGenerator,
 )
 from repro.platforms import ZCU102
 from repro.system import SocSystem
@@ -60,11 +60,10 @@ class TestRunToRunDeterminism:
     def test_seeded_random_traffic_deterministic(self):
         def run():
             soc = SocSystem.build(ZCU102, n_ports=2)
-            gen = RandomTrafficGenerator(soc.sim, "r", soc.port(0),
-                                         arrival_probability=0.03,
-                                         seed=99)
-            soc.sim.run(40_000)
-            return _signature(gen)
+            dma = AxiDma(soc.sim, "r", soc.port(0))
+            run_with_arrivals(soc.sim, 40_000, seeded_arrivals(
+                dma, seed=99, horizon=40_000, probability=0.005))
+            return _signature(dma)
 
         assert run() == run()
 

@@ -209,16 +209,6 @@ class TestInterrupts:
         assert pending[0].source == "dma"
         assert not hypervisor.interrupts.pending("crit")
 
-    def test_acknowledge_clears_queue(self):
-        soc, hypervisor, __ = booted_system()
-        dma = AxiDma(soc.sim, "dma", soc.port(1))
-        hypervisor.attach_accelerator("best", 1, dma)
-        dma.enqueue_read(0x1000, 256)
-        drain(soc)
-        taken = hypervisor.interrupts.acknowledge("best")
-        assert len(taken) == 1
-        assert not hypervisor.interrupts.pending("best")
-
     def test_attach_to_foreign_port_denied(self):
         soc, hypervisor, __ = booted_system()
         dma = AxiDma(soc.sim, "dma", soc.port(0))

@@ -2,9 +2,10 @@
 
 The hypervisor-side half of the tenant isolation: the integrator places
 each region grant and the hypervisor adopts it, refusing a range that
-another domain holds; each domain's grants live in ``Domain.regions``
-and confine its ``domain_store`` view, and the data-plane region
-filters are armed/cleared as grants come and go.
+another domain holds or that the store does not cover; each domain's
+grants live in ``Domain.regions`` and confine its ``domain_store`` view,
+and the data-plane region filters are armed/cleared as grants come and
+go.
 """
 
 import pytest
@@ -115,6 +116,33 @@ class TestAttachAndGrant:
         port = hypervisor.domain("best").ports[0]
         assert soc.driver.region_filter(port) == {"base": 0x40_0000,
                                                   "size": 0x2000}
+
+    @pytest.mark.parametrize("base, size", [
+        (1 << 30, 0x1000),             # far beyond the store
+        ((1 << 24) - 0x1000, 0x2000),  # straddles its end
+    ], ids=["beyond", "straddles-end"])
+    def test_grant_outside_the_store_is_refused(self, base, size):
+        soc, hypervisor = booted()
+        hypervisor.attach_memory(MemoryStore(size=1 << 24))
+        port = hypervisor.domain("crit").ports[0]
+        transitions = hypervisor.access.total_transitions
+        with pytest.raises(ConfigurationError, match="outside the memory"):
+            hypervisor.adopt_region("crit", base, size)
+        # nothing was installed: no region, no window, no audit record
+        assert hypervisor.domain("crit").regions == []
+        assert soc.driver.region_filter(port) is None
+        assert hypervisor.access.total_transitions == transitions
+        # the store's last granule is still grantable
+        hypervisor.adopt_region("crit", (1 << 24) - 0x1000, 0x1000)
+
+    def test_store_must_cover_the_grants_made_before_it(self):
+        __, hypervisor = booted()
+        hypervisor.adopt_region("crit", 1 << 30, 0x1000)
+        with pytest.raises(ConfigurationError, match="outside the memory"):
+            hypervisor.attach_memory(MemoryStore(size=1 << 24))
+        assert hypervisor.store is None
+        hypervisor.attach_memory(MemoryStore())
+        hypervisor.domain_store("crit").write(1 << 30, b"ok")
 
 
 class TestDomainStoreConfinement:

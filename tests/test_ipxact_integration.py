@@ -1,5 +1,7 @@
 """Unit tests for IP-XACT packaging and the integration flow."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from repro.hypervisor import SystemIntegrator
@@ -9,9 +11,9 @@ from repro.ipxact import (
     Vlnv,
     accelerator_component,
     hyperconnect_component,
-    read_component,
     write_component,
 )
+from repro.ipxact.component import IPXACT_NS
 from repro.platforms import ZCU102, ZYNQ_7020
 from repro.sim import ConfigurationError
 
@@ -44,10 +46,39 @@ class TestComponentModel:
         assert component.parameters["DATA_WIDTH"] == "64"
 
 
+def parse(text):
+    """Read a :meth:`IpxactComponent.to_xml` document back into a
+    component with the standard library parser."""
+    ns = {"ipxact": IPXACT_NS}
+    root = ET.fromstring(text)
+
+    def field(parent, tag):
+        return parent.find(f"ipxact:{tag}", ns).text
+
+    interfaces = [
+        BusInterface(
+            name=field(node, "name"),
+            mode=("master" if node.find("ipxact:master", ns) is not None
+                  else "slave"),
+            protocol=node.find("ipxact:busType", ns).get("name"),
+            data_width_bits=int(field(node, "bitsInLau")))
+        for node in root.findall(
+            "ipxact:busInterfaces/ipxact:busInterface", ns)]
+    parameters = {
+        field(node, "name"): field(node, "value")
+        for node in root.findall("ipxact:parameters/ipxact:parameter", ns)}
+    description = root.find("ipxact:description", ns)
+    return IpxactComponent(
+        vlnv=Vlnv(*(field(root, tag) for tag in ("vendor", "library",
+                                                 "name", "version"))),
+        interfaces=interfaces, parameters=parameters,
+        description=description.text if description is not None else "")
+
+
 class TestXmlRoundTrip:
     def test_round_trip_preserves_everything(self):
         original = hyperconnect_component(2)
-        parsed = IpxactComponent.from_xml(original.to_xml())
+        parsed = parse(original.to_xml())
         assert parsed.vlnv == original.vlnv
         assert parsed.parameters == original.parameters
         assert len(parsed.interfaces) == len(original.interfaces)
@@ -56,15 +87,15 @@ class TestXmlRoundTrip:
 
     def test_description_preserved(self):
         original = accelerator_component("edge-detect")
-        parsed = IpxactComponent.from_xml(original.to_xml())
+        parsed = parse(original.to_xml())
         assert parsed.description == original.description
 
     def test_file_round_trip(self, tmp_path):
         original = accelerator_component("dnn")
         path = write_component(original, tmp_path / "dnn.xml")
-        parsed = read_component(path)
-        assert parsed.vlnv == original.vlnv
-        assert path.read_text().startswith("<?xml")
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("<?xml")
+        assert parse(text) == original
 
 
 class TestIntegrationFlow:

@@ -19,6 +19,7 @@ never the harness.
 """
 
 import pytest
+from conftest import run_with_arrivals, seeded_arrivals
 
 from repro.axi import PropagationProbe
 from repro.hyperconnect.regs import (
@@ -31,7 +32,6 @@ from repro.masters import (
     ChaiDnnAccelerator,
     DmaDescriptor,
     GreedyTrafficGenerator,
-    RandomTrafficGenerator,
 )
 from repro.memory import FaultInjectingMemory
 from repro.platforms import ZCU102
@@ -174,13 +174,13 @@ class TestContentionScenarios:
     def test_seeded_random_traffic(self):
         def run(fast):
             soc = SocSystem.build(ZCU102, n_ports=2, fast=fast)
-            gen = RandomTrafficGenerator(soc.sim, "rand", soc.port(0),
-                                         arrival_probability=0.03,
-                                         seed=99)
+            rand = AxiDma(soc.sim, "rand", soc.port(0))
+            arrivals = seeded_arrivals(rand, seed=99, horizon=30_000,
+                                       probability=0.005)
             dma = AxiDma(soc.sim, "dma", soc.port(1))
             dma.enqueue_read(0x0, 16384)
-            soc.sim.run(30_000)
-            return (_signature(gen, dma), _memory_counters(soc.memory),
+            run_with_arrivals(soc.sim, 30_000, arrivals)
+            return (_signature(rand, dma), _memory_counters(soc.memory),
                     soc.sim.now)
 
         reference, fast = _both(run)
@@ -564,17 +564,25 @@ from hypothesis import strategies as st  # noqa: E402
 _MASTER_KINDS = ("greedy", "random", "dma", "idle")
 
 
-def _attach_master(soc, port, kind, seed):
+#: the last cycle a "random" port's schedule reaches (beyond every window)
+_ARRIVALS_HORIZON = 8000
+
+
+def _attach_master(soc, port, kind, seed, arrivals):
+    """Attach a ``kind`` master; a "random" one adds its jobs to
+    ``arrivals``, for :func:`run_with_arrivals` to enqueue."""
     if kind == "greedy":
         return GreedyTrafficGenerator(
             soc.sim, f"m{port}", soc.port(port),
             job_bytes=1024 << (seed % 3), burst_len=(16, 64)[seed % 2],
             depth=1 + seed % 3)
     if kind == "random":
-        return RandomTrafficGenerator(
-            soc.sim, f"m{port}", soc.port(port),
-            arrival_probability=0.01 + 0.02 * (seed % 4),
-            seed=seed)
+        dma = AxiDma(soc.sim, f"m{port}", soc.port(port))
+        arrivals.extend(seeded_arrivals(
+            dma, seed, _ARRIVALS_HORIZON,
+            probability=0.0025 * 2 ** (seed % 4)))
+        arrivals.sort(key=lambda arrival: arrival[0])
+        return dma
     if kind == "dma":
         dma = AxiDma(soc.sim, f"m{port}", soc.port(port))
         for index in range(1 + seed % 3):
@@ -613,17 +621,18 @@ class TestRandomizedEquivalence:
         def run(fast):
             soc = SocSystem.build(ZCU102, n_ports=n_ports, period=period,
                                   fast=fast)
+            arrivals = []
             engines = [engine for port in range(n_ports)
                        for engine in [_attach_master(
-                           soc, port, kinds[port], seed + port)]
+                           soc, port, kinds[port], seed + port, arrivals)]
                        if engine is not None]
-            soc.sim.run(window // 2)
+            run_with_arrivals(soc.sim, window // 2, arrivals)
             if intervene and n_ports > 1:
                 # hypervisor-style mid-run action on the last port
                 soc.driver.decouple(n_ports - 1)
-                soc.sim.run(window // 4)
+                run_with_arrivals(soc.sim, window // 4, arrivals)
                 soc.driver.couple(n_ports - 1)
-            soc.sim.run(window // 2)
+            run_with_arrivals(soc.sim, window // 2, arrivals)
             return (_signature(*engines), _memory_counters(soc.memory),
                     _interconnect_counters(soc), soc.sim.now)
 
@@ -648,16 +657,17 @@ class TestRandomizedEquivalence:
         def run(fast):
             soc = SocSystem.build(ZCU102, interconnect=interconnect,
                                   n_ports=2, period=2048, fast=fast)
+            arrivals = []
             engines = [engine for port in range(2)
                        for engine in [_attach_master(
-                           soc, port, kinds[port], seed + port)]
+                           soc, port, kinds[port], seed + port, arrivals)]
                        if engine is not None]
             if fast and register_at is not None:
                 # the rebuild runs inside the remaining window, so a
                 # freeze entered on the rebuild cycle is not cut short
-                soc.sim.run(register_at)
+                run_with_arrivals(soc.sim, register_at, arrivals)
                 _Noop(soc.sim, "noop")
-            soc.sim.run(window - soc.sim.now)
+            run_with_arrivals(soc.sim, window - soc.sim.now, arrivals)
             return (_signature(*engines), _memory_counters(soc.memory),
                     _interconnect_counters(soc), soc.sim.now)
 

@@ -5,8 +5,6 @@ import pytest
 from repro.masters import (
     GreedyTrafficGenerator,
     PeriodicTrafficGenerator,
-    RandomTrafficGenerator,
-    mixed_fleet,
 )
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
@@ -88,44 +86,3 @@ class TestPeriodic:
         with pytest.raises(ConfigurationError):
             PeriodicTrafficGenerator(soc.sim, "p", soc.port(0),
                                      period=0, job_bytes=256)
-
-
-class TestRandom:
-    def test_seeded_runs_are_reproducible(self):
-        def run(seed):
-            soc = SocSystem.build(ZCU102, n_ports=2)
-            random_gen = RandomTrafficGenerator(
-                soc.sim, "r", soc.port(0), arrival_probability=0.05,
-                seed=seed)
-            soc.sim.run(20_000)
-            return (random_gen.arrivals, random_gen.bytes_read,
-                    random_gen.bytes_written)
-
-        assert run(42) == run(42)
-        assert run(42) != run(43)
-
-    def test_sizes_are_bus_aligned(self):
-        soc = SocSystem.build(ZCU102, n_ports=2)
-        sizes = []
-        soc.port(0).ar.subscribe_push(
-            lambda cycle, beat: sizes.append(beat.length * 16))
-        random_gen = RandomTrafficGenerator(
-            soc.sim, "r", soc.port(0), arrival_probability=0.1,
-            min_bytes=64, max_bytes=512, write_probability=0.0, seed=1)
-        soc.sim.run(10_000)
-        assert sizes and all(size % 16 == 0 for size in sizes)
-
-    def test_invalid_probability(self):
-        soc = SocSystem.build(ZCU102, n_ports=2)
-        with pytest.raises(ConfigurationError):
-            RandomTrafficGenerator(soc.sim, "r", soc.port(0),
-                                   arrival_probability=0.0)
-
-
-class TestMixedFleet:
-    def test_one_generator_per_link(self):
-        soc = SocSystem.build(ZCU102, n_ports=4)
-        fleet = mixed_fleet(soc.sim, [soc.port(i) for i in range(4)])
-        assert len(fleet) == 4
-        soc.sim.run(10_000)
-        assert any(engine.bytes_read > 0 for engine in fleet)

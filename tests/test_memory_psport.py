@@ -1,4 +1,9 @@
-"""Unit tests for the AxiPipe model of the FPGA-PS port."""
+"""Unit tests for the FPGA-PS port as a pipeline stage.
+
+A :class:`PsQosRegulator` with neither knob set regulates nothing: it is
+the registered FPGA-PS boundary, forwarding one beat per channel per
+cycle.
+"""
 
 from repro.axi import (
     AxiLink,
@@ -7,7 +12,7 @@ from repro.axi import (
     make_read_request,
     make_write_request,
 )
-from repro.memory import AxiPipe
+from repro.memory import PsQosRegulator
 from repro.sim import Simulator
 
 
@@ -15,7 +20,7 @@ def test_pipe_forwards_all_five_channels():
     sim = Simulator("pipe")
     up = AxiLink(sim, "up")
     down = AxiLink(sim, "down")
-    AxiPipe(sim, "pipe", up, down)
+    PsQosRegulator(sim, "pipe", up, down)
     up.ar.push(make_read_request(0, 1, 16))
     up.aw.push(make_write_request(0, 1, 16))
     up.w.push(WriteBeat(last=True))
@@ -33,7 +38,7 @@ def test_pipe_adds_one_stage_of_latency():
     sim = Simulator("pipe")
     up = AxiLink(sim, "up")
     down = AxiLink(sim, "down")
-    AxiPipe(sim, "pipe", up, down)
+    PsQosRegulator(sim, "pipe", up, down)
     arrivals = []
     down.ar.subscribe_push(lambda cycle, beat: arrivals.append(cycle))
     up.ar.push(make_read_request(0, 1, 16))   # cycle 0, visible at 1
@@ -45,7 +50,7 @@ def test_pipe_respects_backpressure():
     sim = Simulator("pipe")
     up = AxiLink(sim, "up", addr_depth=None)
     down = AxiLink(sim, "down", addr_depth=2)
-    AxiPipe(sim, "pipe", up, down)
+    PsQosRegulator(sim, "pipe", up, down)
     for _ in range(6):
         up.ar.push(make_read_request(0, 1, 16))
     sim.run(20)                  # nobody pops downstream
@@ -63,7 +68,7 @@ def test_fpga_ps_port_is_a_pipe():
     sim = Simulator("pipe")
     fabric = AxiLink(sim, "fabric")
     ps = AxiLink(sim, "ps")
-    AxiPipe(sim, "hp0", fabric, ps)
+    PsQosRegulator(sim, "hp0", fabric, ps)
     fabric.ar.push(make_read_request(0, 1, 16))
     sim.run(3)
     assert ps.ar.can_pop()

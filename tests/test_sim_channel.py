@@ -52,14 +52,6 @@ class TestVisibility:
         sim.step()
         assert channel.drain() == [0, 1, 2, 3, 4]
 
-    def test_front_does_not_remove(self, sim):
-        channel = make(sim)
-        channel.push("x")
-        sim.step()
-        assert channel.front() == "x"
-        assert channel.can_pop()
-        assert channel.pop() == "x"
-
     def test_items_pushed_across_cycles_become_visible_in_order(self, sim):
         channel = make(sim, latency=2, capacity=None)
         channel.push("a")              # pushed at cycle 0, visible at 2
@@ -117,11 +109,6 @@ class TestMisuse:
         channel = make(sim)
         with pytest.raises(ChannelError):
             channel.pop()
-
-    def test_front_empty_raises(self, sim):
-        channel = make(sim)
-        with pytest.raises(ChannelError):
-            channel.front()
 
     def test_pop_before_visibility_raises(self, sim):
         channel = make(sim, latency=5)

@@ -53,12 +53,6 @@ class TestClock:
         with pytest.raises(SimulationError):
             Simulator().run(-1)
 
-    def test_seconds_conversion(self):
-        sim = Simulator(clock_hz=100e6)
-        sim.run(100)
-        assert sim.seconds() == pytest.approx(1e-6)
-        assert sim.seconds(50) == pytest.approx(0.5e-6)
-
     def test_invalid_clock_rejected(self):
         with pytest.raises(SimulationError):
             Simulator(clock_hz=0)
