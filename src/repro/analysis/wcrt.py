@@ -22,7 +22,8 @@ from typing import Optional
 
 from ..memory.dram import DramTiming
 from .interference import transaction_service_cycles
-from .latency import hyperconnect_propagation
+from .latency import (hyperconnect_propagation, read_propagation,
+                      write_propagation)
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,8 @@ class HyperConnectWcrt:
             raise ValueError("total_beats must be >= 1")
         m = self._sub_transactions(total_beats)
         propagation = hyperconnect_propagation()
-        prop = (propagation["AR"] + propagation["R"] if is_read
-                else propagation["AW"] + propagation["W"]
-                + propagation["B"])
+        prop = (read_propagation(propagation) if is_read
+                else write_propagation(propagation))
         round_cycles = self._round_cycles(is_read)
         # one-time term: transactions other ports already had in flight
         # when our first request arrived.  Each competitor's TS admits up

@@ -6,7 +6,6 @@ from .burst import (
     legalize,
     max_legal_length,
     split_burst,
-    total_bytes,
 )
 from .checker import LinkChecker, ProtocolError, check_addr_beat
 from .idgen import IdAllocator
@@ -36,7 +35,6 @@ __all__ = [
     "legalize",
     "max_legal_length",
     "split_burst",
-    "total_bytes",
     "LinkChecker",
     "ProtocolError",
     "check_addr_beat",

@@ -20,11 +20,6 @@ from .types import (
 )
 
 
-def total_bytes(length: int, size_bytes: int) -> int:
-    """Bytes transferred by an aligned burst of ``length`` beats."""
-    return length * size_bytes
-
-
 def beat_addresses(address: int, length: int, size_bytes: int,
                    burst: BurstType = BurstType.INCR) -> List[int]:
     """Per-beat start addresses of a burst.

@@ -49,8 +49,3 @@ class IdAllocator:
             raise ConfigurationError(f"releasing unallocated ID {txn_id}")
         self._in_use.remove(txn_id)
         self._free.append(txn_id)
-
-    @property
-    def in_flight(self) -> int:
-        """Number of currently allocated IDs."""
-        return len(self._in_use)

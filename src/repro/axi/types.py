@@ -82,11 +82,6 @@ class ChannelName(enum.Enum):
     W = "W"     # write data (master -> slave)
     B = "B"     # write response (slave -> master)
 
-    @property
-    def is_request(self) -> bool:
-        """True for the master-to-slave channels (AR, AW, W)."""
-        return self in (ChannelName.AR, ChannelName.AW, ChannelName.W)
-
 
 #: Legal AxSIZE values: bytes per beat must be a power of two up to 128.
 VALID_BEAT_SIZES = (1, 2, 4, 8, 16, 32, 64, 128)

@@ -152,12 +152,6 @@ class Hypervisor:
         for port in domain.ports:
             self.driver.decouple(port)
 
-    def restore_domain(self, name: str) -> None:
-        """Re-couple a previously isolated domain."""
-        domain = self.domain(name)
-        for port in domain.ports:
-            self.driver.couple(port)
-
     # ------------------------------------------------------------------
     # memory virtualization (region grants over the shared store)
     # ------------------------------------------------------------------

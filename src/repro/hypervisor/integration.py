@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..ipxact.component import IpxactComponent, hyperconnect_component
 from ..platforms.zynq import Platform
@@ -118,10 +118,3 @@ class SystemIntegrator:
             design.accelerators.append(PlacedAccelerator(
                 component=component, domain=domain, port=port, irq=port))
         return design.seal()
-
-    def port_map(self, design: FpgaDesign) -> Dict[str, List[int]]:
-        """Domain -> port indices mapping of a design."""
-        mapping: Dict[str, List[int]] = {}
-        for placed in design.accelerators:
-            mapping.setdefault(placed.domain, []).append(placed.port)
-        return mapping

@@ -62,14 +62,6 @@ class IpxactComponent:
 
     # ------------------------------------------------------------------
 
-    def interface(self, name: str) -> BusInterface:
-        """Look up an interface by name."""
-        for item in self.interfaces:
-            if item.name == name:
-                return item
-        raise ConfigurationError(
-            f"{self.vlnv}: no bus interface named {name!r}")
-
     def masters(self) -> List[BusInterface]:
         """The component's AXI master interfaces."""
         return [i for i in self.interfaces if i.mode == "master"]

@@ -9,13 +9,13 @@ AXI master engine.  The CHaiDNN model is built on top of it.
 It also models the SW-task interaction of Section II: the accelerator is
 *started* (the SW-task writing its control registers through the PS-FPGA
 interface), runs asynchronously, and raises a completion interrupt per
-frame (represented by the completion callback / counters).
+frame (represented by the frame counters).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..sim.errors import ConfigurationError
 from ..sim.stats import OnlineStats, RateCounter
@@ -58,7 +58,7 @@ class PhasedAccelerator(AxiMasterEngine):
     phases:
         The per-frame phase list.
     frames:
-        Number of frames to process; ``None`` repeats until :meth:`stop`.
+        Number of frames to process; ``None`` repeats indefinitely.
 
     Each phase starts when the previous one has finished: a memory
     phase's job must complete before the next phase begins.
@@ -82,7 +82,6 @@ class PhasedAccelerator(AxiMasterEngine):
         self._compute_until = 0
         self._frame_started: Optional[int] = None
         self._waiting_job: Optional[Job] = None
-        self._frame_callbacks: List[Callable[[int, int], None]] = []
 
     # ------------------------------------------------------------------
 
@@ -90,15 +89,6 @@ class PhasedAccelerator(AxiMasterEngine):
         """Begin processing (the SW-task's request for acceleration)."""
         self._running = True
         self.sim.wake()
-
-    def stop(self) -> None:
-        """Stop after the current frame."""
-        self.frames_target = self.frames_completed + 1
-
-    def on_frame_complete(self,
-                          callback: Callable[[int, int], None]) -> None:
-        """Register ``callback(frame_index, cycle)`` per completed frame."""
-        self._frame_callbacks.append(callback)
 
     @property
     def done(self) -> bool:
@@ -145,8 +135,6 @@ class PhasedAccelerator(AxiMasterEngine):
         self.frame_rate.record(cycle)
         if self._frame_started is not None:
             self.frame_latency.add(cycle - self._frame_started)
-        for callback in self._frame_callbacks:
-            callback(self.frames_completed, cycle)
         self._phase_index = 0
         self._frame_started = None
         if self.done:

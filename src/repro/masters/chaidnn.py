@@ -137,17 +137,7 @@ class ChaiDnnAccelerator(PhasedAccelerator):
 
     # ------------------------------------------------------------------
 
-    @property
-    def fps(self) -> float:
-        """Frames per second over the observation window."""
-        return self.frame_rate.rate()
-
     def traffic_bytes_per_frame(self) -> int:
         """Total DRAM traffic (reads + writes) per frame."""
         return sum(phase.nbytes for phase in self.phases
                    if phase.kind != "compute")
-
-    def compute_cycles_per_frame(self) -> int:
-        """Total datapath-busy cycles per frame."""
-        return sum(phase.cycles for phase in self.phases
-                   if phase.kind == "compute")

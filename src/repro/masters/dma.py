@@ -86,10 +86,6 @@ class AxiDma(AxiMasterEngine):
             raise ConfigurationError("no descriptors programmed")
         self._launch_round()
 
-    def stop(self) -> None:
-        """Stop re-launching rounds (in-flight jobs still complete)."""
-        self._repeat = False
-
     # ------------------------------------------------------------------
 
     def _launch_round(self) -> None:

@@ -127,8 +127,3 @@ class PeriodicTrafficGenerator(AxiMasterEngine):
         if hint is not None and hint < next_release:
             return hint
         return next_release
-
-    @property
-    def miss_ratio(self) -> float:
-        """Fraction of releases that found the previous job unfinished."""
-        return self.deadline_misses / self.releases if self.releases else 0.0

@@ -69,9 +69,9 @@ class _Command:
     addresses: Optional[list] = None
     #: beats served so far
     beat_index: int = 0
-    #: a beat of this command faulted in the backing store; the write
-    #: response (and subsequent read beats) carry DECERR instead of OKAY
-    error: bool = False
+    #: worst response of the beats served so far (``Resp.merged_with``);
+    #: a write's B carries it
+    resp: Resp = Resp.OKAY
 
     def current_address(self) -> int:
         if self.addresses is not None:
@@ -104,6 +104,11 @@ class MemorySubsystem(Component):
         interconnect — this is where upstream arbitration contention
         becomes observable.
     """
+
+    #: ``_injected_response(command) -> Resp`` for the beat about to be
+    #: served, called once per served beat; ``None`` injects nothing.
+    #: Subclasses that inject faults implement it as a method.
+    _injected_response = None
 
     def __init__(self, sim, name: str,
                  link: Union[AxiLink, Sequence[AxiLink]],
@@ -241,9 +246,10 @@ class MemorySubsystem(Component):
                     # address decode miss: the beat answers
                     # DECERR with no data; the exception never escapes
                     # the kernel
-                    command.error = True
                     self.decode_errors += 1
                     resp = Resp.DECERR
+            if self._injected_response is not None:
+                resp = resp.merged_with(self._injected_response(command))
             command.beats_left -= 1
             r.push(DataBeat(
                 last=command.beats_left == 0,
@@ -263,15 +269,17 @@ class MemorySubsystem(Component):
                 except MemoryAccessFault:
                     # drop the faulting beat; the burst's single write
                     # response reports DECERR for the whole transaction
-                    command.error = True
+                    command.resp = Resp.DECERR
                     self.decode_errors += 1
+            if self._injected_response is not None:
+                command.resp = command.resp.merged_with(
+                    self._injected_response(command))
             command.beats_left -= 1
             if command.beats_left == 0:
                 self._pending_b.append((
                     cycle + self.timing.resp_latency, port,
                     RespBeat(txn_id=command.beat.txn_id,
-                             resp=(Resp.DECERR if command.error
-                                   else Resp.OKAY),
+                             resp=command.resp,
                              addr_beat=command.beat),
                 ))
         command.beat_index += 1

@@ -22,10 +22,14 @@ class FaultInjectingMemory(MemorySubsystem):
     Parameters (beyond :class:`MemorySubsystem`)
     --------------------------------------------
     error_rate:
-        Probability that a served beat/response carries SLVERR.
+        Probability that a served beat draws SLVERR.  Each served beat
+        draws once, before it is pushed: a read beat carries its own
+        response, and a write's B carries the worst response of its
+        beats.
     error_window:
-        Optional ``(base, end)`` address range; faults fire only inside
-        it (models one bad device behind the decoder).
+        Optional ``(base, end)`` address range; faults fire only on
+        beats whose address lies inside it (models one bad device
+        behind the decoder).
     stall_rate / stall_cycles:
         Probability of freezing the data pipeline for ``stall_cycles``
         before serving a beat (models controller hiccups / refresh).
@@ -108,17 +112,16 @@ class FaultInjectingMemory(MemorySubsystem):
         self.dead_after_beats = None
         self.sim.wake()
 
-    def _fault_applies(self, address: int) -> bool:
-        if self.error_window is None:
-            return True
-        base, end = self.error_window
-        return base <= address < end
-
-    def _maybe_error(self, address: int) -> Resp:
-        if (self.error_rate > 0.0 and self._fault_applies(address)
-                and self._rng.random() < self.error_rate):
-            self.errors_injected += 1
-            return Resp.SLVERR
+    def _injected_response(self, command) -> Resp:
+        """SLVERR with probability ``error_rate`` for a beat inside
+        ``error_window``; beats outside it draw no randomness."""
+        if self.error_rate > 0.0:
+            window = self.error_window
+            address = command.current_address()
+            if ((window is None or window[0] <= address < window[1])
+                    and self._rng.random() < self.error_rate):
+                self.errors_injected += 1
+                return Resp.SLVERR
         return Resp.OKAY
 
     def _advance(self, command, cycle: int) -> bool:
@@ -134,27 +137,6 @@ class FaultInjectingMemory(MemorySubsystem):
             self._stalled_until = cycle + self.stall_cycles
             self.stalls_injected += 1
             return False
-        before = self.beats_served
-        idle = super()._advance(command, cycle)
-        # fault the beat that was just emitted, if any; ``error_rate``
-        # draws only then
-        if self.beats_served > before:
-            beat = command.beat   # INCR address of the beat just served
-            resp = self._maybe_error(
-                beat.address + (command.beat_index - 1) * beat.size_bytes)
-            if resp is not Resp.OKAY:
-                self._poison_last_emission(resp)
         # an armed stall draws from the RNG on every attempt, so the
         # attempt acted even when no beat moved
-        return idle and self.stall_rate == 0.0
-
-    def _poison_last_emission(self, resp: Resp) -> None:
-        """Rewrite the response of the beat just pushed (R) or just
-        scheduled (B)."""
-        def _set_resp(beat):
-            beat.resp = resp
-
-        if self.link.r.amend_last_push(_set_resp):  # read beat this cycle
-            return
-        if self._pending_b:                        # write response due
-            self._pending_b[-1][2].resp = resp
+        return super()._advance(command, cycle) and self.stall_rate == 0.0

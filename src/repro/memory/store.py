@@ -131,8 +131,3 @@ class MemoryStore:
         if end > last_full * _PAGE_SIZE:
             self.write(last_full * _PAGE_SIZE,
                        bytes(end - last_full * _PAGE_SIZE))
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Host bytes actually allocated (sparse footprint)."""
-        return len(self._pages) * _PAGE_SIZE

@@ -43,11 +43,6 @@ class Platform:
     dram: DramTiming
     resources: ResourceBudget
 
-    @property
-    def peak_bandwidth_bytes_per_s(self) -> float:
-        """Peak streaming bandwidth of one HP port (1 beat/cycle)."""
-        return self.pl_clock_hz * self.hp_data_bytes
-
     def cycles_to_seconds(self, cycles: int) -> float:
         """Convert PL cycles to seconds."""
         return cycles / self.pl_clock_hz

@@ -86,33 +86,29 @@ def _scale(pair, factor: float, count: int = 1) -> ResourceEstimate:
                             round(ff * factor) * count)
 
 
-def hyperconnect_resources(n_ports: int,
-                           data_bytes: int = 16) -> ResourceEstimate:
-    """Estimated HyperConnect usage for ``n_ports`` ports."""
+def hyperconnect_breakdown(n_ports: int, data_bytes: int = 16
+                           ) -> Dict[str, ResourceEstimate]:
+    """Per-module HyperConnect usage for ``n_ports`` ports."""
     if n_ports < 1:
         raise ConfigurationError("n_ports must be >= 1")
     factor = _width_factor(data_bytes)
-    total = ResourceEstimate(0, 0)
-    total = total + _scale(_HC_EFIFO_SLAVE, factor, n_ports)
-    total = total + _scale(_HC_TS, factor, n_ports)
-    total = total + _scale(_HC_EXBAR_BASE, factor)
-    total = total + _scale(_HC_EXBAR_PER_PORT, factor, n_ports)
-    total = total + _scale(_HC_EFIFO_MASTER, factor)
-    total = total + _scale(_HC_CENTRAL, 1.0)  # control logic: width-free
-    return total
-
-
-def hyperconnect_breakdown(n_ports: int) -> Dict[str, ResourceEstimate]:
-    """Per-module breakdown of :func:`hyperconnect_resources` at the
-    calibrated 128-bit width."""
     return {
-        "efifo_slave_ports": _scale(_HC_EFIFO_SLAVE, 1.0, n_ports),
-        "transaction_supervisors": _scale(_HC_TS, 1.0, n_ports),
-        "exbar": (_scale(_HC_EXBAR_BASE, 1.0)
-                  + _scale(_HC_EXBAR_PER_PORT, 1.0, n_ports)),
-        "efifo_master": _scale(_HC_EFIFO_MASTER, 1.0),
+        "efifo_slave_ports": _scale(_HC_EFIFO_SLAVE, factor, n_ports),
+        "transaction_supervisors": _scale(_HC_TS, factor, n_ports),
+        "exbar": (_scale(_HC_EXBAR_BASE, factor)
+                  + _scale(_HC_EXBAR_PER_PORT, factor, n_ports)),
+        "efifo_master": _scale(_HC_EFIFO_MASTER, factor),
+        # control logic: width-free
         "central_unit": _scale(_HC_CENTRAL, 1.0),
     }
+
+
+def hyperconnect_resources(n_ports: int,
+                           data_bytes: int = 16) -> ResourceEstimate:
+    """Estimated HyperConnect usage for ``n_ports`` ports: the sum of
+    :func:`hyperconnect_breakdown`."""
+    return sum(hyperconnect_breakdown(n_ports, data_bytes).values(),
+               ResourceEstimate(0, 0))
 
 
 def smartconnect_resources(n_ports: int,

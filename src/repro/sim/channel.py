@@ -179,26 +179,6 @@ class Channel:
                 callback(now, item)
         return True
 
-    def amend_last_push(self, mutate) -> bool:
-        """Apply ``mutate(item)`` to the item pushed last, this cycle.
-
-        Fault injectors and similar decorators sometimes need to rewrite
-        a payload *after* the producing component pushed it this cycle —
-        e.g. poisoning a data beat's response code.  This is the public
-        way to do that: it only touches an item pushed in the current
-        cycle (its stamp is ``now + latency``; anything older may already
-        be visible and cannot be amended) and returns ``False`` when
-        there is no such item.
-
-        A push is never visible in its own cycle, so consumers can never
-        observe the un-amended item — on either kernel path.
-        """
-        queue = self._queue
-        if not queue or queue[-1][0] != self._sim._cycle + self.latency:
-            return False
-        mutate(queue[-1][1])
-        return True
-
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------

@@ -7,24 +7,22 @@ with whatever they like.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 
 class OnlineStats:
-    """Streaming count/min/max/mean/variance (Welford's algorithm).
+    """Streaming count/min/max/mean (running mean).
 
     Suitable for millions of samples: O(1) memory, numerically stable.
     """
 
-    __slots__ = ("count", "minimum", "maximum", "_mean", "_m2")
+    __slots__ = ("count", "minimum", "maximum", "_mean")
 
     def __init__(self) -> None:
         self.count = 0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
         self._mean = 0.0
-        self._m2 = 0.0
 
     def add(self, value: float) -> None:
         """Fold one sample into the summary."""
@@ -33,45 +31,12 @@ class OnlineStats:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of the samples (0.0 when empty)."""
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples."""
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the samples."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another summary into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self._mean = other._mean
-            self._m2 = other._m2
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        if other.minimum is not None and other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum is not None and other.maximum > self.maximum:
-            self.maximum = other.maximum
 
     def as_dict(self) -> Dict[str, float]:
         """Summary as a plain dict (for reports and JSON dumps)."""
@@ -80,7 +45,6 @@ class OnlineStats:
             "min": self.minimum if self.minimum is not None else 0.0,
             "max": self.maximum if self.maximum is not None else 0.0,
             "mean": self.mean,
-            "stddev": self.stddev,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -453,9 +453,6 @@ class TlmEngine:
                 raise _Decline("write-data")
         if engine._completion_callbacks:
             raise _Decline("callback")
-        for callback in getattr(engine, "_frame_callbacks", ()):
-            if getattr(callback, "__self__", None) is not engine:
-                raise _Decline("callback")
 
     # ------------------------------------------------------------------
     # snapshot / rollback

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..analysis.latency import read_propagation, write_propagation
 from ..axi.monitor import PropagationProbe
 from ..masters.chaidnn import ChaiDnnAccelerator
 from ..masters.dma import AxiDma, standard_case_study_dma
@@ -56,12 +57,12 @@ class ChannelLatencies:
     @property
     def read_total(self) -> int:
         """d_AR + d_R: total added to every read transaction."""
-        return self.ar + self.r
+        return read_propagation(self.as_dict())
 
     @property
     def write_total(self) -> int:
         """d_AW + d_W + d_B: total added to every write transaction."""
-        return self.aw + self.w + self.b
+        return write_propagation(self.as_dict())
 
 
 def measure_channel_latencies(interconnect: str,

@@ -33,7 +33,6 @@ from .corpus import (
     CorpusEntry,
     add_entry,
     load_corpus,
-    replay_entry,
     save_corpus,
 )
 from .paramspace import (
@@ -69,7 +68,6 @@ from .oracles import (
     evaluate_scenario,
     fingerprint_digest,
     isolation_bound_for,
-    scenario_path_digests,
 )
 from .scenario import (
     FABRICS,
@@ -103,7 +101,6 @@ __all__ = [
     "CorpusEntry",
     "add_entry",
     "load_corpus",
-    "replay_entry",
     "save_corpus",
     "RECOVERY_POLICY",
     "RunResult",
@@ -126,7 +123,6 @@ __all__ = [
     "dump_falsifying_example",
     "evaluate_scenario",
     "fingerprint_digest",
-    "scenario_path_digests",
     "isolation_bound_for",
     "FABRICS",
     "FAMILIES",

@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import List
 
-from .harness import RunResult
 from .oracles import check_scenario, fingerprint_digest
 from .scenario import Scenario
 
@@ -78,13 +77,6 @@ def add_entry(path, name: str, scenario: Scenario) -> CorpusEntry:
     entries.append(entry)
     save_corpus(path, entries)
     return entry
-
-
-def replay_entry(entry: CorpusEntry) -> Tuple[RunResult, str]:
-    """Re-run one corpus entry through every oracle; returns the
-    reference result and its digest (callers assert digest identity)."""
-    result = check_scenario(entry.scenario)
-    return result, fingerprint_digest(result)
 
 
 def run_corpus_campaign(path):

@@ -32,6 +32,9 @@ COPY_DEST_OFFSET = 0x80_0000
 #: bytes the beneficiary writes (then reads back) onto a re-granted
 #: range right after a revocation commits
 CHURN_WRITE_BYTES = 512
+#: data width of every link :func:`build_system` builds (the platform's
+#: FPGA-PS port width); grid horizons and oracle bounds count beats of it
+BEAT_BYTES = ZCU102.hp_data_bytes
 
 
 @dataclass
@@ -267,7 +270,7 @@ def build_system(scenario: Scenario, fast: bool,
     """
     sim = Simulator("verify", clock_hz=ZCU102.pl_clock_hz, fast=fast,
                     tlm=tlm)
-    bus = ZCU102.hp_data_bytes
+    bus = BEAT_BYTES
     plans = scenario.ports
     stations: List[Station] = []
     fabrics: List[HyperConnect | SmartConnect] = []

@@ -59,8 +59,8 @@ from typing import Dict, Optional, Set
 
 from ..analysis import ContainmentBound
 from ..platforms import ZCU102
-from .harness import (CHURN_WRITE_BYTES, RunResult, churn_pattern,
-                      run_scenario)
+from .harness import (BEAT_BYTES, CHURN_WRITE_BYTES, RunResult,
+                      churn_pattern, run_scenario)
 from .scenario import Scenario, canonical_json
 
 #: where falsifying examples are written (CI uploads this directory)
@@ -75,9 +75,9 @@ DEFAULT_CHECKS = ("equivalence", "liveness", "protocol", "containment",
 ALL_CHECKS = DEFAULT_CHECKS + ("tlm",)
 #: per-port bytes the TLM flush may credit instantly at each epoch
 #: boundary: at most 8 outstanding transactions of at most 64 beats on
-#: the verify harness's 16-byte bus (engines there run the defaults —
-#: 8 outstanding, 16-beat bursts — so this is deliberately generous)
-TLM_FLUSH_SLACK_BYTES = 8 * 64 * 16
+#: the verify harness's bus (engines there run the defaults — 8
+#: outstanding, 16-beat bursts — so this is deliberately generous)
+TLM_FLUSH_SLACK_BYTES = 8 * 64 * BEAT_BYTES
 
 
 class OracleViolation(AssertionError):
@@ -386,13 +386,14 @@ def churn_delay_bound_for(scenario: Scenario) -> int:
     (1-cycle detection) quiesce, so the serialized multi-fault bound
     applies with ``timeout_cycles=1``; on top of that every re-granting
     op injects the beneficiary's post-commit write + readback (each at
-    most ``CHURN_WRITE_BYTES`` = 32 beats on the 16-byte bus), charged
-    as up to 64 beats of extra round-robin interference per port.
+    most ``CHURN_WRITE_BYTES``), charged as that many beats of extra
+    round-robin interference per port.
     """
     n_ops = len(scenario.churn or ())
     bound = _harness_bound(scenario, 1)
     return (bound.multi_fault_delay_bound(n_ops)
-            + n_ops * 64 * len(scenario.ports))
+            + n_ops * (2 * CHURN_WRITE_BYTES // BEAT_BYTES)
+            * len(scenario.ports))
 
 
 def check_stale_window(scenario: Scenario, result: RunResult,
@@ -558,12 +559,11 @@ def check_tlm(scenario: Scenario, reference: RunResult,
     if candidate.tlm_epochs == 0:
         check_equivalence(scenario, reference, candidate, label="tlm")
         return
-    beat_bytes = 16                   # the verify harness's bus width
     links = 2 if scenario.family == "multiport" else 1
     slack = candidate.tlm_epochs * TLM_FLUSH_SLACK_BYTES
     total = sum(info["bytes_read"] + info["bytes_written"]
                 for info in candidate.engines)
-    capacity = (candidate.now * beat_bytes * links
+    capacity = (candidate.now * BEAT_BYTES * links
                 + len(scenario.ports) * slack)
     if total > capacity:
         raise OracleViolation(
@@ -588,7 +588,7 @@ def check_tlm(scenario: Scenario, reference: RunResult,
             info = candidate.engines[index]
             moved = info["bytes_read"] + info["bytes_written"]
             limit = (analysis.budget * analysis.nominal_burst
-                     * beat_bytes * periods + slack)
+                     * BEAT_BYTES * periods + slack)
             if moved > limit:
                 raise OracleViolation(
                     "tlm",
@@ -634,19 +634,6 @@ def dump_falsifying_example(scenario: Scenario, oracle: str) -> Path:
         "scenario": scenario.to_dict(),
     }) + "\n")
     return path
-
-
-def scenario_path_digests(scenario: Scenario) -> Dict[str, str]:
-    """Corpus digest of every kernel path's observables, keyed by label.
-
-    The labeled per-path map ("reference" / "fast") is what the corpus
-    replay tests compare: every value must be identical, byte for byte.
-    """
-    return {
-        "reference": fingerprint_digest(run_scenario(scenario,
-                                                     fast=False)),
-        "fast": fingerprint_digest(run_scenario(scenario, fast=True)),
-    }
 
 
 def evaluate_scenario(scenario: Scenario,

@@ -37,6 +37,7 @@ from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
     Optional, Sequence, Tuple
 
+from .harness import BEAT_BYTES
 from .oracles import ALL_CHECKS, DEFAULT_CHECKS
 from .scenario import ILLEGAL_OFFSET, MasterFault, MemoryFault, \
     PortPlan, Scenario, job_address
@@ -79,14 +80,6 @@ class ParamSpace:
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self.assignments())
-
-    def __len__(self) -> int:
-        if self.mode == "full":     # closed form, no materialization
-            size = 1
-            for __, values in self.axes:
-                size *= len(values)
-            return size
-        return len(self.assignments())
 
     def __repr__(self) -> str:   # pragma: no cover - debugging nicety
         shape = "x".join(str(len(v)) for __, v in self.axes)
@@ -162,7 +155,7 @@ def _rogue(port_index: int, mode: str, hang: int, timeout: int,
         return PortPlan(jobs=jobs, timeout=timeout,
                         fault=MasterFault(mode=mode))
     kind = "read" if mode == "hung_r" else "write"
-    beats = nbytes // 16
+    beats = nbytes // BEAT_BYTES
     return PortPlan(
         jobs=((kind, job_address(port_index), nbytes),), timeout=timeout,
         fault=MasterFault(mode=mode,
@@ -368,11 +361,11 @@ def compile_isolation(a: dict) -> Scenario:
             plans.append(PortPlan(jobs=(
                 ("read", base, job_bytes),
                 ("write", base + span // 2, job_bytes))))
-    horizon = 6_000 + 6 * (n * 2 * job_bytes // 16)
+    horizon = 6_000 + 6 * (n * 2 * job_bytes // BEAT_BYTES)
     if churn_ops is not None:
         # the victim's long write and the beneficiary's post-commit
         # write + readback add work the legacy formula never counted
-        horizon += 6 * (max(4 * job_bytes, 2048) // 16) + 2_048
+        horizon += 6 * (max(4 * job_bytes, 2048) // BEAT_BYTES) + 2_048
     return Scenario(family="flat", ports=tuple(plans),
                     grants=tuple((i * span, span) for i in range(n)),
                     equal_shares=a.get("equal_shares", False),
@@ -397,7 +390,8 @@ def compile_throughput(a: dict) -> Scenario:
         PortPlan(jobs=((kind, job_address(i, offset=slot * 0x2000),
                         nbytes),))
         for i in range(n_ports))
-    beats = n_ports * (nbytes * (2 if kind == "copy" else 1)) // 16
+    beats = (n_ports * (nbytes * (2 if kind == "copy" else 1))
+             // BEAT_BYTES)
     return Scenario(family="flat", ports=ports, horizon=1_024 + 3 * beats,
                     settle=64)
 
@@ -429,12 +423,6 @@ class GridSpec:
             scenario = self.compile(assignment)
             yield (scenario if horizon is None
                    else replace(scenario, horizon=horizon))
-
-    def scenarios(self, mode: Optional[str] = None, seed: int = 0,
-                  limit: Optional[int] = None,
-                  horizon: Optional[int] = None) -> List[Scenario]:
-        """The grid's distinct scenarios (see :func:`_unique`)."""
-        return _unique(self.compiled(mode, seed, horizon), limit)
 
 
 def _unique(scenarios: Iterable[Scenario],

@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from hypothesis import strategies as st
 
+from .harness import BEAT_BYTES
 from .scenario import (
     FAMILIES,
     ILLEGAL_OFFSET,
@@ -33,9 +34,8 @@ from .scenario import (
 
 #: leaf-port counts per family (cascade/multiport need the extra port)
 PORT_RANGE = {"flat": (2, 4), "cascade": (3, 4), "multiport": (3, 4)}
-#: job sizes in bytes (multiples of the 16-byte beat)
+#: job sizes in bytes (multiples of the harness's beat)
 SIZES = (256, 512, 1024, 2048)
-BEAT_BYTES = 16
 #: healthy ports are either disarmed or armed far beyond the delay a
 #: rogue can inflict on them (ContainmentBound.healthy_port_delay_bound)
 #: for every rogue timeout below, so no neighbour trips falsely

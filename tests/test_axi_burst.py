@@ -13,7 +13,6 @@ from repro.axi import (
     legalize,
     max_legal_length,
     split_burst,
-    total_bytes,
 )
 
 
@@ -125,8 +124,3 @@ class TestLegalize:
             assert not crosses_4kb(sub_address, sub_length, 16)
             covered.extend(beat_addresses(sub_address, sub_length, 16))
         assert covered == beat_addresses(address, beats, 16)
-
-
-class TestTotals:
-    def test_total_bytes(self):
-        assert total_bytes(16, 16) == 256

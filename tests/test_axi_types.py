@@ -5,7 +5,6 @@ import pytest
 from repro.axi import (
     AxiVersion,
     BurstType,
-    ChannelName,
     Resp,
     check_beat_size,
     check_burst_length,
@@ -42,15 +41,6 @@ class TestVersion:
     def test_max_burst_lengths(self):
         assert AxiVersion.AXI3.max_burst_length == 16
         assert AxiVersion.AXI4.max_burst_length == 256
-
-
-class TestChannelName:
-    def test_request_channels(self):
-        assert ChannelName.AR.is_request
-        assert ChannelName.AW.is_request
-        assert ChannelName.W.is_request
-        assert not ChannelName.R.is_request
-        assert not ChannelName.B.is_request
 
 
 class TestValidators:

@@ -163,8 +163,6 @@ class TestRuntimePolicies:
         assert soc.driver.is_coupled(0)
         for port in hypervisor.domain("best").ports:
             assert not hypervisor.driver.is_coupled(port)
-        hypervisor.restore_domain("best")
-        assert soc.driver.is_coupled(1)
 
     def test_isolated_misbehaving_domain_stops_interfering(self):
         soc, hypervisor, __ = booted_system()

@@ -707,15 +707,6 @@ class TestCorpusPathEquivalence:
         fast = run_scenario(entry.scenario, fast=True)
         assert fingerprint_digest(fast) == entry.digest, "fast path drifted"
 
-    @pytest.mark.parametrize("entry", CORPUS[:1], ids=lambda e: e.name)
-    def test_corpus_path_digests_labeled(self, entry):
-        """The labeled digest map agrees on both paths."""
-        from repro.verify import scenario_path_digests
-
-        digests = scenario_path_digests(entry.scenario)
-        assert set(digests) == {"reference", "fast"}
-        assert set(digests.values()) == {entry.digest}
-
 
 class TestEquivalenceOracleSeesCompletionCycles:
     """The containment, isolation and stale-window oracles read per-port

@@ -64,17 +64,6 @@ class TestRounds:
         soc.sim.run(5000)
         assert dma.rounds_completed > 3
 
-    def test_stop_halts_repeats(self):
-        soc, dma = build()
-        dma.program([DmaDescriptor("read", 0x1000, 256)], repeat=True)
-        dma.start()
-        soc.sim.run(1000)
-        dma.stop()
-        drain(soc)
-        rounds = dma.rounds_completed
-        soc.sim.run(2000)
-        assert dma.rounds_completed == rounds
-
     def test_round_counts_all_descriptors(self):
         soc, dma = build()
         dma.program([DmaDescriptor("read", 0x1000, 128),

@@ -70,7 +70,6 @@ class TestPeriodic:
                                             period=5000, job_bytes=256)
         soc.sim.run(30_000)
         assert periodic.deadline_misses == 0
-        assert periodic.miss_ratio == 0.0
 
     def test_misses_detected_when_overloaded(self):
         soc = SocSystem.build(ZCU102, n_ports=2)
@@ -78,8 +77,7 @@ class TestPeriodic:
         periodic = PeriodicTrafficGenerator(soc.sim, "p", soc.port(0),
                                             period=50, job_bytes=65536)
         soc.sim.run(5000)
-        assert periodic.deadline_misses > 0
-        assert periodic.miss_ratio > 0.0
+        assert 0 < periodic.deadline_misses < periodic.releases
 
     def test_invalid_period(self):
         soc = SocSystem.build(ZCU102, n_ports=2)

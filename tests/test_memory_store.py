@@ -35,11 +35,6 @@ class TestBasics:
         store.write(100, blob)
         assert store.read(100, 10_000) == blob
 
-    def test_sparse_allocation(self):
-        store = MemoryStore()
-        store.write(1 << 30, b"z")
-        assert store.allocated_bytes == 4096
-
 
 class TestBounds:
     def test_invalid_size(self):

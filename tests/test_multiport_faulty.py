@@ -296,6 +296,42 @@ class TestFaultInjection:
         assert memory.errors_injected > 0
         assert job.write_bytes_done == 1024
 
+    def direct(self, **kwargs):
+        """A DMA wired straight to the faulty memory over one link."""
+        sim = Simulator("faulty-direct", clock_hz=ZCU102.pl_clock_hz)
+        link = AxiLink(sim, "m", data_bytes=16)
+        memory = FaultInjectingMemory(sim, "mem", link, timing=ZCU102.dram,
+                                      error_rate=1.0, **kwargs)
+        responses = []
+        link.b.subscribe_push(
+            lambda cycle, beat: responses.append(
+                (beat.addr_beat.address, beat.resp)))
+        return sim, AxiDma(sim, "dma", link), memory, responses
+
+    def test_a_later_bursts_error_stays_on_its_own_b(self):
+        """The second write's first beat is served while the first B is
+        still pending; its error must not land on that B."""
+        sim, dma, memory, responses = self.direct(
+            error_window=(0x2000_0000, 0x2000_1000))
+        first = dma.enqueue_write(0x1000_0000, 256)
+        second = dma.enqueue_write(0x2000_0000, 256)
+        sim.run_until(lambda: first.completed and second.completed,
+                      max_cycles=20_000)
+        assert responses == [(0x1000_0000, Resp.OKAY),
+                             (0x2000_0000, Resp.SLVERR)]
+
+    def test_a_mid_burst_error_reaches_the_b(self):
+        """Only the first of 16 beats draws an error; the B still
+        carries it."""
+        sim, dma, memory, responses = self.direct(
+            error_window=(0x1000_0000, 0x1000_0010))
+        job = dma.enqueue_write(0x1000_0000, 256)
+        sim.run_until(lambda: job.completed is not None,
+                      max_cycles=20_000)
+        assert memory.errors_injected == 1
+        assert responses == [(0x1000_0000, Resp.SLVERR)]
+        assert dma.error_responses == 1
+
     def test_dead_after_beats_silences_the_pipeline(self):
         sim, hc, memory = self.build(dead_after_beats=16)
         dma = AxiDma(sim, "dma", hc.port(0))

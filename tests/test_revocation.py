@@ -45,7 +45,7 @@ from repro.verify import (
 from repro.verify.harness import CHURN_WRITE_BYTES, build_system, \
     churn_pattern, run_system
 from repro.verify.oracles import check_liveness, check_stale_window
-from repro.verify.paramspace import GRIDS, compile_isolation
+from repro.verify.paramspace import compile_isolation, grid_scenarios
 from repro.verify.scenario import GRANT_GRANULE, canonical_json
 
 SPAN = 8 * GRANT_GRANULE
@@ -331,7 +331,7 @@ class TestStaleWindowOracle:
 
 class TestChurnGrid:
     def test_grid_is_registered_and_compiles(self):
-        scenarios = GRIDS["churn"].scenarios(mode="pairwise")
+        scenarios, __ = grid_scenarios("churn", mode="pairwise")
         assert scenarios
         assert all(s.churn is not None for s in scenarios)
 

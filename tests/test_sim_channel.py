@@ -158,46 +158,6 @@ class TestIntrospection:
         assert channel.occupancy == 3  # 2 queued + 1 popped this cycle
 
 
-@pytest.mark.parametrize("latency", (1, 3))
-class TestAmendLastPush:
-    """The public hook fault injectors use to rewrite this cycle's push."""
-
-    def test_amends_only_this_cycles_push(self, sim, latency):
-        channel = make(sim, latency=latency)
-        earlier = ["old"]
-        latest = ["old"]
-        channel.push(earlier)
-        sim.run(latency)                # the first item is visible now
-        channel.push(latest)
-        assert channel.amend_last_push(
-            lambda item: item.__setitem__(0, "new"))
-        assert earlier == ["old"]       # an older push cannot be amended
-        assert latest == ["new"]
-        assert channel.pop() == ["old"]
-        sim.run(latency)
-        assert channel.pop() == ["new"]
-
-    def test_consumer_never_sees_the_unamended_item(self, sim, latency):
-        channel = make(sim, latency=latency)
-        seen = []
-        channel.subscribe_pop(lambda cycle, item: seen.append(list(item)))
-        channel.push(["x"])
-        channel.amend_last_push(lambda item: item.__setitem__(0, "y"))
-        sim.run(latency)
-        assert channel.pop() == ["y"]
-        assert seen == [["y"]]
-
-    def test_refuses_without_a_push_this_cycle(self, sim, latency):
-        channel = make(sim, latency=latency)
-        assert not channel.amend_last_push(lambda item: None)
-        channel.push(["x"])
-        sim.step()
-        # pushed last cycle: still in flight when latency > 1, but no
-        # longer this cycle's push
-        assert channel.can_pop() is (latency == 1)
-        assert not channel.amend_last_push(lambda item: None)
-
-
 class TestListeners:
     def test_push_listener_sees_cycle_and_item(self, sim):
         channel = make(sim)

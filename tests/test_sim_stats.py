@@ -14,7 +14,6 @@ class TestOnlineStats:
         stats = OnlineStats()
         assert stats.count == 0
         assert stats.mean == 0.0
-        assert stats.variance == 0.0
         assert stats.minimum is None and stats.maximum is None
 
     def test_single_sample(self):
@@ -23,14 +22,12 @@ class TestOnlineStats:
         assert stats.count == 1
         assert stats.mean == 42.0
         assert stats.minimum == stats.maximum == 42.0
-        assert stats.stddev == 0.0
 
     def test_known_values(self):
         stats = OnlineStats()
         for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
             stats.add(value)
         assert stats.mean == pytest.approx(5.0)
-        assert stats.stddev == pytest.approx(2.0)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
                     min_size=1, max_size=200))
@@ -40,37 +37,8 @@ class TestOnlineStats:
             stats.add(value)
         assert stats.mean == pytest.approx(statistics.fmean(values),
                                            rel=1e-9, abs=1e-6)
-        assert stats.variance == pytest.approx(
-            statistics.pvariance(values), rel=1e-6, abs=1e-6)
         assert stats.minimum == min(values)
         assert stats.maximum == max(values)
-
-    @given(st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1,
-                    max_size=50),
-           st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1,
-                    max_size=50))
-    def test_merge_equals_batch(self, left, right):
-        merged = OnlineStats()
-        for value in left:
-            merged.add(value)
-        other = OnlineStats()
-        for value in right:
-            other.add(value)
-        merged.merge(other)
-        batch = OnlineStats()
-        for value in left + right:
-            batch.add(value)
-        assert merged.count == batch.count
-        assert merged.mean == pytest.approx(batch.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(batch.variance, rel=1e-6,
-                                                abs=1e-5)
-
-    def test_merge_into_empty(self):
-        empty = OnlineStats()
-        other = OnlineStats()
-        other.add(3.0)
-        empty.merge(other)
-        assert empty.count == 1 and empty.mean == 3.0
 
     def test_as_dict(self):
         stats = OnlineStats()

@@ -106,10 +106,6 @@ class TestPlatforms:
         assert ZCU102.resources.lut == 274_080
         assert ZCU102.resources.ff == 548_160
 
-    def test_peak_bandwidth(self):
-        assert ZCU102.peak_bandwidth_bytes_per_s == pytest.approx(
-            150e6 * 16)
-
     def test_cycles_to_seconds(self):
         assert ZCU102.cycles_to_seconds(150_000_000) == pytest.approx(1.0)
 

@@ -18,8 +18,9 @@ from repro.verify import (
     PortPlan,
     Scenario,
     add_entry,
+    check_scenario,
+    fingerprint_digest,
     load_corpus,
-    replay_entry,
     save_corpus,
 )
 from repro.verify.corpus import CORPUS_VERSION, CorpusEntry, \
@@ -56,13 +57,6 @@ class TestCheckedInCorpus:
             assert record["digest"] == entry.digest, (
                 f"{entry.name} drifted from its checked-in digest")
 
-    def test_single_entry_replay_matches_the_campaign(self):
-        """replay_entry (the promotion-workflow path) and the campaign
-        runner must agree on the digest."""
-        entry = load_corpus(CORPUS_PATH)[0]
-        __, digest = replay_entry(entry)
-        assert digest == entry.digest
-
     def test_file_is_canonically_formatted(self, tmp_path):
         """Re-saving must be a no-op, so corpus diffs stay reviewable."""
         text = CORPUS_PATH.read_text()
@@ -87,8 +81,8 @@ class TestCorpusManagement:
         (loaded,) = load_corpus(path)
         assert loaded == entry
         # replaying immediately reproduces the recorded digest
-        __, digest = replay_entry(loaded)
-        assert digest == entry.digest
+        assert fingerprint_digest(check_scenario(loaded.scenario)) == \
+            entry.digest
 
     def test_add_entry_rejects_duplicate_names(self, tmp_path):
         path = tmp_path / "corpus.json"
